@@ -2,8 +2,8 @@
 
 Subcommands read JSON from file arguments (or '-' for standard input) and
 write canonical JSON to standard output.  Exit codes: 0 all checks passed,
-1 a check failed, 2 usage error, 3 malformed input.  GFROB_SIZE_LIMIT
-overrides the enumeration guard.
+1 a check failed, 2 usage error (an index out of range too), 3 malformed input.
+GFROB_SIZE_LIMIT, a positive integer, overrides the enumeration guard.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from . import serialize as ser
 from .braided import br_basis, braidize
-from .errors import GfrobError, NotAGroup
+from .errors import BadIndex, GfrobError, NotAGroup
 from .frobenius import assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import enumerate_component, guard_size
 from .groups import conjugacy_classes
@@ -101,19 +101,18 @@ def _cmd_groupoid(args) -> RunReport:
     g = ser.group_from_json(_read_json(args.group))
     n = args.n
     guard_size(g, n)
-    seen = {}
-    for t in itertools.product(range(g.order), repeat=n):
-        comp = enumerate_component(g, t)
-        key = comp.canonical
-        if key not in seen:
-            seen[key] = comp
     lines = []
-    for key in sorted(seen):
-        comp = seen[key]
+    covered: set[tuple[int, ...]] = set()
+    for t in itertools.product(range(g.order), repeat=n):
+        if t in covered:
+            continue
+        # product order is lexicographic, so t is the least member of its component
+        comp = enumerate_component(g, t)
+        covered.update(comp.members)
         lines.append(
             ser.dumps_line(
                 {
-                    "component": list(key),
+                    "component": list(t),
                     "size": len(comp.members),
                     "m_C": comp.m_C,
                     "n_C": comp.n_C,
@@ -350,6 +349,9 @@ def main(argv=None) -> int:
     except NotAGroup as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except BadIndex as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except GfrobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return CHECK_FAILED

@@ -16,10 +16,11 @@ Conventions fixed here and relied on everywhere else:
 * generator indices are 1-based: b_i braids slots i and i+1 for
   1 <= i <= n-1.
 
-Enumeration is breadth-first closure over generator arrows and their
-inverses; it terminates because G^n x| S_n is finite.  Arrow counts satisfy
-n_C = |C| * m_C with m_C the constant hom-set size, and every component has
-a constant G-degree (the ordered product of the tuple entries).
+A component is stored as a spanning tree of its orbit plus the endomorphism
+group of its basepoint, closed from Schreier generators, never as its
+|C| * m_C arrows.  Each arrow is one connector after one endomorphism, so
+n_C = |C| * m_C holds by construction, with m_C the constant hom-set size.
+Every component has a constant G-degree (the ordered product of the entries).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 from dataclasses import dataclass, field
 from math import factorial
 
-from .errors import IndexOutOfRange, SizeLimit, SourceTargetMismatch
+from .errors import BadIndex, IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from .groups import FiniteGroup
 
 DEFAULT_SIZE_LIMIT = 10**6
@@ -39,10 +40,16 @@ Perm = tuple[int, ...]
 
 def size_limit() -> int:
     raw = os.environ.get("GFROB_SIZE_LIMIT")
-    return int(raw) if raw else DEFAULT_SIZE_LIMIT
+    if not raw:
+        return DEFAULT_SIZE_LIMIT
+    if not raw.isdecimal() or int(raw) == 0:
+        raise BadIndex(f"GFROB_SIZE_LIMIT must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def guard_size(group: FiniteGroup, n: int, limit: int | None = None) -> None:
+    if n < 0:
+        raise BadIndex(f"tuple length n = {n} is negative")
     cap = limit if limit is not None else size_limit()
     total = group.order**n * factorial(n)
     if total > cap:
@@ -152,115 +159,86 @@ def diagonal_tuple_action(group: FiniteGroup, g: int, t: GTuple) -> GTuple:
 Word = tuple[tuple[int, bool], ...]  # sequence of (generator index, inverted)
 
 
+def _invert_word(word: Word) -> Word:
+    return tuple((i, not inv) for i, inv in reversed(word))
+
+
 @dataclass(frozen=True, eq=False)
 class Component:
     """One connected component of the braid groupoid, based at a chosen tuple.
 
-    arrows holds every arrow with source == basepoint; words holds, for each
-    of them, one braid word realizing it (later-applied generators last).
+    Stored as a spanning tree plus a vertex group: connectors maps each member
+    u to one arrow basepoint -> u (the identity at the basepoint), and endos is
+    End(basepoint).  Every arrow with source basepoint is conn(u) o e for
+    exactly one member u and one e in endos, so each hom-set has
+    m_C = |endos| arrows and n_C = |C| * m_C holds by construction.  words
+    holds one realizing braid word (later-applied generators last) for each
+    connector and each endomorphism.
     """
 
     group: FiniteGroup
     basepoint: GTuple
-    members: frozenset[GTuple]
-    arrows: tuple[Arrow, ...]
-    words: dict[Arrow, Word] = field(repr=False)
-    n_C: int
-    m_C: int
-    g_degree: int
-    endos: tuple[Arrow, ...] = field(repr=False)
     connectors: dict[GTuple, Arrow] = field(repr=False)
+    endos: tuple[Arrow, ...] = field(repr=False)
+    words: dict[Arrow, Word] = field(repr=False)
+    g_degree: int
+
+    @property
+    def members(self) -> frozenset[GTuple]:
+        return frozenset(self.connectors)
+
+    @property
+    def m_C(self) -> int:
+        return len(self.endos)
+
+    @property
+    def n_C(self) -> int:
+        return len(self.connectors) * len(self.endos)
 
     @property
     def canonical(self) -> GTuple:
-        return min(self.members)
+        return min(self.connectors)
 
     def hom(self, target: GTuple) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == target]
+        """Arrows basepoint -> target, ordered by (gpart, perm)."""
+        conn = self.connectors.get(target)
+        if conn is None:
+            return []
+        homs = (compose_arrows(self.group, conn, e) for e in self.endos)
+        return sorted(homs, key=lambda a: (a.gpart, a.perm))
 
-    def connecting(self, member: GTuple) -> Arrow:
-        return self.connectors[member]
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """Every arrow with source basepoint, ordered by (target, gpart, perm)."""
+        return tuple(a for t in sorted(self.connectors) for a in self.hom(t))
+
+    def word(self, a: Arrow) -> Word:
+        """A braid word realizing a, which must have source basepoint."""
+        conn = self.connectors.get(a.target)
+        if conn is not None:
+            endo = compose_arrows(self.group, inverse_arrow(self.group, conn), a)
+            if endo in self.words:
+                return self.words[endo] + self.words[conn]
+        raise SourceTargetMismatch("arrow is not realized from its stated source")
 
 
 _component_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}
 
 
-def _orbit(group: FiniteGroup, t: GTuple) -> frozenset[GTuple]:
-    n = len(t)
-    seen = {tuple(t)}
-    queue = [tuple(t)]
-    while queue:
-        frontier = []
-        for s in queue:
-            for i in range(1, n):
-                for inv in (False, True):
-                    u = braid_gen_action(group, i, s, inverse=inv)
-                    if u not in seen:
-                        seen.add(u)
-                        frontier.append(u)
-        queue = frontier
-    return frozenset(seen)
-
-
-def _arrow_closure(group: FiniteGroup, base: GTuple) -> dict[Arrow, Word]:
-    n = len(base)
-    start = identity_arrow(group, base)
-    words: dict[Arrow, Word] = {start: ()}
-    queue = [start]
-    steps = [(i, inv) for i in range(1, n) for inv in (False, True)]
-    while queue:
-        frontier = []
-        for a in queue:
-            for i, inv in steps:
-                g = inverse_gen_arrow(group, i, a.target) if inv else gen_arrow(group, i, a.target)
-                c = compose_arrows(group, g, a)
-                if c not in words:
-                    words[c] = words[a] + ((i, inv),)
-                    frontier.append(c)
-        queue = frontier
-    return words
-
-
-def _build_component(group: FiniteGroup, basepoint: GTuple, words: dict[Arrow, Word]) -> Component:
-    arrows = tuple(sorted(words, key=lambda a: (a.target, a.gpart, a.perm)))
-    members = frozenset(a.target for a in arrows)
-    counts: dict[GTuple, int] = {}
-    for a in arrows:
-        counts[a.target] = counts.get(a.target, 0) + 1
-    sizes = set(counts.values())
-    if len(sizes) != 1:
-        raise AssertionError(f"hom-set sizes not constant on component: {counts}")
-    degs = {g_degree(group, m) for m in members}
-    if len(degs) != 1:
-        raise AssertionError(f"G-degree not constant on component: {degs}")
-    connectors: dict[GTuple, Arrow] = {}
-    for a in arrows:
-        connectors.setdefault(a.target, a)
-    return Component(
-        group=group,
-        basepoint=basepoint,
-        members=members,
-        arrows=arrows,
-        words=words,
-        n_C=len(arrows),
-        m_C=sizes.pop(),
-        g_degree=degs.pop(),
-        endos=tuple(a for a in arrows if a.target == basepoint),
-        connectors=connectors,
-    )
-
-
-def _invert_word(word: Word) -> Word:
-    return tuple((i, not inv) for i, inv in reversed(word))
-
-
 def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None) -> Component:
-    """All arrows with source t, by closure under generator arrows and inverses.
+    """The component of t, based at t: a spanning tree and End(t).
 
-    The expensive arrow closure runs once per component, at the
-    lexicographically least member; other basepoints are reached by
-    composing with a connecting arrow.  Results are cached; the insert is
-    idempotent, so concurrent readers sharing the cache are safe.
+    One breadth-first search over the orbit records a connector t -> u for
+    each member u.  Every other generator arrow b: s -> u yields the Schreier
+    generator conn(u)^-1 o b o conn(s) of End(t) (Schreier's lemma).  Each
+    b_i permutes the finite set G^n, so forward generators alone reach the
+    whole orbit and generate End(t).  The generators are closed into End(t)
+    one at a time: a generator not yet in the group H adds whole cosets
+    H o r, so H at least doubles and at most log2(m_C) generators are ever
+    multiplied through.
+
+    Results are cached per basepoint; the insert is idempotent, so
+    concurrent readers sharing the cache are safe.
     """
     t = tuple(t)
     key = (group, t)
@@ -268,23 +246,48 @@ def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None)
     if hit is not None:
         return hit
     guard_size(group, len(t), limit)
+    ident = identity_arrow(group, t)
+    connectors = {t: ident}
+    words: dict[Arrow, Word] = {ident: ()}
+    schreier: list[tuple[Arrow, Word]] = []
+    queue = [t]
+    for s in queue:  # grows during iteration: breadth-first order
+        conn_s = connectors[s]
+        for i in range(1, len(t)):
+            b = gen_arrow(group, i, s)
+            a = compose_arrows(group, b, conn_s)
+            w = words[conn_s] + ((i, False),)
+            conn_u = connectors.get(b.target)
+            if conn_u is None:
+                connectors[b.target] = a
+                words[a] = w
+                queue.append(b.target)
+            else:
+                x = compose_arrows(group, inverse_arrow(group, conn_u), a)
+                schreier.append((x, w + _invert_word(words[conn_u])))
 
-    rep = min(_orbit(group, t))
-    rep_key = (group, rep)
-    base = _component_cache.get(rep_key)
-    if base is None:
-        base = _build_component(group, rep, _arrow_closure(group, rep))
-        _component_cache[rep_key] = base
-    if t == rep:
-        return base
+    endos = {ident: ()}
+    gens: list[tuple[Arrow, Word]] = []
+    for x, wx in schreier:
+        if x in endos:
+            continue
+        gens.append((x, wx))
+        subgroup = list(endos.items())
+        reps = [(ident, ())]  # coset representatives; grows during iteration
+        for r, wr in reps:
+            for g, wg in gens:
+                y = compose_arrows(group, r, g)
+                if y not in endos:
+                    wy = wg + wr
+                    reps.append((y, wy))
+                    for h, wh in subgroup:
+                        endos[compose_arrows(group, h, y)] = wy + wh
+    words.update(endos)
 
-    connect = next(a for a in base.arrows if a.target == t)
-    h = inverse_arrow(group, connect)  # t -> rep
-    h_word = _invert_word(base.words[connect])
-    words = {
-        compose_arrows(group, a, h): h_word + base.words[a] for a in base.arrows
-    }
-    comp = _build_component(group, t, words)
+    deg = g_degree(group, t)
+    if any(g_degree(group, m) != deg for m in connectors):
+        raise AssertionError(f"G-degree not constant on the component of {t}")
+    comp = Component(group, t, connectors, tuple(endos), words, deg)
     _component_cache[key] = comp
     return comp
 
@@ -309,10 +312,7 @@ def reflect_arrow(group: FiniteGroup, a: Arrow) -> Arrow:
     reversing any realizing braid word and swapping b_i for b_{n-i}.  The
     result does not depend on the chosen word.
     """
-    comp = enumerate_component(group, a.source)
-    word = comp.words.get(a)
-    if word is None:
-        raise SourceTargetMismatch("arrow is not realized from its stated source")
+    word = enumerate_component(group, a.source).word(a)
     n = a.n
     out = identity_arrow(group, reflect_tuple(group, a.target))
     for i, inv in reversed(word):

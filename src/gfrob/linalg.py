@@ -29,10 +29,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
 def transpose(a: Mat) -> Mat:
     if not a:
         return ()
@@ -46,10 +42,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -104,11 +96,6 @@ def mat_inv(a: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def solve(a: Mat, b: Sequence[Fraction]) -> Vec:
-    """Unique solution of a @ x = b for square invertible a."""
-    return mat_vec(mat_inv(a), b)
 
 
 def solve_columns(a: Mat, b: Sequence[Fraction]) -> Vec:

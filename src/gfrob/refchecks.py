@@ -21,7 +21,7 @@ from .frobenius import (
     subalgebras,
     wdvv_check,
 )
-from .groupoid import enumerate_component, gen_arrow, g_degree
+from .groupoid import compose_arrows, enumerate_component, g_degree, gen_arrow, inverse_gen_arrow
 from .groups import cyclic_group, symmetric_group
 from .modules import (
     Tensor,
@@ -132,12 +132,20 @@ def _check_gen_arrows_z2():
 
 def _check_component_counting():
     import itertools
+    from collections import Counter
 
     for group, n in ((cyclic_group(2), 2), (cyclic_group(2), 3), (symmetric_group(3), 2)):
         for t in itertools.product(range(group.order), repeat=n):
             c = enumerate_component(group, t)
-            if c.n_C != len(c.members) * c.m_C:
-                return _ok(False, f"n_C mismatch at {t}")
+            arrows = set(c.arrows)
+            for a in arrows:
+                for i in range(1, n):
+                    for b in (gen_arrow(group, i, a.target), inverse_gen_arrow(group, i, a.target)):
+                        if compose_arrows(group, b, a) not in arrows:
+                            return _ok(False, f"arrows from {t} not closed under b_{i} at {a.target}")
+            per_target = Counter(a.target for a in arrows)
+            if set(per_target) != c.members or set(per_target.values()) != {c.m_C}:
+                return _ok(False, f"hom-set sizes differ from m_C = {c.m_C} at {t}")
             if any(g_degree(group, m) != c.g_degree for m in c.members):
                 return _ok(False, f"degree not constant at {t}")
     return _ok(True, "n_C = |C| m_C and constant degree")

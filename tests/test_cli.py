@@ -188,6 +188,34 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["potential", "A", "1"],
+        ["potential", "D", "2"],
+        ["flat-coords", "1"],
+        ["construct-z2", "2"],
+        ["groupoid", "--group", "z2", "--n", "-1"],
+        ["br-basis", "--module", "module", "--n", "-1"],
+    ],
+)
+def test_bad_index_is_usage_error(capsys, files, argv):
+    code = main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", ["abc", "-5", "0", "1.5"])
+def test_bad_size_limit_is_usage_error(capsys, files, monkeypatch, limit):
+    monkeypatch.setenv("GFROB_SIZE_LIMIT", limit)
+    for argv in (["groupoid", "--group", files["z2"], "--n", "2"], ["br-basis", "--module", files["module"], "--n", "2"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "GFROB_SIZE_LIMIT" in err and out == ""
+
+
 def test_byte_identical_output(capsys, files):
     _, out1 = run(capsys, "potential", "D", "3")
     _, out2 = run(capsys, "potential", "D", "3")

@@ -16,6 +16,7 @@ from gfrob import (
 )
 from gfrob.errors import IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from gfrob.groupoid import (
+    _reflect_step,
     diagonal_tuple_action,
     guard_size,
     identity_arrow,
@@ -26,6 +27,34 @@ from gfrob.groups import perm_index
 
 def all_tuples(g, n):
     return itertools.product(range(g.order), repeat=n)
+
+
+def oracle_arrows(g, base):
+    """Reference closure: every arrow with source base, by brute-force BFS
+    over generator arrows and their inverses, each with one realizing word."""
+    n = len(base)
+    start = identity_arrow(g, base)
+    words = {start: ()}
+    queue = [start]
+    while queue:
+        frontier = []
+        for a in queue:
+            for i in range(1, n):
+                for inv in (False, True):
+                    step = inverse_gen_arrow(g, i, a.target) if inv else gen_arrow(g, i, a.target)
+                    c = compose_arrows(g, step, a)
+                    if c not in words:
+                        words[c] = words[a] + ((i, inv),)
+                        frontier.append(c)
+        queue = frontier
+    return words
+
+
+def reflect_along(g, word, a):
+    out = identity_arrow(g, reflect_tuple(g, a.target))
+    for i, inv in reversed(word):
+        out = compose_arrows(g, _reflect_step(g, a.n, i, inv, out.target), out)
+    return out
 
 
 def test_gen_action_z2(z2):
@@ -144,6 +173,44 @@ def test_counting_identity(z2, z3, s3):
             assert set(per_target) == {c.m_C}
 
 
+def test_component_matches_oracle(z2, z3, s3):
+    for g, top in ((z2, 4), (z3, 3), (s3, 3)):
+        for n in range(1, top + 1):
+            for t in all_tuples(g, n):
+                comp = enumerate_component(g, t)
+                ref = oracle_arrows(g, t)
+                arrows = comp.arrows
+                assert len(arrows) == len(set(arrows)) == comp.n_C
+                assert set(arrows) == set(ref)
+                assert comp.members == {a.target for a in ref}
+                per_target = {m: sum(a.target == m for a in ref) for m in comp.members}
+                assert set(per_target.values()) == {comp.m_C}
+                assert comp.g_degree == g_degree(g, t)
+
+
+def test_reflect_arrow_matches_oracle_words(z2, z3, s3):
+    rng = random.Random(11)
+    for g, n in ((z2, 4), (z3, 3), (s3, 3)):
+        for _ in range(15):
+            t = tuple(rng.randrange(g.order) for _ in range(n))
+            ref = oracle_arrows(g, t)
+            for a in rng.sample(sorted(ref, key=lambda a: (a.target, a.gpart, a.perm)), min(4, len(ref))):
+                assert reflect_arrow(g, a) == reflect_along(g, ref[a], a)
+
+
+def test_component_word_realizes_arrow(s3):
+    comp = enumerate_component(s3, (1, 2, 4))
+    for a in comp.arrows:
+        out = identity_arrow(s3, a.source)
+        for i, inv in comp.word(a):
+            step = inverse_gen_arrow(s3, i, out.target) if inv else gen_arrow(s3, i, out.target)
+            out = compose_arrows(s3, step, out)
+        assert out == a
+    stray = gen_arrow(s3, 1, (2, 4, 1))
+    with pytest.raises(SourceTargetMismatch):
+        comp.word(stray)
+
+
 def test_arrow_closure_is_groupoid(s3):
     comp = enumerate_component(s3, (1, 2))
     arrows = set(comp.arrows)
@@ -257,12 +324,10 @@ def test_inverse_gen_arrow(s3):
 
 def test_reflect_arrow_word_independence(s3):
     # reflecting along a detoured word (insert b_i b_i^{-1}) gives the same arrow
-    from gfrob.groupoid import _reflect_step
-
     comp = enumerate_component(s3, (1, 2, 4))
     rng = random.Random(8)
     for a in list(comp.arrows)[:8]:
-        word = comp.words[a]
+        word = comp.word(a)
         i = rng.randrange(1, 3)
         detour = word + ((i, False), (i, True))
         out = identity_arrow(s3, reflect_tuple(s3, a.target))
