@@ -35,6 +35,7 @@ from .modules import (
     braid_act,
     dual_module,
     require_morphism,
+    slot_apply_into,
     split_homogeneous,
 )
 from .poly import MultiPoly
@@ -90,13 +91,18 @@ def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[Invarian
     if n == 0:
         return [InvariantForm((), h.group.identity, Tensor.scalar(1))]
 
+    # One closure per component, shared by all of its members.
     blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    comp_of: dict[tuple[int, ...], object] = {}
+    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    g_degree_of: dict[tuple[int, ...], int] = {}
     for idx in iter_product(range(h.dim), repeat=n):
         deg = h.degree_tuple(idx)
-        if deg not in comp_of:
-            comp_of[deg] = enumerate_component(h.group, deg)
-        rep = comp_of[deg].canonical
+        rep = rep_of.get(deg)
+        if rep is None:
+            comp = enumerate_component(h.group, deg)
+            rep = comp.canonical
+            rep_of.update(dict.fromkeys(comp.members, rep))
+            g_degree_of[rep] = comp.g_degree
         blocks.setdefault(rep, []).append(idx)
 
     out: list[InvariantForm] = []
@@ -117,10 +123,9 @@ def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[Invarian
             tuple(Fraction(1) if i == k else Fraction(0) for i in range(len(tuples)))
             for k in range(len(tuples))
         ]
-        comp = enumerate_component(h.group, rep)
         for vec in kernel:
             tensor = Tensor(n, {t: c for t, c in zip(tuples, vec) if c != 0})
-            out.append(InvariantForm(rep, comp.g_degree, tensor))
+            out.append(InvariantForm(rep, g_degree_of[rep], tensor))
     return out
 
 
@@ -281,24 +286,13 @@ def pullback_tensor(x: Tensor, m: linalg.Mat) -> Tensor:
     """Slot-wise transport of a dual tensor along a linear map.
 
     If x lives on K^* and m is the matrix of phi : H -> K (rows indexed by K),
-    the result is the n-fold pullback living on H^*.
+    the result is the n-fold pullback living on H^*: every slot value i
+    becomes sum_j m[i][j] e_j, so each slot is acted on by m^T.
     """
-    out = x
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    for slot in range(x.n):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for idx, c in out.terms.items():
-            i = idx[slot]
-            row = m[i]
-            for j in range(cols):
-                a = row[j]
-                if a == 0:
-                    continue
-                new = idx[:slot] + (j,) + idx[slot + 1:]
-                terms[new] = terms.get(new, Fraction(0)) + a * c
-        out = Tensor(x.n, terms)
-    return out
+    cols = [[(j, a) for j, a in enumerate(row) if a != 0] for row in m]
+    out: dict[tuple[int, ...], Fraction] = {}
+    slot_apply_into([cols] * x.n, range(x.n), x.terms, out)
+    return Tensor(x.n, out)
 
 
 def pullback_series(

@@ -127,7 +127,7 @@ def _cmd_groupoid(args) -> RunReport:
 def _cmd_braidize(args) -> RunReport:
     rep = RunReport("braidize")
     h = ser.module_from_json(_read_json(args.module))
-    v = ser.tensor_from_json(_read_json(args.tensor))
+    v = ser.module_tensor_from_json(_read_json(args.tensor), h)
     rep.payload = ser.tensor_to_json(braidize(h, v))
     return rep
 
@@ -167,8 +167,7 @@ def _cmd_check_gfa(args) -> RunReport:
 def _cmd_wdvv(args) -> RunReport:
     rep = RunReport("wdvv")
     pot = ser.potential_from_json(_read_json(args.potential))
-    metric_obj = _read_json(args.metric)
-    eta = ser.matrix_from_json(metric_obj["matrix"] if isinstance(metric_obj, dict) else metric_obj)
+    eta = ser.square_matrix_from_json(_read_json(args.metric), len(pot.names))
     report = wdvv_check(pot, eta)
     rep.add("wdvv", report.passed, [list(w) for w in report.witnesses[:20]] or None)
     return rep
@@ -179,11 +178,13 @@ def _cmd_check_pre_gfm(args) -> RunReport:
     h = ser.module_from_json(_read_json(args.module))
     eta = ser.metric_from_json(_read_json(args.metric), h)
     pot = ser.potential_from_json(_read_json(args.potential))
+    if len(pot.names) != h.dim:
+        raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
     report = check_pre_gfm(h, eta.matrix, pot)
     rep.add("module_valid", report.module_valid)
     rep.add("self_invariant", report.self_invariant)
     rep.add("metric", report.metric.passed)
-    rep.add("braided", report.braided)
+    rep.add("braided", report.braided, report.braid_witness and list(report.braid_witness))
     rep.add("degree_filter", report.degree_filter)
     rep.add("wdvv_untwisted", report.wdvv_untwisted.passed,
             [list(w) for w in report.wdvv_untwisted.witnesses[:10]] or None)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .braided import form_from_poly, is_braided
+from .braided import is_braided
 from .errors import (
     BlockDegreeViolation,
     DegenerateMetric,
@@ -323,9 +323,6 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     mod_rep = validate_module(h)
     metric_rep = check_metric(Metric(h, eta))
 
-    def basis_product(a: int, b: int) -> Vec:
-        return c[a][b]
-
     equivariance = True
     for gamma in g.elements():
         rho = h.action[gamma]
@@ -497,40 +494,6 @@ def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAl
 # -- pre-G-Frobenius-manifold checking ----------------------------------------
 
 
-def _is_diagonal_module(h: GradedModule) -> bool:
-    return all(
-        h.action[g][i][j] == 0
-        for g in h.group.elements()
-        for i in range(h.dim)
-        for j in range(h.dim)
-        if i != j
-    )
-
-
-def poly_is_braided_diagonal(h: GradedModule, pot: Potential) -> bool:
-    """Exact braid-invariance of a polarized potential over a diagonal module.
-
-    For diagonal actions the braiding sends a monomial tensor to a signed
-    reordering, so a symmetric form is invariant iff every pair of characters
-    appearing together in a monomial act trivially on each other's degrees.
-    """
-    chi = h.action
-    deg = h.degrees
-    for exp in pot.poly.terms:
-        support = [pot.names.index(v) for v, e in zip(pot.poly.vars, exp) if e]
-        mult2 = [
-            pot.names.index(v) for v, e in zip(pot.poly.vars, exp) if e >= 2
-        ]
-        for a in support:
-            for b in support:
-                if a != b and chi[deg[b]][a][a] != 1:
-                    return False
-        for a in mult2:
-            if chi[deg[a]][a][a] != 1:
-                return False
-    return True
-
-
 def poly_g_degree_filter(h: GradedModule, pot: Potential, g_target: int) -> bool:
     """Every monomial's product of coordinate degrees equals the target element."""
     g = h.group
@@ -545,21 +508,35 @@ def poly_g_degree_filter(h: GradedModule, pot: Potential, g_target: int) -> bool
     return True
 
 
-def potential_is_braided(h: GradedModule, pot: Potential, tensor_degree_cap: int = 4) -> bool:
-    """Braid-invariance of every homogeneous part of the potential.
+def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
+    """First coordinate pair (x, y) at which the potential is not braided, else None.
 
-    Diagonal modules are checked exactly at the polynomial level; otherwise
-    each part up to the cap is polarized and checked against the generators.
+    For the polarization T on hd = dual_module(h), with rho the action of hd,
+    b_1 T = T reads T(y, x, ...) = sum_b rho(deg y)[x][b] T(y, b, ...), that is
+    d_y d_x P = sum_b rho(deg y)[x][b] d_y d_b P in every degree at once.
+    Slot permutations fix T and conjugate b_1 into every b_i, so this is exact.
     """
     hd = dual_module(h)
-    if _is_diagonal_module(hd):
-        return poly_is_braided_diagonal(hd, pot)
-    top = min(pot.poly.total_degree(), tensor_degree_cap)
-    for n in range(2, top + 1):
-        t = form_from_poly(pot.poly, pot.names, n)
-        if t and not is_braided(hd, t):
-            return False
-    return True
+    names = pot.names
+    d = len(names)
+    p = pot.poly.with_vars(sorted(set(pot.poly.vars) | set(names)))
+    firsts = [p.diff(v) for v in names]
+    second = [[MultiPoly.zero()] * d for _ in range(d)]
+    for y in range(d):
+        for b in range(y, d):
+            second[y][b] = second[b][y] = firsts[y].diff(names[b])
+    for x in range(d):
+        for y in range(d):
+            row = hd.action[hd.degrees[y]][x]
+            moved = sum((second[y][b] * w for b, w in enumerate(row) if w != 0), MultiPoly.zero(p.vars))
+            if second[y][x] != moved:
+                return x, y
+    return None
+
+
+def potential_is_braided(h: GradedModule, pot: Potential) -> bool:
+    """Exact braid-invariance of every homogeneous part of the potential."""
+    return braid_witness(h, pot) is None
 
 
 @dataclass(frozen=True)
@@ -567,12 +544,16 @@ class PreGfmReport:
     module_valid: bool
     self_invariant: bool
     metric: MetricReport
-    braided: bool
+    braid_witness: tuple[int, int] | None  # first failing coordinate pair, or None
     degree_filter: bool
     untwisted_potential: MultiPoly
     invariants_potential: MultiPoly
     wdvv_untwisted: WdvvReport
     wdvv_invariants: WdvvReport
+
+    @property
+    def braided(self) -> bool:
+        return self.braid_witness is None
 
     @property
     def passed(self) -> bool:
@@ -591,9 +572,8 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     """Restrict the potential to the untwisted and invariant sectors and run WDVV."""
     mod_rep = validate_module(h)
     metric_rep = check_metric(Metric(h, eta))
-    hd = dual_module(h)
-    braided = potential_is_braided(h, pot)
-    filter_ok = poly_g_degree_filter(hd, pot, h.group.identity)
+    witness = braid_witness(h, pot)
+    filter_ok = poly_g_degree_filter(dual_module(h), pot, h.group.identity)
 
     e_idx = h.untwisted_indices()
     e_names = tuple(pot.names[j] for j in e_idx)
@@ -614,7 +594,7 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
         module_valid=mod_rep.valid,
         self_invariant=mod_rep.self_invariant,
         metric=metric_rep,
-        braided=braided,
+        braid_witness=witness,
         degree_filter=filter_ok,
         untwisted_potential=y_e,
         invariants_potential=y_g,

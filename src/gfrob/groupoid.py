@@ -319,7 +319,3 @@ def reflect_arrow(group: FiniteGroup, a: Arrow) -> Arrow:
         step = _reflect_step(group, n, i, inv, out.target)
         out = compose_arrows(group, step, out)
     return out
-
-
-def clear_component_cache() -> None:
-    _component_cache.clear()

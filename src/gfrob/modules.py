@@ -11,20 +11,26 @@ degree g, to (g.w) (x) v; its inverse sends v (x) w to w (x) (h^{-1}.v)
 with h the degree of w.  Degree tuples then transform exactly like the
 conjugate-and-swap action on G^n, which ties these operators to the braid
 groupoid arrows.
+
+Every linear action on tensors (groupoid arrows, the braiding applied per
+degree tuple, the diagonal action, pullbacks) is one call of the sparse
+kernel slot_apply_into: sparse matrix columns per slot, then a slot
+permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, IndexOutOfRange, InvalidAction, InvalidMorphism, NotZ2
-from .groupoid import Arrow, GTuple
+from .groupoid import Arrow, GTuple, gen_arrow, inverse_gen_arrow
 from .groups import FiniteGroup
 
 Matrix = linalg.Mat
+Columns = list[list[tuple[int, Fraction]]]  # columns[j] = nonzero (row, entry) pairs
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,7 @@ class GradedModule:
     group: FiniteGroup
     degrees: tuple[int, ...]
     action: tuple[Matrix, ...]
+    _columns: dict[int, Columns] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -40,8 +47,13 @@ class GradedModule:
     def degree_tuple(self, idx: Sequence[int]) -> GTuple:
         return tuple(self.degrees[j] for j in idx)
 
-    def rho(self, g: int) -> Matrix:
-        return self.action[g]
+    def columns(self, g: int) -> Columns:
+        """Sparse columns of the action matrix of g, built once per module."""
+        cols = self._columns.get(g)
+        if cols is None:
+            cols = [[(i, a) for i, a in enumerate(col) if a != 0] for col in zip(*self.action[g])]
+            self._columns[g] = cols
+        return cols
 
     def block_indices(self, g: int) -> list[int]:
         return [j for j, d in enumerate(self.degrees) if d == g]
@@ -195,39 +207,19 @@ def split_homogeneous(h: GradedModule, v: Tensor) -> dict[GTuple, Tensor]:
     return {key: Tensor(v.n, terms) for key, terms in parts.items()}
 
 
-# Sparse column views of the action matrices, kept per module instance.
-_column_cache: dict[int, tuple[GradedModule, dict[int, list[list[tuple[int, Fraction]]]]]] = {}
-
-
-def action_columns(h: GradedModule, g: int) -> list[list[tuple[int, Fraction]]]:
-    """columns[j] = nonzero (row, entry) pairs of the action matrix of g."""
-    entry = _column_cache.get(id(h))
-    if entry is None or entry[0] is not h:
-        entry = (h, {})
-        _column_cache[id(h)] = entry
-    cols_by_g = entry[1]
-    cols = cols_by_g.get(g)
-    if cols is None:
-        m = h.action[g]
-        cols = [
-            [(i, m[i][j]) for i in range(h.dim) if m[i][j] != 0] for j in range(h.dim)
-        ]
-        cols_by_g[g] = cols
-    return cols
-
-
-def arrow_apply_into(
-    h: GradedModule,
-    a: "Arrow",
+def slot_apply_into(
+    cols: Sequence[Columns | None],
+    perm: Sequence[int],
     terms: Mapping[tuple[int, ...], Fraction],
     out: dict[tuple[int, ...], Fraction],
     scale: Fraction = Fraction(1),
 ) -> None:
-    """Accumulate scale * (a . terms) into out (no degree validation)."""
-    e = h.group.identity
-    cols = [None if g == e else action_columns(h, g) for g in a.gpart]
-    perm = a.perm
-    n = a.n
+    """Accumulate scale * (P_perm . (M_1 (x) ... (x) M_n) . terms) into out.
+
+    cols[s] holds the sparse columns of the matrix M_s acting on slot s, or
+    None for the identity; slot perm[s] of the result then comes from slot s.
+    """
+    n = len(perm)
     for idx, c in terms.items():
         partial: list[tuple[tuple[int, ...], Fraction]] = [((), c * scale)]
         for s, j in enumerate(idx):
@@ -250,46 +242,32 @@ def arrow_apply_into(
             out[key] = pc if prev is None else prev + pc
 
 
-def _apply_matrix_slot(h: GradedModule, m: Matrix, v: Tensor, slot: int) -> Tensor:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in v.terms.items():
-        j = idx[slot]
-        for i in range(h.dim):
-            a = m[i][j]
-            if a == 0:
-                continue
-            new = idx[:slot] + (i,) + idx[slot + 1:]
-            terms[new] = terms.get(new, Fraction(0)) + a * c
-    return Tensor(v.n, terms)
+def arrow_apply_into(
+    h: GradedModule,
+    a: "Arrow",
+    terms: Mapping[tuple[int, ...], Fraction],
+    out: dict[tuple[int, ...], Fraction],
+    scale: Fraction = Fraction(1),
+) -> None:
+    """Accumulate scale * (a . terms) into out (no degree validation)."""
+    e = h.group.identity
+    cols = [None if g == e else h.columns(g) for g in a.gpart]
+    slot_apply_into(cols, a.perm, terms, out, scale)
 
 
 def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tensor:
-    """Categorical braiding on adjacent tensor factors i, i+1 (1-based)."""
-    n = v.n
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"generator index {i} for n={n}")
-    s = i - 1
-    g = h.group
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in v.terms.items():
-        a, b = idx[s], idx[s + 1]
-        if inverse:
-            m = h.action[g.inv(h.degrees[b])]
-            for k in range(h.dim):
-                coef = m[k][a]
-                if coef == 0:
-                    continue
-                new = idx[:s] + (b, k) + idx[s + 2:]
-                terms[new] = terms.get(new, Fraction(0)) + coef * c
-        else:
-            m = h.action[h.degrees[a]]
-            for k in range(h.dim):
-                coef = m[k][b]
-                if coef == 0:
-                    continue
-                new = idx[:s] + (k, a) + idx[s + 2:]
-                terms[new] = terms.get(new, Fraction(0)) + coef * c
-    return Tensor(n, terms)
+    """Categorical braiding on adjacent tensor factors i, i+1 (1-based).
+
+    Each homogeneous part is moved by the arrow of b_i (or b_i^{-1}) at its
+    degree tuple.
+    """
+    if not 1 <= i <= v.n - 1:
+        raise IndexOutOfRange(f"generator index {i} for n={v.n}")
+    step = inverse_gen_arrow if inverse else gen_arrow
+    out: dict[tuple[int, ...], Fraction] = {}
+    for deg, part in split_homogeneous(h, v).items():
+        arrow_apply_into(h, step(h.group, i, deg), part.terms, out)
+    return Tensor(v.n, out)
 
 
 def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
@@ -307,12 +285,12 @@ def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
 
 
 def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
-    out = v
+    """The action of g on every tensor factor at once."""
     if g == h.group.identity:
-        return out
-    for slot in range(v.n):
-        out = _apply_matrix_slot(h, h.action[g], out, slot)
-    return out
+        return v
+    out: dict[tuple[int, ...], Fraction] = {}
+    slot_apply_into([h.columns(g)] * v.n, range(v.n), v.terms, out)
+    return Tensor(v.n, out)
 
 
 def invariants_basis(h: GradedModule) -> list[linalg.Vec]:

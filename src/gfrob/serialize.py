@@ -73,14 +73,41 @@ def poly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def _names(obj: Any) -> tuple[str, ...]:
+    if not isinstance(obj, list) or not all(isinstance(v, str) for v in obj) or len(set(obj)) != len(obj):
+        raise ParseError(f"names must be a list of distinct strings, got {obj!r}")
+    return tuple(obj)
+
+
+def _terms(obj: dict, key: str, length: int) -> dict[tuple[int, ...], Fraction]:
+    """Coefficients summed by key vector; each key must be `length` non-negative integers."""
+    if not isinstance(obj["terms"], list):
+        raise ParseError("'terms' must be a list")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for t in obj["terms"]:
+        if not isinstance(t, dict) or key not in t or "coef" not in t:
+            raise ParseError(f"each term needs {key!r} and 'coef', got {t!r}")
+        k = t[key]
+        if not isinstance(k, list) or len(k) != length or not all(isinstance(x, int) and x >= 0 for x in k):
+            raise ParseError(f"{key} {k!r} must be {length} non-negative integers")
+        out[tuple(k)] = out.get(tuple(k), Fraction(0)) + frac_from_str(t["coef"])
+    return out
+
+
 def poly_from_json(obj: Any) -> MultiPoly:
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
         raise ParseError("polynomial object needs 'vars' and 'terms'")
-    terms = {}
-    for t in obj["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
-        terms[exp] = terms.get(exp, Fraction(0)) + frac_from_str(t["coef"])
-    return MultiPoly(tuple(obj["vars"]), terms)
+    variables = _names(obj["vars"])
+    return MultiPoly(variables, _terms(obj, "exp", len(variables)))
+
+
+def _named_poly(names: Any, poly: MultiPoly) -> tuple[str, ...]:
+    """The coordinate names, which must cover every variable the polynomial uses."""
+    names = _names(names)
+    stray = sorted(set(poly.compact().vars) - set(names))
+    if stray:
+        raise ParseError(f"potential uses variables {stray} that are not among its names")
+    return names
 
 
 def module_to_json(h: GradedModule) -> dict:
@@ -116,23 +143,36 @@ def tensor_to_json(t: Tensor) -> dict:
 def tensor_from_json(obj: Any) -> Tensor:
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ParseError("tensor object needs 'n' and 'terms'")
-    terms = {}
-    for t in obj["terms"]:
-        idx = tuple(int(i) for i in t["idx"])
-        terms[idx] = terms.get(idx, Fraction(0)) + frac_from_str(t["coef"])
-    return Tensor(int(obj["n"]), terms)
+    n = obj["n"]
+    if not isinstance(n, int) or n < 0:
+        raise ParseError(f"tensor degree must be a non-negative integer, got {n!r}")
+    return Tensor(n, _terms(obj, "idx", n))
+
+
+def module_tensor_from_json(obj: Any, module: GradedModule) -> Tensor:
+    """A tensor whose every index is a basis vector of the module."""
+    t = tensor_from_json(obj)
+    if any(i >= module.dim for idx in t.terms for i in idx):
+        raise ParseError(f"tensor index out of range for a module of dimension {module.dim}")
+    return t
+
+
+def square_matrix_from_json(obj: Any, dim: int) -> linalg.Mat:
+    """A dim x dim matrix, given bare or as {"matrix": rows}."""
+    m = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
+    if len(m) != dim or any(len(row) != dim for row in m):
+        raise ParseError(f"matrix must be {dim} x {dim}")
+    return m
 
 
 def metric_from_json(obj: Any, module: GradedModule) -> Metric:
-    if isinstance(obj, dict) and "matrix" in obj:
-        return Metric(module, matrix_from_json(obj["matrix"]))
-    return Metric(module, matrix_from_json(obj))
+    return Metric(module, square_matrix_from_json(obj, module.dim))
 
 
 def potential_from_json(obj: Any) -> Potential:
     if isinstance(obj, dict) and "names" in obj:
-        poly = poly_from_json(obj["potential"] if "potential" in obj else obj["poly"])
-        return Potential(tuple(obj["names"]), poly)
+        poly = poly_from_json(obj.get("potential", obj.get("poly")))
+        return Potential(_named_poly(obj["names"], poly), poly)
     poly = poly_from_json(obj)
     return Potential(poly.vars, poly)
 
@@ -173,9 +213,9 @@ def fmdata_from_json(obj: Any) -> FmData:
     if not isinstance(obj, dict):
         raise ParseError("Frobenius manifold data must be an object")
     try:
-        names = tuple(obj["names"])
-        metric = matrix_from_json(obj["metric"])
         poly = poly_from_json(obj["potential"])
+        names = _named_poly(obj["names"], poly)
+        metric = square_matrix_from_json(obj["metric"], len(names))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed manifold data: {exc}") from None
     return FmData(names, metric, poly)

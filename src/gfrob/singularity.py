@@ -323,6 +323,11 @@ def potential_A(n: int) -> Potential:
     """Potential of the one-variable unfolding in flat coordinates, degree <= n+2."""
     if n < 2:
         raise BadIndex("potential_A needs n >= 2")
+    return _chart_and_potential_A(n)[1]
+
+
+def _chart_and_potential_A(n: int) -> tuple[UnfoldingChart, Potential]:
+    """The flat chart and the potential built on it, so callers needing both build each once."""
     chart = flat_coordinates(n)
     fp = chart.fprime_in_t()
     dfs = [chart.df_dt(a) for a in range(n)]
@@ -339,7 +344,7 @@ def potential_A(n: int) -> Potential:
     for (a, b, c), y in third.items():
         if pot.third(a, b, c) != y:
             raise IntegrabilityFailure(f"third partials do not integrate at {(a, b, c)}")
-    return pot
+    return chart, pot
 
 
 def potential_B(m: int) -> Potential:
@@ -359,9 +364,12 @@ def potential_D(n: int) -> Potential:
     """Two-variable family: add -(1/2) a_0 t_*^2, then drop odd coordinates."""
     if n < 3:
         raise BadIndex("potential_D needs n >= 3")
-    m = 2 * n - 3
-    pa = potential_A(m)
-    chart = flat_coordinates(m)
+    return _potential_D_from(*_chart_and_potential_A(2 * n - 3))
+
+
+def _potential_D_from(chart: UnfoldingChart, pa: Potential) -> Potential:
+    """potential_D(n) from the chart and the potential of A_{2n-3}."""
+    m = chart.n
     tstar = MultiPoly.variable(TSTAR)
     full = pa.poly + chart.a_of_t[0] * tstar * tstar * Fraction(-1, 2)
     odd = [chart.t_names[i] for i in range(1, m, 2) if chart.t_names[i] in full.vars]
@@ -474,8 +482,8 @@ def z2_frobenius_manifold(n: int, check_wdvv: bool = True) -> Z2Manifold:
     if n < 3:
         raise BadIndex("z2_frobenius_manifold needs n >= 3")
     m = 2 * n - 3
-    pa = potential_A(m)
-    pd = potential_D(n)
+    chart, pa = _chart_and_potential_A(m)
+    pd = _potential_D_from(chart, pa)
     fe = FmData(pa.names, flat_metric(m), pa.poly)
     fg = FmData(pd.names, potential_D_metric(n), pd.poly)
     iota_e = list(range(0, m, 2))

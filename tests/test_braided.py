@@ -34,6 +34,7 @@ from gfrob.braided import (
 from gfrob.errors import DegreeMismatch, ModuleMismatch
 from gfrob.linalg import identity, rank
 from gfrob.modules import submodule_on_indices
+from gfrob.singularity import z2_frobenius_algebra
 
 from conftest import diag, random_tensor
 
@@ -381,3 +382,15 @@ def test_series_from_poly_braided(orbifold_module):
     bad = series_from_poly(hd, mixed, names, truncation=2)
     with pytest.raises(DegreeMismatch):
         bad.assert_braided()
+
+
+def test_br_basis_closes_each_component_once():
+    # Z2 at n=4 has 16 degree tuples in 5 components (by the count of twisted
+    # entries); a cold br_basis builds one closure per component
+    from gfrob import groupoid
+
+    h = dual_module(z2_frobenius_algebra(3).module)
+    groupoid._component_cache.clear()
+    forms = br_basis(h, 4)
+    assert len(groupoid._component_cache) == 5
+    assert {f.component for f in forms} <= {c.canonical for c in groupoid._component_cache.values()}

@@ -12,6 +12,7 @@ from gfrob.serialize import (
     tensor_to_json,
 )
 from gfrob import Tensor, dual_module, potential_A
+from gfrob.linalg import identity
 from gfrob.singularity import flat_metric, z2_frobenius_algebra
 
 
@@ -180,6 +181,62 @@ def test_parse_error_exit_code(capsys, files):
     code = main(["braidize", "--module", files["bad"], "--tensor", files["tensor"]])
     capsys.readouterr()
     assert code == 3
+
+
+POLY_A3 = {"vars": ["t_0", "t_1", "t_2"], "terms": [{"exp": [1, 1, 0], "coef": "1"}]}
+
+MALFORMED = {
+    "metric not square": ("wdvv", {"--potential": "phiA3", "--metric": {"matrix": [[1, 2]]}}),
+    "variable not among names": (
+        "wdvv",
+        {"--potential": {"names": ["t_0", "t_1", "t_2"], "potential": {"vars": ["b", "t_0"], "terms": [{"exp": [1, 2], "coef": "1"}]}},
+         "--metric": "etaA3"},
+    ),
+    "term without coef": ("wdvv", {"--potential": {"vars": ["t_0"], "terms": [{"exp": [3]}]}, "--metric": [[1]]}),
+    "term without exp": ("wdvv", {"--potential": {"vars": ["t_0"], "terms": [{"coef": "1"}]}, "--metric": [[1]]}),
+    "idx length is not n": ("braidize", {"--module": "module", "--tensor": {"n": 2, "terms": [{"idx": [0, 1, 2], "coef": "1"}]}}),
+    "idx out of range": ("braidize", {"--module": "module", "--tensor": {"n": 2, "terms": [{"idx": [0, 9], "coef": "1"}]}}),
+    "pre-gfm metric not square": (
+        "check-pre-gfm",
+        {"--module": "module", "--metric": [[1, 0], [0, 1]], "--potential": {"names": ["a", "b", "c", "d"], "potential": POLY_A3}},
+    ),
+}
+
+
+def argv_with_files(files, tmp_path, command, inputs):
+    """Command line whose inputs are fixture files (by key) or JSON written to tmp_path."""
+    argv = [command]
+    for flag, value in inputs.items():
+        if isinstance(value, str):
+            path = files[value]
+        else:
+            path = tmp_path / f"{flag.strip('-')}.json"
+            path.write_text(json.dumps(value))
+        argv += [flag, str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3(capsys, files, tmp_path, case):
+    code = main(argv_with_files(files, tmp_path, *MALFORMED[case]))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith("input error:")
+
+
+def test_check_pre_gfm_names_braid_witness(capsys, files, tmp_path):
+    from conftest import make_z3_module
+
+    names = ["s0", "s1", "s2", "s3"]
+    inputs = {
+        "--module": module_to_json(make_z3_module()),
+        "--metric": {"matrix": matrix_to_json(identity(4))},
+        "--potential": {"names": names, "potential": {"vars": names, "terms": [{"exp": [4, 0, 1, 0], "coef": "1"}]}},
+    }
+    code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert code == 1
+    braided = next(c for c in json.loads(out)["checks"] if c["name"] == "braided")
+    assert braided == {"name": "braided", "status": "fail", "witness": [0, 2]}
 
 
 def test_usage_error_exit_code():

@@ -284,3 +284,18 @@ def test_potential_braidedness_non_diagonal_module():
     assert potential_is_braided(h, Potential(names, inside))
     mixed = MultiPoly(names, {(1, 0, 1, 0): Fraction(1)})  # rotation x twisted
     assert not potential_is_braided(h, Potential(names, mixed))
+
+
+def test_potential_braidedness_is_exact_beyond_degree_four():
+    # s0^4 s2 mixes the rotation block with a twisted line; its polarization
+    # has tensor degree 5 and is not fixed by the braiding
+    from gfrob import dual_module, form_from_poly, is_braided
+    from gfrob.frobenius import braid_witness, potential_is_braided
+    from conftest import make_z3_module
+
+    h = make_z3_module()
+    names = ("s0", "s1", "s2", "s3")
+    quintic = MultiPoly(names, {(4, 0, 1, 0): Fraction(1)})
+    assert not is_braided(dual_module(h), form_from_poly(quintic, names, 5))
+    assert not potential_is_braided(h, Potential(names, quintic))
+    assert braid_witness(h, Potential(names, quintic)) == (0, 2)
