@@ -230,14 +230,12 @@ def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
 def form_from_poly(p: MultiPoly, names: Sequence[str], n: int) -> Tensor:
     """Polarize the degree-n homogeneous part of p over the given coordinates."""
     part = p.homogeneous_part(n)
-    pos = {v: names.index(v) for v in part.vars}
     terms: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in part.terms.items():
+    for mono, c in part.terms.items():
         letters: list[int] = []
-        for v, e in zip(part.vars, exp):
-            letters.extend([pos[v]] * e)
         weight = c
-        for e in exp:
+        for v, e in mono:
+            letters.extend([names.index(v)] * e)
             weight *= factorial(e)
         weight /= factorial(n)
         for tup in _distinct_perms(tuple(letters)):

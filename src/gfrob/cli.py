@@ -200,7 +200,9 @@ def _cmd_assemble_z2(args) -> RunReport:
         raise ser.ParseError("input needs fe, fg, iota_e, iota_g")
     fe = ser.fmdata_from_json(obj["fe"])
     fg = ser.fmdata_from_json(obj["fg"])
-    asm = assemble_z2(fe, fg, [int(i) for i in obj["iota_e"]], [int(i) for i in obj["iota_g"]])
+    iota_e = ser.embedding_from_json(obj["iota_e"], len(fe.names))
+    iota_g = ser.embedding_from_json(obj["iota_g"], len(fg.names))
+    asm = assemble_z2(fe, fg, iota_e, iota_g)
     rep.add("pre_gfm", asm.pre_gfm.passed)
     rep.payload = {
         "module": ser.module_to_json(asm.module),

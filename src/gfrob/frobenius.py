@@ -497,12 +497,11 @@ def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAl
 def poly_g_degree_filter(h: GradedModule, pot: Potential, g_target: int) -> bool:
     """Every monomial's product of coordinate degrees equals the target element."""
     g = h.group
-    for exp in pot.poly.terms:
+    for mono in pot.poly.terms:
         total = g.identity
-        for v, e in zip(pot.poly.vars, exp):
-            j = pot.names.index(v)
-            for _ in range(e):
-                total = g.mul(total, h.degrees[j])
+        for v, e in mono:
+            for _ in range(e % g.order):  # x^|G| is the identity
+                total = g.mul(total, h.degrees[pot.names.index(v)])
         if total != g_target:
             return False
     return True
@@ -689,11 +688,9 @@ def assemble_z2(
     y_g_restricted = fg.potential.subst_zero([n for n in g_names if n in fg.potential.vars])
     if y_e_restricted != y_g_restricted:
         raise RestrictionMismatch("restricted potentials disagree on the shared subspace")
-    for exp in fg.potential.terms:
-        parity = sum(
-            e for v, e in zip(fg.potential.vars, exp) if v in set(g_names)
-        )
-        if parity % 2:
+    twisted = set(g_names)
+    for mono in fg.potential.terms:
+        if sum(e for v, e in mono if v in twisted) % 2:
             raise BlockDegreeViolation("potential has odd twisted degree")
 
     names = tuple(shared + v_names + g_names)

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A MultiPoly stores an ordered variable tuple (lexicographically sorted by
-name, which fixes a canonical serialization) and a map from dense exponent
-vectors to nonzero Fraction coefficients.  Binary operations align variable
-sets by name.  All arithmetic is exact.
+A MultiPoly declares a variable tuple, sorted by name (which fixes a
+canonical serialization), and maps monomials to nonzero Fraction
+coefficients.  A monomial is a name-sorted tuple of (variable, exponent)
+pairs with positive integer exponents, the same key whatever variables a
+polynomial declares: binary operations declare the union of the two tuples
+and never rewrite a term.  Dense exponent vectors over the declared
+variables appear only in the constructor and in sorted_terms.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -14,37 +18,57 @@ from typing import Iterable, Mapping, Sequence, Union
 from .errors import UnknownVariable
 
 Scalar = Union[int, Fraction]
+Monomial = tuple[tuple[str, int], ...]
 
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _declare(variables: Iterable[str]) -> tuple[str, ...]:
+    order = tuple(sorted(variables))
+    if len(set(order)) != len(order):
+        raise ValueError("duplicate variable names")
+    return order
+
+
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    return a if a == b else tuple(sorted(set(a).union(b)))
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Scalar]):
-        order = tuple(sorted(variables))
-        if len(set(order)) != len(order):
-            raise ValueError("duplicate variable names")
-        if order != tuple(variables):
-            remap = [order.index(v) for v in variables]
-            fixed: dict[tuple[int, ...], Fraction] = {}
-            for exp, c in terms.items():
-                new = [0] * len(order)
-                for pos, e in zip(remap, exp):
-                    new[pos] = e
-                fixed[tuple(new)] = fixed.get(tuple(new), Fraction(0)) + _fr(c)
-            terms = fixed
-        clean: dict[tuple[int, ...], Fraction] = {}
+        """Polynomial from dense exponent vectors, one entry per given variable."""
+        variables = tuple(variables)
+        order = _declare(variables)
+        clean: dict[Monomial, Fraction] = {}
         for exp, c in terms.items():
             if len(exp) != len(order):
                 raise ValueError("exponent vector length mismatch")
             c = _fr(c)
-            if c != 0:
-                clean[tuple(exp)] = c
+            if c:
+                clean[tuple(sorted((v, e) for v, e in zip(variables, exp) if e))] = c
         object.__setattr__(self, "vars", order)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_pairs(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
+        """Wrap a sorted variable tuple and pair-keyed nonzero terms as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -53,63 +77,46 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls(variables, {})
+        return cls._from_pairs(_declare(variables), {})
 
     @classmethod
     def constant(cls, c: Scalar, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls(variables, {tuple([0] * len(variables)): _fr(c)})
+        return cls._from_pairs(_declare(variables), {(): _fr(c)} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Sequence[int], c: Scalar = 1) -> "MultiPoly":
-        return cls(variables, {tuple(exps): _fr(c)})
-
-    # -- alignment -----------------------------------------------------
-
     def with_vars(self, variables: Sequence[str]) -> "MultiPoly":
-        """Reexpress over a superset of variables (sorted internally)."""
-        target = tuple(sorted(variables))
+        """Declare a superset of the variables (sorted internally); the terms are shared."""
+        target = _declare(variables)
         missing = set(self.vars) - set(target)
         if missing:
             raise UnknownVariable(f"cannot drop live variables {sorted(missing)}")
-        pos = [target.index(v) for v in self.vars]
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(target)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = c
-        return MultiPoly(target, terms)
-
-    @staticmethod
-    def _aligned(a: "MultiPoly", b: "MultiPoly"):
-        if a.vars == b.vars:
-            return a, b
-        union = tuple(sorted(set(a.vars) | set(b.vars)))
-        return a.with_vars(union), b.with_vars(union)
+        return MultiPoly._from_pairs(target, self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.vars)
-        a, b = MultiPoly._aligned(self, other)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(a.vars, terms)
+        big, small = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        terms = dict(big.terms)
+        for m, c in small.terms.items():
+            s = terms.get(m)
+            s = c if s is None else s + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return MultiPoly._from_pairs(_union(self.vars, other.vars), terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_pairs(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.vars)
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiPoly":
@@ -118,14 +125,14 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = _fr(other)
-            return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-        a, b = MultiPoly._aligned(self, other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, terms)
+            return MultiPoly._from_pairs(self.vars, {m: c * v for m, v in self.terms.items()} if c else {})
+        terms: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _mono_mul(m1, m2)
+                s = terms.get(m)
+                terms[m] = c1 * c2 if s is None else s + c1 * c2
+        return MultiPoly._from_pairs(_union(self.vars, other.vars), {m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -146,109 +153,99 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = MultiPoly._aligned(self, other)
-        return a.terms == b.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        live = self.compact()
-        return hash((live.vars, tuple(sorted(live.terms.items()))))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     # -- calculus and substitution --------------------------------------
 
-    def _var_pos(self, name: str) -> int:
-        try:
-            return self.vars.index(name)
-        except ValueError:
-            raise UnknownVariable(name) from None
-
     def diff(self, name: str) -> "MultiPoly":
         if name not in self.vars:
             raise UnknownVariable(name)
-        i = self.vars.index(name)
         terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            new = tuple(new)
-            terms[new] = terms.get(new, Fraction(0)) + c * exp[i]
-        return MultiPoly(self.vars, terms)
+        for m, c in self.terms.items():
+            for i, (v, e) in enumerate(m):
+                if v == name:
+                    terms[m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]] = c * e
+                    break
+        return MultiPoly._from_pairs(self.vars, terms)
 
     def subst(self, name: str, value) -> "MultiPoly":
         """Substitute a variable by a polynomial or scalar."""
-        i = self._var_pos(name)
+        if name not in self.vars:
+            raise UnknownVariable(name)
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(value)
         rest_vars = tuple(v for v in self.vars if v != name)
-        out = MultiPoly.zero(rest_vars)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(1, rest_vars)}
-        max_e = max((e[i] for e in self.terms), default=0)
-        for k in range(1, max_e + 1):
-            powers[k] = powers[k - 1] * value
-        for exp, c in self.terms.items():
-            rest = tuple(e for j, e in enumerate(exp) if j != i)
-            out = out + MultiPoly.monomial(rest_vars, rest, c) * powers[exp[i]]
+        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        for m, c in self.terms.items():
+            by_power.setdefault(dict(m).get(name, 0), {})[tuple(p for p in m if p[0] != name)] = c
+        out = MultiPoly._from_pairs(rest_vars, by_power.pop(0, {}))
+        power, done = MultiPoly.constant(1, rest_vars), 0
+        for k in sorted(by_power):
+            power, done = power * value ** (k - done), k
+            out = out + MultiPoly._from_pairs(rest_vars, by_power[k]) * power
         return out
 
     def subst_zero(self, names: Iterable[str]) -> "MultiPoly":
         """Set the given variables to zero (keeping them in the variable list)."""
-        idx = [self._var_pos(n) for n in names]
-        terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return MultiPoly(self.vars, terms)
+        drop = set()
+        for n in names:
+            if n not in self.vars:
+                raise UnknownVariable(n)
+            drop.add(n)
+        return MultiPoly._from_pairs(
+            self.vars, {m: c for m, c in self.terms.items() if all(v not in drop for v, _ in m)}
+        )
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        return MultiPoly(new_vars, dict(self.terms))
+        terms = {tuple(sorted((mapping.get(v, v), e) for v, e in m)): c for m, c in self.terms.items()}
+        return MultiPoly._from_pairs(_declare(mapping.get(v, v) for v in self.vars), terms)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
-        for exp, c in self.terms.items():
-            val = c
-            for v, e in zip(self.vars, exp):
-                if e:
-                    val *= _fr(point[v]) ** e
-            total += val
+        for m, c in self.terms.items():
+            for v, e in m:
+                c *= _fr(point[v]) ** e
+            total += c
         return total
 
     # -- structure -------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return MultiPoly._from_pairs(
+            self.vars, {m: c for m, c in self.terms.items() if sum(e for _, e in m) == d}
+        )
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+        return self.terms.get((), Fraction(0))
 
     def coefficient(self, assignment: Mapping[str, int]) -> Fraction:
-        exp = tuple(assignment.get(v, 0) for v in self.vars)
-        return self.terms.get(exp, Fraction(0))
+        m = tuple(sorted((v, e) for v, e in assignment.items() if e and v in self.vars))
+        return self.terms.get(m, Fraction(0))
 
     def compact(self) -> "MultiPoly":
         """Drop variables that never occur with positive exponent."""
-        live = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
-        variables = tuple(self.vars[i] for i in live)
-        terms = {tuple(e[i] for i in live): c for e, c in self.terms.items()}
-        return MultiPoly(variables, terms)
+        live = {v for m in self.terms for v, _ in m}
+        return MultiPoly._from_pairs(tuple(v for v in self.vars if v in live), self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
+        """(dense exponent vector over vars, coefficient) pairs in exponent-vector order."""
+        return sorted((tuple(dict(m).get(v, 0) for v in self.vars), c) for m, c in self.terms.items())
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         bits = []
         for exp, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exp) if e
-            )
-            bits.append(f"{c}" if not mono else f"{c}*{mono}")
-        return " + ".join(bits)
+            mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exp) if e)
+            bits.append(f"{c}*{mono}" if mono else f"{c}")
+        return " + ".join(bits) or "0"
 
 
 def linear_subst(
@@ -259,15 +256,8 @@ def linear_subst(
 ) -> MultiPoly:
     """Substitute old_j -> sum_b matrix[j][b] * new_b."""
     live = [j for j, name in enumerate(old_names) if name in p.vars]
-    images = {
-        j: sum(
-            (MultiPoly.monomial(new_names, tuple(1 if k == b else 0 for k in range(len(new_names))), matrix[j][b])
-             for b in range(len(new_names)) if matrix[j][b] != 0),
-            MultiPoly.zero(new_names),
-        )
-        for j in live
-    }
     out = p.rename({old_names[j]: "#" + old_names[j] for j in live})
     for j in live:
-        out = out.subst("#" + old_names[j], images[j])
+        image = {((v, 1),): _fr(a) for v, a in zip(new_names, matrix[j]) if a != 0}
+        out = out.subst("#" + old_names[j], MultiPoly._from_pairs(_declare(new_names), image))
     return out

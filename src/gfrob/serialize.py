@@ -198,14 +198,16 @@ def gfa_from_json(obj: Any) -> GFrobeniusAlgebra:
         raise ParseError("algebra must be an object")
     try:
         module = module_from_json(obj["module"])
-        metric = matrix_from_json(obj["metric"])
-        mult = tuple(
-            tuple(tuple(frac_from_str(x) for x in row) for row in plane)
-            for plane in obj["mult"]
-        )
-        unit = vector_from_json(obj["unit"])
+        dim = module.dim
+        metric = square_matrix_from_json(obj["metric"], dim)
+        planes, unit = obj["mult"], vector_from_json(obj["unit"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed algebra: {exc}") from None
+    if not isinstance(planes, list) or len(planes) != dim:
+        raise ParseError(f"mult must be {dim} planes of {dim} x {dim}")
+    if len(unit) != dim:
+        raise ParseError(f"unit must have {dim} entries")
+    mult = tuple(square_matrix_from_json(plane, dim) for plane in planes)
     return GFrobeniusAlgebra(module, metric, mult, unit)
 
 
@@ -219,6 +221,14 @@ def fmdata_from_json(obj: Any) -> FmData:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed manifold data: {exc}") from None
     return FmData(names, metric, poly)
+
+
+def embedding_from_json(obj: Any, size: int) -> list[int]:
+    """Distinct coordinate indices into a list of `size` names."""
+    ok = isinstance(obj, list) and all(isinstance(i, int) and 0 <= i < size for i in obj)
+    if not ok or len(set(obj)) != len(obj):
+        raise ParseError(f"embedding must be a list of distinct integers in 0..{size - 1}, got {obj!r}")
+    return obj
 
 
 def dumps(obj: Any) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Sequence
 
 from . import linalg
@@ -165,9 +166,7 @@ def jacobi_multiply(n: int, f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> Z
 
 def residue_pair(n: int, f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> MultiPoly:
     """Global residue of f g / F' dz: coefficient of z^{n-1} after reduction."""
-    ks = _k_names(n)
-    unfolding = [MultiPoly.variable(ks[i]) for i in range(n)]
-    red = zp_reduce(zp_mul(f, g), fprime_coeffs(n, unfolding))
+    red = jacobi_multiply(n, f, g)
     return red[n - 1] if len(red) >= n else MultiPoly.zero()
 
 
@@ -208,9 +207,10 @@ def flat_coordinates(n: int) -> UnfoldingChart:
     an = tuple(f"a{i}" for i in range(n))
 
     # Laurent polynomials in w with Q[t] coefficients, as {exponent: poly}.
+    t = [MultiPoly.variable(v) for v in tn]
     z: dict[int, MultiPoly] = {1: MultiPoly.constant(1)}
     for j in range(n):
-        z[j - n] = MultiPoly.variable(tn[j])
+        z[j - n] = t[j]
 
     floor = -(n + 1)
 
@@ -248,17 +248,18 @@ def flat_coordinates(n: int) -> UnfoldingChart:
         if p.coefficient({tn[m]: 1}) != Fraction(-1):
             raise IntegrabilityFailure(f"a_{m} has linear coefficient != -1 on t_{m}")
         allowed = {tn[j] for j in range(m + 2, n)}
-        for exp in p.terms:
-            support = {v for v, e in zip(p.vars, exp) if e}
-            if sum(exp) == 1 and support != {tn[m]}:
+        for mono in p.terms:
+            support = {v for v, _ in mono}
+            degree = sum(e for _, e in mono)
+            if degree == 1 and support != {tn[m]}:
                 raise IntegrabilityFailure(f"a_{m} has a stray linear term")
-            if sum(exp) > 1 and not support <= allowed:
+            if degree > 1 and not support <= allowed:
                 raise IntegrabilityFailure(f"a_{m} has higher terms outside t_{m + 2}..t_{n - 1}")
 
     # Invert the triangular system: t_m = -a_m + (a_m + t_m)(t_{m+2}, ...).
     t_of_a: list[MultiPoly | None] = [None] * n
     for m in range(n - 1, -1, -1):
-        h = a_of_t[m] + MultiPoly.variable(tn[m])  # higher-order part, in t
+        h = a_of_t[m] + t[m]  # higher-order part, in t
         expr = -MultiPoly.variable(an[m]) + h
         for j in range(n - 1, m, -1):
             if tn[j] in expr.vars:
@@ -302,21 +303,17 @@ def flat_metric_entries(chart: UnfoldingChart) -> list[list[MultiPoly]]:
 
 def _euler_integrate(names: Sequence[str], third: dict[tuple[int, int, int], MultiPoly]) -> MultiPoly:
     """Recover the potential from its third partials (terms of degree >= 3 only)."""
-    d = len(names)
+    t = [MultiPoly.variable(v) for v in names]
     p_total = MultiPoly.zero(names)
     for (a, b, c), y in third.items():
         if not y:
             continue
         perms = {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}
-        mono = MultiPoly.variable(names[a]) * MultiPoly.variable(names[b]) * MultiPoly.variable(names[c])
-        p_total = p_total + y * mono * len(perms)
-    out = MultiPoly.zero(names)
-    for exp, coef in p_total.terms.items():
-        deg = sum(exp)
-        out = out + MultiPoly.monomial(
-            p_total.vars, exp, coef / (deg * (deg - 1) * (deg - 2))
-        )
-    return out
+        p_total = p_total + y * (t[a] * t[b] * t[c] * len(perms))
+    # A degree-d term of P contributes d(d-1)(d-2) times itself to p_total.
+    return MultiPoly._from_pairs(
+        p_total.vars, {mono: coef / perm(sum(e for _, e in mono), 3) for mono, coef in p_total.terms.items()}
+    )
 
 
 def potential_A(n: int) -> Potential:

@@ -151,26 +151,8 @@ def test_check_pre_gfm_command(capsys, files, tmp_path):
 
 
 def test_assemble_z2_command(capsys, tmp_path):
-    from gfrob import potential_D
-    from gfrob.singularity import potential_D_metric
-
-    pa, pd = potential_A(3), potential_D(3)
-    blob = {
-        "fe": {
-            "names": list(pa.names),
-            "metric": matrix_to_json(flat_metric(3)),
-            "potential": poly_to_json(pa.poly),
-        },
-        "fg": {
-            "names": list(pd.names),
-            "metric": matrix_to_json(potential_D_metric(3)),
-            "potential": poly_to_json(pd.poly),
-        },
-        "iota_e": [0, 2],
-        "iota_g": [0, 1],
-    }
     src = tmp_path / "in.json"
-    src.write_text(json.dumps(blob))
+    src.write_text(json.dumps(assembly_with([0, 2])))
     code, out = run(capsys, "assemble-z2", "--input", str(src))
     assert code == 0
     doc = json.loads(out)
@@ -184,6 +166,26 @@ def test_parse_error_exit_code(capsys, files):
 
 
 POLY_A3 = {"vars": ["t_0", "t_1", "t_2"], "terms": [{"exp": [1, 1, 0], "coef": "1"}]}
+ALGEBRA = gfa_to_json(z2_frobenius_algebra(3))  # dimension 4
+
+
+def algebra_with(**fields):
+    return {**ALGEBRA, **fields}
+
+
+def assembly_with(iota_e):
+    """The A3/D3 gluing input of test_assemble_z2_command with another iota_e."""
+    from gfrob import potential_D
+    from gfrob.singularity import potential_D_metric
+
+    pa, pd = potential_A(3), potential_D(3)
+    return {
+        "fe": {"names": list(pa.names), "metric": matrix_to_json(flat_metric(3)), "potential": poly_to_json(pa.poly)},
+        "fg": {"names": list(pd.names), "metric": matrix_to_json(potential_D_metric(3)), "potential": poly_to_json(pd.poly)},
+        "iota_e": iota_e,
+        "iota_g": [0, 1],
+    }
+
 
 MALFORMED = {
     "metric not square": ("wdvv", {"--potential": "phiA3", "--metric": {"matrix": [[1, 2]]}}),
@@ -200,6 +202,18 @@ MALFORMED = {
         "check-pre-gfm",
         {"--module": "module", "--metric": [[1, 0], [0, 1]], "--potential": {"names": ["a", "b", "c", "d"], "potential": POLY_A3}},
     ),
+    "gfa mult has 2 planes": ("check-gfa", {"--algebra": algebra_with(mult=ALGEBRA["mult"][:2])}),
+    "gfa mult row too short": (
+        "check-gfa",
+        {"--algebra": algebra_with(mult=[ALGEBRA["mult"][0][:3] + [["0"]]] + ALGEBRA["mult"][1:])},
+    ),
+    "gfa unit has 2 entries": ("check-gfa", {"--algebra": algebra_with(unit=["1", "0"])}),
+    "gfa metric has 2 rows": ("check-gfa", {"--algebra": algebra_with(metric=ALGEBRA["metric"][:2])}),
+    "embedding index out of range": ("assemble-z2", {"--input": assembly_with([0, 99])}),
+    "embedding index not an integer": ("assemble-z2", {"--input": assembly_with([0, "a"])}),
+    "embedding not a list": ("assemble-z2", {"--input": assembly_with(5)}),
+    "embedding index negative": ("assemble-z2", {"--input": assembly_with([0, -3])}),
+    "embedding index repeated": ("assemble-z2", {"--input": assembly_with([2, 2])}),
 }
 
 
@@ -303,6 +317,38 @@ def test_golden_potential_output(capsys):
     golden = pathlib.Path(__file__).parent / "golden" / "potential_A3.json"
     _, out = run(capsys, "potential", "A", "3")
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("potential_A5.json", ["potential", "A", "5"]),
+        ("potential_D4.json", ["potential", "D", "4"]),
+        ("potential_B3.json", ["potential", "B", "3"]),
+        ("flat_coords_6.json", ["flat-coords", "6"]),
+        ("construct_z2_4.json", ["construct-z2", "4"]),
+        ("construct_z2_4.txt", ["--format", "text", "construct-z2", "4"]),
+    ],
+)
+def test_golden_polynomial_outputs(capsys, golden, argv):
+    import pathlib
+
+    _, out = run(capsys, *argv)
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+
+
+@pytest.mark.parametrize("command", ["wdvv", "check-pre-gfm"])
+def test_huge_exponent_is_prompt(capsys, files, tmp_path, command):
+    import time
+
+    poly = {"vars": ["x"], "terms": [{"exp": [10**9], "coef": "1"}]}
+    inputs = {"--potential": {"names": ["x"], "potential": poly}, "--metric": [[1]]}
+    if command == "check-pre-gfm":
+        inputs["--module"] = {"group": {"order": 1, "table": [[0]]}, "dim": 1, "degrees": [0], "action": {"0": [["1"]]}}
+    start = time.perf_counter()
+    code, _ = run(capsys, *argv_with_files(files, tmp_path, command, inputs))
+    assert code == 0
+    assert time.perf_counter() - start < 5
 
 
 def test_golden_groupoid_output(capsys, files):

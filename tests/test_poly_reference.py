@@ -1,0 +1,270 @@
+"""MultiPoly against a dense reference on polynomials over different variable sets.
+
+DensePoly below is the earlier representation: dense exponent vectors over
+the polynomial's own sorted variable tuple, realigned by name on every mixed
+operation.  It serves as an independent oracle for the pair-keyed MultiPoly,
+down to the declared variables that poly_to_json writes.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gfrob import MultiPoly
+from gfrob.errors import UnknownVariable
+from gfrob.poly import linear_subst
+from gfrob.serialize import poly_to_json
+
+# -- dense reference ------------------------------------------------------------
+
+
+class DensePoly:
+    def __init__(self, variables, terms):
+        order = tuple(sorted(variables))
+        if len(set(order)) != len(order):
+            raise ValueError("duplicate variable names")
+        remap = [order.index(v) for v in variables]
+        clean = {}
+        for exp, c in terms.items():
+            new = [0] * len(order)
+            for pos, e in zip(remap, exp):
+                new[pos] = e
+            clean[tuple(new)] = clean.get(tuple(new), Fraction(0)) + Fraction(c)
+        self.vars = order
+        self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def constant(cls, c, variables=()):
+        return cls(variables, {tuple([0] * len(variables)): c})
+
+    def with_vars(self, variables):
+        target = tuple(sorted(variables))
+        if set(self.vars) - set(target):
+            raise UnknownVariable("cannot drop variables")
+        pos = [target.index(v) for v in self.vars]
+        terms = {}
+        for exp, c in self.terms.items():
+            new = [0] * len(target)
+            for p, e in zip(pos, exp):
+                new[p] = e
+            terms[tuple(new)] = c
+        return DensePoly(target, terms)
+
+    @staticmethod
+    def _aligned(a, b):
+        union = tuple(sorted(set(a.vars) | set(b.vars)))
+        return a.with_vars(union), b.with_vars(union)
+
+    def __add__(self, other):
+        if not isinstance(other, DensePoly):
+            other = DensePoly.constant(other, self.vars)
+        a, b = DensePoly._aligned(self, other)
+        terms = dict(a.terms)
+        for exp, c in b.terms.items():
+            terms[exp] = terms.get(exp, Fraction(0)) + c
+        return DensePoly(a.vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DensePoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, DensePoly):
+            other = DensePoly.constant(other, self.vars)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, DensePoly):
+            return DensePoly(self.vars, {e: Fraction(other) * c for e, c in self.terms.items()})
+        a, b = DensePoly._aligned(self, other)
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+        return DensePoly(a.vars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        result = DensePoly.constant(1, self.vars)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        a, b = DensePoly._aligned(self, other)
+        return a.terms == b.terms
+
+    def diff(self, name):
+        if name not in self.vars:
+            raise UnknownVariable(name)
+        i = self.vars.index(name)
+        terms = {}
+        for exp, c in self.terms.items():
+            if exp[i]:
+                new = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                terms[new] = c * exp[i]
+        return DensePoly(self.vars, terms)
+
+    def subst(self, name, value):
+        if name not in self.vars:
+            raise UnknownVariable(name)
+        i = self.vars.index(name)
+        if not isinstance(value, DensePoly):
+            value = DensePoly.constant(value)
+        rest_vars = tuple(v for v in self.vars if v != name)
+        out = DensePoly(rest_vars, {})
+        powers = {0: DensePoly.constant(1, rest_vars)}
+        for k in range(1, max((e[i] for e in self.terms), default=0) + 1):
+            powers[k] = powers[k - 1] * value
+        for exp, c in self.terms.items():
+            rest = exp[:i] + exp[i + 1:]
+            out = out + DensePoly(rest_vars, {rest: c}) * powers[exp[i]]
+        return out
+
+    def subst_zero(self, names):
+        for n in names:
+            if n not in self.vars:
+                raise UnknownVariable(n)
+        idx = [self.vars.index(n) for n in names]
+        return DensePoly(self.vars, {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)})
+
+    def rename(self, mapping):
+        return DensePoly(tuple(mapping.get(v, v) for v in self.vars), dict(self.terms))
+
+    def eval(self, point):
+        total = Fraction(0)
+        for exp, c in self.terms.items():
+            val = c
+            for v, e in zip(self.vars, exp):
+                val *= Fraction(point[v]) ** e
+            total += val
+        return total
+
+    def total_degree(self):
+        return max((sum(e) for e in self.terms), default=0)
+
+    def homogeneous_part(self, d):
+        return DensePoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
+
+    def constant_term(self):
+        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+
+    def coefficient(self, assignment):
+        return self.terms.get(tuple(assignment.get(v, 0) for v in self.vars), Fraction(0))
+
+    def compact(self):
+        live = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
+        return DensePoly(
+            tuple(self.vars[i] for i in live), {tuple(e[i] for i in live): c for e, c in self.terms.items()}
+        )
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+
+def dense_linear_subst(p, old_names, matrix, new_names):
+    live = [j for j, name in enumerate(old_names) if name in p.vars]
+    images = {}
+    for j in live:
+        image = DensePoly(new_names, {})
+        for b in range(len(new_names)):
+            if matrix[j][b] != 0:
+                image = image + DensePoly(new_names, {tuple(int(k == b) for k in range(len(new_names))): matrix[j][b]})
+        images[j] = image
+    out = p.rename({old_names[j]: "#" + old_names[j] for j in live})
+    for j in live:
+        out = out.subst("#" + old_names[j], images[j])
+    return out
+
+
+# -- strategies ------------------------------------------------------------------
+
+POOL = ("a", "b", "c", "d")
+coefs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def pairs(draw, count=2):
+    """Both representations of `count` polynomials, each over its own variable subset."""
+    out = []
+    for _ in range(count):
+        names = draw(st.permutations(POOL))[: draw(st.integers(0, len(POOL)))]
+        exps = st.tuples(*[st.integers(0, 3)] * len(names))
+        terms = draw(st.dictionaries(exps, coefs, max_size=4))
+        out.append((MultiPoly(names, terms), DensePoly(names, terms)))
+    return out
+
+
+def same(p: MultiPoly, ref: DensePoly) -> bool:
+    return poly_to_json(p) == poly_to_json(ref) and p.sorted_terms() == ref.sorted_terms()
+
+
+# -- properties ------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(), st.integers(-3, 3), st.integers(0, 3))
+def test_arithmetic_matches_dense(polys, k, power):
+    (p, rp), (q, rq) = polys
+    assert same(p + q, rp + rq)
+    assert same(p - q, rp - rq)
+    assert same(p * q, rp * rq)
+    assert same(p ** power, rp ** power)
+    assert same(p + k, rp + k) and same(k - p, k - rp) and same(p * k, rp * k)
+    assert (p == q) == (rp == rq)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(), st.data())
+def test_calculus_and_substitution_match_dense(polys, data):
+    (p, rp), (q, rq) = polys
+    for name in POOL:
+        if name in p.vars:
+            assert same(p.diff(name), rp.diff(name))
+            assert same(p.subst(name, q), rp.subst(name, rq))
+            c = data.draw(coefs)
+            assert same(p.subst(name, c), rp.subst(name, c))
+        else:
+            with pytest.raises(UnknownVariable):
+                p.diff(name)
+    zeros = data.draw(st.lists(st.sampled_from(p.vars), unique=True)) if p.vars else []
+    assert same(p.subst_zero(zeros), rp.subst_zero(zeros))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(count=1), st.data())
+def test_structure_matches_dense(polys, data):
+    [(p, rp)] = polys
+    for d in range(5):
+        assert same(p.homogeneous_part(d), rp.homogeneous_part(d))
+    assert same(p.compact(), rp.compact())
+    assert p.total_degree() == rp.total_degree()
+    assert p.constant_term() == rp.constant_term()
+    assignment = data.draw(st.dictionaries(st.sampled_from(POOL), st.integers(0, 3)))
+    assert p.coefficient(assignment) == rp.coefficient(assignment)
+    point = data.draw(st.fixed_dictionaries({v: coefs for v in POOL}))
+    assert p.eval(point) == rp.eval(point)
+    image = data.draw(st.permutations(POOL + ("u", "w")))
+    mapping = dict(zip(POOL, image))
+    assert same(p.rename(mapping), rp.rename(mapping))
+    extra = data.draw(st.sets(st.sampled_from(POOL + ("u",))))
+    assert same(p.with_vars(set(p.vars) | extra), rp.with_vars(set(rp.vars) | extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs(count=1), st.data())
+def test_linear_subst_matches_dense(polys, data):
+    [(p, rp)] = polys
+    old = data.draw(st.permutations(POOL))
+    new = data.draw(st.sampled_from([("u", "w"), ("a", "u"), ("b", "a", "c")]))
+    matrix = [[data.draw(st.integers(-2, 2)) for _ in new] for _ in old]
+    assert same(linear_subst(p, old, matrix, new), dense_linear_subst(rp, old, matrix, new))
