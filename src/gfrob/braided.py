@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch, SizeLimit
@@ -79,7 +79,8 @@ class InvariantForm:
 def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[InvariantForm]:
     """Basis of the joint fixed space of all braid generators on the n-th power.
 
-    Computed blockwise per groupoid component by an exact nullspace, so it is
+    Computed blockwise per groupoid component as the exact kernel of the
+    sparse rows -e_t + b_i(e_t), one form per free column, so it is
     independent of the averaging construction in braidize.
     """
     from .groupoid import size_limit
@@ -109,22 +110,14 @@ def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[Invarian
     for rep in sorted(blocks):
         tuples = sorted(blocks[rep])
         pos = {t: k for k, t in enumerate(tuples)}
-        rows: list[list[Fraction]] = []
+        rows: list[dict[int, Fraction]] = []
         for i in range(1, n):
             for t in tuples:
-                image = braid_act(h, i, Tensor.basis(t))
-                row = [Fraction(0)] * len(tuples)
-                row[pos[t]] -= 1
-                for idx, c in image.terms.items():
-                    row[pos[idx]] += c
-                if any(row):
-                    rows.append(row)
-        kernel = linalg.nullspace(rows) if rows else [
-            tuple(Fraction(1) if i == k else Fraction(0) for i in range(len(tuples)))
-            for k in range(len(tuples))
-        ]
-        for vec in kernel:
-            tensor = Tensor(n, {t: c for t, c in zip(tuples, vec) if c != 0})
+                row = {pos[idx]: c for idx, c in braid_act(h, i, Tensor.basis(t)).terms.items()}
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - 1
+                rows.append(row)
+        for vec in linalg.kernel(linalg.eliminate(rows), len(tuples)):
+            tensor = Tensor(n, {tuples[k]: c for k, c in vec.items()})
             out.append(InvariantForm(rep, g_degree_of[rep], tensor))
     return out
 
@@ -243,10 +236,25 @@ def form_from_poly(p: MultiPoly, names: Sequence[str], n: int) -> Tensor:
     return Tensor(n, terms)
 
 
-def _distinct_perms(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
-    from itertools import permutations
+def _distinct_perms(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of a multiset once, in lexicographic order.
 
-    return set(permutations(letters))
+    Steps from the sorted tuple by next-permutation, so the cost is linear in
+    the number of distinct orderings, not in n!.
+    """
+    a = sorted(letters)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def poly_from_form(t: Tensor, names: Sequence[str]) -> MultiPoly:

@@ -232,14 +232,10 @@ def potential_unit(pot: Potential, eta: Mat) -> Vec:
         for l in range(d):
             rows.append([c[a][b][l] for a in range(d)])
             rhs.append(Fraction(1) if b == l else Fraction(0))
-    aug = [r + [v] for r, v in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug)
-    if d in pivots or pivots != list(range(d)):
-        raise UnitFails("no unique unit vector at the origin")
-    u = [Fraction(0)] * d
-    for r, p in enumerate(pivots):
-        u[p] = red[r][d]
-    return tuple(u)
+    try:
+        return linalg.solve_columns(rows, rhs)
+    except ValueError:
+        raise UnitFails("no unique unit vector at the origin") from None
 
 
 # -- G-Frobenius algebras ------------------------------------------------------

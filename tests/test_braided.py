@@ -394,3 +394,53 @@ def test_br_basis_closes_each_component_once():
     forms = br_basis(h, 4)
     assert len(groupoid._component_cache) == 5
     assert {f.component for f in forms} <= {c.canonical for c in groupoid._component_cache.values()}
+
+
+def _span_rank(tensors, tuples):
+    pos = {t: k for k, t in enumerate(tuples)}
+    rows = []
+    for v in tensors:
+        row = [Fraction(0)] * len(tuples)
+        for idx, c in v.terms.items():
+            row[pos[idx]] = c
+        rows.append(row)
+    return rank(rows)
+
+
+@pytest.mark.parametrize(
+    "module, max_n",
+    [("orbifold_dual", 4), ("z3_module", 3), ("s3_module", 3), ("s3_module_twisted", 3)],
+)
+def test_br_basis_spans_braidize_image(request, module, max_n):
+    """Two independent routes to the braid invariants give one subspace."""
+    if module == "orbifold_dual":
+        h = dual_module(request.getfixturevalue("orbifold_module"))
+    else:
+        h = request.getfixturevalue(module)
+    for n in range(max_n + 1):
+        tuples = list(itertools.product(range(h.dim), repeat=n))
+        basis = [f.tensor for f in br_basis(h, n)]
+        image = [braidize(h, Tensor.basis(t)) for t in tuples]
+        r = _span_rank(basis, tuples)
+        assert r == len(basis) == _span_rank(image, tuples) == _span_rank(basis + image, tuples)
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_distinct_perms_match_set_of_permutations(length):
+    from gfrob.braided import _distinct_perms
+
+    for letters in itertools.combinations_with_replacement(range(length), length):
+        got = list(_distinct_perms(letters))
+        assert len(got) == len(set(got))
+        assert set(got) == set(itertools.permutations(letters))
+        assert got == sorted(got)
+
+
+def test_polarizing_high_power_is_prompt():
+    import time
+
+    p = MultiPoly(("x", "y"), {(9, 1): Fraction(1)})
+    start = time.perf_counter()
+    t = form_from_poly(p, ("x", "y"), 10)
+    assert time.perf_counter() - start < 0.2
+    assert len(t.terms) == 10 and set(t.terms.values()) == {Fraction(1, 10)}

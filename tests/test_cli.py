@@ -357,3 +357,21 @@ def test_golden_groupoid_output(capsys, files):
     golden = pathlib.Path(__file__).parent / "golden" / "groupoid_z2_n2.jsonl"
     _, out = run(capsys, "groupoid", "--group", files["z2"], "--n", "2")
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, module, n",
+    [("br_basis_z2_dual3_n4.json", "module", 4), ("br_basis_z3_rot_n3.json", "z3", 3)],
+)
+def test_golden_br_basis_outputs(capsys, files, tmp_path, golden, module, n):
+    """Canonical invariant bases stay byte-identical."""
+    import pathlib
+
+    from conftest import make_z3_module
+
+    path = files["module"]
+    if module == "z3":
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(module_to_json(make_z3_module())))
+    _, out = run(capsys, "br-basis", "--module", str(path), "--n", str(n))
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()

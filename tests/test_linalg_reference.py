@@ -1,0 +1,198 @@
+"""The sparse elimination core against the earlier dense Gauss-Jordan loop.
+
+dense_rref below is the earlier body of linalg.rref: column by column, swap a
+pivot up, scale it, and clear the column from every other row.  It and the
+dense rank, nullspace, mat_inv and solve_columns built on it serve as an
+independent oracle for the adapters over linalg.eliminate, on sparse, dense,
+wide, tall, rank-deficient and empty matrices and on matrices with zero rows.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from gfrob import linalg
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+# -- dense reference ------------------------------------------------------------
+
+
+def dense_rref(rows):
+    m = [list(r) for r in rows]
+    pivots = []
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def dense_nullspace(a):
+    if not a:
+        return []
+    ncols = len(a[0])
+    rows, pivots = dense_rref(a)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_mat_inv(a):
+    n = len(a)
+    aug = [list(a[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows, pivots = dense_rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def dense_solve_columns(a, b):
+    ncols = len(a[0])
+    rows, pivots = dense_rref([list(row) + [bi] for row, bi in zip(a, b)])
+    if ncols in pivots:
+        raise ValueError("inconsistent system")
+    if pivots != list(range(ncols)):
+        raise ValueError("columns are not independent")
+    x = [ZERO] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return tuple(x)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# -- strategies -----------------------------------------------------------------
+
+entries = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+KINDS = ("sparse", "dense", "low_rank", "zero_rows")
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None, kinds=KINDS):
+    nrows = draw(st.integers(0, 7)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 7)) if ncols is None else ncols
+    kind = draw(st.sampled_from(kinds))
+
+    def block(r, c, nonzero):
+        return [[draw(entries) if draw(nonzero) else ZERO for _ in range(c)] for _ in range(r)]
+
+    if kind == "low_rank":
+        k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        if k == 0:
+            return [[ZERO] * ncols for _ in range(nrows)]
+        left, right = block(nrows, k, st.just(True)), block(k, ncols, st.just(True))
+        return [list(row) for row in linalg.mat_mul(left, right)]
+    sparse = st.sampled_from((True, False, False, False, False))
+    m = block(nrows, ncols, sparse if kind == "sparse" else st.booleans())
+    if kind == "zero_rows":
+        m = [[ZERO] * ncols if draw(st.booleans()) else row for row in m]
+    return m
+
+
+# -- the adapters against the oracle --------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_rank_nullspace_match_dense(m):
+    assert linalg.rref(m) == dense_rref(m)
+    assert linalg.rank(m) == len(dense_rref(m)[1])
+    assert linalg.nullspace(m) == dense_nullspace(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(n, n)))
+def test_mat_inv_matches_dense(m):
+    got, want = outcome(linalg.mat_inv, m), outcome(dense_mat_inv, m)
+    assert got == want
+    if got[0] == "ok":
+        assert linalg.mat_mul(got[1], linalg.mat(m)) == linalg.identity(len(m))
+
+
+def test_mat_inv_singular():
+    m = [[ONE, Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert outcome(linalg.mat_inv, m) == outcome(dense_mat_inv, m) == ("error", "matrix is singular")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(lambda shape: matrices(*shape)), st.data())
+def test_solve_columns_matches_dense(a, data):
+    if data.draw(st.booleans(), label="consistent"):
+        x = [data.draw(entries) for _ in a[0]]
+        b = [sum((p * q for p, q in zip(row, x)), ZERO) for row in a]
+    else:
+        b = [data.draw(entries) for _ in a]
+    assert outcome(linalg.solve_columns, a, b) == outcome(dense_solve_columns, a, b)
+
+
+def test_solve_columns_inconsistent_and_dependent():
+    a = [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]]
+    assert outcome(linalg.solve_columns, a, [ONE, ONE, ZERO]) == ("error", "inconsistent system")
+    dep = [[ONE, Fraction(2)], [Fraction(3), Fraction(6)]]
+    assert outcome(linalg.solve_columns, dep, [ONE, Fraction(3)]) == ("error", "columns are not independent")
+    for m, b in ((a, [ONE, ONE, ZERO]), (dep, [ONE, Fraction(3)])):
+        assert outcome(linalg.solve_columns, m, b) == outcome(dense_solve_columns, m, b)
+    assert linalg.solve_columns(a, [ONE, Fraction(2), Fraction(3)]) == (ONE, Fraction(2))
+
+
+def test_empty_matrices():
+    for m in ([], [[]], [[], [], []]):
+        assert linalg.rref(m) == dense_rref(m) == ([], [])
+        assert linalg.rank(m) == 0
+        assert linalg.nullspace(m) == dense_nullspace(m) == []
+    assert linalg.mat_inv(()) == dense_mat_inv(()) == ()
+
+
+# -- the core itself ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_eliminate_is_canonical_and_sparse(m, rnd):
+    """The same RREF for any row order; rows store no zeros and no other pivot."""
+    rows = [dict(enumerate(r)) for r in m]
+    reduced = linalg.eliminate(rows)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert linalg.eliminate(shuffled) == reduced
+    assert list(reduced) == sorted(reduced) == dense_rref(m)[1]
+    for p, row in reduced.items():
+        assert row[p] == 1 and min(row) == p
+        assert all(x != 0 for x in row.values())
+        assert not (set(row) - {p}) & set(reduced)
+    assert rows == [dict(enumerate(r)) for r in m]  # inputs are left alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_kernel_vectors_solve_the_system(m):
+    width = len(m[0]) if m else 0
+    basis = linalg.kernel(linalg.eliminate(dict(enumerate(r)) for r in m), width)
+    assert len(basis) == width - linalg.rank(m)
+    for v in basis:
+        assert all(sum((row[c] * x for c, x in v.items()), ZERO) == 0 for row in m)
