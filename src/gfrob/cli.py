@@ -2,8 +2,11 @@
 
 Subcommands read JSON from file arguments (or '-' for standard input) and
 write canonical JSON to standard output.  Exit codes: 0 all checks passed,
-1 a check failed, 2 usage error (an index out of range too), 3 malformed input.
-GFROB_SIZE_LIMIT, a positive integer, overrides the enumeration guard.
+1 a check failed, 2 usage error (an index out of range and a size-limit
+refusal too), 3 malformed input.  GFROB_SIZE_LIMIT, a positive integer,
+overrides the size guards: |G|^n * n! for `groupoid` and `br-basis`, the
+estimated cost of the A_m potential for `potential`, `flat-coords` and
+`construct-z2`.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ import sys
 from dataclasses import dataclass, field
 from . import serialize as ser
 from .braided import br_basis, braidize
-from .errors import BadIndex, GfrobError, NotAGroup
+from .errors import BadIndex, GfrobError, NotAGroup, SizeLimit
 from .frobenius import assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import enumerate_component, guard_size
 from .groups import conjugacy_classes
 from .singularity import (
     flat_coordinates,
     flat_metric,
+    guard_unfolding,
     potential_A,
     potential_B,
     potential_D,
@@ -221,6 +225,7 @@ def _cmd_assemble_z2(args) -> RunReport:
 def _cmd_potential(args) -> RunReport:
     rep = RunReport("potential")
     kind, n = args.kind, args.n
+    guard_unfolding({"A": n, "B": 2 * n - 1, "D": 2 * n - 3}[kind])
     if kind == "A":
         pot, eta = potential_A(n), flat_metric(n)
     elif kind == "B":
@@ -235,6 +240,7 @@ def _cmd_potential(args) -> RunReport:
 
 def _cmd_flat_coords(args) -> RunReport:
     rep = RunReport("flat-coords")
+    guard_unfolding(args.n)
     ch = flat_coordinates(args.n)
     rep.payload = {
         "n": ch.n,
@@ -248,6 +254,7 @@ def _cmd_flat_coords(args) -> RunReport:
 
 def _cmd_construct_z2(args) -> RunReport:
     rep = RunReport("construct-z2")
+    guard_unfolding(2 * args.n - 3, power=3)
     fm = z2_frobenius_manifold(args.n)
     pre = fm.assembly.pre_gfm
     rep.add("pre_gfm", pre.passed)
@@ -354,6 +361,9 @@ def main(argv=None) -> int:
         return PARSE_ERROR
     except BadIndex as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except SizeLimit as exc:
+        print(f"size limit: {exc}; set GFROB_SIZE_LIMIT to raise it", file=sys.stderr)
         return USAGE_ERROR
     except GfrobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

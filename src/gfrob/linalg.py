@@ -43,11 +43,11 @@ def transpose(a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a)
 
 
 def _sub_multiple(target: Row, f: Fraction, row: Row) -> None:

@@ -10,8 +10,15 @@ coefficient of z^{n-1} in the reduction of f g.
 Flat coordinates come from inverting z = w + t_{n-1}/w + ... + t_0/w^n in
 F(z(w)) = w^{n+1}/(n+1): requiring the coefficients of w^{n-1}..w^0 to
 vanish determines each unfolding coefficient a_i as a polynomial in t
-(triangular, with linear term -t_i).  The potential is recovered from
-Y_abc(t) = residue(dF/dt_a * dF/dt_b, dF/dt_c) by exact integration.
+(triangular, with linear term -t_i).  The potential is read off one more
+coefficient of the same inverse series: the w^{-(2n+3)} coefficient of z(w),
+computed by Lagrange-Buermann inversion and Miller's power recurrence in
+O(n^2) polynomial products, holds in each degree d >= 3 the degree-d part of
+the potential times (n+2)(d-2).  Every potential built this way is proved
+against the residues Y_abc(t) = residue(dF/dt_a * dF/dt_b * dF/dt_c / F'):
+for each pair a <= b, dF/dt_a * dF/dt_b mod F' must have a constant residue
+(flatness) and must equal sum_c Y_abc dF/dt_{n-1-c}, which fixes every
+triple residue with O(n^2) reductions instead of O(n^3).
 
 The two-variable family 1/2 x y^2 + x^{n-1}/(2n-2) is handled through its
 Milnor ring and through the odd-coordinate restriction of the one-variable
@@ -23,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
 from typing import Sequence
 
 from . import linalg
-from .errors import BadIndex, IntegrabilityFailure
-from .frobenius import GFrobeniusAlgebra, Potential
+from .errors import BadIndex, IntegrabilityFailure, SizeLimit
+from .frobenius import GFrobeniusAlgebra, Potential, _third_partials
+from .groupoid import size_limit
 from .groups import cyclic_group
 from .modules import GradedModule
 from .poly import MultiPoly
@@ -301,19 +308,39 @@ def flat_metric_entries(chart: UnfoldingChart) -> list[list[MultiPoly]]:
 # -- potentials --------------------------------------------------------------------
 
 
-def _euler_integrate(names: Sequence[str], third: dict[tuple[int, int, int], MultiPoly]) -> MultiPoly:
-    """Recover the potential from its third partials (terms of degree >= 3 only)."""
-    t = [MultiPoly.variable(v) for v in names]
-    p_total = MultiPoly.zero(names)
-    for (a, b, c), y in third.items():
-        if not y:
-            continue
-        perms = {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}
-        p_total = p_total + y * (t[a] * t[b] * t[c] * len(perms))
-    # A degree-d term of P contributes d(d-1)(d-2) times itself to p_total.
-    return MultiPoly._from_pairs(
-        p_total.vars, {mono: coef / perm(sum(e for _, e in mono), 3) for mono, coef in p_total.terms.items()}
-    )
+def potential_terms(m: int) -> int:
+    """Upper bound on the term count of potential_A(m), read off the weights.
+
+    The potential is quasi-homogeneous: t_i has weight m+1-i and every term
+    has weighted degree 2m+4 and at least three factors.  This counts those
+    monomials (30% above the true count at m = 13).
+    """
+    if m < 2:
+        return 0
+    top = 2 * m + 4
+    ways = [[0] * 4 for _ in range(top + 1)]  # [weight][factors, capped at 3]
+    ways[0][0] = 1
+    for w in range(2, m + 2):
+        for s in range(w, top + 1):
+            for p in range(4):
+                ways[s][min(p + 1, 3)] += ways[s - w][p]
+    return ways[top][3]
+
+
+def guard_unfolding(m: int, power: int = 2) -> None:
+    """Refuse work on the A_m potential whose estimated cost exceeds the size limit.
+
+    The estimate is potential_terms(m) * m**power term operations: power 2
+    for the chart and the potential (the residue proof makes O(m^2)
+    reductions), power 3 when every potential is also WDVV-checked.  A unit
+    took 8 to 18 microseconds under CPython 3.11 on a 2-core x86-64 host
+    (`potential A 15` 3.6 s, `construct-z2 7` 8.9 s), so the default limit
+    of 10^6 admits the potential of A_16 and construct-z2 up to n = 7.
+    """
+    cap = size_limit()
+    cost = potential_terms(m) * m**power
+    if cost > cap:
+        raise SizeLimit(f"A_{m} potential: estimated cost {cost} exceeds limit {cap}")
 
 
 def potential_A(n: int) -> Potential:
@@ -326,22 +353,71 @@ def potential_A(n: int) -> Potential:
 def _chart_and_potential_A(n: int) -> tuple[UnfoldingChart, Potential]:
     """The flat chart and the potential built on it, so callers needing both build each once."""
     chart = flat_coordinates(n)
+    pot = Potential(chart.t_names, inverse_series_potential(chart))
+    check_potential_residues(chart, pot)
+    return chart, pot
+
+
+def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
+    """The potential read off one coefficient of the inverse series z(w).
+
+    With u = (n+1) sum_i a_i(t) z^{i-n-1}, so that (n+1) F = z^{n+1} (1 + u),
+    Lagrange-Buermann inversion gives the w^{-K} coefficient of z(w) as
+    c_K = [z^{-K-1}] (1 + u)^{K/(n+1)} / K.  The coefficients g_k of
+    (1 + u)^x in 1/z follow J.C.P. Miller's power recurrence
+    g_k = (1/k) sum_j ((x+1) j - k) u_j g_{k-j}, g_0 = 1.  For K = 2n+3 the
+    degree-d part of c_K is (n+2)(d-2) times the degree-d part of the
+    potential.  With t_i of weight n+1-i, u_j and g_k have weight j and k,
+    so every term of c_K has weight 2n+4 and hence degree d >= 3.
+    """
+    n = chart.n
+    big_k = 2 * n + 3
+    x1 = Fraction(big_k, n + 1) + 1
+    u = [(j, chart.a_of_t[n + 1 - j] * (n + 1)) for j in range(2, n + 2)]
+    g = [MultiPoly.constant(1)]
+    for k in range(1, big_k + 2):
+        acc = MultiPoly.zero()
+        for j, uj in u:
+            if j > k:
+                break
+            scale = (x1 * j - k) / k
+            if scale and g[k - j]:
+                acc = acc + uj * scale * g[k - j]
+        g.append(acc)
+    terms = {
+        mono: coef / (big_k * (n + 2) * (sum(e for _, e in mono) - 2))
+        for mono, coef in g[big_k + 1].terms.items()
+    }
+    return MultiPoly._from_pairs(tuple(sorted(chart.t_names)), terms)
+
+
+def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
+    """Prove res(dF_a dF_b dF_c / F') = P_abc for every triple from O(n^2) reductions.
+
+    For each a <= b, r_ab = dF_a dF_b mod F' must have the constant residue
+    [a + b = n - 1] (flatness) and must equal sum_c P_abc dF_{n-1-c}.  Pairing
+    the second identity with dF_c through the first gives every triple residue.
+    Raises IntegrabilityFailure naming the first pair (a, b) that fails.
+    """
+    n = chart.n
     fp = chart.fprime_in_t()
     dfs = [chart.df_dt(a) for a in range(n)]
-    third: dict[tuple[int, int, int], MultiPoly] = {}
+    third = _third_partials(pot)
     for a in range(n):
         for b in range(a, n):
-            ab = zp_mul(dfs[a], dfs[b])
-            for c in range(b, n):
-                red = zp_reduce(zp_mul(ab, dfs[c]), fp)
-                third[(a, b, c)] = red[n - 1] if len(red) >= n else MultiPoly.zero()
-
-    phi = _euler_integrate(chart.t_names, third)
-    pot = Potential(chart.t_names, phi)
-    for (a, b, c), y in third.items():
-        if pot.third(a, b, c) != y:
-            raise IntegrabilityFailure(f"third partials do not integrate at {(a, b, c)}")
-    return chart, pot
+            r = zp_reduce(zp_mul(dfs[a], dfs[b]), fp)
+            top = r[n - 1] if len(r) >= n else MultiPoly.zero()
+            if top != int(a + b == n - 1):
+                raise IntegrabilityFailure(f"residue pairing is not flat at {(a, b)}")
+            want = [MultiPoly.zero() for _ in range(n)]
+            for c in range(n):
+                y = third[tuple(sorted((a, b, c)))]
+                if y:
+                    for i, f in enumerate(dfs[n - 1 - c]):
+                        if f:
+                            want[i] = want[i] + y * f
+            if zp_trim(want) != r:
+                raise IntegrabilityFailure(f"third partials do not match the residues at {(a, b)}")
 
 
 def potential_B(m: int) -> Potential:

@@ -287,6 +287,49 @@ def test_bad_size_limit_is_usage_error(capsys, files, monkeypatch, limit):
         assert "GFROB_SIZE_LIMIT" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["groupoid", "--group", "z2", "--n", "3"], "10"),
+        (["br-basis", "--module", "module", "--n", "2"], "10"),
+        (["potential", "A", "3"], "10"),
+        (["potential", "B", "3"], "10"),
+        (["potential", "D", "3"], "10"),
+        (["flat-coords", "3"], "10"),
+        (["construct-z2", "3"], "10"),
+        (["potential", "A", "11"], "45616"),  # one below the estimate for A_11
+        (["groupoid", "--group", "z2", "--n", "9"], None),
+        (["potential", "A", "17"], None),
+        (["potential", "B", "9"], None),
+        (["potential", "D", "10"], None),
+        (["flat-coords", "40"], None),
+        (["construct-z2", "8"], None),
+    ],
+)
+def test_size_limit_is_usage_error(capsys, files, monkeypatch, argv, limit):
+    """A refusal exits 2, prints nothing on stdout and names the override."""
+    if limit is None:
+        monkeypatch.delenv("GFROB_SIZE_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("GFROB_SIZE_LIMIT", limit)
+    code = main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("size limit: ") and "GFROB_SIZE_LIMIT" in err
+
+
+def test_size_limit_default_admits_the_benchmark_sizes(capsys, monkeypatch):
+    from gfrob.singularity import guard_unfolding
+
+    monkeypatch.delenv("GFROB_SIZE_LIMIT", raising=False)
+    for m in (11, 13, 16):  # potential A 11, potential D 8, the largest admitted
+        guard_unfolding(m)
+    guard_unfolding(11, power=3)  # construct-z2 7
+    monkeypatch.setenv("GFROB_SIZE_LIMIT", "45617")  # exactly the estimate for A_11
+    code, _ = run(capsys, "potential", "A", "11")
+    assert code == 0
+
+
 def test_byte_identical_output(capsys, files):
     _, out1 = run(capsys, "potential", "D", "3")
     _, out2 = run(capsys, "potential", "D", "3")
@@ -328,6 +371,8 @@ def test_golden_potential_output(capsys):
         ("flat_coords_6.json", ["flat-coords", "6"]),
         ("construct_z2_4.json", ["construct-z2", "4"]),
         ("construct_z2_4.txt", ["--format", "text", "construct-z2", "4"]),
+        ("potential_A8.json", ["potential", "A", "8"]),
+        ("potential_D6.json", ["potential", "D", "6"]),
     ],
 )
 def test_golden_polynomial_outputs(capsys, golden, argv):

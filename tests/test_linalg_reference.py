@@ -196,3 +196,27 @@ def test_kernel_vectors_solve_the_system(m):
     assert len(basis) == width - linalg.rank(m)
     for v in basis:
         assert all(sum((row[c] * x for c, x in v.items()), ZERO) == 0 for row in m)
+
+
+@st.composite
+def products(draw):
+    inner = draw(st.integers(0, 5))
+    a, b = draw(matrices(ncols=inner)), draw(matrices(nrows=inner))
+    return a, b, [draw(entries) if draw(st.booleans()) else ZERO for _ in range(inner)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(products())
+def test_mat_mul_and_mat_vec_match_dense(case):
+    """The zero-skipping products equal the plain sums, and every entry is a
+    Fraction, also for zero rows and an empty inner dimension."""
+    a, b, v = case
+    width = len(b[0]) if b else 0
+    got = linalg.mat_mul(a, b)
+    want = tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(width)) for row in a
+    )
+    assert got == want and all(type(x) is Fraction for r in got for x in r)
+    got_v = linalg.mat_vec(a, v)
+    assert got_v == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+    assert all(type(x) is Fraction for x in got_v)
