@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 from math import factorial
 from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch, SizeLimit
-from .groupoid import enumerate_component, guard_size
+from .groupoid import guard_size, inverse_arrow, orbit_component
 from .modules import (
     GradedModule,
     Tensor,
@@ -44,22 +44,31 @@ from .poly import MultiPoly
 def braidize(h: GradedModule, v: Tensor) -> Tensor:
     """Average of all arrow actions with source the degree tuple of each part.
 
-    Factoring every hom-set through the endomorphisms of the basepoint,
-    sum(A) . v = sum_targets connector . (sum(End) . v), brings the cost
-    from |C| * m_C down to |C| + m_C arrow applications per part.
+    All members of an orbit share one component based at b.  The arrows out
+    of a member s are conn(u) o e o conn(s)^-1 for members u and e in End(b),
+    and End(b) = U_1 o ... o U_k factors through its stabilizer chain, so
+    sum(A) . v = sum_u conn(u) . (sum U_1) ... (sum U_k) . conn(s)^-1 . v,
+    the deepest level applied first.  That costs |C| + sum |U_i| arrow
+    applications per part instead of |C| * m_C.
     """
     if v.n <= 1:
         return v
+    group = h.group
     out: dict[tuple[int, ...], Fraction] = {}
     for deg, part in split_homogeneous(h, v).items():
-        comp = enumerate_component(h.group, deg)
+        comp = orbit_component(group, deg)
+        terms = part.terms
+        if deg != comp.basepoint:
+            terms = {}
+            arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), part.terms, terms)
+        for level in reversed(comp.transversals):
+            acc = dict(terms)  # the identity, first in every transversal
+            for u, _ in islice(level.values(), 1, None):
+                arrow_apply_into(h, u, terms, acc)
+            terms = {k: c for k, c in acc.items() if c}
         scale = Fraction(1, comp.n_C)
-        endo_sum: dict[tuple[int, ...], Fraction] = {}
-        for a in comp.endos:
-            arrow_apply_into(h, a, part.terms, endo_sum)
-        endo_sum = {k: c for k, c in endo_sum.items() if c}
         for conn in comp.connectors.values():
-            arrow_apply_into(h, conn, endo_sum, out, scale)
+            arrow_apply_into(h, conn, terms, out, scale)
     return Tensor(v.n, out)
 
 
@@ -100,7 +109,7 @@ def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[Invarian
         deg = h.degree_tuple(idx)
         rep = rep_of.get(deg)
         if rep is None:
-            comp = enumerate_component(h.group, deg)
+            comp = orbit_component(h.group, deg)
             rep = comp.canonical
             rep_of.update(dict.fromkeys(comp.members, rep))
             g_degree_of[rep] = comp.g_degree

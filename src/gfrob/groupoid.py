@@ -16,18 +16,24 @@ Conventions fixed here and relied on everywhere else:
 * generator indices are 1-based: b_i braids slots i and i+1 for
   1 <= i <= n-1.
 
-A component is stored as a spanning tree of its orbit plus the endomorphism
-group of its basepoint, closed from Schreier generators, never as its
-|C| * m_C arrows.  Each arrow is one connector after one endomorphism, so
-n_C = |C| * m_C holds by construction, with m_C the constant hom-set size.
-Every component has a constant G-degree (the ordered product of the entries).
+A component is stored as a spanning tree of its orbit plus a stabilizer
+chain of the endomorphism group of its basepoint, never as its |C| * m_C
+arrows nor as the m_C endomorphisms.  Arrows act faithfully on the n|G|
+points (slot, x) by (i, x) -> (perm[i], gpart[i] x), which respects
+composition, so End(basepoint) is a permutation group and Schreier-Sims
+builds a base and transversals U_1..U_k for it from the Schreier generators
+of the spanning tree.  Each endomorphism is u_1 o ... o u_k for exactly one
+u_i in each U_i, and each arrow is one connector after one endomorphism, so
+m_C = prod |U_i| and n_C = |C| * m_C hold by construction, with m_C the
+constant hom-set size.  Every component has a constant G-degree (the
+ordered product of the entries).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 
 from .errors import BadIndex, IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from .groups import FiniteGroup
@@ -139,8 +145,9 @@ def compose_arrows(group: FiniteGroup, a2: Arrow, a1: Arrow) -> Arrow:
     """a2 o a1 (first a1, then a2)."""
     if a1.target != a2.source:
         raise SourceTargetMismatch(f"target {a1.target} != source {a2.source}")
-    perm = tuple(a2.perm[p] for p in a1.perm)
-    gpart = tuple(group.mul(a2.gpart[a1.perm[j]], a1.gpart[j]) for j in range(a1.n))
+    tab, g2, p2 = group.table, a2.gpart, a2.perm
+    perm = tuple([p2[p] for p in a1.perm])
+    gpart = tuple([tab[g2[p]][g] for p, g in zip(a1.perm, a1.gpart)])
     return Arrow(a1.source, gpart, perm, a2.target)
 
 
@@ -163,24 +170,33 @@ def _invert_word(word: Word) -> Word:
     return tuple((i, not inv) for i, inv in reversed(word))
 
 
+Point = tuple[int, int]  # (slot, group element)
+
+
 @dataclass(frozen=True, eq=False)
 class Component:
     """One connected component of the braid groupoid, based at a chosen tuple.
 
-    Stored as a spanning tree plus a vertex group: connectors maps each member
-    u to one arrow basepoint -> u (the identity at the basepoint), and endos is
-    End(basepoint).  Every arrow with source basepoint is conn(u) o e for
-    exactly one member u and one e in endos, so each hom-set has
-    m_C = |endos| arrows and n_C = |C| * m_C holds by construction.  words
-    holds one realizing braid word (later-applied generators last) for each
-    connector and each endomorphism.
+    Stored as a spanning tree plus a stabilizer chain of the vertex group:
+    connectors maps each member u to one arrow basepoint -> u (the identity
+    at the basepoint), and End(basepoint) is kept as a base and transversals
+    U_1..U_k, never as a set.  An endomorphism acts on the n|G| points
+    (slot, x) by (i, x) -> (perm[i], gpart[i] x); base point i is
+    (base[i], e), and transversals[i] maps each image of that point under
+    the stabilizer of the earlier base points to one arrow realizing it and
+    its braid word (later-applied generators last), the identity first.
+    Every endomorphism is u_1 o ... o u_k for exactly one choice of u_i in
+    U_i, so m_C = prod |U_i|, and every arrow with source basepoint is
+    conn(u) o e for exactly one member u and endomorphism e, so
+    n_C = |C| * m_C holds by construction.
     """
 
     group: FiniteGroup
     basepoint: GTuple
     connectors: dict[GTuple, Arrow] = field(repr=False)
-    endos: tuple[Arrow, ...] = field(repr=False)
-    words: dict[Arrow, Word] = field(repr=False)
+    connector_words: dict[GTuple, Word] = field(repr=False)
+    base: tuple[int, ...]
+    transversals: tuple[dict[Point, tuple[Arrow, Word]], ...] = field(repr=False)
     g_degree: int
 
     @property
@@ -189,53 +205,174 @@ class Component:
 
     @property
     def m_C(self) -> int:
-        return len(self.endos)
+        return prod(len(u) for u in self.transversals)
 
     @property
     def n_C(self) -> int:
-        return len(self.connectors) * len(self.endos)
+        return len(self.connectors) * self.m_C
 
     @property
     def canonical(self) -> GTuple:
         return min(self.connectors)
 
+    def _endos(self) -> list[Arrow]:
+        out = [identity_arrow(self.group, self.basepoint)]
+        for level in reversed(self.transversals):
+            out = [compose_arrows(self.group, u, e) for u, _ in level.values() for e in out]
+        return out
+
+    def _hom(self, target: GTuple, endos: list[Arrow]) -> list[Arrow]:
+        conn = self.connectors[target]
+        homs = (compose_arrows(self.group, conn, e) for e in endos)
+        return sorted(homs, key=lambda a: (a.gpart, a.perm))
+
     def hom(self, target: GTuple) -> list[Arrow]:
         """Arrows basepoint -> target, ordered by (gpart, perm)."""
-        conn = self.connectors.get(target)
-        if conn is None:
+        if target not in self.connectors:
             return []
-        homs = (compose_arrows(self.group, conn, e) for e in self.endos)
-        return sorted(homs, key=lambda a: (a.gpart, a.perm))
+        return self._hom(target, self._endos())
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
         """Every arrow with source basepoint, ordered by (target, gpart, perm)."""
-        return tuple(a for t in sorted(self.connectors) for a in self.hom(t))
+        endos = self._endos()
+        return tuple(a for t in sorted(self.connectors) for a in self._hom(t, endos))
 
     def word(self, a: Arrow) -> Word:
-        """A braid word realizing a, which must have source basepoint."""
+        """A braid word realizing a, which must have source basepoint.
+
+        Sifts conn(target)^-1 o a through the chain: a = conn o u_1 o ... o u_k.
+        """
         conn = self.connectors.get(a.target)
-        if conn is not None:
-            endo = compose_arrows(self.group, inverse_arrow(self.group, conn), a)
-            if endo in self.words:
-                return self.words[endo] + self.words[conn]
-        raise SourceTargetMismatch("arrow is not realized from its stated source")
+        if conn is None or a.source != self.basepoint:
+            raise SourceTargetMismatch("arrow is not realized from its stated source")
+        x = compose_arrows(self.group, inverse_arrow(self.group, conn), a)
+        word = self.connector_words[a.target]
+        for slot, level in zip(self.base, self.transversals):
+            entry = level.get((x.perm[slot], x.gpart[slot]))
+            if entry is None:
+                break
+            u, wu = entry
+            x = compose_arrows(self.group, inverse_arrow(self.group, u), x)
+            word = wu + word
+        if x != identity_arrow(self.group, self.basepoint):
+            raise SourceTargetMismatch("arrow is not realized from its stated source")
+        return word
+
+
+class _Chain:
+    """Deterministic Schreier-Sims over End(t), fed one generator at a time.
+
+    The chain is complete (a base and strong generating set) after every
+    add(), so sifting an arrow to the identity proves it is already in the
+    group generated so far.  Levels only grow: transversal entries are never
+    replaced, so a Schreier generator once sifted to the identity stays
+    covered and each (orbit point, strong generator) pair is checked once.
+    """
+
+    def __init__(self, group: FiniteGroup, t: GTuple):
+        self.group = group
+        self.ident = identity_arrow(group, t)
+        self.base: list[int] = []
+        self.trans: list[dict[Point, tuple[Arrow, Word]]] = []
+        self.inverses: list[dict[Point, Arrow]] = []
+        self.gens: list[list[tuple[Arrow, Word]]] = []  # strong generators fixing base[:i]
+        self.checked: list[set[tuple[Point, int]]] = []
+
+    def sift(self, x: Arrow, level: int = 0) -> tuple[Arrow, int, list[Word]]:
+        """Strip x through levels >= level: (residue, level it stopped at, words used)."""
+        used = []
+        for i in range(level, len(self.base)):
+            slot = self.base[i]
+            point = (x.perm[slot], x.gpart[slot])
+            if point == (slot, self.group.identity):
+                continue
+            entry = self.trans[i].get(point)
+            if entry is None:
+                return x, i, used
+            x = compose_arrows(self.group, self.inverses[i][point], x)
+            used.append(entry[1])
+        return x, len(self.base), used
+
+    def add(self, x: Arrow, word: Word) -> None:
+        """Add x, realized by word, to the group generated so far."""
+        h, j, used = self.sift(x)
+        if h == self.ident:
+            return
+        self._extend(h, j, _strip_word(word, used))
+        i = j
+        while i >= 0:  # every level deeper than i is complete
+            j = self._check(i)
+            i = i - 1 if j is None else j
+
+    def _check(self, i: int) -> int | None:
+        """Sift the unchecked Schreier generators of level i; the level extended, if any."""
+        group, slot, trans, checked = self.group, self.base[i], self.trans[i], self.checked[i]
+        for beta, (u, wu) in list(trans.items()):
+            for k, (s, ws) in enumerate(self.gens[i]):
+                if (beta, k) in checked:
+                    continue
+                checked.add((beta, k))
+                y = compose_arrows(group, s, u)
+                gamma = (y.perm[slot], y.gpart[slot])
+                y = compose_arrows(group, self.inverses[i][gamma], y)
+                h, j, used = self.sift(y, i + 1)
+                if h != self.ident:
+                    word = _strip_word(wu + ws + _invert_word(trans[gamma][1]), used)
+                    self._extend(h, j, word)
+                    return j
+        return None
+
+    def _extend(self, h: Arrow, j: int, word: Word) -> None:
+        """Add h, which fixes base points 0..j-1, as a strong generator."""
+        if j == len(self.base):
+            e = self.group.identity
+            slot = next(i for i in range(h.n) if (h.perm[i], h.gpart[i]) != (i, e))
+            self.base.append(slot)
+            self.trans.append({(slot, e): (self.ident, ())})
+            self.inverses.append({(slot, e): self.ident})
+            self.gens.append([])
+            self.checked.append(set())
+        for level in range(j + 1):
+            self.gens[level].append((h, word))
+            self._grow_orbit(level)
+
+    def _grow_orbit(self, level: int) -> None:
+        group, slot, trans = self.group, self.base[level], self.trans[level]
+        queue = list(trans)  # grows during iteration
+        for beta in queue:
+            p, g = beta
+            for s, ws in self.gens[level]:
+                gamma = (s.perm[p], group.mul(s.gpart[p], g))
+                if gamma not in trans:
+                    u, wu = trans[beta]
+                    y = compose_arrows(group, s, u)
+                    trans[gamma] = (y, wu + ws)
+                    self.inverses[level][gamma] = inverse_arrow(group, y)
+                    queue.append(gamma)
+
+
+def _strip_word(word: Word, used: list[Word]) -> Word:
+    """The word of u_j^-1 o ... o u_1^-1 o x, from the word of x and those of the u's."""
+    for w in used:
+        word = word + _invert_word(w)
+    return word
 
 
 _component_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}
+_orbit_cache: dict[tuple[FiniteGroup, GTuple], GTuple] = {}  # member -> basepoint
 
 
 def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None) -> Component:
-    """The component of t, based at t: a spanning tree and End(t).
+    """The component of t, based at t: a spanning tree and a chain for End(t).
 
     One breadth-first search over the orbit records a connector t -> u for
     each member u.  Every other generator arrow b: s -> u yields the Schreier
     generator conn(u)^-1 o b o conn(s) of End(t) (Schreier's lemma).  Each
     b_i permutes the finite set G^n, so forward generators alone reach the
-    whole orbit and generate End(t).  The generators are closed into End(t)
-    one at a time: a generator not yet in the group H adds whole cosets
-    H o r, so H at least doubles and at most log2(m_C) generators are ever
-    multiplied through.
+    whole orbit and generate End(t).  Each one is sifted through the
+    stabilizer chain built so far and joins it only if it is new
+    (Schreier-Sims: Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
 
     Results are cached per basepoint; the insert is idempotent, so
     concurrent readers sharing the cache are safe.
@@ -248,47 +385,44 @@ def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None)
     guard_size(group, len(t), limit)
     ident = identity_arrow(group, t)
     connectors = {t: ident}
-    words: dict[Arrow, Word] = {ident: ()}
-    schreier: list[tuple[Arrow, Word]] = []
+    words: dict[GTuple, Word] = {t: ()}
+    chain = _Chain(group, t)
     queue = [t]
     for s in queue:  # grows during iteration: breadth-first order
         conn_s = connectors[s]
         for i in range(1, len(t)):
             b = gen_arrow(group, i, s)
             a = compose_arrows(group, b, conn_s)
-            w = words[conn_s] + ((i, False),)
-            conn_u = connectors.get(b.target)
+            u = b.target
+            conn_u = connectors.get(u)
             if conn_u is None:
-                connectors[b.target] = a
-                words[a] = w
-                queue.append(b.target)
+                connectors[u] = a
+                words[u] = words[s] + ((i, False),)
+                queue.append(u)
             else:
                 x = compose_arrows(group, inverse_arrow(group, conn_u), a)
-                schreier.append((x, w + _invert_word(words[conn_u])))
-
-    endos = {ident: ()}
-    gens: list[tuple[Arrow, Word]] = []
-    for x, wx in schreier:
-        if x in endos:
-            continue
-        gens.append((x, wx))
-        subgroup = list(endos.items())
-        reps = [(ident, ())]  # coset representatives; grows during iteration
-        for r, wr in reps:
-            for g, wg in gens:
-                y = compose_arrows(group, r, g)
-                if y not in endos:
-                    wy = wg + wr
-                    reps.append((y, wy))
-                    for h, wh in subgroup:
-                        endos[compose_arrows(group, h, y)] = wy + wh
-    words.update(endos)
+                chain.add(x, words[s] + ((i, False),) + _invert_word(words[u]))
 
     deg = g_degree(group, t)
     if any(g_degree(group, m) != deg for m in connectors):
         raise AssertionError(f"G-degree not constant on the component of {t}")
-    comp = Component(group, t, connectors, tuple(endos), words, deg)
+    comp = Component(group, t, connectors, words, tuple(chain.base), tuple(chain.trans), deg)
     _component_cache[key] = comp
+    return comp
+
+
+def orbit_component(group: FiniteGroup, t: GTuple) -> Component:
+    """The one cached component of t's orbit, based at whichever member came first.
+
+    Arrows out of a member s are conn(u) o e o conn(s)^-1, so every member
+    of an orbit can share one component; the member index keeps the cache at
+    one entry per orbit met this way.
+    """
+    base = _orbit_cache.get((group, t))
+    comp = _component_cache.get((group, base)) if base is not None else None
+    if comp is None:
+        comp = enumerate_component(group, t)
+        _orbit_cache.update(dict.fromkeys(((group, m) for m in comp.connectors), t))
     return comp
 
 

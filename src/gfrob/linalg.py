@@ -69,8 +69,13 @@ def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
     Returns {pivot column: reduced row} in ascending pivot order; each row
     is 1 at its pivot and 0 at every other pivot column, so the result is
     the unique RREF of the row space whatever the order of the input.
+
+    holders maps each non-pivot column to the pivot rows that may hold it
+    (a superset: entries that cancel are not removed), so clearing a new
+    pivot column visits those rows only, not every earlier pivot row.
     """
     reduced: dict[int, Row] = {}
+    holders: dict[int, set[int]] = {}
     for row in rows:
         r = {c: x for c, x in row.items() if x}
         for p in [c for c in r if c in reduced]:
@@ -80,9 +85,15 @@ def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
         p = min(r)
         inv = ONE / r[p]
         r = {c: x * inv for c, x in r.items()}
-        for q in reduced.values():
-            if p in q:
-                _sub_multiple(q, q[p], r)
+        others = [c for c in r if c != p]
+        for q in holders.pop(p, ()):
+            f = reduced[q].get(p)
+            if f:
+                _sub_multiple(reduced[q], f, r)
+                for c in others:
+                    holders.setdefault(c, set()).add(q)
+        for c in others:
+            holders.setdefault(c, set()).add(p)
         reduced[p] = r
     return dict(sorted(reduced.items()))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfrob import (
     BraidedSeries,
@@ -36,7 +37,7 @@ from gfrob.linalg import identity, rank
 from gfrob.modules import submodule_on_indices
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, random_tensor
+from conftest import diag, make_s3_module, make_z3_module, random_tensor
 
 
 def random_braided_series(rng, h, truncation, terms=2):
@@ -444,3 +445,73 @@ def test_polarizing_high_power_is_prompt():
     t = form_from_poly(p, ("x", "y"), 10)
     assert time.perf_counter() - start < 0.2
     assert len(t.terms) == 10 and set(t.terms.values()) == {Fraction(1, 10)}
+
+
+def test_braidize_shares_one_component_per_orbit():
+    # (e,e,g), (e,g,e) and (g,e,e) form one orbit: a cold braidize builds its
+    # component once and moves the other parts to its basepoint
+    from gfrob import groupoid
+
+    h = dual_module(z2_frobenius_algebra(3).module)
+    g = h.degrees.index(1)
+    v = Tensor(3, {(0, 0, g): Fraction(1), (0, g, 0): Fraction(2), (g, 0, 0): Fraction(-3)})
+    groupoid._component_cache.clear()
+    groupoid._orbit_cache.clear()
+    w = braidize(h, v)
+    assert len(groupoid._component_cache) == 1
+    assert is_braided(h, w) and w == braidize(h, w)
+
+
+# -- braidize properties over generated tensors ----------------------------
+
+PROPERTY_MODULES = {
+    "z2-orbifold-dual": dual_module(z2_frobenius_algebra(3).module),
+    "z3-rot": make_z3_module(),
+    "s3": make_s3_module(),
+    "s3-sign": make_s3_module(sign_twist=True),
+}
+
+
+@st.composite
+def module_tensor(draw, max_n=4):
+    name = draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    h = PROPERTY_MODULES[name]
+    n = draw(st.integers(0, max_n))
+    idx = st.tuples(*[st.integers(0, h.dim - 1)] * n)
+    coef = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    terms = draw(st.dictionaries(idx, coef, max_size=3))
+    return h, Tensor(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_tensor())
+def test_braidize_is_idempotent(hv):
+    h, v = hv
+    w = braidize(h, v)
+    assert braidize(h, w) == w
+    assert is_braided(h, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_tensor(), st.data())
+def test_braidize_is_self_adjoint(hv, data):
+    h, v = hv
+    hd = dual_module(h)
+    idx = st.tuples(*[st.integers(0, h.dim - 1)] * v.n)
+    x = Tensor(v.n, data.draw(st.dictionaries(idx, st.integers(-5, 5), max_size=3)))
+    assert pair(braidize(hd, x), v) == pair(x, braidize(h, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(module_tensor())
+def test_braidize_is_literal_arrow_average(hv):
+    from gfrob.groupoid import enumerate_component
+    from gfrob.modules import arrow_apply_into, split_homogeneous
+
+    h, v = hv
+    want = {}
+    for deg, part in split_homogeneous(h, v).items():
+        comp = enumerate_component(h.group, deg)
+        for a in comp.arrows:
+            arrow_apply_into(h, a, part.terms, want, Fraction(1, comp.n_C))
+    assert braidize(h, v) == Tensor(v.n, want)

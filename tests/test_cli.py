@@ -404,6 +404,21 @@ def test_golden_groupoid_output(capsys, files):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("golden, group, n", [("groupoid_z2_n6.jsonl", "Z2", 6), ("groupoid_s3_n4.jsonl", "S3", 4)])
+def test_golden_groupoid_census(capsys, tmp_path, golden, group, n):
+    """m_C is a product of transversal sizes; the census stays byte-identical."""
+    import pathlib
+
+    from gfrob import cyclic_group, symmetric_group
+    from gfrob.serialize import group_to_json
+
+    path = tmp_path / "group.json"
+    g = {"Z2": cyclic_group(2), "S3": symmetric_group(3)}[group]
+    path.write_text(json.dumps(group_to_json(g)))
+    _, out = run(capsys, "groupoid", "--group", str(path), "--n", str(n))
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+
+
 @pytest.mark.parametrize(
     "golden, module, n",
     [("br_basis_z2_dual3_n4.json", "module", 4), ("br_basis_z3_rot_n3.json", "z3", 3)],
