@@ -14,6 +14,7 @@ potential whose two restrictions recover the inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -28,7 +29,7 @@ from .errors import (
     UnitFails,
 )
 from .groups import cyclic_group, trivial_group
-from .linalg import Mat, Vec
+from .linalg import ZERO, Mat, Vec
 from .modules import (
     GradedModule,
     Tensor,
@@ -128,6 +129,9 @@ class Potential:
         return p.diff(self.names[a]).diff(self.names[b]).diff(self.names[c])
 
 
+Pair = tuple[int, int]  # a sorted pair of coordinate indices
+
+
 @dataclass(frozen=True)
 class WdvvReport:
     passed: bool
@@ -151,19 +155,31 @@ def _third_partials(pot: Potential) -> dict[tuple[int, int, int], MultiPoly]:
 
 
 def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
-    """Exact associativity of the potential's product: reports violating tuples."""
+    """Exact associativity of the potential's product: reports violating tuples.
+
+    With rows[P][l] = sum_k Y_Pk g^{kl} for a sorted index pair P, the pair
+    product M(P, Q) = sum_l rows[P][l] Y_lQ is the coefficient that WDVV makes
+    symmetric in its two pairs (Dubrovin 1996, Lecture 1).  A tuple
+    (a, b, c, d) with a <= c is a witness when M((a,b), (c,d)) differs from
+    M((b,c), (a,d)).  Both sides pair up the 4-multiset {a, b, c, d}, so the
+    loop walks the multisets and keeps each one's pair products in a table
+    that is dropped with it: every M is computed once in the whole run.  When
+    g^{-1} is symmetric, M(P, Q) = M(Q, P) exactly and the table is keyed by
+    the unordered {P, Q}; otherwise by the ordered (P, Q).
+    """
     d = len(pot.names)
     try:
         ginv = linalg.mat_inv(eta)
     except ValueError:
         raise DegenerateMetric("metric is singular") from None
     third = _third_partials(pot)
+    zero = MultiPoly.zero(pot.names)
 
     def y3(a: int, b: int, c: int) -> MultiPoly:
         return third[tuple(sorted((a, b, c)))]
 
     # rows[a][b][l] = sum_k Y_abk g^{kl}
-    rows: dict[tuple[int, int], list[MultiPoly]] = {}
+    rows: dict[Pair, list[MultiPoly]] = {}
     for a in range(d):
         for b in range(a, d):
             row = []
@@ -175,26 +191,27 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
                 row.append(acc)
             rows[(a, b)] = row
 
-    def row(a: int, b: int) -> list[MultiPoly]:
-        return rows[(a, b) if a <= b else (b, a)]
+    symmetric = all(ginv[k][l] == ginv[l][k] for k in range(d) for l in range(k))
+
+    def pair(a: int, b: int) -> Pair:
+        return (a, b) if a <= b else (b, a)
+
+    def product(table: dict[tuple[Pair, Pair], MultiPoly], p: Pair, q: Pair) -> MultiPoly:
+        key = (q, p) if symmetric and q < p else (p, q)
+        m = table.get(key)
+        if m is None:
+            row, (c, e) = rows[key[0]], key[1]
+            terms = ((row[l], y3(l, c, e)) for l in range(d) if row[l])
+            m = table[key] = sum((x * y for x, y in terms if y), zero)
+        return m
 
     witnesses = []
-    for a in range(d):
-        for c in range(a, d):
-            for b in range(d):
-                lhs_row = row(a, b)
-                rhs_row = row(b, c)
-                for dd in range(d):
-                    lhs = MultiPoly.zero(pot.names)
-                    rhs = MultiPoly.zero(pot.names)
-                    for l in range(d):
-                        if lhs_row[l]:
-                            lhs = lhs + lhs_row[l] * y3(l, c, dd)
-                        if rhs_row[l]:
-                            rhs = rhs + rhs_row[l] * y3(l, a, dd)
-                    if lhs != rhs:
-                        witnesses.append((a, b, c, dd))
-    return WdvvReport(not witnesses, tuple(sorted(set(witnesses))))
+    for quad in itertools.combinations_with_replacement(range(d), 4):
+        table: dict[tuple[Pair, Pair], MultiPoly] = {}  # this multiset's pair products
+        for a, b, c, e in set(itertools.permutations(quad)):
+            if a <= c and product(table, pair(a, b), pair(c, e)) != product(table, pair(b, c), pair(a, e)):
+                witnesses.append((a, b, c, e))
+    return WdvvReport(not witnesses, tuple(sorted(witnesses)))
 
 
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
@@ -359,9 +376,10 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
             if tuple(rhs) != c[a][b]:
                 braided_comm = False
 
+    eta_cols = linalg.transpose(eta)
     metric_inv = all(
-        sum(c[a][b][k] * eta[k][x] for k in range(d))
-        == sum(eta[a][k] * c[b][x][k] for k in range(d))
+        sum((p * q for p, q in zip(c[a][b], eta_cols[x]) if p and q), ZERO)
+        == sum((p * q for p, q in zip(eta[a], c[b][x]) if p and q), ZERO)
         for a in range(d)
         for b in range(d)
         for x in range(d)

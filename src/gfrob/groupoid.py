@@ -444,9 +444,12 @@ def reflect_arrow(group: FiniteGroup, a: Arrow) -> Arrow:
 
     Sends an arrow source -> target to an arrow r(target) -> r(source),
     reversing any realizing braid word and swapping b_i for b_{n-i}.  The
-    result does not depend on the chosen word.
+    result does not depend on the chosen word, so it is read off the orbit's
+    shared component: a = (a o conn(source)) o conn(source)^-1.
     """
-    word = enumerate_component(group, a.source).word(a)
+    comp = orbit_component(group, a.source)
+    conn = comp.connectors[a.source]
+    word = _invert_word(comp.connector_words[a.source]) + comp.word(compose_arrows(group, a, conn))
     n = a.n
     out = identity_arrow(group, reflect_tuple(group, a.target))
     for i, inv in reversed(word):

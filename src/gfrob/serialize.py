@@ -61,7 +61,10 @@ def group_to_json(g: FiniteGroup) -> dict:
 def group_from_json(obj: Any) -> FiniteGroup:
     if not isinstance(obj, dict) or "table" not in obj:
         raise ParseError("group object needs a 'table' field")
-    return group_from_table(obj["table"])
+    table = obj["table"]
+    if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
+        raise ParseError("group table must be a list of rows")
+    return group_from_table(table)
 
 
 def poly_to_json(p: MultiPoly) -> dict:
@@ -126,7 +129,7 @@ def module_from_json(obj: Any) -> GradedModule:
         group = group_from_json(obj["group"])
         degrees = [int(d) for d in obj["degrees"]]
         action = [matrix_from_json(obj["action"][str(g)]) for g in group.elements()]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed module: {exc}") from None
     return graded_module(group, degrees, action)
 

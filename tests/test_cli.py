@@ -373,6 +373,8 @@ def test_golden_potential_output(capsys):
         ("construct_z2_4.txt", ["--format", "text", "construct-z2", "4"]),
         ("potential_A8.json", ["potential", "A", "8"]),
         ("potential_D6.json", ["potential", "D", "6"]),
+        ("construct_z2_6.json", ["construct-z2", "6"]),
+        ("construct_z2_7.json", ["construct-z2", "7"]),
     ],
 )
 def test_golden_polynomial_outputs(capsys, golden, argv):

@@ -147,6 +147,18 @@ def test_orbifold_algebra_broken_square_fails():
     assert not rep.metric_invariance or not rep.associative
 
 
+def test_orbifold_algebra_rescaled_twisted_metric_fails_only_invariance():
+    # the product is untouched, so it stays associative; the metric stays a
+    # valid block metric, but eta(y.y, 1) != eta(y, y.1) once eta_yy doubles
+    alg = z2_frobenius_algebra(3)
+    m = [list(r) for r in alg.metric]
+    m[-1][-1] *= 2
+    bad = GFrobeniusAlgebra(alg.module, tuple(tuple(r) for r in m), alg.mult, alg.unit)
+    rep = check_gfa(bad)
+    assert rep.failures() == ["metric_invariance"]
+    assert rep.associative and rep.metric.passed
+
+
 def test_gfa_from_cubic_round_trip():
     alg = z2_frobenius_algebra(3)
     y3 = cubic_form_of(alg)

@@ -279,6 +279,22 @@ def test_reflect_hom_set_sizes(z2, s3):
                 assert fwd == bwd
 
 
+def test_reflect_arrow_shares_one_component_per_orbit(s3):
+    # every member of the 18-member orbit of (1,2,4) reads its word off the
+    # orbit's one component instead of building a component of its own
+    from gfrob import groupoid
+
+    members = sorted(enumerate_component(s3, (1, 2, 4)).members)
+    assert len(members) == 18
+    groupoid._component_cache.clear()
+    groupoid._orbit_cache.clear()
+    for t in members:
+        a = gen_arrow(s3, 1, t)
+        r = reflect_arrow(s3, a)
+        assert (r.source, r.target) == (reflect_tuple(s3, a.target), reflect_tuple(s3, t))
+    assert len(groupoid._component_cache) == 1
+
+
 def test_reflect_arrow_generator(z2):
     a = gen_arrow(z2, 1, (0, 1))
     r = reflect_arrow(z2, a)

@@ -1,9 +1,12 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gfrob import Tensor, cyclic_group, dual_module, symmetric_group
+from gfrob import Tensor, cyclic_group, dual_module, serialize, symmetric_group
+from gfrob.errors import GfrobError
 from gfrob.serialize import (
     ParseError,
     frac_from_str,
@@ -14,10 +17,12 @@ from gfrob.serialize import (
     group_to_json,
     module_from_json,
     module_to_json,
+    poly_to_json,
+    potential_to_json,
     tensor_from_json,
     tensor_to_json,
 )
-from gfrob.singularity import z2_frobenius_algebra
+from gfrob.singularity import potential_A, z2_frobenius_algebra
 
 
 def test_fraction_strings():
@@ -69,3 +74,88 @@ def test_malformed_inputs():
         module_from_json({"dim": 2})
     with pytest.raises(ParseError):
         tensor_from_json([1, 2, 3])
+    with pytest.raises(ParseError):
+        group_from_json({"table": None})
+    with pytest.raises(ParseError):
+        group_from_json({"table": [0, 1]})
+    with pytest.raises(ParseError):
+        module_from_json({**module_to_json(z2_frobenius_algebra(3).module), "degrees": ["x", 0, 0, 1]})
+
+
+# -- every parser on arbitrary JSON -------------------------------------------
+
+FIELDS = (
+    "table", "order", "group", "dim", "degrees", "action", "vars", "terms", "exp",
+    "coef", "n", "idx", "matrix", "names", "potential", "poly", "metric", "mult",
+    "unit", "0", "1",
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "x", "t_0", " 3 "])
+)
+arbitrary_json = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=30,
+)
+
+_ALG = z2_frobenius_algebra(3)
+_A3 = potential_A(3)
+_GFA = gfa_to_json(_ALG)
+VALID_DOCUMENTS = {
+    "group_from_json": group_to_json(_ALG.module.group),
+    "module_from_json": module_to_json(_ALG.module),
+    "gfa_from_json": _GFA,
+    "tensor_from_json": tensor_to_json(Tensor(3, {(0, 1, 3): Fraction(1, 2)})),
+    "module_tensor_from_json": tensor_to_json(Tensor(2, {(2, 3): Fraction(-1)})),
+    "poly_from_json": poly_to_json(_A3.poly),
+    "potential_from_json": potential_to_json(_A3),
+    "fmdata_from_json": {**potential_to_json(_A3), "metric": [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]},
+    "matrix_from_json": _GFA["metric"],
+    "square_matrix_from_json": {"matrix": _GFA["metric"]},
+    "metric_from_json": _GFA["metric"],
+    "vector_from_json": _GFA["unit"],
+    "embedding_from_json": [0, 2],
+}
+PARSERS = sorted(name for name in dir(serialize) if name.endswith("_from_json"))
+EXTRA_ARGS = {"module": _ALG.module, "dim": _ALG.dim, "size": _ALG.dim}
+
+
+def _mutated(draw, doc):
+    """doc with one node replaced by arbitrary JSON, found by a random descent
+    that stops at each level with even odds, so shallow fields are hit often."""
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc))) if isinstance(doc, list) else []
+    if not keys or draw(st.booleans()):
+        return draw(arbitrary_json)
+    key = draw(st.sampled_from(keys))
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = _mutated(draw, doc[key])
+    return out
+
+
+def _parse(name, obj):
+    parse = getattr(serialize, name)
+    return parse(obj, *[EXTRA_ARGS[p] for p in list(inspect.signature(parse).parameters)[1:]])
+
+
+def test_every_parser_is_fuzzed():
+    assert set(PARSERS) == set(VALID_DOCUMENTS)
+    for name in PARSERS:
+        _parse(name, VALID_DOCUMENTS[name])
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_parsers_raise_only_gfrob_errors(name, data):
+    # arbitrary JSON, or a valid document for the parser with one node replaced
+    try:
+        _parse(name, _mutated(data.draw, VALID_DOCUMENTS[name]))
+    except GfrobError:
+        pass
