@@ -235,7 +235,7 @@ def form_from_poly(p: MultiPoly, names: Sequence[str], n: int) -> Tensor:
     terms: dict[tuple[int, ...], Fraction] = {}
     for mono, c in part.terms.items():
         letters: list[int] = []
-        weight = c
+        weight = Fraction(c)
         for v, e in mono:
             letters.extend([names.index(v)] * e)
             weight *= factorial(e)

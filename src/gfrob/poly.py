@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A MultiPoly declares a variable tuple, sorted by name (which fixes a
-canonical serialization), and maps monomials to nonzero Fraction
-coefficients.  A monomial is a name-sorted tuple of (variable, exponent)
+canonical serialization), and maps monomials to nonzero coefficients.  A
+coefficient is stored as a Python int when it is integral and as a Fraction
+only when it is not (`exact` is the one normalization, applied wherever a
+coefficient is stored), so integer products and sums run on CPython ints.
+True division of a coefficient must go through Fraction, since int / int is
+a float.  A monomial is a name-sorted tuple of (variable, exponent)
 pairs with positive integer exponents, the same key whatever variables a
 polynomial declares: binary operations declare the union of the two tuples
 and never rewrite a term.  Dense exponent vectors over the declared
@@ -21,8 +25,13 @@ Scalar = Union[int, Fraction]
 Monomial = tuple[tuple[str, int], ...]
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact(c) -> Scalar:
+    """The stored form of a scalar: its int value when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _declare(variables: Iterable[str]) -> tuple[str, ...]:
@@ -52,19 +61,19 @@ class MultiPoly:
         """Polynomial from dense exponent vectors, one entry per given variable."""
         variables = tuple(variables)
         order = _declare(variables)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         for exp, c in terms.items():
             if len(exp) != len(order):
                 raise ValueError("exponent vector length mismatch")
-            c = _fr(c)
+            c = exact(c)
             if c:
                 clean[tuple(sorted((v, e) for v, e in zip(variables, exp) if e))] = c
         object.__setattr__(self, "vars", order)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _from_pairs(cls, variables: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
-        """Wrap a sorted variable tuple and pair-keyed nonzero terms as they are."""
+    def _from_pairs(cls, variables: tuple[str, ...], terms: dict[Monomial, Scalar]) -> "MultiPoly":
+        """Wrap a sorted variable tuple and pair-keyed nonzero `exact` terms as they are."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
         object.__setattr__(p, "terms", terms)
@@ -81,11 +90,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Scalar, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls._from_pairs(_declare(variables), {(): _fr(c)} if c else {})
+        return cls._from_pairs(_declare(variables), {(): exact(c)} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     def with_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Declare a superset of the variables (sorted internally); the terms are shared."""
@@ -104,7 +113,7 @@ class MultiPoly:
         terms = dict(big.terms)
         for m, c in small.terms.items():
             s = terms.get(m)
-            s = c if s is None else s + c
+            s = c if s is None else exact(s + c)
             if s:
                 terms[m] = s
             else:
@@ -124,15 +133,15 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            c = _fr(other)
-            return MultiPoly._from_pairs(self.vars, {m: c * v for m, v in self.terms.items()} if c else {})
-        terms: dict[Monomial, Fraction] = {}
+            c = exact(other)
+            return MultiPoly._from_pairs(self.vars, {m: exact(c * v) for m, v in self.terms.items()} if c else {})
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 s = terms.get(m)
                 terms[m] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly._from_pairs(_union(self.vars, other.vars), {m: c for m, c in terms.items() if c})
+        return MultiPoly._from_pairs(_union(self.vars, other.vars), {m: exact(c) for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -170,7 +179,7 @@ class MultiPoly:
         for m, c in self.terms.items():
             for i, (v, e) in enumerate(m):
                 if v == name:
-                    terms[m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]] = c * e
+                    terms[m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]] = exact(c * e)
                     break
         return MultiPoly._from_pairs(self.vars, terms)
 
@@ -181,7 +190,7 @@ class MultiPoly:
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(value)
         rest_vars = tuple(v for v in self.vars if v != name)
-        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        by_power: dict[int, dict[Monomial, Scalar]] = {}
         for m, c in self.terms.items():
             by_power.setdefault(dict(m).get(name, 0), {})[tuple(p for p in m if p[0] != name)] = c
         out = MultiPoly._from_pairs(rest_vars, by_power.pop(0, {}))
@@ -210,7 +219,7 @@ class MultiPoly:
         total = Fraction(0)
         for m, c in self.terms.items():
             for v, e in m:
-                c *= _fr(point[v]) ** e
+                c *= Fraction(point[v]) ** e
             total += c
         return total
 
@@ -224,19 +233,19 @@ class MultiPoly:
             self.vars, {m: c for m, c in self.terms.items() if sum(e for _, e in m) == d}
         )
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((), 0)
 
-    def coefficient(self, assignment: Mapping[str, int]) -> Fraction:
+    def coefficient(self, assignment: Mapping[str, int]) -> Scalar:
         m = tuple(sorted((v, e) for v, e in assignment.items() if e and v in self.vars))
-        return self.terms.get(m, Fraction(0))
+        return self.terms.get(m, 0)
 
     def compact(self) -> "MultiPoly":
         """Drop variables that never occur with positive exponent."""
         live = {v for m in self.terms for v, _ in m}
         return MultiPoly._from_pairs(tuple(v for v in self.vars if v in live), self.terms)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """(dense exponent vector over vars, coefficient) pairs in exponent-vector order."""
         return sorted((tuple(dict(m).get(v, 0) for v in self.vars), c) for m, c in self.terms.items())
 
@@ -258,6 +267,6 @@ def linear_subst(
     live = [j for j, name in enumerate(old_names) if name in p.vars]
     out = p.rename({old_names[j]: "#" + old_names[j] for j in live})
     for j in live:
-        image = {((v, 1),): _fr(a) for v, a in zip(new_names, matrix[j]) if a != 0}
+        image = {((v, 1),): exact(a) for v, a in zip(new_names, matrix[j]) if a != 0}
         out = out.subst("#" + old_names[j], MultiPoly._from_pairs(_declare(new_names), image))
     return out

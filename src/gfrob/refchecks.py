@@ -39,6 +39,7 @@ from .singularity import (
     potential_A,
     potential_D,
     potential_D_metric,
+    shared_builds,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
 )
@@ -408,11 +409,13 @@ def all_checks() -> list[Check]:
 
 
 def run_all() -> list[tuple[str, bool, str]]:
+    """Run every check, sharing the A_m potentials and Z2 manifolds they build."""
     out = []
-    for name, fn in all_checks():
-        try:
-            ok, witness = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, witness = False, f"{type(exc).__name__}: {exc}"
-        out.append((name, ok, witness))
+    with shared_builds():
+        for name, fn in all_checks():
+            try:
+                ok, witness = fn()
+            except Exception as exc:  # a crashed check is a failed check
+                ok, witness = False, f"{type(exc).__name__}: {exc}"
+            out.append((name, ok, witness))
     return out

@@ -127,7 +127,9 @@ def module_from_json(obj: Any) -> GradedModule:
         raise ParseError("module must be an object")
     try:
         group = group_from_json(obj["group"])
-        degrees = [int(d) for d in obj["degrees"]]
+        degrees = obj["degrees"]
+        if not isinstance(degrees, list) or not all(type(d) is int for d in degrees):
+            raise ParseError(f"module degrees must be a list of integers, got {degrees!r}")
         action = [matrix_from_json(obj["action"][str(g)]) for g in group.elements()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed module: {exc}") from None

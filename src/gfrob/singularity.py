@@ -28,9 +28,11 @@ the potential on coordinates (t_even, t_*).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
 from .errors import BadIndex, IntegrabilityFailure, SizeLimit
@@ -38,7 +40,7 @@ from .frobenius import GFrobeniusAlgebra, Potential, _third_partials
 from .groupoid import size_limit
 from .groups import cyclic_group
 from .modules import GradedModule
-from .poly import MultiPoly
+from .poly import MultiPoly, exact
 
 # -- Milnor rings --------------------------------------------------------------
 
@@ -343,6 +345,33 @@ def guard_unfolding(m: int, power: int = 2) -> None:
         raise SizeLimit(f"A_{m} potential: estimated cost {cost} exceeds limit {cap}")
 
 
+_T = TypeVar("_T")
+_builds: ContextVar[dict | None] = ContextVar("gfrob_shared_builds", default=None)
+
+
+@contextmanager
+def shared_builds() -> Iterator[None]:
+    """Inside the block, build each A_m chart and potential and each Z2 manifold once.
+
+    The memo belongs to the block and is dropped when it exits; outside any
+    block every call builds (and proves) its objects afresh.
+    """
+    token = _builds.set({})
+    try:
+        yield
+    finally:
+        _builds.reset(token)
+
+
+def _shared(key: tuple, build: Callable[[], _T]) -> _T:
+    memo = _builds.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def potential_A(n: int) -> Potential:
     """Potential of the one-variable unfolding in flat coordinates, degree <= n+2."""
     if n < 2:
@@ -352,10 +381,14 @@ def potential_A(n: int) -> Potential:
 
 def _chart_and_potential_A(n: int) -> tuple[UnfoldingChart, Potential]:
     """The flat chart and the potential built on it, so callers needing both build each once."""
-    chart = flat_coordinates(n)
-    pot = Potential(chart.t_names, inverse_series_potential(chart))
-    check_potential_residues(chart, pot)
-    return chart, pot
+
+    def build() -> tuple[UnfoldingChart, Potential]:
+        chart = flat_coordinates(n)
+        pot = Potential(chart.t_names, inverse_series_potential(chart))
+        check_potential_residues(chart, pot)
+        return chart, pot
+
+    return _shared(("A", n), build)
 
 
 def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
@@ -385,7 +418,7 @@ def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
                 acc = acc + uj * scale * g[k - j]
         g.append(acc)
     terms = {
-        mono: coef / (big_k * (n + 2) * (sum(e for _, e in mono) - 2))
+        mono: exact(Fraction(coef) / (big_k * (n + 2) * (sum(e for _, e in mono) - 2)))
         for mono, coef in g[big_k + 1].terms.items()
     }
     return MultiPoly._from_pairs(tuple(sorted(chart.t_names)), terms)
@@ -549,11 +582,15 @@ def z2_frobenius_manifold(n: int, check_wdvv: bool = True) -> Z2Manifold:
     z2_frobenius_algebra(n); check_wdvv additionally runs the full
     associativity verification of both restrictions.
     """
+    if n < 3:
+        raise BadIndex("z2_frobenius_manifold needs n >= 3")
+    return _shared(("Z2", n, check_wdvv), lambda: _build_z2_manifold(n, check_wdvv))
+
+
+def _build_z2_manifold(n: int, check_wdvv: bool) -> Z2Manifold:
     from .braided import form_from_poly
     from .frobenius import FmData, assemble_z2, gfa_from_cubic
 
-    if n < 3:
-        raise BadIndex("z2_frobenius_manifold needs n >= 3")
     m = 2 * n - 3
     chart, pa = _chart_and_potential_A(m)
     pd = _potential_D_from(chart, pa)

@@ -3,7 +3,9 @@
 DensePoly below is the earlier representation: dense exponent vectors over
 the polynomial's own sorted variable tuple, realigned by name on every mixed
 operation.  It serves as an independent oracle for the pair-keyed MultiPoly,
-down to the declared variables that poly_to_json writes.
+down to the declared variables that poly_to_json writes.  DensePoly holds
+every coefficient as a Fraction; MultiPoly must store an integral one as an
+int and any other as a Fraction, and never a float, after every operation.
 """
 
 from fractions import Fraction
@@ -11,10 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfrob import MultiPoly
+from gfrob import MultiPoly, flat_coordinates
+from gfrob.braided import form_from_poly
 from gfrob.errors import UnknownVariable
 from gfrob.poly import linear_subst
 from gfrob.serialize import poly_to_json
+from gfrob.singularity import inverse_series_potential
 
 # -- dense reference ------------------------------------------------------------
 
@@ -187,7 +191,12 @@ def dense_linear_subst(p, old_names, matrix, new_names):
 # -- strategies ------------------------------------------------------------------
 
 POOL = ("a", "b", "c", "d")
-coefs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# ints, integral Fractions and non-integral Fractions, mixed
+coefs = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
 
 
 @st.composite
@@ -202,15 +211,23 @@ def pairs(draw, count=2):
     return out
 
 
+def stored_exactly(p: MultiPoly) -> bool:
+    """Every stored coefficient is a nonzero int or a Fraction that is not integral."""
+    return all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p.terms.values()
+    )
+
+
 def same(p: MultiPoly, ref: DensePoly) -> bool:
-    return poly_to_json(p) == poly_to_json(ref) and p.sorted_terms() == ref.sorted_terms()
+    return stored_exactly(p) and poly_to_json(p) == poly_to_json(ref) and p.sorted_terms() == ref.sorted_terms()
 
 
 # -- properties ------------------------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(pairs(), st.integers(-3, 3), st.integers(0, 3))
+@given(pairs(), coefs, st.integers(0, 3))
 def test_arithmetic_matches_dense(polys, k, power):
     (p, rp), (q, rq) = polys
     assert same(p + q, rp + rq)
@@ -218,6 +235,7 @@ def test_arithmetic_matches_dense(polys, k, power):
     assert same(p * q, rp * rq)
     assert same(p ** power, rp ** power)
     assert same(p + k, rp + k) and same(k - p, k - rp) and same(p * k, rp * k)
+    assert same(MultiPoly.constant(k, p.vars), DensePoly.constant(k, rp.vars))
     assert (p == q) == (rp == rq)
     if p == q:
         assert hash(p) == hash(q)
@@ -252,7 +270,8 @@ def test_structure_matches_dense(polys, data):
     assignment = data.draw(st.dictionaries(st.sampled_from(POOL), st.integers(0, 3)))
     assert p.coefficient(assignment) == rp.coefficient(assignment)
     point = data.draw(st.fixed_dictionaries({v: coefs for v in POOL}))
-    assert p.eval(point) == rp.eval(point)
+    value = p.eval(point)
+    assert type(value) is Fraction and value == rp.eval(point)
     image = data.draw(st.permutations(POOL + ("u", "w")))
     mapping = dict(zip(POOL, image))
     assert same(p.rename(mapping), rp.rename(mapping))
@@ -266,5 +285,22 @@ def test_linear_subst_matches_dense(polys, data):
     [(p, rp)] = polys
     old = data.draw(st.permutations(POOL))
     new = data.draw(st.sampled_from([("u", "w"), ("a", "u"), ("b", "a", "c")]))
-    matrix = [[data.draw(st.integers(-2, 2)) for _ in new] for _ in old]
+    matrix = [[data.draw(coefs) for _ in new] for _ in old]
     assert same(linear_subst(p, old, matrix, new), dense_linear_subst(rp, old, matrix, new))
+
+
+# -- regressions at the two division sites that see MultiPoly coefficients -----
+
+
+def test_form_from_poly_divides_exactly():
+    """t_0 t_1 t_2 has the int coefficient 1; each of its 6 orderings weighs 1/6, not a float."""
+    names = ("t_0", "t_1", "t_2")
+    form = form_from_poly(MultiPoly(names, {(1, 1, 1): 1}), names, 3)
+    assert len(form.terms) == 6
+    assert all(type(w) is Fraction and w == Fraction(1, 6) for w in form.terms.values())
+
+
+def test_inverse_series_potential_stores_exact_coefficients():
+    pot = inverse_series_potential(flat_coordinates(5))
+    assert stored_exactly(pot)
+    assert {type(c) for c in pot.terms.values()} == {int, Fraction}

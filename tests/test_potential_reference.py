@@ -38,7 +38,7 @@ def euler_integrate(names, third):
         total = total + y * (t[a] * t[b] * t[c] * len(perms))
     # A degree-d term of P contributes d(d-1)(d-2) times itself to the sum.
     return MultiPoly._from_pairs(
-        total.vars, {m: c / perm(sum(e for _, e in m), 3) for m, c in total.terms.items()}
+        total.vars, {m: Fraction(c) / perm(sum(e for _, e in m), 3) for m, c in total.terms.items()}
     )
 
 

@@ -1,5 +1,7 @@
 import json
+from collections import Counter
 
+import gfrob.singularity as sing
 from gfrob.cli import main
 from gfrob.refchecks import run_all
 
@@ -27,3 +29,26 @@ def test_cli_verify_paper_text(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) >= 25
+
+
+def test_run_all_builds_each_potential_and_manifold_once(monkeypatch):
+    """One run shares its A_m potentials and Z2 manifolds, then drops them."""
+    series, manifold = sing.inverse_series_potential, sing._build_z2_manifold
+    built = Counter()
+
+    def counted_series(chart):
+        built["A", chart.n] += 1
+        return series(chart)
+
+    def counted_manifold(n, check_wdvv):
+        built["Z2", n, check_wdvv] += 1
+        return manifold(n, check_wdvv)
+
+    monkeypatch.setattr(sing, "inverse_series_potential", counted_series)
+    monkeypatch.setattr(sing, "_build_z2_manifold", counted_manifold)
+    assert all(ok for _, ok, _ in run_all())
+    assert built[("A", 3)] == built[("A", 5)] == built[("Z2", 3, True)] == 1
+    assert set(built.values()) == {1}
+    assert sing._builds.get() is None
+    sing.potential_A(3)
+    assert built[("A", 3)] == 2  # outside a run, every call builds afresh

@@ -82,6 +82,15 @@ def test_malformed_inputs():
         module_from_json({**module_to_json(z2_frobenius_algebra(3).module), "degrees": ["x", 0, 0, 1]})
 
 
+@pytest.mark.parametrize("degrees", [[0, 0, 1.9, 1], "0001", [0, 0, True, 1]])
+def test_module_degrees_are_not_coerced(degrees):
+    """A float, a digit string or a bool is not a degree; int() would read each as one."""
+    good = module_to_json(z2_frobenius_algebra(3).module)
+    assert module_from_json(good).degrees == (0, 0, 0, 1)
+    with pytest.raises(ParseError, match="degrees"):
+        module_from_json({**good, "degrees": degrees})
+
+
 # -- every parser on arbitrary JSON -------------------------------------------
 
 FIELDS = (
