@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product as iter_product
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch, SizeLimit
-from .groupoid import guard_size, inverse_arrow, orbit_component
+from .groupoid import Component, guard_size, inverse_arrow, orbit_component
 from .modules import (
     GradedModule,
     Tensor,
@@ -48,27 +48,48 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
     of a member s are conn(u) o e o conn(s)^-1 for members u and e in End(b),
     and End(b) = U_1 o ... o U_k factors through its stabilizer chain, so
     sum(A) . v = sum_u conn(u) . (sum U_1) ... (sum U_k) . conn(s)^-1 . v,
-    the deepest level applied first.  That costs |C| + sum |U_i| arrow
-    applications per part instead of |C| * m_C.
+    the deepest level applied first.  The parts of one component are moved to
+    b and summed there, so each component costs one application per part
+    plus |C| + sum |U_i|, instead of |C| * m_C per part.
+
+    The sums run fraction-free: a component's parts are cleared to one
+    common denominator D, every step multiplies the integer numerators by
+    Delta^n (the kernel's factor; the identity terms of the transversals and
+    the parts already at b get it by hand), and each output term is divided
+    once by D * n_C * Delta^(n * steps).
     """
     if v.n <= 1:
         return v
     group = h.group
-    out: dict[tuple[int, ...], Fraction] = {}
+    dn = h.delta**v.n
+    by_base: dict[tuple[int, ...], tuple[Component, list]] = {}
     for deg, part in split_homogeneous(h, v).items():
         comp = orbit_component(group, deg)
-        terms = part.terms
-        if deg != comp.basepoint:
-            terms = {}
-            arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), part.terms, terms)
+        by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part.terms))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for comp, parts in by_base.values():
+        den = lcm(*(c.denominator for _, part in parts for c in part.values()))
+        at_base: dict[tuple[int, ...], int] = {}
+        for deg, part in parts:
+            nums = {idx: c.numerator * (den // c.denominator) for idx, c in part.items()}
+            if deg == comp.basepoint:
+                for idx, c in nums.items():
+                    at_base[idx] = at_base.get(idx, 0) + c * dn
+            else:
+                arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), nums, at_base)
+        terms = {idx: c for idx, c in at_base.items() if c}
         for level in reversed(comp.transversals):
-            acc = dict(terms)  # the identity, first in every transversal
+            acc = {idx: c * dn for idx, c in terms.items()}  # the identity, first in every transversal
             for u, _ in islice(level.values(), 1, None):
                 arrow_apply_into(h, u, terms, acc)
-            terms = {k: c for k, c in acc.items() if c}
-        scale = Fraction(1, comp.n_C)
+            terms = {idx: c for idx, c in acc.items() if c}
+        nums = {}
         for conn in comp.connectors.values():
-            arrow_apply_into(h, conn, terms, out, scale)
+            arrow_apply_into(h, conn, terms, nums)
+        den *= comp.n_C * dn ** (len(comp.transversals) + 2)
+        for idx, c in nums.items():
+            if c:
+                out[idx] = Fraction(c, den)
     return Tensor(v.n, out)
 
 

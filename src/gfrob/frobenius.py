@@ -335,22 +335,24 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     eta = alg.metric
     mod_rep = validate_module(h)
     metric_rep = check_metric(Metric(h, eta))
+    # nonzero structure constants and action entries, (index, value) pairs
+    nz = [[[(k, x) for k, x in enumerate(c[a][b]) if x] for b in range(d)] for a in range(d)]
+
+    def nz_col(m: Mat, j: int) -> list[tuple[int, Fraction]]:
+        return [(i, m[i][j]) for i in range(d) if m[i][j]]
 
     equivariance = True
     for gamma in g.elements():
         rho = h.action[gamma]
+        cols = [nz_col(rho, a) for a in range(d)]
         for a in range(d):
             for b in range(d):
                 lhs = [Fraction(0)] * d
-                for i in range(d):
-                    if rho[i][a] == 0:
-                        continue
-                    for j in range(d):
-                        if rho[j][b] == 0:
-                            continue
-                        coef = rho[i][a] * rho[j][b]
-                        for k in range(d):
-                            lhs[k] += coef * c[i][j][k]
+                for i, ra in cols[a]:
+                    for j, rb in cols[b]:
+                        coef = ra * rb
+                        for k, x in nz[i][j]:
+                            lhs[k] += coef * x
                 rhs = linalg.mat_vec(rho, c[a][b])
                 if tuple(lhs) != tuple(rhs):
                     equivariance = False
@@ -368,11 +370,9 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
         rho = h.action[g.inv(h.degrees[a])]
         for b in range(d):
             rhs = [Fraction(0)] * d
-            for i in range(d):
-                if rho[i][b] == 0:
-                    continue
-                for k in range(d):
-                    rhs[k] += rho[i][b] * c[i][a][k]
+            for i, r in nz_col(rho, b):
+                for k, x in nz[i][a]:
+                    rhs[k] += r * x
             if tuple(rhs) != c[a][b]:
                 braided_comm = False
 
@@ -395,20 +395,15 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     associative = True
     for a in range(d):
         for b in range(d):
-            ab = c[a][b]
             for x in range(d):
                 lhs = [Fraction(0)] * d
-                for k in range(d):
-                    if ab[k] == 0:
-                        continue
-                    for l in range(d):
-                        lhs[l] += ab[k] * c[k][x][l]
+                for k, y in nz[a][b]:
+                    for l, z in nz[k][x]:
+                        lhs[l] += y * z
                 rhs = [Fraction(0)] * d
-                for k in range(d):
-                    if c[b][x][k] == 0:
-                        continue
-                    for l in range(d):
-                        rhs[l] += c[b][x][k] * c[a][k][l]
+                for k, y in nz[b][x]:
+                    for l, z in nz[a][k]:
+                        rhs[l] += y * z
                 if lhs != rhs:
                     associative = False
 

@@ -15,13 +15,19 @@ groupoid arrows.
 Every linear action on tensors (groupoid arrows, the braiding applied per
 degree tuple, the diagonal action, pullbacks) is one call of the sparse
 kernel slot_apply_into: sparse matrix columns per slot, then a slot
-permutation.
+permutation.  A module keeps its columns as the integers of Delta * M_g,
+with Delta the common denominator of all action entries (1 for an integral
+action), and an arrow application yields Delta^n times the arrow's action.
+braidize feeds the kernel integer numerators over one common denominator
+and divides once per output term; the other actions divide by Delta^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -30,7 +36,8 @@ from .groupoid import Arrow, GTuple, gen_arrow, inverse_gen_arrow
 from .groups import FiniteGroup
 
 Matrix = linalg.Mat
-Columns = list[list[tuple[int, Fraction]]]  # columns[j] = nonzero (row, entry) pairs
+Columns = list[list[tuple[int, int]]]  # columns[j] = nonzero (row, entry of Delta * M) pairs
+Terms = Mapping[tuple[int, ...], int | Fraction]  # Fractions, or integer numerators in braidize
 
 
 @dataclass(frozen=True)
@@ -47,11 +54,20 @@ class GradedModule:
     def degree_tuple(self, idx: Sequence[int]) -> GTuple:
         return tuple(self.degrees[j] for j in idx)
 
+    @cached_property
+    def delta(self) -> int:
+        """Common denominator Delta of all action entries; 1 for an integral action."""
+        return lcm(*(a.denominator for m in self.action for row in m for a in row))
+
     def columns(self, g: int) -> Columns:
-        """Sparse columns of the action matrix of g, built once per module."""
+        """Sparse integer columns of Delta times the action matrix of g, built once per module."""
         cols = self._columns.get(g)
         if cols is None:
-            cols = [[(i, a) for i, a in enumerate(col) if a != 0] for col in zip(*self.action[g])]
+            delta = self.delta
+            cols = [
+                [(i, a.numerator * (delta // a.denominator)) for i, a in enumerate(col) if a]
+                for col in zip(*self.action[g])
+            ]
             self._columns[g] = cols
         return cols
 
@@ -142,8 +158,9 @@ class Tensor:
         for idx, c in (terms or {}).items():
             if len(idx) != n:
                 raise ValueError("index tuple length mismatch")
-            c = Fraction(c)
-            if c != 0:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c:
                 clean[tuple(idx)] = c
         self.terms = clean
 
@@ -210,20 +227,26 @@ def split_homogeneous(h: GradedModule, v: Tensor) -> dict[GTuple, Tensor]:
 def slot_apply_into(
     cols: Sequence[Columns | None],
     perm: Sequence[int],
-    terms: Mapping[tuple[int, ...], Fraction],
-    out: dict[tuple[int, ...], Fraction],
-    scale: Fraction = Fraction(1),
+    terms: Terms,
+    out: dict[tuple[int, ...], int | Fraction],
+    scale: int | Fraction = 1,
 ) -> None:
     """Accumulate scale * (P_perm . (M_1 (x) ... (x) M_n) . terms) into out.
 
     cols[s] holds the sparse columns of the matrix M_s acting on slot s, or
     None for the identity; slot perm[s] of the result then comes from slot s.
+    Coefficients may be ints or Fractions; ints stay ints.
     """
-    n = len(perm)
+    # Build each result tuple in result order: position k comes from slot source[k].
+    source = [0] * len(perm)
+    for s, k in enumerate(perm):
+        source[k] = s
+    slots = [(s, cols[s]) for s in source]
+    unscaled = scale == 1
     for idx, c in terms.items():
-        partial: list[tuple[tuple[int, ...], Fraction]] = [((), c * scale)]
-        for s, j in enumerate(idx):
-            col = cols[s]
+        partial: list[tuple[tuple[int, ...], int | Fraction]] = [((), c if unscaled else c * scale)]
+        for s, col in slots:
+            j = idx[s]
             if col is None:
                 partial = [(p + (j,), pc) for p, pc in partial]
                 continue
@@ -233,11 +256,7 @@ def slot_apply_into(
                 partial = [(p + (i,), pc * w) for p, pc in partial]
             else:
                 partial = [(p + (i,), pc * w) for p, pc in partial for i, w in branches]
-        for p, pc in partial:
-            new = [0] * n
-            for s, i in enumerate(p):
-                new[perm[s]] = i
-            key = tuple(new)
+        for key, pc in partial:
             prev = out.get(key)
             out[key] = pc if prev is None else prev + pc
 
@@ -245,14 +264,25 @@ def slot_apply_into(
 def arrow_apply_into(
     h: GradedModule,
     a: "Arrow",
-    terms: Mapping[tuple[int, ...], Fraction],
-    out: dict[tuple[int, ...], Fraction],
-    scale: Fraction = Fraction(1),
+    terms: Terms,
+    out: dict[tuple[int, ...], int | Fraction],
 ) -> None:
-    """Accumulate scale * (a . terms) into out (no degree validation)."""
+    """Accumulate Delta^n * (a . terms) into out (no degree validation).
+
+    The columns carry one factor Delta each; the identity slots get theirs
+    through the kernel's scale.
+    """
     e = h.group.identity
     cols = [None if g == e else h.columns(g) for g in a.gpart]
-    slot_apply_into(cols, a.perm, terms, out, scale)
+    slot_apply_into(cols, a.perm, terms, out, h.delta ** cols.count(None))
+
+
+def _unscaled_tensor(h: GradedModule, n: int, out: dict[tuple[int, ...], Fraction]) -> Tensor:
+    """The tensor Delta^-n * out, for out accumulated by the kernel on module columns."""
+    den = h.delta**n
+    if den != 1:
+        out = {idx: Fraction(c.numerator, c.denominator * den) for idx, c in out.items()}
+    return Tensor(n, out)
 
 
 def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tensor:
@@ -267,7 +297,7 @@ def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tens
     out: dict[tuple[int, ...], Fraction] = {}
     for deg, part in split_homogeneous(h, v).items():
         arrow_apply_into(h, step(h.group, i, deg), part.terms, out)
-    return Tensor(v.n, out)
+    return _unscaled_tensor(h, v.n, out)
 
 
 def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
@@ -281,7 +311,7 @@ def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
             )
     out: dict[tuple[int, ...], Fraction] = {}
     arrow_apply_into(h, a, v.terms, out)
-    return Tensor(v.n, out)
+    return _unscaled_tensor(h, v.n, out)
 
 
 def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
@@ -290,7 +320,7 @@ def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
         return v
     out: dict[tuple[int, ...], Fraction] = {}
     slot_apply_into([h.columns(g)] * v.n, range(v.n), v.terms, out)
-    return Tensor(v.n, out)
+    return _unscaled_tensor(h, v.n, out)
 
 
 def invariants_basis(h: GradedModule) -> list[linalg.Vec]:

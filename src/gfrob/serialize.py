@@ -27,9 +27,14 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but true is not 1 here."""
+    return type(x) is int
+
+
 def frac_from_str(s: str | int) -> Fraction:
     try:
-        if isinstance(s, int):
+        if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s.strip())
@@ -64,6 +69,8 @@ def group_from_json(obj: Any) -> FiniteGroup:
     table = obj["table"]
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise ParseError("group table must be a list of rows")
+    if any(isinstance(x, bool) for r in table for x in r):
+        raise ParseError("group table entries must be integers, not booleans")
     return group_from_table(table)
 
 
@@ -91,7 +98,7 @@ def _terms(obj: dict, key: str, length: int) -> dict[tuple[int, ...], Fraction]:
         if not isinstance(t, dict) or key not in t or "coef" not in t:
             raise ParseError(f"each term needs {key!r} and 'coef', got {t!r}")
         k = t[key]
-        if not isinstance(k, list) or len(k) != length or not all(isinstance(x, int) and x >= 0 for x in k):
+        if not isinstance(k, list) or len(k) != length or not all(_is_int(x) and x >= 0 for x in k):
             raise ParseError(f"{key} {k!r} must be {length} non-negative integers")
         out[tuple(k)] = out.get(tuple(k), Fraction(0)) + frac_from_str(t["coef"])
     return out
@@ -128,7 +135,7 @@ def module_from_json(obj: Any) -> GradedModule:
     try:
         group = group_from_json(obj["group"])
         degrees = obj["degrees"]
-        if not isinstance(degrees, list) or not all(type(d) is int for d in degrees):
+        if not isinstance(degrees, list) or not all(_is_int(d) for d in degrees):
             raise ParseError(f"module degrees must be a list of integers, got {degrees!r}")
         action = [matrix_from_json(obj["action"][str(g)]) for g in group.elements()]
     except (KeyError, TypeError, ValueError) as exc:
@@ -149,7 +156,7 @@ def tensor_from_json(obj: Any) -> Tensor:
     if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
         raise ParseError("tensor object needs 'n' and 'terms'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError(f"tensor degree must be a non-negative integer, got {n!r}")
     return Tensor(n, _terms(obj, "idx", n))
 
@@ -230,7 +237,7 @@ def fmdata_from_json(obj: Any) -> FmData:
 
 def embedding_from_json(obj: Any, size: int) -> list[int]:
     """Distinct coordinate indices into a list of `size` names."""
-    ok = isinstance(obj, list) and all(isinstance(i, int) and 0 <= i < size for i in obj)
+    ok = isinstance(obj, list) and all(_is_int(i) and 0 <= i < size for i in obj)
     if not ok or len(set(obj)) != len(obj):
         raise ParseError(f"embedding must be a list of distinct integers in 0..{size - 1}, got {obj!r}")
     return obj

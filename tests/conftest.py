@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -64,6 +65,18 @@ def make_z3_module():
     return graded_module(g, (0, 0, 1, 2), [identity(4), rot, rot2])
 
 
+def rescale_basis(h, j, s):
+    """The same module in the basis where basis vector j is multiplied by s.
+
+    Rescaling by 1/2 turns entries 1 into 2 or 1/2 wherever vector j meets
+    another one, so the common denominator of the action becomes 2.
+    """
+    scale = [Fraction(1)] * h.dim
+    scale[j] = Fraction(s)
+    action = [[[m[a][b] * scale[b] / scale[a] for b in range(h.dim)] for a in range(h.dim)] for m in h.action]
+    return graded_module(h.group, h.degrees, action)
+
+
 def make_s3_module(sign_twist: bool = False):
     """dim 4 over S_3: one untwisted line plus the three transposition lines."""
     g = symmetric_group(3)
@@ -122,3 +135,19 @@ def random_tensor(rng: random.Random, h: GradedModule, n: int, terms: int = 3) -
         idx = tuple(rng.randrange(h.dim) for _ in range(n))
         out[idx] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Tensor(n, out)
+
+
+def literal_action(h: GradedModule, gpart, perm, terms) -> dict:
+    """(gpart, perm) applied to sparse terms straight from the Fraction action
+    matrices: each slot s is acted on by gpart[s] and then moved to slot perm[s]."""
+    out = {}
+    for idx, c in terms.items():
+        images = [[(i, h.action[g][i][j]) for i in range(h.dim) if h.action[g][i][j]] for g, j in zip(gpart, idx)]
+        for picks in itertools.product(*images):
+            key = [0] * len(idx)
+            w = Fraction(c)
+            for s, (i, entry) in enumerate(picks):
+                key[perm[s]] = i
+                w *= entry
+            out[tuple(key)] = out.get(tuple(key), Fraction(0)) + w
+    return out

@@ -37,7 +37,7 @@ from gfrob.linalg import identity, rank
 from gfrob.modules import submodule_on_indices
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, make_s3_module, make_z3_module, random_tensor
+from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis
 
 
 def random_braided_series(rng, h, truncation, terms=2):
@@ -467,9 +467,16 @@ def test_braidize_shares_one_component_per_orbit():
 PROPERTY_MODULES = {
     "z2-orbifold-dual": dual_module(z2_frobenius_algebra(3).module),
     "z3-rot": make_z3_module(),
+    "z3-rot-half": rescale_basis(make_z3_module(), 1, Fraction(1, 2)),
     "s3": make_s3_module(),
+    "s3-half": rescale_basis(make_s3_module(), 1, Fraction(1, 2)),
     "s3-sign": make_s3_module(sign_twist=True),
 }
+
+
+def test_property_modules_cover_non_integral_actions():
+    assert PROPERTY_MODULES["z3-rot-half"].delta == PROPERTY_MODULES["s3-half"].delta == 2
+    assert PROPERTY_MODULES["z3-rot"].delta == PROPERTY_MODULES["s3"].delta == 1
 
 
 @st.composite
@@ -488,6 +495,7 @@ def module_tensor(draw, max_n=4):
 def test_braidize_is_idempotent(hv):
     h, v = hv
     w = braidize(h, v)
+    assert all(type(c) is Fraction for c in w.terms.values())
     assert braidize(h, w) == w
     assert is_braided(h, w)
 
@@ -505,13 +513,15 @@ def test_braidize_is_self_adjoint(hv, data):
 @settings(max_examples=30, deadline=None)
 @given(module_tensor())
 def test_braidize_is_literal_arrow_average(hv):
+    """Oracle: every arrow of the component applied to every term, straight
+    from the Fraction action matrices, summed and divided by n_C."""
     from gfrob.groupoid import enumerate_component
-    from gfrob.modules import arrow_apply_into, split_homogeneous
 
     h, v = hv
     want = {}
-    for deg, part in split_homogeneous(h, v).items():
-        comp = enumerate_component(h.group, deg)
+    for idx, c in v.terms.items():
+        comp = enumerate_component(h.group, h.degree_tuple(idx))
         for a in comp.arrows:
-            arrow_apply_into(h, a, part.terms, want, Fraction(1, comp.n_C))
+            for key, w in literal_action(h, a.gpart, a.perm, {idx: c / comp.n_C}).items():
+                want[key] = want.get(key, Fraction(0)) + w
     assert braidize(h, v) == Tensor(v.n, want)

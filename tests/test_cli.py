@@ -437,3 +437,45 @@ def test_golden_br_basis_outputs(capsys, files, tmp_path, golden, module, n):
         path.write_text(json.dumps(module_to_json(make_z3_module())))
     _, out = run(capsys, "br-basis", "--module", str(path), "--n", str(n))
     assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+
+
+def _braidize_golden_case(name):
+    """Module and n = 4 tensor JSON; the half cases rescale basis vector 1 by 1/2."""
+    from fractions import Fraction
+
+    from conftest import make_s3_module, make_z3_module, rescale_basis
+
+    if name == "s3":
+        h = make_s3_module()
+        terms = {(1, 2, 0, 3): "1/2", (2, 1, 0, 3): "-3", (1, 1, 2, 2): "2/3", (0, 1, 2, 3): "5/4", (3, 3, 0, 0): "-1"}
+    elif name == "s3-half":
+        h = rescale_basis(make_s3_module(), 1, Fraction(1, 2))
+        terms = {(1, 2, 0, 3): "1/2", (2, 1, 0, 3): "-3", (1, 1, 2, 2): "2/3", (0, 1, 2, 3): "5/4", (3, 3, 0, 0): "-1"}
+    elif name == "z2-dual-4":
+        h = dual_module(z2_frobenius_algebra(4).module)
+        terms = {(0, 1, 5, 5): "1/3", (5, 0, 5, 1): "-2", (3, 4, 2, 1): "7/2", (5, 5, 5, 5): "1", (1, 5, 3, 5): "-5/6"}
+    else:
+        h = rescale_basis(make_z3_module(), 1, Fraction(1, 2))
+        terms = {(0, 1, 2, 3): "1/2", (1, 1, 0, 0): "-3/4", (2, 3, 1, 0): "2", (3, 2, 2, 2): "5/3", (1, 0, 1, 1): "-1"}
+    tensor = {"n": 4, "terms": [{"idx": list(idx), "coef": c} for idx, c in sorted(terms.items())]}
+    return module_to_json(h), tensor
+
+
+@pytest.mark.parametrize(
+    "golden, case",
+    [
+        ("braidize_s3_n4.json", "s3"),
+        ("braidize_s3_half_n4.json", "s3-half"),
+        ("braidize_z2_dual4_n4.json", "z2-dual-4"),
+        ("braidize_z3_half_n4.json", "z3-half"),
+    ],
+)
+def test_golden_braidize_outputs(capsys, tmp_path, golden, case):
+    """braidize stays byte-identical, also on modules whose action is not integral."""
+    import pathlib
+
+    module, tensor = _braidize_golden_case(case)
+    (tmp_path / "module.json").write_text(json.dumps(module))
+    (tmp_path / "tensor.json").write_text(json.dumps(tensor))
+    _, out = run(capsys, "braidize", "--module", str(tmp_path / "module.json"), "--tensor", str(tmp_path / "tensor.json"))
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()

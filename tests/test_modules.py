@@ -24,7 +24,7 @@ from gfrob.linalg import identity
 from gfrob.modules import is_morphism, require_morphism, submodule_on_indices
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, random_tensor
+from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis
 
 
 def test_validate_trivial_module(trivial_modules):
@@ -192,6 +192,30 @@ def test_diagonal_act(orbifold_module, z3_module, s3_module):
             assert diagonal_act(mod, g, braid_act(mod, i, v)) == braid_act(
                 mod, i, diagonal_act(mod, g, v)
             )
+
+
+@pytest.mark.parametrize("make", [make_z3_module, make_s3_module])
+def test_actions_on_a_non_integral_module_match_literal_matrices(make):
+    """The kernel scales columns by the common denominator; every action divides it out again."""
+    from gfrob.groupoid import inverse_gen_arrow
+
+    h = rescale_basis(make(), 1, Fraction(1, 2))
+    assert h.delta == 2 and make().delta == 1
+    rng = random.Random(7)
+    for n in (2, 3):
+        for _ in range(6):
+            v = random_tensor(rng, h, n)
+            for g in h.group.elements():
+                assert diagonal_act(h, g, v) == Tensor(n, literal_action(h, (g,) * n, range(n), v.terms))
+            for i in range(1, n):
+                for step, inverse in ((gen_arrow, False), (inverse_gen_arrow, True)):
+                    want = Tensor(n)
+                    for idx, c in v.terms.items():
+                        a = step(h.group, i, h.degree_tuple(idx))
+                        moved = arrow_act(h, a, Tensor(n, {idx: c}))
+                        assert moved == Tensor(n, literal_action(h, a.gpart, a.perm, {idx: c}))
+                        want = want + moved
+                    assert braid_act(h, i, v, inverse=inverse) == want
 
 
 def test_invariants_and_untwisted(orbifold_module, trivial_modules):

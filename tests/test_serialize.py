@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 from fractions import Fraction
 
@@ -89,6 +90,35 @@ def test_module_degrees_are_not_coerced(degrees):
     assert module_from_json(good).degrees == (0, 0, 0, 1)
     with pytest.raises(ParseError, match="degrees"):
         module_from_json({**good, "degrees": degrees})
+
+
+BOOLEAN_WITNESSES = [
+    ("exponent", serialize.poly_from_json, {"vars": ["x"], "terms": [{"exp": [True], "coef": "1"}]}),
+    ("index", tensor_from_json, {"n": 2, "terms": [{"idx": [0, False], "coef": "1"}]}),
+    ("tensor degree", tensor_from_json, {"n": True, "terms": [{"idx": [0], "coef": "1"}]}),
+    ("coefficient", tensor_from_json, {"n": 1, "terms": [{"idx": [0], "coef": True}]}),
+    ("rational", frac_from_str, True),
+    ("embedding", lambda obj: serialize.embedding_from_json(obj, 3), [True, 0]),
+    ("group table", group_from_json, {"order": 2, "table": [[0, True], [True, 0]]}),
+]
+
+
+@pytest.mark.parametrize("what, parse, obj", BOOLEAN_WITNESSES, ids=[w[0] for w in BOOLEAN_WITNESSES])
+def test_json_booleans_are_not_integers(what, parse, obj):
+    """bool is an int subclass in Python; a JSON true where an integer belongs is malformed."""
+    with pytest.raises(ParseError):
+        parse(obj)
+
+
+def test_boolean_tensor_degree_exits_3(tmp_path, capsys):
+    from gfrob.cli import main
+
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(module_to_json(z2_frobenius_algebra(3).module)))
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"n": True, "terms": [{"idx": [0], "coef": "1"}]}))
+    assert main(["braidize", "--module", str(module), "--tensor", str(tensor)]) == 3
+    assert "tensor degree" in capsys.readouterr().err
 
 
 # -- every parser on arbitrary JSON -------------------------------------------
