@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch, SizeLimit
-from .groupoid import Component, guard_size, inverse_arrow, orbit_component
+from .groupoid import Component, guard_size, inverse_arrow, orbit_component, size_limit
 from .modules import (
     GradedModule,
     Tensor,
@@ -80,7 +80,7 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
         terms = {idx: c for idx, c in at_base.items() if c}
         for level in reversed(comp.transversals):
             acc = {idx: c * dn for idx, c in terms.items()}  # the identity, first in every transversal
-            for u, _ in islice(level.values(), 1, None):
+            for u in islice(level.values(), 1, None):
                 arrow_apply_into(h, u, terms, acc)
             terms = {idx: c for idx, c in acc.items() if c}
         nums = {}
@@ -106,17 +106,15 @@ class InvariantForm:
     tensor: Tensor
 
 
-def br_basis(h: GradedModule, n: int, limit: int | None = None) -> list[InvariantForm]:
+def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
     """Basis of the joint fixed space of all braid generators on the n-th power.
 
     Computed blockwise per groupoid component as the exact kernel of the
     sparse rows -e_t + b_i(e_t), one form per free column, so it is
     independent of the averaging construction in braidize.
     """
-    from .groupoid import size_limit
-
-    guard_size(h.group, n, limit)
-    cap = limit if limit is not None else size_limit()
+    guard_size(h.group, n)
+    cap = size_limit()
     if h.dim**n > cap:
         raise SizeLimit(f"dim^n = {h.dim ** n} exceeds limit {cap}")
     if n == 0:
@@ -228,7 +226,10 @@ def series_from_tensors(h: GradedModule, truncation: int, tensors: Sequence[Tens
 
 
 def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
-    """Degreewise juxtaposition followed by braidization, truncated."""
+    """Degreewise juxtaposition followed by braidization, truncated.
+
+    parts[d] = braidize(sum_m x_m y_(d-m)): one braidization per degree.
+    """
     if x.module != y.module:
         raise ModuleMismatch("series live on different modules")
     if x.truncation != y.truncation:
@@ -237,13 +238,12 @@ def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
     parts: dict[int, Tensor] = {}
     for d in range(x.truncation + 1):
         acc = Tensor(d)
-        for m in range(d + 1):
-            xm = x.parts.get(m)
+        for m, xm in x.parts.items():
             yn = y.parts.get(d - m)
-            if xm and yn:
-                acc = acc + braidize(h, xm.juxt(yn))
+            if yn:
+                acc = acc + xm.juxt(yn)
         if acc:
-            parts[d] = acc
+            parts[d] = braidize(h, acc)
     return BraidedSeries(h, x.truncation, parts)
 
 

@@ -5,7 +5,7 @@ The braid group acts on G^n by conjugate-and-swap: the generator b_i sends
 word, applied at a concrete tuple, realizes an element of G^n x| S_n; these
 realized pairs are the arrows of a finite groupoid whose objects are the
 tuples.  Distinct braid words can realize the same arrow, and arrows are
-compared by their (source, gpart, perm) triple alone.
+compared by their (source, gpart, perm) triple alone; no word is stored.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -27,6 +27,10 @@ u_i in each U_i, and each arrow is one connector after one endomorphism, so
 m_C = prod |U_i| and n_C = |C| * m_C hold by construction, with m_C the
 constant hom-set size.  Every component has a constant G-degree (the
 ordered product of the entries).
+
+The reflection functor is read off an arrow in closed form: conjugating by
+the slot reversal with entry inversion maps the groupoid to itself, so no
+realizing word needs to be found or replayed.
 """
 
 from __future__ import annotations
@@ -53,10 +57,10 @@ def size_limit() -> int:
     return int(raw)
 
 
-def guard_size(group: FiniteGroup, n: int, limit: int | None = None) -> None:
+def guard_size(group: FiniteGroup, n: int) -> None:
     if n < 0:
         raise BadIndex(f"tuple length n = {n} is negative")
-    cap = limit if limit is not None else size_limit()
+    cap = size_limit()
     total = group.order**n * factorial(n)
     if total > cap:
         raise SizeLimit(f"|G|^n * n! = {total} exceeds limit {cap}")
@@ -163,13 +167,6 @@ def diagonal_tuple_action(group: FiniteGroup, g: int, t: GTuple) -> GTuple:
     return tuple(group.conj(g, x) for x in t)
 
 
-Word = tuple[tuple[int, bool], ...]  # sequence of (generator index, inverted)
-
-
-def _invert_word(word: Word) -> Word:
-    return tuple((i, not inv) for i, inv in reversed(word))
-
-
 Point = tuple[int, int]  # (slot, group element)
 
 
@@ -183,20 +180,20 @@ class Component:
     U_1..U_k, never as a set.  An endomorphism acts on the n|G| points
     (slot, x) by (i, x) -> (perm[i], gpart[i] x); base point i is
     (base[i], e), and transversals[i] maps each image of that point under
-    the stabilizer of the earlier base points to one arrow realizing it and
-    its braid word (later-applied generators last), the identity first.
-    Every endomorphism is u_1 o ... o u_k for exactly one choice of u_i in
-    U_i, so m_C = prod |U_i|, and every arrow with source basepoint is
-    conn(u) o e for exactly one member u and endomorphism e, so
-    n_C = |C| * m_C holds by construction.
+    the stabilizer of the earlier base points to one arrow realizing it,
+    the identity first.  Every endomorphism is u_1 o ... o u_k for exactly
+    one choice of u_i in U_i, so m_C = prod |U_i|, and every arrow with
+    source basepoint is conn(u) o e for exactly one member u and
+    endomorphism e, so n_C = |C| * m_C holds by construction.  No braid
+    word is kept: the word-built closures in the tests prove that every
+    stored arrow is realized.
     """
 
     group: FiniteGroup
     basepoint: GTuple
     connectors: dict[GTuple, Arrow] = field(repr=False)
-    connector_words: dict[GTuple, Word] = field(repr=False)
     base: tuple[int, ...]
-    transversals: tuple[dict[Point, tuple[Arrow, Word]], ...] = field(repr=False)
+    transversals: tuple[dict[Point, Arrow], ...] = field(repr=False)
     g_degree: int
 
     @property
@@ -218,7 +215,7 @@ class Component:
     def _endos(self) -> list[Arrow]:
         out = [identity_arrow(self.group, self.basepoint)]
         for level in reversed(self.transversals):
-            out = [compose_arrows(self.group, u, e) for u, _ in level.values() for e in out]
+            out = [compose_arrows(self.group, u, e) for u in level.values() for e in out]
         return out
 
     def _hom(self, target: GTuple, endos: list[Arrow]) -> list[Arrow]:
@@ -238,27 +235,6 @@ class Component:
         endos = self._endos()
         return tuple(a for t in sorted(self.connectors) for a in self._hom(t, endos))
 
-    def word(self, a: Arrow) -> Word:
-        """A braid word realizing a, which must have source basepoint.
-
-        Sifts conn(target)^-1 o a through the chain: a = conn o u_1 o ... o u_k.
-        """
-        conn = self.connectors.get(a.target)
-        if conn is None or a.source != self.basepoint:
-            raise SourceTargetMismatch("arrow is not realized from its stated source")
-        x = compose_arrows(self.group, inverse_arrow(self.group, conn), a)
-        word = self.connector_words[a.target]
-        for slot, level in zip(self.base, self.transversals):
-            entry = level.get((x.perm[slot], x.gpart[slot]))
-            if entry is None:
-                break
-            u, wu = entry
-            x = compose_arrows(self.group, inverse_arrow(self.group, u), x)
-            word = wu + word
-        if x != identity_arrow(self.group, self.basepoint):
-            raise SourceTargetMismatch("arrow is not realized from its stated source")
-        return word
-
 
 class _Chain:
     """Deterministic Schreier-Sims over End(t), fed one generator at a time.
@@ -274,32 +250,30 @@ class _Chain:
         self.group = group
         self.ident = identity_arrow(group, t)
         self.base: list[int] = []
-        self.trans: list[dict[Point, tuple[Arrow, Word]]] = []
+        self.trans: list[dict[Point, Arrow]] = []
         self.inverses: list[dict[Point, Arrow]] = []
-        self.gens: list[list[tuple[Arrow, Word]]] = []  # strong generators fixing base[:i]
+        self.gens: list[list[Arrow]] = []  # strong generators fixing base[:i]
         self.checked: list[set[tuple[Point, int]]] = []
 
-    def sift(self, x: Arrow, level: int = 0) -> tuple[Arrow, int, list[Word]]:
-        """Strip x through levels >= level: (residue, level it stopped at, words used)."""
-        used = []
+    def sift(self, x: Arrow, level: int = 0) -> tuple[Arrow, int]:
+        """Strip x through levels >= level: (residue, level it stopped at)."""
         for i in range(level, len(self.base)):
             slot = self.base[i]
             point = (x.perm[slot], x.gpart[slot])
             if point == (slot, self.group.identity):
                 continue
-            entry = self.trans[i].get(point)
-            if entry is None:
-                return x, i, used
-            x = compose_arrows(self.group, self.inverses[i][point], x)
-            used.append(entry[1])
-        return x, len(self.base), used
+            inv = self.inverses[i].get(point)
+            if inv is None:
+                return x, i
+            x = compose_arrows(self.group, inv, x)
+        return x, len(self.base)
 
-    def add(self, x: Arrow, word: Word) -> None:
-        """Add x, realized by word, to the group generated so far."""
-        h, j, used = self.sift(x)
+    def add(self, x: Arrow) -> None:
+        """Add x to the group generated so far."""
+        h, j = self.sift(x)
         if h == self.ident:
             return
-        self._extend(h, j, _strip_word(word, used))
+        self._extend(h, j)
         i = j
         while i >= 0:  # every level deeper than i is complete
             j = self._check(i)
@@ -308,33 +282,32 @@ class _Chain:
     def _check(self, i: int) -> int | None:
         """Sift the unchecked Schreier generators of level i; the level extended, if any."""
         group, slot, trans, checked = self.group, self.base[i], self.trans[i], self.checked[i]
-        for beta, (u, wu) in list(trans.items()):
-            for k, (s, ws) in enumerate(self.gens[i]):
+        for beta, u in list(trans.items()):
+            for k, s in enumerate(self.gens[i]):
                 if (beta, k) in checked:
                     continue
                 checked.add((beta, k))
                 y = compose_arrows(group, s, u)
                 gamma = (y.perm[slot], y.gpart[slot])
                 y = compose_arrows(group, self.inverses[i][gamma], y)
-                h, j, used = self.sift(y, i + 1)
+                h, j = self.sift(y, i + 1)
                 if h != self.ident:
-                    word = _strip_word(wu + ws + _invert_word(trans[gamma][1]), used)
-                    self._extend(h, j, word)
+                    self._extend(h, j)
                     return j
         return None
 
-    def _extend(self, h: Arrow, j: int, word: Word) -> None:
+    def _extend(self, h: Arrow, j: int) -> None:
         """Add h, which fixes base points 0..j-1, as a strong generator."""
         if j == len(self.base):
             e = self.group.identity
             slot = next(i for i in range(h.n) if (h.perm[i], h.gpart[i]) != (i, e))
             self.base.append(slot)
-            self.trans.append({(slot, e): (self.ident, ())})
+            self.trans.append({(slot, e): self.ident})
             self.inverses.append({(slot, e): self.ident})
             self.gens.append([])
             self.checked.append(set())
         for level in range(j + 1):
-            self.gens[level].append((h, word))
+            self.gens[level].append(h)
             self._grow_orbit(level)
 
     def _grow_orbit(self, level: int) -> None:
@@ -342,28 +315,20 @@ class _Chain:
         queue = list(trans)  # grows during iteration
         for beta in queue:
             p, g = beta
-            for s, ws in self.gens[level]:
+            for s in self.gens[level]:
                 gamma = (s.perm[p], group.mul(s.gpart[p], g))
                 if gamma not in trans:
-                    u, wu = trans[beta]
-                    y = compose_arrows(group, s, u)
-                    trans[gamma] = (y, wu + ws)
+                    y = compose_arrows(group, s, trans[beta])
+                    trans[gamma] = y
                     self.inverses[level][gamma] = inverse_arrow(group, y)
                     queue.append(gamma)
-
-
-def _strip_word(word: Word, used: list[Word]) -> Word:
-    """The word of u_j^-1 o ... o u_1^-1 o x, from the word of x and those of the u's."""
-    for w in used:
-        word = word + _invert_word(w)
-    return word
 
 
 _component_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}
 _orbit_cache: dict[tuple[FiniteGroup, GTuple], GTuple] = {}  # member -> basepoint
 
 
-def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None) -> Component:
+def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
     """The component of t, based at t: a spanning tree and a chain for End(t).
 
     One breadth-first search over the orbit records a connector t -> u for
@@ -382,10 +347,9 @@ def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None)
     hit = _component_cache.get(key)
     if hit is not None:
         return hit
-    guard_size(group, len(t), limit)
+    guard_size(group, len(t))
     ident = identity_arrow(group, t)
     connectors = {t: ident}
-    words: dict[GTuple, Word] = {t: ()}
     chain = _Chain(group, t)
     queue = [t]
     for s in queue:  # grows during iteration: breadth-first order
@@ -397,16 +361,14 @@ def enumerate_component(group: FiniteGroup, t: GTuple, limit: int | None = None)
             conn_u = connectors.get(u)
             if conn_u is None:
                 connectors[u] = a
-                words[u] = words[s] + ((i, False),)
                 queue.append(u)
             else:
-                x = compose_arrows(group, inverse_arrow(group, conn_u), a)
-                chain.add(x, words[s] + ((i, False),) + _invert_word(words[u]))
+                chain.add(compose_arrows(group, inverse_arrow(group, conn_u), a))
 
     deg = g_degree(group, t)
     if any(g_degree(group, m) != deg for m in connectors):
         raise AssertionError(f"G-degree not constant on the component of {t}")
-    comp = Component(group, t, connectors, words, tuple(chain.base), tuple(chain.trans), deg)
+    comp = Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), deg)
     _component_cache[key] = comp
     return comp
 
@@ -430,29 +392,18 @@ def diagonal_g_action(group: FiniteGroup, g: int, comp: Component) -> Component:
     return enumerate_component(group, diagonal_tuple_action(group, g, comp.basepoint))
 
 
-def _reflect_step(group: FiniteGroup, n: int, i: int, inv: bool, source: GTuple) -> Arrow:
-    """Reflection of one signed generator arrow applied at the given source."""
-    if not inv:
-        # b_i at s reflects to b_{n-i} at r(b_i s), mapping r(b_i s) -> r(s).
-        return gen_arrow(group, n - i, source)
-    # b_i^{-1} at s reflects to b_{n-i}^{-1} at r(b_i^{-1} s).
-    return inverse_gen_arrow(group, n - i, source)
-
-
 def reflect_arrow(group: FiniteGroup, a: Arrow) -> Arrow:
     """Image of an arrow under the reflection functor.
 
-    Sends an arrow source -> target to an arrow r(target) -> r(source),
-    reversing any realizing braid word and swapping b_i for b_{n-i}.  The
-    result does not depend on the chosen word, so it is read off the orbit's
-    shared component: a = (a o conn(source)) o conn(source)^-1.
+    Sends an arrow source -> target to an arrow r(target) -> r(source): any
+    realizing braid word is reversed and b_i swapped for b_{n-i}.  In closed
+    form, with rho the slot reversal with entry inversion (rho(t) = r(t)),
+    the result is (rho o a o rho^-1)^-1.  rho commutes with conjugation, so
+    rho o a o rho^-1 : r(source) -> r(target) has gpart[j] = a.gpart[n-1-j]
+    and perm[j] = n-1-a.perm[n-1-j]; on b_i at s it gives b_{n-i} at
+    r(b_i s), and both sides respect composition.
     """
-    comp = orbit_component(group, a.source)
-    conn = comp.connectors[a.source]
-    word = _invert_word(comp.connector_words[a.source]) + comp.word(compose_arrows(group, a, conn))
-    n = a.n
-    out = identity_arrow(group, reflect_tuple(group, a.target))
-    for i, inv in reversed(word):
-        step = _reflect_step(group, n, i, inv, out.target)
-        out = compose_arrows(group, step, out)
-    return out
+    last = a.n - 1
+    perm = tuple(last - p for p in reversed(a.perm))
+    conj = Arrow(reflect_tuple(group, a.source), a.gpart[::-1], perm, reflect_tuple(group, a.target))
+    return inverse_arrow(group, conj)

@@ -137,9 +137,14 @@ def module_from_json(obj: Any) -> GradedModule:
         degrees = obj["degrees"]
         if not isinstance(degrees, list) or not all(_is_int(d) for d in degrees):
             raise ParseError(f"module degrees must be a list of integers, got {degrees!r}")
+        if any(not 0 <= d < group.order for d in degrees):
+            raise ParseError(f"module degrees must lie in range({group.order}), got {degrees!r}")
         action = [matrix_from_json(obj["action"][str(g)]) for g in group.elements()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed module: {exc}") from None
+    dim = len(degrees)
+    if any(len(m) != dim or any(len(row) != dim for row in m) for m in action):
+        raise ParseError(f"module action matrices must be {dim} x {dim}")
     return graded_module(group, degrees, action)
 
 

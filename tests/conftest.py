@@ -16,6 +16,7 @@ from gfrob import (
     symmetric_group,
     trivial_group,
 )
+from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
 from gfrob.groups import perm_index
 from gfrob.linalg import identity
 from gfrob.singularity import z2_frobenius_algebra
@@ -135,6 +136,15 @@ def random_tensor(rng: random.Random, h: GradedModule, n: int, terms: int = 3) -
         idx = tuple(rng.randrange(h.dim) for _ in range(n))
         out[idx] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Tensor(n, out)
+
+
+def realize(group, source, word):
+    """The arrow a braid word of (generator index, inverted) letters realizes at source."""
+    out = identity_arrow(group, source)
+    for i, inv in word:
+        step = inverse_gen_arrow(group, i, out.target) if inv else gen_arrow(group, i, out.target)
+        out = compose_arrows(group, step, out)
+    return out
 
 
 def literal_action(h: GradedModule, gpart, perm, terms) -> dict:

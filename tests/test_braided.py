@@ -525,3 +525,37 @@ def test_braidize_is_literal_arrow_average(hv):
             for key, w in literal_action(h, a.gpart, a.perm, {idx: c / comp.n_C}).items():
                 want[key] = want.get(key, Fraction(0)) + w
     assert braidize(h, v) == Tensor(v.n, want)
+
+
+@st.composite
+def series_pair(draw, max_truncation=3):
+    name = draw(st.sampled_from(sorted(PROPERTY_MODULES)))
+    h = PROPERTY_MODULES[name]
+    truncation = draw(st.integers(0, max_truncation))
+    coef = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    pair_ = []
+    for _ in range(2):
+        parts = []
+        for d in range(truncation + 1):
+            idx = st.tuples(*[st.integers(0, h.dim - 1)] * d)
+            parts.append(braidize(h, Tensor(d, draw(st.dictionaries(idx, coef, max_size=2)))))
+        pair_.append(series_from_tensors(h, truncation, parts))
+    return pair_
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_pair())
+def test_circ_product_matches_per_pair_braidization(xy):
+    """Oracle: braidize each juxtaposition x_m y_(d-m) on its own and sum;
+    braidize is linear, so this equals one braidize of the degree-d sum."""
+    x, y = xy
+    h = x.module
+    want = {}
+    for d in range(x.truncation + 1):
+        acc = Tensor(d)
+        for m in range(d + 1):
+            xm, yn = x.parts.get(m), y.parts.get(d - m)
+            if xm and yn:
+                acc = acc + braidize(h, xm.juxt(yn))
+        want[d] = acc
+    assert circ_product(x, y) == BraidedSeries(h, x.truncation, want)

@@ -173,6 +173,15 @@ def algebra_with(**fields):
     return {**ALGEBRA, **fields}
 
 
+ONE, ZERO = "1", "0"
+
+
+def z2_module_with(degrees=(0, 1), action=((ONE, ZERO), (ZERO, ONE))):
+    """A two-dimensional module over Z2 whose every element acts by the given matrix."""
+    rows = [list(r) for r in action]
+    return {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": list(degrees), "action": {"0": rows, "1": rows}}
+
+
 def assembly_with(iota_e):
     """The A3/D3 gluing input of test_assemble_z2_command with another iota_e."""
     from gfrob import potential_D
@@ -214,19 +223,25 @@ MALFORMED = {
     "embedding not a list": ("assemble-z2", {"--input": assembly_with(5)}),
     "embedding index negative": ("assemble-z2", {"--input": assembly_with([0, -3])}),
     "embedding index repeated": ("assemble-z2", {"--input": assembly_with([2, 2])}),
+    "module action not dim x dim": ("br-basis", {"--module": z2_module_with(action=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]), "--n": 2}),
+    "module action rows ragged": ("br-basis", {"--module": z2_module_with(action=[[ONE, ZERO], [ZERO]]), "--n": 2}),
+    "module degree out of range": ("br-basis", {"--module": z2_module_with(degrees=[0, 5]), "--n": 2}),
 }
 
 
 def argv_with_files(files, tmp_path, command, inputs):
-    """Command line whose inputs are fixture files (by key) or JSON written to tmp_path."""
+    """Command line whose inputs are fixture files (by key), JSON written to
+    tmp_path, or plain integers such as --n."""
     argv = [command]
     for flag, value in inputs.items():
-        if isinstance(value, str):
-            path = files[value]
+        if isinstance(value, int):
+            arg = str(value)
+        elif isinstance(value, str):
+            arg = files[value]
         else:
-            path = tmp_path / f"{flag.strip('-')}.json"
-            path.write_text(json.dumps(value))
-        argv += [flag, str(path)]
+            arg = tmp_path / f"{flag.strip('-')}.json"
+            arg.write_text(json.dumps(value))
+        argv += [flag, str(arg)]
     return argv
 
 
@@ -236,6 +251,15 @@ def test_malformed_input_exits_3(capsys, files, tmp_path, case):
     out, err = capsys.readouterr()
     assert code == 3
     assert out == "" and err.startswith("input error:")
+
+
+def test_module_failing_an_axiom_exits_1(capsys, files, tmp_path):
+    # well shaped, but the action of the generator is singular: a failed check, not malformed input
+    singular = z2_module_with(action=[[ZERO, ZERO], [ZERO, ONE]])
+    code = main(argv_with_files(files, tmp_path, "br-basis", {"--module": singular, "--n": 2}))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and "InvalidAction" in err
 
 
 def test_check_pre_gfm_names_braid_witness(capsys, files, tmp_path):

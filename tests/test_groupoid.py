@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfrob import (
     braid_gen_action,
     compose_arrows,
+    cyclic_group,
     diagonal_g_action,
     enumerate_component,
     g_degree,
@@ -13,16 +15,18 @@ from gfrob import (
     inverse_arrow,
     reflect_arrow,
     reflect_tuple,
+    symmetric_group,
 )
 from gfrob.errors import IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from gfrob.groupoid import (
-    _reflect_step,
     diagonal_tuple_action,
     guard_size,
     identity_arrow,
     inverse_gen_arrow,
 )
 from gfrob.groups import perm_index
+
+from conftest import realize
 
 
 def all_tuples(g, n):
@@ -50,7 +54,18 @@ def oracle_arrows(g, base):
     return words
 
 
+def _reflect_step(g, n, i, inv, source):
+    """Reflection of one signed generator arrow applied at the given source."""
+    if not inv:
+        # b_i at s reflects to b_{n-i} at r(b_i s), mapping r(b_i s) -> r(s).
+        return gen_arrow(g, n - i, source)
+    # b_i^{-1} at s reflects to b_{n-i}^{-1} at r(b_i^{-1} s).
+    return inverse_gen_arrow(g, n - i, source)
+
+
 def reflect_along(g, word, a):
+    """Reference reflection: reverse a word realizing a, swap b_i for b_{n-i},
+    and replay it from r(target)."""
     out = identity_arrow(g, reflect_tuple(g, a.target))
     for i, inv in reversed(word):
         out = compose_arrows(g, _reflect_step(g, a.n, i, inv, out.target), out)
@@ -198,17 +213,17 @@ def test_reflect_arrow_matches_oracle_words(z2, z3, s3):
                 assert reflect_arrow(g, a) == reflect_along(g, ref[a], a)
 
 
-def test_component_word_realizes_arrow(s3):
-    comp = enumerate_component(s3, (1, 2, 4))
-    for a in comp.arrows:
-        out = identity_arrow(s3, a.source)
-        for i, inv in comp.word(a):
-            step = inverse_gen_arrow(s3, i, out.target) if inv else gen_arrow(s3, i, out.target)
-            out = compose_arrows(s3, step, out)
-        assert out == a
-    stray = gen_arrow(s3, 1, (2, 4, 1))
-    with pytest.raises(SourceTargetMismatch):
-        comp.word(stray)
+def test_stored_arrows_are_realized(s3):
+    # every connector and transversal entry is an arrow some braid word
+    # realizes: the word-built closure finds each with a word that replays it
+    t = (1, 2, 4)
+    comp = enumerate_component(s3, t)
+    ref = oracle_arrows(s3, t)
+    stored = list(comp.connectors.values())
+    stored += [u for level in comp.transversals for u in level.values()]
+    assert len(stored) == len(comp.members) + sum(len(level) for level in comp.transversals)
+    for a in stored:
+        assert realize(s3, t, ref[a]) == a
 
 
 def test_arrow_closure_is_groupoid(s3):
@@ -279,9 +294,9 @@ def test_reflect_hom_set_sizes(z2, s3):
                 assert fwd == bwd
 
 
-def test_reflect_arrow_shares_one_component_per_orbit(s3):
-    # every member of the 18-member orbit of (1,2,4) reads its word off the
-    # orbit's one component instead of building a component of its own
+def test_reflect_arrow_builds_no_component(s3):
+    # the reflection is read off the arrow in closed form: reflecting arrows
+    # out of every member of the 18-member orbit of (1,2,4) closes no component
     from gfrob import groupoid
 
     members = sorted(enumerate_component(s3, (1, 2, 4)).members)
@@ -292,7 +307,7 @@ def test_reflect_arrow_shares_one_component_per_orbit(s3):
         a = gen_arrow(s3, 1, t)
         r = reflect_arrow(s3, a)
         assert (r.source, r.target) == (reflect_tuple(s3, a.target), reflect_tuple(s3, t))
-    assert len(groupoid._component_cache) == 1
+    assert len(groupoid._component_cache) == 0
 
 
 def test_reflect_arrow_generator(z2):
@@ -340,14 +355,36 @@ def test_inverse_gen_arrow(s3):
 
 def test_reflect_arrow_word_independence(s3):
     # reflecting along a detoured word (insert b_i b_i^{-1}) gives the same arrow
-    comp = enumerate_component(s3, (1, 2, 4))
+    ref = oracle_arrows(s3, (1, 2, 4))
     rng = random.Random(8)
-    for a in list(comp.arrows)[:8]:
-        word = comp.word(a)
+    for a in sorted(ref, key=lambda a: (a.target, a.gpart, a.perm))[:8]:
         i = rng.randrange(1, 3)
-        detour = word + ((i, False), (i, True))
-        out = identity_arrow(s3, reflect_tuple(s3, a.target))
-        for gen_i, inv in reversed(detour):
-            step = _reflect_step(s3, 3, gen_i, inv, out.target)
-            out = compose_arrows(s3, step, out)
-        assert out == reflect_arrow(s3, a)
+        detour = ref[a] + ((i, False), (i, True))
+        assert realize(s3, a.source, detour) == a
+        assert reflect_along(s3, detour, a) == reflect_arrow(s3, a)
+
+
+GROUPS = {"z2": cyclic_group(2), "z3": cyclic_group(3), "s3": symmetric_group(3)}
+
+
+@st.composite
+def group_word(draw, max_n=6, max_len=14):
+    g = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]
+    n = draw(st.integers(1, max_n))
+    t = tuple(draw(st.lists(st.integers(0, g.order - 1), min_size=n, max_size=n)))
+    word = ()
+    if n > 1:
+        letter = st.tuples(st.integers(1, n - 1), st.booleans())
+        word = tuple(draw(st.lists(letter, max_size=max_len)))
+    return g, t, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_word())
+def test_reflect_arrow_closed_form_matches_word_replay(gtw):
+    g, t, word = gtw
+    a = realize(g, t, word)
+    r = reflect_arrow(g, a)
+    assert r == reflect_along(g, word, a)
+    assert (r.source, r.target) == (reflect_tuple(g, a.target), reflect_tuple(g, t))
+    assert reflect_arrow(g, r) == a
