@@ -107,11 +107,18 @@ class InvariantForm:
 
 
 def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
-    """Basis of the joint fixed space of all braid generators on the n-th power.
+    """Canonical basis of the vectors v with B^T v = v for every braid generator B.
 
-    Computed blockwise per groupoid component as the exact kernel of the
-    sparse rows -e_t + b_i(e_t), one form per free column, so it is
-    independent of the averaging construction in braidize.
+    These are the braid invariants of the contragredient action (gamma by
+    rho(gamma^-1)^T on the same degrees); for an orthogonal action, as on the
+    orbifold duals, B^T = B^-1 and they are the braid invariants of h.  On a
+    component based at b, an invariant is the transport sum_u conn(u) x of
+    its part x on the fibre F_b of degree-b tuples, and x is fixed by End(b)
+    (Brown, Topology and Groupoids): x spans the kernel of the integer rows
+    s e_t - Delta^n e_t, for t in F_b and s a strong generator of End(b).
+    The canonical basis, one form per free column of the component's sorted
+    tuples, is the RREF of the transported vectors with the columns in
+    reverse order.  No step uses the averaging in braidize.
     """
     guard_size(h.group, n)
     cap = size_limit()
@@ -122,31 +129,49 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
 
     # One closure per component, shared by all of its members.
     blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    fibres: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    g_degree_of: dict[tuple[int, ...], int] = {}
-    for idx in iter_product(range(h.dim), repeat=n):
+    comp_of: dict[tuple[int, ...], Component] = {}
+    for idx in iter_product(range(h.dim), repeat=n):  # lexicographic, so every list is sorted
         deg = h.degree_tuple(idx)
         rep = rep_of.get(deg)
         if rep is None:
             comp = orbit_component(h.group, deg)
             rep = comp.canonical
             rep_of.update(dict.fromkeys(comp.members, rep))
-            g_degree_of[rep] = comp.g_degree
+            comp_of[rep] = comp
         blocks.setdefault(rep, []).append(idx)
+        if deg == comp_of[rep].basepoint:
+            fibres.setdefault(rep, []).append(idx)
 
+    contra = GradedModule(h.group, h.degrees, dual_module(h).action)
+    dn = h.delta**n
     out: list[InvariantForm] = []
     for rep in sorted(blocks):
-        tuples = sorted(blocks[rep])
-        pos = {t: k for k, t in enumerate(tuples)}
-        rows: list[dict[int, Fraction]] = []
-        for i in range(1, n):
-            for t in tuples:
-                row = {pos[idx]: c for idx, c in braid_act(h, i, Tensor.basis(t)).terms.items()}
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - 1
+        comp = comp_of[rep]
+        tuples, fibre = blocks[rep], fibres.get(rep, [])
+        last = len(tuples) - 1
+        at = {t: k for k, t in enumerate(fibre)}
+        rows = []
+        for s in comp.gens:
+            for t in fibre:
+                image: dict[tuple[int, ...], int] = {}
+                arrow_apply_into(h, s, {t: 1}, image)
+                row = {at[u]: c for u, c in image.items()}
+                row[at[t]] = row.get(at[t], 0) - dn
                 rows.append(row)
-        for vec in linalg.kernel(linalg.eliminate(rows), len(tuples)):
-            tensor = Tensor(n, {tuples[k]: c for k, c in vec.items()})
-            out.append(InvariantForm(rep, g_degree_of[rep], tensor))
+        col = {t: last - k for k, t in enumerate(tuples)}
+        spans = []
+        for x in linalg.kernel(linalg.eliminate(rows), len(fibre)):
+            den = lcm(*(c.denominator for c in x.values()))
+            nums = {fibre[k]: c.numerator * (den // c.denominator) for k, c in x.items()}
+            v: dict[tuple[int, ...], int] = {}
+            for conn in comp.connectors.values():
+                arrow_apply_into(contra, conn, nums, v)
+            spans.append({col[t]: c for t, c in v.items()})
+        for row in reversed(linalg.eliminate(spans).values()):
+            tensor = Tensor(n, {tuples[last - k]: c for k, c in row.items()})
+            out.append(InvariantForm(rep, comp.g_degree, tensor))
     return out
 
 

@@ -181,8 +181,9 @@ class Component:
     (slot, x) by (i, x) -> (perm[i], gpart[i] x); base point i is
     (base[i], e), and transversals[i] maps each image of that point under
     the stabilizer of the earlier base points to one arrow realizing it,
-    the identity first.  Every endomorphism is u_1 o ... o u_k for exactly
-    one choice of u_i in U_i, so m_C = prod |U_i|, and every arrow with
+    the identity first; gens holds the chain's strong generators, which
+    generate End(basepoint).  Every endomorphism is u_1 o ... o u_k for
+    exactly one choice of u_i in U_i, so m_C = prod |U_i|, and every arrow with
     source basepoint is conn(u) o e for exactly one member u and
     endomorphism e, so n_C = |C| * m_C holds by construction.  No braid
     word is kept: the word-built closures in the tests prove that every
@@ -194,6 +195,7 @@ class Component:
     connectors: dict[GTuple, Arrow] = field(repr=False)
     base: tuple[int, ...]
     transversals: tuple[dict[Point, Arrow], ...] = field(repr=False)
+    gens: tuple[Arrow, ...] = field(repr=False)
     g_degree: int
 
     @property
@@ -368,7 +370,8 @@ def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
     deg = g_degree(group, t)
     if any(g_degree(group, m) != deg for m in connectors):
         raise AssertionError(f"G-degree not constant on the component of {t}")
-    comp = Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), deg)
+    gens = tuple(chain.gens[0]) if chain.gens else ()
+    comp = Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, deg)
     _component_cache[key] = comp
     return comp
 

@@ -1,23 +1,24 @@
-"""Exact linear algebra over Fraction, on one sparse Gauss-Jordan core.
+"""Exact linear algebra over Fraction, on one sparse fraction-free Gauss-Jordan core.
 
 Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Every elimination runs through `eliminate`, which takes rows as sparse dicts
-(column -> nonzero entry) and returns the reduced row echelon form keyed by
-pivot column.  The systems met here are sparse: the rows of the br_basis
-blocks, -e_t + b_i(e_t), hold a few nonzeros among hundreds of columns, and
-working on nonzeros only is what makes those blocks cheap.  The reduced form
-is unique, so every kernel basis read from it is canonical.  `rref`, `rank`,
-`nullspace`, `mat_inv` and `solve_columns` are thin dense adapters over it.
+Every elimination runs through `eliminate`: sparse rows (column -> nonzero
+int or Fraction) in, the unique reduced row echelon form in Fractions out,
+with integer arithmetic in between.  Working on nonzeros only keeps the
+sparse br_basis systems cheap, and the unique form makes every kernel basis
+read from it canonical.  `rref`, `rank`, `nullspace`, `mat_inv` and
+`solve_columns` are thin dense adapters over it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 Row = dict[int, Fraction]
+IntRow = dict[int, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,52 +51,76 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a)
 
 
-def _sub_multiple(target: Row, f: Fraction, row: Row) -> None:
+def _sub_multiple(target: IntRow, f: int, row: IntRow) -> None:
     """target -= f * row, dropping the entries that cancel."""
     for c, x in row.items():
-        y = target.get(c, ZERO) - f * x
+        y = target.get(c, 0) - f * x
         if y:
             target[c] = y
         else:
             del target[c]
 
 
-def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
-    """Sparse Gauss-Jordan: the reduced row echelon form of the rows.
+def _primitive(row: IntRow) -> IntRow:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
-    Rows map column -> entry (zero entries are dropped).  Each incoming row
-    is reduced by the pivot rows so far, takes its least column as a new
-    pivot, and that column is then cleared from the earlier pivot rows.
-    Returns {pivot column: reduced row} in ascending pivot order; each row
-    is 1 at its pivot and 0 at every other pivot column, so the result is
-    the unique RREF of the row space whatever the order of the input.
+
+def eliminate(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, Row]:
+    """Sparse fraction-free Gauss-Jordan: the reduced row echelon form of the rows.
+
+    Rows map column -> int or Fraction (zeros dropped) and are not modified.
+    Each row is cleared to integers with one lcm and reduced by the pivot
+    rows R_p it meets: with L the lcm of their pivot entries d_p it becomes
+    L r - sum_p (L r[p] / d_p) R_p, exact since pivot rows vanish at each
+    other's pivots.  Made primitive, it pivots on its least column, which
+    is cleared from the earlier pivot rows as a R_q - b r (Bareiss 1968).
+    Each row is divided by its pivot entry once, at the end, so the result,
+    {pivot column: row of Fractions} in ascending order, is the unique RREF
+    whatever the order of the input.
 
     holders maps each non-pivot column to the pivot rows that may hold it
-    (a superset: entries that cancel are not removed), so clearing a new
-    pivot column visits those rows only, not every earlier pivot row.
+    (a superset), so clearing a new pivot column visits those rows only.
     """
-    reduced: dict[int, Row] = {}
+    reduced: dict[int, IntRow] = {}
     holders: dict[int, set[int]] = {}
     for row in rows:
-        r = {c: x for c, x in row.items() if x}
-        for p in [c for c in r if c in reduced]:
-            _sub_multiple(r, r[p], reduced[p])
+        den = lcm(*(x.denominator for x in row.values()))
+        r = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        hit = [p for p in r if p in reduced]
+        if hit:
+            scale = lcm(*(reduced[p][p] for p in hit))
+            coefs = [(r[p] * (scale // reduced[p][p]), reduced[p]) for p in hit]
+            if scale != 1:
+                r = {c: x * scale for c, x in r.items()}
+            for f, pivot_row in coefs:
+                _sub_multiple(r, f, pivot_row)
         if not r:
             continue
+        r = _primitive(r)
         p = min(r)
-        inv = ONE / r[p]
-        r = {c: x * inv for c, x in r.items()}
+        d = r[p]
         others = [c for c in r if c != p]
         for q in holders.pop(p, ()):
             f = reduced[q].get(p)
             if f:
-                _sub_multiple(reduced[q], f, r)
+                g = gcd(d, f)
+                a = d // g
+                target = {c: x * a for c, x in reduced[q].items()} if a != 1 else reduced[q]
+                _sub_multiple(target, f // g, r)
+                reduced[q] = _primitive(target)
                 for c in others:
                     holders.setdefault(c, set()).add(q)
         for c in others:
             holders.setdefault(c, set()).add(p)
         reduced[p] = r
-    return dict(sorted(reduced.items()))
+    out: dict[int, Row] = {}
+    for p in sorted(reduced):
+        r = reduced[p]
+        d = r[p]
+        out[p] = {c: ONE if c == p else Fraction(x, d) for c, x in r.items()}
+    return out
 
 
 def kernel(reduced: Mapping[int, Row], width: int) -> list[Row]:

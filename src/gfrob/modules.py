@@ -85,6 +85,7 @@ class ModuleReport:
     grading: bool
     invertible: bool
     self_invariant: bool
+    failure: str | None = None  # the first failing axiom above, with its witness
 
     @property
     def valid(self) -> bool:
@@ -92,6 +93,11 @@ class ModuleReport:
 
 
 def validate_module(h: GradedModule) -> ModuleReport:
+    """The four module axioms, each with its first witness, and self-invariance.
+
+    failure names the first failing axiom in field order with its witness:
+    a pair (a, b), an entry (i, j) of rho(e), or an element g.
+    """
     g = h.group
     d = h.dim
     if len(h.action) != g.order or any(len(m) != d or any(len(r) != d for r in m) for m in h.action):
@@ -99,30 +105,34 @@ def validate_module(h: GradedModule) -> ModuleReport:
     if any(not 0 <= deg < g.order for deg in h.degrees):
         raise InvalidAction("basis degree out of range")
 
-    identity_ok = h.action[g.identity] == linalg.identity(d)
-    homo_ok = all(
-        h.action[g.mul(a, b)] == linalg.mat_mul(h.action[a], h.action[b])
-        for a in g.elements()
-        for b in g.elements()
-    )
-    grading_ok = True
-    for gamma in g.elements():
-        m = h.action[gamma]
-        for i in range(d):
-            for j in range(d):
-                if m[i][j] != 0 and h.degrees[i] != g.conj(gamma, h.degrees[j]):
-                    grading_ok = False
-    invertible_ok = all(linalg.rank(h.action[gamma]) == d for gamma in g.elements())
+    rho, elements, e = h.action, list(g.elements()), g.identity
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    witnesses = {
+        "homomorphism": next(
+            (f"(a, b) = ({a}, {b})" for a in elements for b in elements
+             if rho[g.mul(a, b)] != linalg.mat_mul(rho[a], rho[b])),
+            None,
+        ),
+        "identity": next((f"(i, j) = ({i}, {j})" for i, j in cells if rho[e][i][j] != int(i == j)), None),
+        "grading": next(
+            (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in elements for i, j in cells
+             if rho[gamma][i][j] != 0 and h.degrees[i] != g.conj(gamma, h.degrees[j])),
+            None,
+        ),
+        "invertible": next((f"g = {gamma}" for gamma in elements if linalg.rank(rho[gamma]) != d), None),
+    }
+    failure = next((f"{axiom} axiom fails at {w}" for axiom, w in witnesses.items() if w is not None), None)
 
     self_inv = True
-    for gamma in g.elements():
-        m = h.action[gamma]
+    for gamma in elements:
+        m = rho[gamma]
         for j in h.block_indices(gamma):
             for i in range(d):
                 want = Fraction(1) if i == j else Fraction(0)
                 if m[i][j] != want:
                     self_inv = False
-    return ModuleReport(homo_ok, identity_ok, grading_ok, invertible_ok, self_inv)
+    ok = {axiom: w is None for axiom, w in witnesses.items()}
+    return ModuleReport(**ok, self_invariant=self_inv, failure=failure)
 
 
 def graded_module(
@@ -135,7 +145,7 @@ def graded_module(
     if require_valid:
         rep = validate_module(h)
         if not rep.valid:
-            raise InvalidAction(f"module validation failed: {rep}")
+            raise InvalidAction(f"module validation failed: {rep.failure}")
     return h
 
 

@@ -479,6 +479,57 @@ def test_property_modules_cover_non_integral_actions():
     assert PROPERTY_MODULES["z3-rot"].delta == PROPERTY_MODULES["s3"].delta == 1
 
 
+def br_basis_reference(h, n):
+    """The earlier br_basis, kept as an oracle: per component, the kernel of
+    the rows b_i(e_t) - e_t over every tuple t of the block and every
+    generator b_i, one form per free column of the block's sorted tuples."""
+    from gfrob.braided import InvariantForm
+    from gfrob.groupoid import orbit_component
+    from gfrob.linalg import eliminate, kernel
+
+    if n == 0:
+        return [InvariantForm((), h.group.identity, Tensor.scalar(1))]
+    blocks, comps = {}, {}
+    for idx in itertools.product(range(h.dim), repeat=n):
+        comp = orbit_component(h.group, h.degree_tuple(idx))
+        comps[comp.canonical] = comp
+        blocks.setdefault(comp.canonical, []).append(idx)
+    out = []
+    for rep in sorted(blocks):
+        tuples = sorted(blocks[rep])
+        pos = {t: k for k, t in enumerate(tuples)}
+        rows = []
+        for i in range(1, n):
+            for t in tuples:
+                row = {pos[idx]: c for idx, c in braid_act(h, i, Tensor.basis(t)).terms.items()}
+                row[pos[t]] = row.get(pos[t], Fraction(0)) - 1
+                rows.append(row)
+        for vec in kernel(eliminate(rows), len(tuples)):
+            tensor = Tensor(n, {tuples[k]: c for k, c in vec.items()})
+            out.append(InvariantForm(rep, comps[rep].g_degree, tensor))
+    return out
+
+
+BR_BASIS_MODULES = {
+    **PROPERTY_MODULES,
+    "z2-dual-4": dual_module(z2_frobenius_algebra(4).module),
+    "z2-dual-5": dual_module(z2_frobenius_algebra(5).module),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in sorted(BR_BASIS_MODULES) for n in range(5)] + [("z2-dual-4", 5)],
+)
+def test_br_basis_matches_row_oracle(name, n):
+    """The fibre route gives the oracle's forms in the oracle's order, with
+    the same component, G-degree and terms, also for Delta = 2 modules."""
+    h = BR_BASIS_MODULES[name]
+    got = br_basis(h, n)
+    assert got == br_basis_reference(h, n)
+    assert all(type(c) is Fraction for f in got for c in f.tensor.terms.values())
+
+
 @st.composite
 def module_tensor(draw, max_n=4):
     name = draw(st.sampled_from(sorted(PROPERTY_MODULES)))

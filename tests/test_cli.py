@@ -260,6 +260,8 @@ def test_module_failing_an_axiom_exits_1(capsys, files, tmp_path):
     out, err = capsys.readouterr()
     assert code == 1
     assert out == "" and "InvalidAction" in err
+    # rho(e) = diag(0, 1): the identity axiom is the first to fail, at entry (0, 0)
+    assert "identity axiom fails at (i, j) = (0, 0)" in err
 
 
 def test_check_pre_gfm_names_braid_witness(capsys, files, tmp_path):
@@ -447,18 +449,29 @@ def test_golden_groupoid_census(capsys, tmp_path, golden, group, n):
 
 @pytest.mark.parametrize(
     "golden, module, n",
-    [("br_basis_z2_dual3_n4.json", "module", 4), ("br_basis_z3_rot_n3.json", "z3", 3)],
+    [
+        ("br_basis_z2_dual3_n4.json", "module", 4),
+        ("br_basis_z3_rot_n3.json", "z3", 3),
+        ("br_basis_s3_half_n3.json", "s3-half", 3),
+        ("br_basis_z2_dual5_n3.json", "z2-dual-5", 3),
+    ],
 )
 def test_golden_br_basis_outputs(capsys, files, tmp_path, golden, module, n):
-    """Canonical invariant bases stay byte-identical."""
+    """Canonical invariant bases stay byte-identical, also for Delta = 2."""
     import pathlib
+    from fractions import Fraction
 
-    from conftest import make_z3_module
+    from conftest import make_s3_module, make_z3_module, rescale_basis
 
     path = files["module"]
-    if module == "z3":
-        path = tmp_path / "z3.json"
-        path.write_text(json.dumps(module_to_json(make_z3_module())))
+    if module != "module":
+        h = {
+            "z3": make_z3_module,
+            "s3-half": lambda: rescale_basis(make_s3_module(), 1, Fraction(1, 2)),
+            "z2-dual-5": lambda: dual_module(z2_frobenius_algebra(5).module),
+        }[module]()
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module_to_json(h)))
     _, out = run(capsys, "br-basis", "--module", str(path), "--n", str(n))
     assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
 

@@ -220,3 +220,53 @@ def test_mat_mul_and_mat_vec_match_dense(case):
     got_v = linalg.mat_vec(a, v)
     assert got_v == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
     assert all(type(x) is Fraction for x in got_v)
+
+
+big = st.integers(-(2**64), 2**64)
+mixed_entries = st.one_of(
+    st.integers(-6, 6),
+    entries,
+    big,
+    st.builds(Fraction, big, st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def integer_like_rows(draw):
+    """Rows of ints, of ints mixed with Fractions, with entries up to 2^64,
+    and rows scaled by a common factor; zeros dropped at random."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("int", "mixed", "big", "common_factor")))
+    cell = {"int": st.integers(-6, 6), "mixed": mixed_entries, "big": big, "common_factor": st.integers(-6, 6)}[kind]
+    m = [[draw(cell) if draw(st.booleans()) else 0 for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "common_factor":
+        m = [[x * draw(st.sampled_from((2, 6, 2**64, -35))) for x in row] for row in m]
+    if draw(st.booleans()):
+        return m, [dict(enumerate(r)) for r in m]
+    return m, [{c: x for c, x in enumerate(r) if x} for r in m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_like_rows())
+def test_eliminate_integer_and_mixed_rows_match_dense(case):
+    """Fraction-free elimination gives the dense oracle's RREF, in Fractions
+    with pivot 1, on int, mixed and large rows, and leaves its input alone."""
+    m, rows = case
+    before = [[(c, type(x), x) for c, x in r.items()] for r in rows]
+    reduced = linalg.eliminate(rows)
+    assert [[(c, type(x), x) for c, x in r.items()] for r in rows] == before
+    want_rows, want_pivots = dense_rref([[Fraction(x) for x in r] for r in m])
+    assert list(reduced) == want_pivots
+    width = len(m[0]) if m else 0
+    assert [[row.get(j, ZERO) for j in range(width)] for row in reduced.values()] == want_rows
+    for p, row in reduced.items():
+        assert type(row[p]) is Fraction and row[p] == 1
+        assert all(type(x) is Fraction and x != 0 for x in row.values())
+
+
+def test_eliminate_clears_a_common_factor():
+    """A row with content 2^64 and an int row reduce to the same Fraction RREF."""
+    rows = [{0: 2**64, 1: 3 * 2**64}, {0: Fraction(1, 3), 2: 5}]
+    reduced = linalg.eliminate(rows)
+    assert reduced == {0: {0: ONE, 2: Fraction(15)}, 1: {1: ONE, 2: Fraction(-5)}}
+    assert rows == [{0: 2**64, 1: 3 * 2**64}, {0: Fraction(1, 3), 2: 5}]

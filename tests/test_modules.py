@@ -61,6 +61,26 @@ def test_validate_rejects_block_violation(z2):
     assert not validate_module(bad).grading
 
 
+@pytest.mark.parametrize(
+    "degrees, action, message",
+    [
+        ((0, 0), [[1, 1], [2, 1]], "homomorphism axiom fails at (a, b) = (1, 1)"),
+        ((0, 0), [[0, 1], [0, 1]], "identity axiom fails at (i, j) = (0, 0)"),
+        ((0, 1), [[1, 1], [[0, 1], [1, 0]]], "grading axiom fails at g = 1, (i, j) = (0, 1)"),
+    ],
+)
+def test_invalid_module_names_axiom_and_witness(z2, degrees, action, message):
+    """The first failing axiom, in report order, and its witness.  A singular
+    rho(g) always breaks the homomorphism or identity axiom first."""
+    import re
+
+    mats = [m if isinstance(m[0], list) else diag(m) for m in action]
+    rep = validate_module(graded_module(z2, degrees, mats, require_valid=False))
+    assert not rep.valid and rep.failure == message
+    with pytest.raises(InvalidAction, match=re.escape(message)):
+        graded_module(z2, degrees, mats)
+
+
 def test_dual_module_z3(z3_module):
     d = dual_module(z3_module)
     # a twisted line in degree g moves to degree g^2 in the dual
