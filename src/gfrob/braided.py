@@ -107,16 +107,14 @@ class InvariantForm:
 
 
 def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
-    """Canonical basis of the vectors v with B^T v = v for every braid generator B.
+    """Canonical basis of the braid-invariant n-tensors: B v = v for every generator B.
 
-    These are the braid invariants of the contragredient action (gamma by
-    rho(gamma^-1)^T on the same degrees); for an orthogonal action, as on the
-    orbifold duals, B^T = B^-1 and they are the braid invariants of h.  On a
-    component based at b, an invariant is the transport sum_u conn(u) x of
-    its part x on the fibre F_b of degree-b tuples, and x is fixed by End(b)
-    (Brown, Topology and Groupoids): x spans the kernel of the integer rows
-    s e_t - Delta^n e_t, for t in F_b and s a strong generator of End(b).
-    The canonical basis, one form per free column of the component's sorted
+    On a component based at b, an invariant is the transport sum_u conn(u) x
+    of its part x on the fibre F_b of degree-b tuples, and x is fixed by
+    End(b) (Brown, Topology and Groupoids): x spans the kernel of the integer
+    matrix s - Delta^n, one row per strong generator s of End(b) and tuple u
+    of F_b, with the entry (s e_t)[u] - Delta^n [t = u] at column t.  The
+    canonical basis, one form per free column of the component's sorted
     tuples, is the RREF of the transported vectors with the columns in
     reverse order.  No step uses the averaging in braidize.
     """
@@ -144,7 +142,6 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         if deg == comp_of[rep].basepoint:
             fibres.setdefault(rep, []).append(idx)
 
-    contra = GradedModule(h.group, h.degrees, dual_module(h).action)
     dn = h.delta**n
     out: list[InvariantForm] = []
     for rep in sorted(blocks):
@@ -154,12 +151,14 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         at = {t: k for k, t in enumerate(fibre)}
         rows = []
         for s in comp.gens:
-            for t in fibre:
+            block = [{k: -dn} for k in range(len(fibre))]  # row u of s - Delta^n
+            for k, t in enumerate(fibre):
                 image: dict[tuple[int, ...], int] = {}
                 arrow_apply_into(h, s, {t: 1}, image)
-                row = {at[u]: c for u, c in image.items()}
-                row[at[t]] = row.get(at[t], 0) - dn
-                rows.append(row)
+                for u, c in image.items():
+                    row = block[at[u]]
+                    row[k] = row.get(k, 0) + c
+            rows.extend(block)
         col = {t: last - k for k, t in enumerate(tuples)}
         spans = []
         for x in linalg.kernel(linalg.eliminate(rows), len(fibre)):
@@ -167,7 +166,7 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
             nums = {fibre[k]: c.numerator * (den // c.denominator) for k, c in x.items()}
             v: dict[tuple[int, ...], int] = {}
             for conn in comp.connectors.values():
-                arrow_apply_into(contra, conn, nums, v)
+                arrow_apply_into(h, conn, nums, v)
             spans.append({col[t]: c for t, c in v.items()})
         for row in reversed(linalg.eliminate(spans).values()):
             tensor = Tensor(n, {tuples[last - k]: c for k, c in row.items()})
@@ -279,12 +278,13 @@ def form_from_poly(p: MultiPoly, names: Sequence[str], n: int) -> Tensor:
     """Polarize the degree-n homogeneous part of p over the given coordinates."""
     part = p.homogeneous_part(n)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for mono, c in part.terms.items():
+    for exp, c in part.sorted_terms():
         letters: list[int] = []
         weight = Fraction(c)
-        for v, e in mono:
-            letters.extend([names.index(v)] * e)
-            weight *= factorial(e)
+        for v, e in zip(part.vars, exp):
+            if e:
+                letters.extend([names.index(v)] * e)
+                weight *= factorial(e)
         weight /= factorial(n)
         for tup in _distinct_perms(tuple(letters)):
             terms[tup] = terms.get(tup, Fraction(0)) + weight

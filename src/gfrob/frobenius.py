@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -117,41 +118,44 @@ def check_metric(eta: Metric) -> MetricReport:
 # -- potentials and WDVV ------------------------------------------------------
 
 
+Pair = tuple[int, int]  # a sorted pair of coordinate indices
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Polynomial potential in named flat coordinates (one per basis vector)."""
+    """Polynomial potential in named flat coordinates (one per basis vector).
+
+    The second and third partials are built together on first use and kept
+    on the instance, indexed by sorted coordinate-index tuples.
+    """
 
     names: tuple[str, ...]
     poly: MultiPoly
 
+    @cached_property
+    def seconds(self) -> dict[Pair, MultiPoly]:
+        """d_a d_b P for every a <= b."""
+        d = len(self.names)
+        firsts = [self.poly.diff(v) for v in self.names]
+        return {(a, b): firsts[a].diff(self.names[b]) for a in range(d) for b in range(a, d)}
+
+    @cached_property
+    def thirds(self) -> dict[tuple[int, int, int], MultiPoly]:
+        """d_a d_b d_c P for every a <= b <= c."""
+        d = len(self.names)
+        return {(a, b, c): y.diff(self.names[c]) for (a, b), y in self.seconds.items() for c in range(b, d)}
+
+    def second(self, a: int, b: int) -> MultiPoly:
+        return self.seconds[(a, b) if a <= b else (b, a)]
+
     def third(self, a: int, b: int, c: int) -> MultiPoly:
-        p = self.poly.with_vars(sorted(set(self.poly.vars) | set(self.names)))
-        return p.diff(self.names[a]).diff(self.names[b]).diff(self.names[c])
-
-
-Pair = tuple[int, int]  # a sorted pair of coordinate indices
+        return self.thirds[tuple(sorted((a, b, c)))]
 
 
 @dataclass(frozen=True)
 class WdvvReport:
     passed: bool
     witnesses: tuple[tuple[int, int, int, int], ...]
-
-
-def _third_partials(pot: Potential) -> dict[tuple[int, int, int], MultiPoly]:
-    d = len(pot.names)
-    p = pot.poly.with_vars(sorted(set(pot.poly.vars) | set(pot.names)))
-    firsts = [p.diff(pot.names[a]) for a in range(d)]
-    seconds = {}
-    for a in range(d):
-        for b in range(a, d):
-            seconds[(a, b)] = firsts[a].diff(pot.names[b])
-    out = {}
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(b, d):
-                out[(a, b, c)] = seconds[(a, b)].diff(pot.names[c])
-    return out
 
 
 def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
@@ -172,11 +176,8 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
         ginv = linalg.mat_inv(eta)
     except ValueError:
         raise DegenerateMetric("metric is singular") from None
-    third = _third_partials(pot)
+    y3 = pot.third
     zero = MultiPoly.zero(pot.names)
-
-    def y3(a: int, b: int, c: int) -> MultiPoly:
-        return third[tuple(sorted((a, b, c)))]
 
     # rows[a][b][l] = sum_k Y_abk g^{kl}
     rows: dict[Pair, list[MultiPoly]] = {}
@@ -224,16 +225,11 @@ def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] 
     pt = {n: Fraction(0) for n in pot.names}
     if point:
         pt.update({k: Fraction(v) for k, v in point.items()})
-    third = _third_partials(pot)
-
-    def val(a, b, c):
-        return third[tuple(sorted((a, b, c)))].eval(pt)
-
     out = []
     for a in range(d):
         row = []
         for b in range(d):
-            entry = [sum(val(a, b, k) * ginv[k][l] for k in range(d)) for l in range(d)]
+            entry = [sum(pot.third(a, b, k).eval(pt) * ginv[k][l] for k in range(d)) for l in range(d)]
             row.append(tuple(entry))
         out.append(tuple(row))
     return tuple(out)
@@ -506,9 +502,9 @@ def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAl
 def poly_g_degree_filter(h: GradedModule, pot: Potential, g_target: int) -> bool:
     """Every monomial's product of coordinate degrees equals the target element."""
     g = h.group
-    for mono in pot.poly.terms:
+    for exp, _ in pot.poly.sorted_terms():
         total = g.identity
-        for v, e in mono:
+        for v, e in zip(pot.poly.vars, exp):
             for _ in range(e % g.order):  # x^|G| is the identity
                 total = g.mul(total, h.degrees[pot.names.index(v)])
         if total != g_target:
@@ -525,19 +521,12 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     Slot permutations fix T and conjugate b_1 into every b_i, so this is exact.
     """
     hd = dual_module(h)
-    names = pot.names
-    d = len(names)
-    p = pot.poly.with_vars(sorted(set(pot.poly.vars) | set(names)))
-    firsts = [p.diff(v) for v in names]
-    second = [[MultiPoly.zero()] * d for _ in range(d)]
-    for y in range(d):
-        for b in range(y, d):
-            second[y][b] = second[b][y] = firsts[y].diff(names[b])
+    d = len(pot.names)
     for x in range(d):
         for y in range(d):
             row = hd.action[hd.degrees[y]][x]
-            moved = sum((second[y][b] * w for b, w in enumerate(row) if w != 0), MultiPoly.zero(p.vars))
-            if second[y][x] != moved:
+            moved = sum((pot.second(y, b) * w for b, w in enumerate(row) if w != 0), MultiPoly.zero())
+            if pot.second(y, x) != moved:
                 return x, y
     return None
 
@@ -586,7 +575,7 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     e_idx = h.untwisted_indices()
     e_names = tuple(pot.names[j] for j in e_idx)
     other = [pot.names[j] for j in range(h.dim) if j not in e_idx]
-    y_e = pot.poly.subst_zero([n for n in other if n in pot.poly.vars])
+    y_e = pot.poly.subst_zero(other)
     wdvv_e = wdvv_check(Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
 
     inv = invariants_basis(h)
@@ -641,11 +630,9 @@ def decompose_z2_potential(
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """Split a potential into (fixed-only, has-sign-factor, has-twisted-factor) parts."""
     _, v_names, g_names = assembly_names
-    v_live = [n for n in v_names if n in poly.vars]
-    g_live = [n for n in g_names if n in poly.vars]
-    y_no_v = poly.subst_zero(v_live)
-    y_no_g = poly.subst_zero(g_live)
-    y_i = y_no_v.subst_zero([n for n in g_live if n in y_no_v.vars])
+    y_no_v = poly.subst_zero(v_names)
+    y_no_g = poly.subst_zero(g_names)
+    y_i = y_no_v.subst_zero(g_names)
     y_v = poly - y_no_v
     y_g = poly - y_no_g
     if poly != y_i + y_v + y_g:
@@ -693,13 +680,13 @@ def assemble_z2(
     ):
         raise BlockDegreeViolation("metric blocks must be homogeneous: cross pairings found")
 
-    y_e_restricted = fe.potential.subst_zero([n for n in v_names if n in fe.potential.vars])
-    y_g_restricted = fg.potential.subst_zero([n for n in g_names if n in fg.potential.vars])
+    y_e_restricted = fe.potential.subst_zero(v_names)
+    y_g_restricted = fg.potential.subst_zero(g_names)
     if y_e_restricted != y_g_restricted:
         raise RestrictionMismatch("restricted potentials disagree on the shared subspace")
-    twisted = set(g_names)
-    for mono in fg.potential.terms:
-        if sum(e for v, e in mono if v in twisted) % 2:
+    twisted = [v in g_names for v in fg.potential.vars]
+    for exp, _ in fg.potential.sorted_terms():
+        if sum(e for e, t in zip(exp, twisted) if t) % 2:
             raise BlockDegreeViolation("potential has odd twisted degree")
 
     names = tuple(shared + v_names + g_names)

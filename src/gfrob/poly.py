@@ -9,9 +9,13 @@ True division of a coefficient must go through Fraction, since int / int is
 a float.  A monomial is a name-sorted tuple of (variable, exponent)
 pairs with positive integer exponents, the same key whatever variables a
 polynomial declares: binary operations declare the union of the two tuples
-and never rewrite a term.  Dense exponent vectors over the declared
-variables appear only in the constructor and in sorted_terms.  All
-arithmetic is exact.
+and never rewrite a term.  This monomial format is private to this module:
+other modules read terms through sorted_terms (dense exponent vectors over
+the declared variables), homogeneous_part, coefficient and compact.
+
+A variable that a polynomial does not declare is absent from it: its
+derivative is zero, and substituting it (by a value or by zero) returns the
+polynomial unchanged.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -173,8 +177,9 @@ class MultiPoly:
     # -- calculus and substitution --------------------------------------
 
     def diff(self, name: str) -> "MultiPoly":
+        """Partial derivative; zero over the same variables when name is absent."""
         if name not in self.vars:
-            raise UnknownVariable(name)
+            return MultiPoly._from_pairs(self.vars, {})
         terms = {}
         for m, c in self.terms.items():
             for i, (v, e) in enumerate(m):
@@ -184,9 +189,9 @@ class MultiPoly:
         return MultiPoly._from_pairs(self.vars, terms)
 
     def subst(self, name: str, value) -> "MultiPoly":
-        """Substitute a variable by a polynomial or scalar."""
+        """Substitute a variable by a polynomial or scalar; unchanged when name is absent."""
         if name not in self.vars:
-            raise UnknownVariable(name)
+            return self
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(value)
         rest_vars = tuple(v for v in self.vars if v != name)
@@ -201,12 +206,13 @@ class MultiPoly:
         return out
 
     def subst_zero(self, names: Iterable[str]) -> "MultiPoly":
-        """Set the given variables to zero (keeping them in the variable list)."""
-        drop = set()
-        for n in names:
-            if n not in self.vars:
-                raise UnknownVariable(n)
-            drop.add(n)
+        """Set the given variables to zero (keeping them in the variable list).
+
+        Names the polynomial does not declare are ignored.
+        """
+        drop = set(names).intersection(self.vars)
+        if not drop:
+            return self
         return MultiPoly._from_pairs(
             self.vars, {m: c for m, c in self.terms.items() if all(v not in drop for v, _ in m)}
         )
@@ -264,9 +270,8 @@ def linear_subst(
     new_names: Sequence[str],
 ) -> MultiPoly:
     """Substitute old_j -> sum_b matrix[j][b] * new_b."""
-    live = [j for j, name in enumerate(old_names) if name in p.vars]
-    out = p.rename({old_names[j]: "#" + old_names[j] for j in live})
-    for j in live:
-        image = {((v, 1),): exact(a) for v, a in zip(new_names, matrix[j]) if a != 0}
-        out = out.subst("#" + old_names[j], MultiPoly._from_pairs(_declare(new_names), image))
+    out = p.rename({name: "#" + name for name in old_names})
+    for name, row in zip(old_names, matrix):
+        image = {((v, 1),): exact(a) for v, a in zip(new_names, row) if a != 0}
+        out = out.subst("#" + name, MultiPoly._from_pairs(_declare(new_names), image))
     return out

@@ -36,11 +36,11 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
 from .errors import BadIndex, IntegrabilityFailure, SizeLimit
-from .frobenius import GFrobeniusAlgebra, Potential, _third_partials
+from .frobenius import GFrobeniusAlgebra, Potential
 from .groupoid import size_limit
 from .groups import cyclic_group
 from .modules import GradedModule
-from .poly import MultiPoly, exact
+from .poly import MultiPoly
 
 # -- Milnor rings --------------------------------------------------------------
 
@@ -201,11 +201,7 @@ class UnfoldingChart:
 
     def df_dt(self, a: int) -> ZPoly:
         """dF/dt_a = sum_i (d a_i / d t_a) z^i as a z-polynomial over Q[t]."""
-        out = []
-        for i in range(self.n):
-            p = self.a_of_t[i]
-            out.append(p.diff(self.t_names[a]) if self.t_names[a] in p.vars else MultiPoly.zero())
-        return zp_trim(out)
+        return zp_trim([p.diff(self.t_names[a]) for p in self.a_of_t])
 
 
 def flat_coordinates(n: int) -> UnfoldingChart:
@@ -256,14 +252,11 @@ def flat_coordinates(n: int) -> UnfoldingChart:
         p = a_of_t[m]
         if p.coefficient({tn[m]: 1}) != Fraction(-1):
             raise IntegrabilityFailure(f"a_{m} has linear coefficient != -1 on t_{m}")
-        allowed = {tn[j] for j in range(m + 2, n)}
-        for mono in p.terms:
-            support = {v for v, _ in mono}
-            degree = sum(e for _, e in mono)
-            if degree == 1 and support != {tn[m]}:
-                raise IntegrabilityFailure(f"a_{m} has a stray linear term")
-            if degree > 1 and not support <= allowed:
-                raise IntegrabilityFailure(f"a_{m} has higher terms outside t_{m + 2}..t_{n - 1}")
+        linear = p.homogeneous_part(1)
+        if linear != -t[m]:
+            raise IntegrabilityFailure(f"a_{m} has a stray linear term")
+        if not set((p - linear - p.constant_term()).compact().vars) <= set(tn[m + 2:]):
+            raise IntegrabilityFailure(f"a_{m} has higher terms outside t_{m + 2}..t_{n - 1}")
 
     # Invert the triangular system: t_m = -a_m + (a_m + t_m)(t_{m+2}, ...).
     t_of_a: list[MultiPoly | None] = [None] * n
@@ -271,8 +264,7 @@ def flat_coordinates(n: int) -> UnfoldingChart:
         h = a_of_t[m] + t[m]  # higher-order part, in t
         expr = -MultiPoly.variable(an[m]) + h
         for j in range(n - 1, m, -1):
-            if tn[j] in expr.vars:
-                expr = expr.subst(tn[j], t_of_a[j])
+            expr = expr.subst(tn[j], t_of_a[j])
         t_of_a[m] = expr
 
     return UnfoldingChart(
@@ -296,12 +288,12 @@ def flat_metric_entries(chart: UnfoldingChart) -> list[list[MultiPoly]]:
     """eta(dF/dt_i, dF/dt_j) as polynomials in t (flatness: all constant)."""
     n = chart.n
     fp = chart.fprime_in_t()
+    dfs = [chart.df_dt(a) for a in range(n)]
     out = []
-    for i in range(n):
+    for dfi in dfs:
         row = []
-        dfi = chart.df_dt(i)
-        for j in range(n):
-            red = zp_reduce(zp_mul(dfi, chart.df_dt(j)), fp)
+        for dfj in dfs:
+            red = zp_reduce(zp_mul(dfi, dfj), fp)
             row.append(red[n - 1] if len(red) >= n else MultiPoly.zero())
         out.append(row)
     return out
@@ -417,11 +409,9 @@ def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
             if scale and g[k - j]:
                 acc = acc + uj * scale * g[k - j]
         g.append(acc)
-    terms = {
-        mono: exact(Fraction(coef) / (big_k * (n + 2) * (sum(e for _, e in mono) - 2)))
-        for mono, coef in g[big_k + 1].terms.items()
-    }
-    return MultiPoly._from_pairs(tuple(sorted(chart.t_names)), terms)
+    c = g[big_k + 1]
+    parts = (c.homogeneous_part(d) * Fraction(1, big_k * (n + 2) * (d - 2)) for d in range(3, c.total_degree() + 1))
+    return sum(parts, MultiPoly.zero(chart.t_names))
 
 
 def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
@@ -435,7 +425,6 @@ def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
     n = chart.n
     fp = chart.fprime_in_t()
     dfs = [chart.df_dt(a) for a in range(n)]
-    third = _third_partials(pot)
     for a in range(n):
         for b in range(a, n):
             r = zp_reduce(zp_mul(dfs[a], dfs[b]), fp)
@@ -444,7 +433,7 @@ def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
                 raise IntegrabilityFailure(f"residue pairing is not flat at {(a, b)}")
             want = [MultiPoly.zero() for _ in range(n)]
             for c in range(n):
-                y = third[tuple(sorted((a, b, c)))]
+                y = pot.third(a, b, c)
                 if y:
                     for i, f in enumerate(dfs[n - 1 - c]):
                         if f:
@@ -458,9 +447,7 @@ def potential_B(m: int) -> Potential:
     if m < 2:
         raise BadIndex("potential_B needs m >= 2")
     pa = potential_A(2 * m - 1)
-    odd = [pa.names[i] for i in range(1, 2 * m - 1, 2) if pa.names[i] in pa.poly.vars]
-    names = tuple(pa.names[i] for i in range(0, 2 * m - 1, 2))
-    return Potential(names, pa.poly.subst_zero(odd))
+    return Potential(pa.names[0::2], pa.poly.subst_zero(pa.names[1::2]))
 
 
 TSTAR = "t_*"
@@ -475,12 +462,9 @@ def potential_D(n: int) -> Potential:
 
 def _potential_D_from(chart: UnfoldingChart, pa: Potential) -> Potential:
     """potential_D(n) from the chart and the potential of A_{2n-3}."""
-    m = chart.n
     tstar = MultiPoly.variable(TSTAR)
     full = pa.poly + chart.a_of_t[0] * tstar * tstar * Fraction(-1, 2)
-    odd = [chart.t_names[i] for i in range(1, m, 2) if chart.t_names[i] in full.vars]
-    names = tuple([chart.t_names[i] for i in range(0, m, 2)] + [TSTAR])
-    return Potential(names, full.subst_zero(odd))
+    return Potential(chart.t_names[0::2] + (TSTAR,), full.subst_zero(chart.t_names[1::2]))
 
 
 def potential_D_metric(n: int) -> linalg.Mat:
@@ -614,10 +598,7 @@ def _build_z2_manifold(n: int, check_wdvv: bool) -> Z2Manifold:
         for b in range(dim)
         for k in range(dim)
     )
-    if TSTAR in cubic_poly.vars:
-        twisted = cubic_poly - cubic_poly.subst_zero([TSTAR])
-    else:
-        twisted = MultiPoly.zero(cubic_poly.vars)
+    twisted = cubic_poly - cubic_poly.subst_zero([TSTAR])
     return Z2Manifold(
         n=n,
         assembly=assembly,

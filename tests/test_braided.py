@@ -410,12 +410,18 @@ def _span_rank(tensors, tuples):
 
 @pytest.mark.parametrize(
     "module, max_n",
-    [("orbifold_dual", 4), ("z3_module", 3), ("s3_module", 3), ("s3_module_twisted", 3)],
+    [
+        ("orbifold_dual", 4), ("z3_module", 3), ("s3_module", 3), ("s3_module_twisted", 3),
+        ("s3-half", 3), ("z3-rot-half", 3),
+    ],
 )
 def test_br_basis_spans_braidize_image(request, module, max_n):
-    """Two independent routes to the braid invariants give one subspace."""
+    """Two independent routes to the braid invariants give one subspace,
+    also on modules whose action matrices are not orthogonal."""
     if module == "orbifold_dual":
         h = dual_module(request.getfixturevalue("orbifold_module"))
+    elif module in PROPERTY_MODULES:
+        h = PROPERTY_MODULES[module]
     else:
         h = request.getfixturevalue(module)
     for n in range(max_n + 1):
@@ -481,8 +487,9 @@ def test_property_modules_cover_non_integral_actions():
 
 def br_basis_reference(h, n):
     """The earlier br_basis, kept as an oracle: per component, the kernel of
-    the rows b_i(e_t) - e_t over every tuple t of the block and every
-    generator b_i, one form per free column of the block's sorted tuples."""
+    b_i - 1 for every generator b_i, one row per tuple u of the block with
+    the entry b_i(e_t)[u] - [t = u] at column t, one form per free column
+    of the block's sorted tuples."""
     from gfrob.braided import InvariantForm
     from gfrob.groupoid import orbit_component
     from gfrob.linalg import eliminate, kernel
@@ -500,10 +507,11 @@ def br_basis_reference(h, n):
         pos = {t: k for k, t in enumerate(tuples)}
         rows = []
         for i in range(1, n):
-            for t in tuples:
-                row = {pos[idx]: c for idx, c in braid_act(h, i, Tensor.basis(t)).terms.items()}
-                row[pos[t]] = row.get(pos[t], Fraction(0)) - 1
-                rows.append(row)
+            block = [{k: Fraction(-1)} for k in range(len(tuples))]
+            for k, t in enumerate(tuples):
+                for u, c in braid_act(h, i, Tensor.basis(t)).terms.items():
+                    block[pos[u]][k] = block[pos[u]].get(k, Fraction(0)) + c
+            rows.extend(block)
         for vec in kernel(eliminate(rows), len(tuples)):
             tensor = Tensor(n, {tuples[k]: c for k, c in vec.items()})
             out.append(InvariantForm(rep, comps[rep].g_degree, tensor))

@@ -15,9 +15,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gfrob"
 ALLOWED = {
     ("braided.py", "weight /= factorial(n)"): "weight starts as Fraction(c) in form_from_poly",
     ("singularity.py", "(x1 * j - k) / k"): "x1 = Fraction(big_k, n + 1) + 1 in inverse_series_potential",
-    ("singularity.py", "Fraction(coef) / (big_k * (n + 2) * (sum(e for _, e in mono) - 2))"): (
-        "the MultiPoly coefficient is lifted to a Fraction before dividing"
-    ),
 }
 
 

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfrob import (
     FmData,
@@ -311,3 +313,26 @@ def test_potential_braidedness_is_exact_beyond_degree_four():
     assert not is_braided(dual_module(h), form_from_poly(quintic, names, 5))
     assert not potential_is_braided(h, Potential(names, quintic))
     assert braid_witness(h, Potential(names, quintic)) == (0, 2)
+
+
+@st.composite
+def potentials(draw):
+    """A polynomial over some of the names a..d, and coordinate names that may include unused ones."""
+    used = draw(st.permutations("abcd"))[: draw(st.integers(0, 4))]
+    exps = st.tuples(*[st.integers(0, 4)] * len(used))
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    poly = MultiPoly(used, draw(st.dictionaries(exps, coefs, max_size=5)))
+    names = tuple(draw(st.permutations("abcdxy"))[: draw(st.integers(1, 4))])
+    return Potential(names, poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(potentials())
+def test_partials_match_repeated_diff(pot):
+    """second and third are d_a d_b P and d_a d_b d_c P in every argument order,
+    also for coordinates the polynomial does not use."""
+    p, names = pot.poly, pot.names
+    for a, b in itertools.product(range(len(names)), repeat=2):
+        assert pot.second(a, b) == p.diff(names[a]).diff(names[b])
+    for a, b, c in itertools.product(range(len(names)), repeat=3):
+        assert pot.third(a, b, c) == p.diff(names[a]).diff(names[b]).diff(names[c])

@@ -44,8 +44,15 @@ def test_diff_commutes_and_power_rule():
 
 
 def test_diff_unknown_variable():
+    """An undeclared variable is absent: zero derivative, substitution leaves p as it is."""
+    p = v("x") ** 2 + v("x") * 3
+    for got in (p.diff("q"), p.subst("q", v("y") + 1), p.subst("q", 5), p.subst_zero(["q"])):
+        assert got.vars == p.vars
+    assert p.diff("q") == MultiPoly.zero()
+    assert p.subst("q", v("y") + 1) == p.subst("q", 5) == p.subst_zero(["q", "r"]) == p
+    assert p.subst_zero(["q", "x"]) == MultiPoly.zero()
     with pytest.raises(UnknownVariable):
-        v("x").diff("q")
+        p.with_vars(["y"])  # declaring fewer variables still refuses to drop a live one
 
 
 def test_subst():

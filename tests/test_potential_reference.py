@@ -37,9 +37,8 @@ def euler_integrate(names, third):
         perms = {(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}
         total = total + y * (t[a] * t[b] * t[c] * len(perms))
     # A degree-d term of P contributes d(d-1)(d-2) times itself to the sum.
-    return MultiPoly._from_pairs(
-        total.vars, {m: Fraction(c) / perm(sum(e for _, e in m), 3) for m, c in total.terms.items()}
-    )
+    parts = (total.homogeneous_part(d) * Fraction(1, perm(d, 3)) for d in range(3, total.total_degree() + 1))
+    return sum(parts, MultiPoly.zero(total.vars))
 
 
 @cache

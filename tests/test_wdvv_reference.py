@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gfrob import MultiPoly, Potential, wdvv_check
 from gfrob.errors import DegenerateMetric
-from gfrob.frobenius import WdvvReport, _third_partials
+from gfrob.frobenius import WdvvReport
 from gfrob.linalg import mat_inv
 from gfrob.singularity import flat_metric, potential_A, potential_D, potential_D_metric
 
@@ -28,10 +28,7 @@ def wdvv_reference(pot, eta):
         ginv = mat_inv(eta)
     except ValueError:
         raise DegenerateMetric("metric is singular") from None
-    third = _third_partials(pot)
-
-    def y3(a, b, c):
-        return third[tuple(sorted((a, b, c)))]
+    y3 = pot.third
 
     rows = {}
     for a in range(d):
