@@ -26,8 +26,8 @@ from math import factorial, lcm
 from typing import Iterator, Sequence
 
 from . import linalg
-from .errors import DegreeMismatch, ModuleMismatch, SizeLimit
-from .groupoid import Component, guard_size, inverse_arrow, orbit_component, size_limit
+from .errors import DegreeMismatch, ModuleMismatch
+from .groupoid import Component, check_size, guard_size, inverse_arrow, orbit_component
 from .modules import (
     GradedModule,
     Tensor,
@@ -119,9 +119,7 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
     reverse order.  No step uses the averaging in braidize.
     """
     guard_size(h.group, n)
-    cap = size_limit()
-    if h.dim**n > cap:
-        raise SizeLimit(f"dim^n = {h.dim ** n} exceeds limit {cap}")
+    check_size("dim^n", h.dim**n)
     if n == 0:
         return [InvariantForm((), h.group.identity, Tensor.scalar(1))]
 

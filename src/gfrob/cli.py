@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SizeLimit as exc:
-        print(f"size limit: {exc}; set GFROB_SIZE_LIMIT to raise it", file=sys.stderr)
+        print(f"size limit: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except GfrobError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -48,22 +48,20 @@ GTuple = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-def size_limit() -> int:
+def check_size(what: str, cost: int) -> None:
+    """Refuse a cost over GFROB_SIZE_LIMIT (default 10^6), naming that override in the message."""
     raw = os.environ.get("GFROB_SIZE_LIMIT")
-    if not raw:
-        return DEFAULT_SIZE_LIMIT
-    if not raw.isdecimal() or int(raw) == 0:
+    if raw and (not raw.isdecimal() or int(raw) == 0):
         raise BadIndex(f"GFROB_SIZE_LIMIT must be a positive integer, got {raw!r}")
-    return int(raw)
+    cap = int(raw) if raw else DEFAULT_SIZE_LIMIT
+    if cost > cap:
+        raise SizeLimit(f"{what} = {cost} exceeds limit {cap}; set GFROB_SIZE_LIMIT to raise it")
 
 
 def guard_size(group: FiniteGroup, n: int) -> None:
     if n < 0:
         raise BadIndex(f"tuple length n = {n} is negative")
-    cap = size_limit()
-    total = group.order**n * factorial(n)
-    if total > cap:
-        raise SizeLimit(f"|G|^n * n! = {total} exceeds limit {cap}")
+    check_size("|G|^n * n!", group.order**n * factorial(n))
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,36 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A MultiPoly declares a variable tuple, sorted by name (which fixes a
-canonical serialization), and maps monomials to nonzero coefficients.  A
-coefficient is stored as a Python int when it is integral and as a Fraction
-only when it is not (`exact` is the one normalization, applied wherever a
-coefficient is stored), so integer products and sums run on CPython ints.
-True division of a coefficient must go through Fraction, since int / int is
-a float.  A monomial is a name-sorted tuple of (variable, exponent)
-pairs with positive integer exponents, the same key whatever variables a
-polynomial declares: binary operations declare the union of the two tuples
-and never rewrite a term.  This monomial format is private to this module:
-other modules read terms through sorted_terms (dense exponent vectors over
-the declared variables), homogeneous_part, coefficient and compact.
-
-A variable that a polynomial does not declare is absent from it: its
-derivative is zero, and substituting it (by a value or by zero) returns the
-polynomial unchanged.  All arithmetic is exact.
+A MultiPoly declares a variable tuple, sorted by name (which fixes a canonical
+serialization), and maps monomials to nonzero coefficients.  A coefficient is
+stored as a Python int when it is integral and as a Fraction only when it is
+not (`exact` is the one normalization, applied wherever a coefficient is
+stored), so integer products and sums run on CPython ints; true division of a
+coefficient must go through Fraction.  A monomial is one int, the sum of
+e_v * 2^(32 * index(v)) (packed exponent vectors, after Monagan and Pearce),
+with index(v) the place of v in a process-wide registry of variable names,
+which only grows and is never cleared.  Keys do not depend on the declared
+variables: binary operations declare the union of the two tuples and never
+rewrite a term, and a monomial product is one int addition.  Exponents are
+below 2^31; a product reaching 2^31 in the guard bit atop each field raises
+SizeLimit instead of carrying into the next.  Other modules read terms through
+sorted_terms (dense exponent vectors over the declared variables),
+homogeneous_part, coefficient and compact.  An undeclared variable is absent:
+its derivative is zero, and substituting it returns the polynomial unchanged.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import UnknownVariable
+from .errors import SizeLimit, UnknownVariable
 
 Scalar = Union[int, Fraction]
-Monomial = tuple[tuple[str, int], ...]
+_MASK, _BOUND = (1 << 32) - 1, 1 << 31  # a field, and its guard bit that no exponent reaches
+_offsets: dict[str, int] = {}  # the registry: variable name -> bit offset of its field
+_guard = [0]  # the guard bits of all registered fields, updated in place so no module name is rebound
 
 
 def exact(c) -> Scalar:
@@ -42,20 +46,14 @@ def _declare(variables: Iterable[str]) -> tuple[str, ...]:
     order = tuple(sorted(variables))
     if len(set(order)) != len(order):
         raise ValueError("duplicate variable names")
+    for v in order:
+        if v not in _offsets:
+            _guard[0] |= _BOUND << _offsets.setdefault(v, 32 * len(_offsets))
     return order
 
 
 def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return a if a == b else tuple(sorted(set(a).union(b)))
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return m1 or m2
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 class MultiPoly:
@@ -65,19 +63,22 @@ class MultiPoly:
         """Polynomial from dense exponent vectors, one entry per given variable."""
         variables = tuple(variables)
         order = _declare(variables)
-        clean: dict[Monomial, Scalar] = {}
+        offsets = [_offsets[v] for v in variables]
+        clean: dict[int, Scalar] = {}
         for exp, c in terms.items():
             if len(exp) != len(order):
                 raise ValueError("exponent vector length mismatch")
+            if not all(0 <= e < _BOUND for e in exp):
+                raise ValueError("negative exponent") if min(exp) < 0 else SizeLimit(f"exponent {max(exp)} >= 2^31")
             c = exact(c)
             if c:
-                clean[tuple(sorted((v, e) for v, e in zip(variables, exp) if e))] = c
+                clean[sum(e << s for s, e in zip(offsets, exp))] = c
         object.__setattr__(self, "vars", order)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _from_pairs(cls, variables: tuple[str, ...], terms: dict[Monomial, Scalar]) -> "MultiPoly":
-        """Wrap a sorted variable tuple and pair-keyed nonzero `exact` terms as they are."""
+    def _wrap(cls, variables: tuple[str, ...], terms: dict[int, Scalar]) -> "MultiPoly":
+        """Wrap a sorted, registered variable tuple and packed nonzero `exact` terms as they are."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
         object.__setattr__(p, "terms", terms)
@@ -90,11 +91,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls._from_pairs(_declare(variables), {})
+        return cls._wrap(_declare(variables), {})
 
     @classmethod
     def constant(cls, c: Scalar, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls._from_pairs(_declare(variables), {(): exact(c)} if c else {})
+        return cls._wrap(_declare(variables), {0: exact(c)} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -106,7 +107,7 @@ class MultiPoly:
         missing = set(self.vars) - set(target)
         if missing:
             raise UnknownVariable(f"cannot drop live variables {sorted(missing)}")
-        return MultiPoly._from_pairs(target, self.terms)
+        return MultiPoly._wrap(target, self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -122,12 +123,12 @@ class MultiPoly:
                 terms[m] = s
             else:
                 del terms[m]
-        return MultiPoly._from_pairs(_union(self.vars, other.vars), terms)
+        return MultiPoly._wrap(_union(self.vars, other.vars), terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._from_pairs(self.vars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._wrap(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-other)
@@ -138,22 +139,23 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = exact(other)
-            return MultiPoly._from_pairs(self.vars, {m: exact(c * v) for m, v in self.terms.items()} if c else {})
-        terms: dict[Monomial, Scalar] = {}
+            return MultiPoly._wrap(self.vars, {m: exact(c * v) for m, v in self.terms.items()} if c else {})
+        terms: dict[int, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 s = terms.get(m)
                 terms[m] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly._from_pairs(_union(self.vars, other.vars), {m: exact(c) for m, c in terms.items() if c})
+        if reduce(int.__or__, terms, 0) & _guard[0]:  # factor fields are below 2^31: no sum carries
+            raise SizeLimit("a product has an exponent of 2^31 or more")
+        return MultiPoly._wrap(_union(self.vars, other.vars), {m: exact(c) for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(1, self.vars)
-        base = self
+        result, base = MultiPoly.constant(1, self.vars), self
         while k:
             if k & 1:
                 result = result * base
@@ -179,14 +181,10 @@ class MultiPoly:
     def diff(self, name: str) -> "MultiPoly":
         """Partial derivative; zero over the same variables when name is absent."""
         if name not in self.vars:
-            return MultiPoly._from_pairs(self.vars, {})
-        terms = {}
-        for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == name:
-                    terms[m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]] = exact(c * e)
-                    break
-        return MultiPoly._from_pairs(self.vars, terms)
+            return MultiPoly._wrap(self.vars, {})
+        s = _offsets[name]
+        terms = {m - (1 << s): exact(c * e) for m, c in self.terms.items() if (e := m >> s & _MASK)}
+        return MultiPoly._wrap(self.vars, terms)
 
     def subst(self, name: str, value) -> "MultiPoly":
         """Substitute a variable by a polynomial or scalar; unchanged when name is absent."""
@@ -194,66 +192,60 @@ class MultiPoly:
             return self
         if not isinstance(value, MultiPoly):
             value = MultiPoly.constant(value)
-        rest_vars = tuple(v for v in self.vars if v != name)
-        by_power: dict[int, dict[Monomial, Scalar]] = {}
+        s, rest_vars = _offsets[name], tuple(v for v in self.vars if v != name)
+        by_power: dict[int, dict[int, Scalar]] = {}
         for m, c in self.terms.items():
-            by_power.setdefault(dict(m).get(name, 0), {})[tuple(p for p in m if p[0] != name)] = c
-        out = MultiPoly._from_pairs(rest_vars, by_power.pop(0, {}))
+            by_power.setdefault(m >> s & _MASK, {})[m & ~(_MASK << s)] = c
+        out = MultiPoly._wrap(rest_vars, by_power.pop(0, {}))
         power, done = MultiPoly.constant(1, rest_vars), 0
         for k in sorted(by_power):
             power, done = power * value ** (k - done), k
-            out = out + MultiPoly._from_pairs(rest_vars, by_power[k]) * power
+            out = out + MultiPoly._wrap(rest_vars, by_power[k]) * power
         return out
 
     def subst_zero(self, names: Iterable[str]) -> "MultiPoly":
-        """Set the given variables to zero (keeping them in the variable list).
-
-        Names the polynomial does not declare are ignored.
-        """
-        drop = set(names).intersection(self.vars)
-        if not drop:
+        """Set the given variables to zero, keeping them declared; names not declared are ignored."""
+        mask = sum(_MASK << _offsets[v] for v in set(names).intersection(self.vars))
+        if not mask:
             return self
-        return MultiPoly._from_pairs(
-            self.vars, {m: c for m, c in self.terms.items() if all(v not in drop for v, _ in m)}
-        )
+        return MultiPoly._wrap(self.vars, {m: c for m, c in self.terms.items() if not m & mask})
 
     def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        terms = {tuple(sorted((mapping.get(v, v), e) for v, e in m)): c for m, c in self.terms.items()}
-        return MultiPoly._from_pairs(_declare(mapping.get(v, v) for v in self.vars), terms)
+        order = _declare(mapping.get(v, v) for v in self.vars)
+        moves = [(_offsets[v], _offsets[mapping.get(v, v)]) for v in self.vars]
+        terms = {sum((m >> s & _MASK) << t for s, t in moves): c for m, c in self.terms.items()}
+        return MultiPoly._wrap(order, terms)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            for v, e in m:
-                c *= Fraction(point[v]) ** e
-            total += c
-        return total
+        monomials = ((c, zip(self.vars, exp)) for exp, c in self.sorted_terms())
+        return sum((c * prod(Fraction(point[v]) ** e for v, e in ves if e) for c, ves in monomials), Fraction(0))
 
     # -- structure -------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+        return max((sum(exp) for exp, _ in self.sorted_terms()), default=0)
 
     def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly._from_pairs(
-            self.vars, {m: c for m, c in self.terms.items() if sum(e for _, e in m) == d}
-        )
+        offsets = [_offsets[v] for v in self.vars]
+        terms = {m: c for m, c in self.terms.items() if sum(m >> s & _MASK for s in offsets) == d}
+        return MultiPoly._wrap(self.vars, terms)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, assignment: Mapping[str, int]) -> Scalar:
-        m = tuple(sorted((v, e) for v, e in assignment.items() if e and v in self.vars))
-        return self.terms.get(m, 0)
+        fields = [(_offsets[v], e) for v, e in assignment.items() if e and v in self.vars]
+        return self.terms.get(sum(e << s for s, e in fields), 0) if all(0 < e < _BOUND for _, e in fields) else 0
 
     def compact(self) -> "MultiPoly":
         """Drop variables that never occur with positive exponent."""
-        live = {v for m in self.terms for v, _ in m}
-        return MultiPoly._from_pairs(tuple(v for v in self.vars if v in live), self.terms)
+        live = reduce(int.__or__, self.terms, 0)
+        return MultiPoly._wrap(tuple(v for v in self.vars if (live >> _offsets[v]) & _MASK), self.terms)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """(dense exponent vector over vars, coefficient) pairs in exponent-vector order."""
-        return sorted((tuple(dict(m).get(v, 0) for v in self.vars), c) for m, c in self.terms.items())
+        offsets = [_offsets[v] for v in self.vars]
+        return sorted((tuple((m >> s) & _MASK for s in offsets), c) for m, c in self.terms.items())
 
     def __repr__(self) -> str:
         bits = []
@@ -269,9 +261,17 @@ def linear_subst(
     matrix: Sequence[Sequence[Fraction]],
     new_names: Sequence[str],
 ) -> MultiPoly:
-    """Substitute old_j -> sum_b matrix[j][b] * new_b."""
-    out = p.rename({name: "#" + name for name in old_names})
-    for name, row in zip(old_names, matrix):
-        image = {((v, 1),): exact(a) for v, a in zip(new_names, row) if a != 0}
-        out = out.subst("#" + name, MultiPoly._from_pairs(_declare(new_names), image))
+    """Substitute old_j -> sum_b matrix[j][b] * new_b, for every j at once."""
+    new_vars = _declare(new_names)
+    image = {_offsets[v]: MultiPoly._wrap(new_vars, {1 << _offsets[b]: exact(a) for b, a in zip(new_names, row) if a})
+             for v, row in zip(old_names, matrix) if v in p.vars}
+    mask = sum(_MASK << s for s in image)
+    by_old: dict[int, dict[int, Scalar]] = {}
+    for m, c in p.terms.items():
+        by_old.setdefault(m & mask, {})[m & ~mask] = c
+    rest_vars = tuple(v for v in p.vars if _offsets[v] not in image)
+    out = MultiPoly._wrap(rest_vars, by_old.pop(0, {}))
+    for old, rest in by_old.items():
+        factors = [image[s] ** k for s in image if (k := old >> s & _MASK)]
+        out = out + reduce(MultiPoly.__mul__, factors, MultiPoly._wrap(rest_vars, rest))
     return out

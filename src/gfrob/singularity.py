@@ -35,9 +35,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
-from .errors import BadIndex, IntegrabilityFailure, SizeLimit
+from .errors import BadIndex, IntegrabilityFailure
 from .frobenius import GFrobeniusAlgebra, Potential
-from .groupoid import size_limit
+from .groupoid import check_size
 from .groups import cyclic_group
 from .modules import GradedModule
 from .poly import MultiPoly
@@ -208,6 +208,10 @@ def flat_coordinates(n: int) -> UnfoldingChart:
     """Invert the Laurent ansatz z = w + t_{n-1}/w + ... + t_0/w^n order by order."""
     if n < 2:
         raise BadIndex("flat_coordinates needs n >= 2")
+    return _shared(("chart", n), lambda: _build_flat_coordinates(n))
+
+
+def _build_flat_coordinates(n: int) -> UnfoldingChart:
     tn = _t_names(n)
     an = tuple(f"a{i}" for i in range(n))
 
@@ -331,10 +335,7 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     (`potential A 15` 3.6 s, `construct-z2 7` 8.9 s), so the default limit
     of 10^6 admits the potential of A_16 and construct-z2 up to n = 7.
     """
-    cap = size_limit()
-    cost = potential_terms(m) * m**power
-    if cost > cap:
-        raise SizeLimit(f"A_{m} potential: estimated cost {cost} exceeds limit {cap}")
+    check_size(f"A_{m} potential: estimated cost", potential_terms(m) * m**power)
 
 
 _T = TypeVar("_T")
@@ -343,7 +344,7 @@ _builds: ContextVar[dict | None] = ContextVar("gfrob_shared_builds", default=Non
 
 @contextmanager
 def shared_builds() -> Iterator[None]:
-    """Inside the block, build each A_m chart and potential and each Z2 manifold once.
+    """Inside the block, build each A_m flat chart, A_m potential and Z2 manifold once.
 
     The memo belongs to the block and is dropped when it exits; outside any
     block every call builds (and proves) its objects afresh.

@@ -424,6 +424,17 @@ def test_huge_exponent_is_prompt(capsys, files, tmp_path, command):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("exponent", [2**31, 2**30 + 3])  # refused when read; refused in a product
+def test_exponent_bound_is_size_limit(capsys, files, tmp_path, exponent):
+    """An exponent of 2^31 or more exits 2 and never wraps; GFROB_SIZE_LIMIT cannot raise this bound."""
+    poly = {"vars": ["x"], "terms": [{"exp": [exponent], "coef": "1"}]}
+    inputs = {"--potential": {"names": ["x"], "potential": poly}, "--metric": [[1]]}
+    code = main(argv_with_files(files, tmp_path, "wdvv", inputs))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("size limit: ") and "Traceback" not in err and "GFROB_SIZE_LIMIT" not in err
+
+
 def test_golden_groupoid_output(capsys, files):
     import pathlib
 

@@ -87,6 +87,18 @@ def test_linear_subst():
     assert q == (v("u") + v("w")) ** 2 + v("w") * 2
 
 
+def test_linear_subst_registers_no_names():
+    """All old names are substituted at once: no temporary name enters the variable registry."""
+    from gfrob import poly
+
+    p = (v("x") + v("y") * 2) ** 3 + v("z")
+    swap = [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(1), Fraction(0), Fraction(0)]]
+    size = len(poly._offsets)
+    q = linear_subst(p, ("x", "y"), swap, ("x", "y", "z"))
+    assert len(poly._offsets) == size
+    assert q == (v("y") + v("x") * 2) ** 3 + v("z")
+
+
 def test_json_round_trip():
     rng = random.Random(2)
     for _ in range(20):

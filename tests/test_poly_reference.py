@@ -2,19 +2,22 @@
 
 DensePoly below is the earlier representation: dense exponent vectors over
 the polynomial's own sorted variable tuple, realigned by name on every mixed
-operation.  It serves as an independent oracle for the pair-keyed MultiPoly,
+operation.  It serves as an independent oracle for the packed MultiPoly,
 down to the declared variables that poly_to_json writes.  DensePoly holds
 every coefficient as a Fraction; MultiPoly must store an integral one as an
 int and any other as a Fraction, and never a float, after every operation.
+Near the guard bit (exponents up to 2^31 - 1), every MultiPoly result either
+matches the oracle or raises SizeLimit; none carries into a neighbouring field.
 """
 
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from gfrob import MultiPoly, flat_coordinates
 from gfrob.braided import form_from_poly
-from gfrob.errors import UnknownVariable
+from gfrob.errors import SizeLimit, UnknownVariable
 from gfrob.poly import linear_subst
 from gfrob.serialize import poly_to_json
 from gfrob.singularity import inverse_series_potential
@@ -187,6 +190,7 @@ def dense_linear_subst(p, old_names, matrix, new_names):
 # -- strategies ------------------------------------------------------------------
 
 POOL = ("a", "b", "c", "d")
+HIGH = 2**31  # the first exponent a MultiPoly refuses
 # ints, integral Fractions and non-integral Fractions, mixed
 coefs = st.one_of(
     st.integers(-4, 4),
@@ -195,13 +199,16 @@ coefs = st.one_of(
 )
 
 
+near_guard = st.one_of(st.integers(0, 3), st.integers(HIGH - 4, HIGH - 1))
+
+
 @st.composite
-def pairs(draw, count=2):
+def pairs(draw, count=2, exponents=st.integers(0, 3)):
     """Both representations of `count` polynomials, each over its own variable subset."""
     out = []
     for _ in range(count):
         names = draw(st.permutations(POOL))[: draw(st.integers(0, len(POOL)))]
-        exps = st.tuples(*[st.integers(0, 3)] * len(names))
+        exps = st.tuples(*[exponents] * len(names))
         terms = draw(st.dictionaries(exps, coefs, max_size=4))
         out.append((MultiPoly(names, terms), DensePoly(names, terms)))
     return out
@@ -217,6 +224,34 @@ def stored_exactly(p: MultiPoly) -> bool:
 
 def same(p: MultiPoly, ref: DensePoly) -> bool:
     return stored_exactly(p) and poly_to_json(p) == poly_to_json(ref) and p.sorted_terms() == ref.sorted_terms()
+
+
+def agrees(compute, ref: DensePoly, strict: bool = True) -> bool:
+    """compute() matches ref, or raises SizeLimit; with strict, only when ref has an exponent >= 2^31."""
+    try:
+        got = compute()
+    except SizeLimit:
+        return not strict or any(e >= HIGH for exp in ref.terms for e in exp)
+    return same(got, ref)
+
+
+def dense_monomial_subst(ref, old_names, matrix, new_names):
+    """dense_linear_subst for rows with at most one nonzero entry, an int, without expanding any power."""
+    live = [j for j, name in enumerate(old_names) if name in ref.vars]
+    rest = [v for v in ref.vars if v not in old_names]
+    moved = any(exp[ref.vars.index(old_names[j])] for exp in ref.terms for j in live)
+    out_vars = rest + [b for b in new_names if b not in rest] if moved else rest
+    terms = {}
+    for exp, c in ref.terms.items():
+        e = dict(zip(ref.vars, exp))
+        for j, k in [(j, e.pop(old_names[j])) for j in live]:  # all old exponents out before any new one goes in
+            b = next((i for i, a in enumerate(matrix[j]) if a), None)
+            c *= 0**k if b is None else matrix[j][b] ** k
+            if b is not None:
+                e[new_names[b]] = e.get(new_names[b], 0) + k
+        key = tuple(e.get(v, 0) for v in out_vars)
+        terms[key] = terms.get(key, 0) + c
+    return DensePoly(out_vars, terms)
 
 
 # -- properties ------------------------------------------------------------------
@@ -282,6 +317,55 @@ def test_linear_subst_matches_dense(polys, data):
     new = data.draw(st.sampled_from([("u", "w"), ("a", "u"), ("b", "a", "c")]))
     matrix = [[data.draw(coefs) for _ in new] for _ in old]
     assert same(linear_subst(p, old, matrix, new), dense_linear_subst(rp, old, matrix, new))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(exponents=near_guard), st.integers(0, 3), st.data())
+def test_near_guard_bit_matches_dense_or_refuses(polys, power, data):
+    """Exponents from {0..3} and {2^31-4 .. 2^31-1}: exact results, or SizeLimit, never a wrapped term."""
+    (p, rp), (q, rq) = polys
+    assert agrees(lambda: p * q, rp * rq) and agrees(lambda: p ** power, rp ** power)
+    assert agrees(lambda: p + q, rp + rq) and agrees(lambda: p - q, rp - rq)
+    for d in {sum(exp) for exp in rp.terms}:
+        assert agrees(lambda: p.homogeneous_part(d), rp.homogeneous_part(d))
+    assert agrees(p.compact, rp.compact()) and p.total_degree() == rp.total_degree()
+    assignment = data.draw(st.dictionaries(st.sampled_from(POOL), near_guard))
+    assert p.coefficient(assignment) == rp.coefficient(assignment)
+    for name in POOL:
+        assert agrees(lambda: p.diff(name), rp.diff(name)) and agrees(lambda: p.subst_zero([name]), rp.subst_zero([name]))
+        # Moving an exponent onto another variable: groups that would cancel may each overflow first.
+        target = data.draw(st.sampled_from(POOL))
+        ref = dense_monomial_subst(rp, (name,), [[1]], (target,))
+        assert agrees(lambda: p.subst(name, MultiPoly.variable(target)), ref, strict=False)
+    old = data.draw(st.permutations(POOL))
+    new = data.draw(st.sampled_from([("u", "w"), ("a", "u"), ("b", "a", "c")]))
+    matrix = [[0] * len(new) for _ in old]
+    for row in matrix:
+        b = data.draw(st.integers(-1, len(new) - 1))
+        if b >= 0:
+            row[b] = data.draw(st.sampled_from([-1, 1]))  # any other entry to a power near 2^31 is too large
+    ref = dense_monomial_subst(rp, old, matrix, new)
+    assert agrees(lambda: linear_subst(p, old, matrix, new), ref, strict=False)
+
+
+def test_registry_survives_cache_resets():
+    """Clearing every gfrob cache, as the benchmark's resetter does, leaves live polynomials intact."""
+    import gfrob.cli  # noqa: F401  (every gfrob module, with its caches)
+
+    p = MultiPoly(("x_reset", "y_reset"), {(2, 1): 3, (0, 5): Fraction(1, 2)})
+    before = p.sorted_terms()
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "gfrob" or name.startswith("gfrob.")):
+            continue
+        for attr, value in vars(mod).items():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name:
+                value.cache_clear()
+            elif "cache" in attr and isinstance(value, dict):
+                value.clear()
+    assert p.sorted_terms() == before
+    q = MultiPoly(("z_reset", "x_reset"), {(1, 1): 1})  # a name registered after the reset
+    assert (p * q).vars == ("x_reset", "y_reset", "z_reset")
+    assert (p * q).sorted_terms() == [((1, 5, 1), Fraction(1, 2)), ((3, 1, 1), 3)]
 
 
 # -- regressions at the two division sites that see MultiPoly coefficients -----

@@ -52,3 +52,17 @@ def test_run_all_builds_each_potential_and_manifold_once(monkeypatch):
     assert sing._builds.get() is None
     sing.potential_A(3)
     assert built[("A", 3)] == 2  # outside a run, every call builds afresh
+
+
+def test_run_all_builds_each_flat_chart_once(monkeypatch):
+    """The flat-table, round-trip and metric checks share the charts the potentials are built on."""
+    build = sing._build_flat_coordinates
+    built = Counter()
+
+    def counted_build(n):
+        built[n] += 1
+        return build(n)
+
+    monkeypatch.setattr(sing, "_build_flat_coordinates", counted_build)
+    assert all(ok for _, ok, _ in run_all())
+    assert {3, 4, 5} <= set(built) and set(built.values()) == {1}
