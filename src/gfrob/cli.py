@@ -7,6 +7,10 @@ refusal too), 3 malformed input.  GFROB_SIZE_LIMIT, a positive integer,
 overrides the size guards: |G|^n * n! for `groupoid` and `br-basis`, the
 estimated cost of the A_m potential for `potential`, `flat-coords` and
 `construct-z2`.
+
+Each call of `main` builds the parser of the command it is given and no
+other (the whole parser for help, an empty argv or an unknown command),
+and keeps no parser once it returns.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 from . import serialize as ser
 from .braided import br_basis, braidize
 from .errors import BadIndex, GfrobError, NotAGroup, SizeLimit
-from .frobenius import assemble_z2, check_gfa, check_pre_gfm, wdvv_check
+from .frobenius import GFA_CHECKS, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import enumerate_component, guard_size
 from .groups import conjugacy_classes
 from .singularity import (
@@ -158,13 +163,10 @@ def _cmd_check_gfa(args) -> RunReport:
     rep = RunReport("check-gfa")
     alg = ser.gfa_from_json(_read_json(args.algebra))
     report = check_gfa(alg)
-    for name in (
-        "module_valid", "self_invariant", "equivariance", "graded_mult",
-        "braided_commutativity", "metric_invariance", "invariant_unit",
-        "associative", "unital",
-    ):
-        rep.add(name, getattr(report, name))
-    rep.add("metric", report.metric.passed)
+    first = next(iter(report.failures()), None)
+    for name in GFA_CHECKS:
+        rep.add(name, getattr(report, name), report.failure if name == first else None)
+    rep.add("metric", report.metric.passed, report.failure if first == "metric" else None)
     return rep
 
 
@@ -279,78 +281,84 @@ def _cmd_verify_paper(args) -> RunReport:
     return rep
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = {"required": True}
+_N = {"type": int, "required": True}
+_POSITIONAL_N = {"type": int}
+
+# command -> (handler, help, {argument: add_argument keywords}), in help order
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], RunReport], str, dict[str, dict]]] = {
+    "group": (_cmd_group, "validate a multiplication table and describe the group", {"--group": _FILE}),
+    "groupoid": (_cmd_groupoid, "enumerate braid-orbit components of G^n", {"--group": _FILE, "--n": _N}),
+    "braidize": (
+        _cmd_braidize, "project a tensor onto its braid-invariant part", {"--module": _FILE, "--tensor": _FILE}
+    ),
+    "br-basis": (_cmd_br_basis, "basis of braid-invariant n-tensors", {"--module": _FILE, "--n": _N}),
+    "check-gfa": (_cmd_check_gfa, "check the graded Frobenius algebra axioms", {"--algebra": _FILE}),
+    "wdvv": (
+        _cmd_wdvv, "check associativity of a potential's product", {"--potential": _FILE, "--metric": _FILE}
+    ),
+    "check-pre-gfm": (
+        _cmd_check_pre_gfm,
+        "check both sector restrictions of a potential",
+        {"--module": _FILE, "--metric": _FILE, "--potential": _FILE},
+    ),
+    "assemble-z2": (_cmd_assemble_z2, "glue two Frobenius manifolds over a shared block", {"--input": _FILE}),
+    "potential": (
+        _cmd_potential,
+        "potential of an A/B/D family in flat coordinates",
+        {"kind": {"choices": ("A", "B", "D")}, "n": _POSITIONAL_N},
+    ),
+    "flat-coords": (_cmd_flat_coords, "flat coordinate change of the one-variable unfolding", {"n": _POSITIONAL_N}),
+    "construct-z2": (_cmd_construct_z2, "build and verify the order-two orbifold manifold", {"n": _POSITIONAL_N}),
+    "verify-paper": (_cmd_verify_paper, "run the bundled reference-value regression suite", {}),
+}
+FORMATS = ("json", "text")
+
+
+def invoked_command(argv: Sequence[str]) -> str | None:
+    """The command in argv if only --format options come before it, else None."""
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in COMMANDS:
+            return token
+        if token == "--format":
+            i += 2
+        elif token.startswith("--format="):
+            i += 1
+        else:
+            return None
+    return None
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command `only` alone.
+
+    A parser narrowed to one command parses an argv that names it exactly
+    as the whole parser does, with the same usage and error messages: the
+    command list is kept as the metavar of the subcommand argument.
+    """
     ap = argparse.ArgumentParser(
         prog="gfrob",
         description="Exact computer algebra for braided tensors on graded modules "
         "and the Frobenius structures of the A/D singularities.",
     )
-    ap.add_argument("--format", choices=("json", "text"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", help="validate a multiplication table and describe the group")
-    p.add_argument("--group", required=True)
-    p.set_defaults(fn=_cmd_group)
-
-    p = sub.add_parser("groupoid", help="enumerate braid-orbit components of G^n")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_groupoid)
-
-    p = sub.add_parser("braidize", help="project a tensor onto its braid-invariant part")
-    p.add_argument("--module", required=True)
-    p.add_argument("--tensor", required=True)
-    p.set_defaults(fn=_cmd_braidize)
-
-    p = sub.add_parser("br-basis", help="basis of braid-invariant n-tensors")
-    p.add_argument("--module", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_br_basis)
-
-    p = sub.add_parser("check-gfa", help="check the graded Frobenius algebra axioms")
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(fn=_cmd_check_gfa)
-
-    p = sub.add_parser("wdvv", help="check associativity of a potential's product")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--metric", required=True)
-    p.set_defaults(fn=_cmd_wdvv)
-
-    p = sub.add_parser("check-pre-gfm", help="check both sector restrictions of a potential")
-    p.add_argument("--module", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--potential", required=True)
-    p.set_defaults(fn=_cmd_check_pre_gfm)
-
-    p = sub.add_parser("assemble-z2", help="glue two Frobenius manifolds over a shared block")
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=_cmd_assemble_z2)
-
-    p = sub.add_parser("potential", help="potential of an A/B/D family in flat coordinates")
-    p.add_argument("kind", choices=("A", "B", "D"))
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_potential)
-
-    p = sub.add_parser("flat-coords", help="flat coordinate change of the one-variable unfolding")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_flat_coords)
-
-    p = sub.add_parser("construct-z2", help="build and verify the order-two orbifold manifold")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_construct_z2)
-
-    p = sub.add_parser("verify-paper", help="run the bundled reference-value regression suite")
-    p.set_defaults(fn=_cmd_verify_paper)
-
-    for child in sub.choices.values():
-        child.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-
+    ap.add_argument("--format", choices=FORMATS, default="json")
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else (only,):
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, spec in arguments.items():
+            p.add_argument(arg, **spec)
+        p.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
+        p.set_defaults(fn=fn)
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(invoked_command(argv)).parse_args(argv)
     try:
         report: RunReport = args.fn(args)
     except ser.ParseError as exc:

@@ -36,6 +36,7 @@ from .modules import (
     Tensor,
     dual_module,
     invariants_basis,
+    self_invariance_failure,
     trivial_graded_module,
     validate_module,
 )
@@ -60,6 +61,7 @@ class MetricReport:
     eta_untwisted_nondegenerate: bool
     eta_invariants: Mat
     eta_invariants_nondegenerate: bool
+    failure: str | None = None  # the first failing check of the four above, with its witness
 
     @property
     def passed(self) -> bool:
@@ -76,32 +78,35 @@ def submatrix(m: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
 
 
 def check_metric(eta: Metric) -> MetricReport:
+    """The four metric checks, with the first failing one and its witness in failure."""
     h = eta.module
     g = h.group
     m = eta.matrix
     d = h.dim
-    symmetric = all(m[i][j] == m[j][i] for i in range(d) for j in range(d))
-    invariant = all(
-        linalg.mat_mul(linalg.transpose(h.action[gamma]), linalg.mat_mul(m, h.action[gamma])) == m
-        for gamma in g.elements()
-    )
-    grading = all(
-        m[i][j] == 0
-        for i in range(d)
-        for j in range(d)
-        if g.mul(h.degrees[i], h.degrees[j]) != g.identity
-    )
-    block_ok = True
-    for gamma in g.elements():
+
+    def block_nondegenerate(gamma: int) -> bool:
         rows = h.block_indices(gamma)
         cols = h.block_indices(g.inv(gamma))
-        if not rows and not cols:
-            continue
-        if len(rows) != len(cols):
-            block_ok = False
-            continue
-        if rows and linalg.rank(submatrix(m, rows, cols)) != len(rows):
-            block_ok = False
+        return len(rows) == len(cols) and (not rows or linalg.rank(submatrix(m, rows, cols)) == len(rows))
+
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    witnesses = {
+        "symmetric": next((f"(i, j) = ({i}, {j})" for i, j in cells if m[i][j] != m[j][i]), None),
+        "g_invariant": next(
+            (f"g = {gamma}" for gamma in g.elements()
+             if linalg.mat_mul(linalg.transpose(h.action[gamma]), linalg.mat_mul(m, h.action[gamma])) != m),
+            None,
+        ),
+        "grading_preserving": next(
+            (f"(i, j) = ({i}, {j})" for i, j in cells
+             if m[i][j] != 0 and g.mul(h.degrees[i], h.degrees[j]) != g.identity),
+            None,
+        ),
+        "blockwise_nondegenerate": next(
+            (f"g = {gamma}" for gamma in g.elements() if not block_nondegenerate(gamma)), None
+        ),
+    }
+    failure = next((f"{name} fails at {w}" for name, w in witnesses.items() if w is not None), None)
 
     e_idx = h.untwisted_indices()
     eta_e = submatrix(m, e_idx, e_idx)
@@ -112,7 +117,9 @@ def check_metric(eta: Metric) -> MetricReport:
         linalg.mat_mul(linalg.transpose(incl), linalg.mat_mul(m, incl)) if inv_vecs else ()
     )
     eta_g_nd = bool(inv_vecs) and linalg.rank(eta_g) == len(inv_vecs)
-    return MetricReport(symmetric, invariant, grading, block_ok, eta_e, eta_e_nd, eta_g, eta_g_nd)
+    ok = {name: w is None for name, w in witnesses.items()}
+    return MetricReport(**ok, eta_untwisted=eta_e, eta_untwisted_nondegenerate=eta_e_nd,
+                        eta_invariants=eta_g, eta_invariants_nondegenerate=eta_g_nd, failure=failure)
 
 
 # -- potentials and WDVV ------------------------------------------------------
@@ -281,6 +288,13 @@ class GFrobeniusAlgebra:
         return tuple(out)
 
 
+# the boolean checks of a GfaReport in report order; the metric's verdict follows them
+GFA_CHECKS = (
+    "module_valid", "self_invariant", "equivariance", "graded_mult", "braided_commutativity",
+    "metric_invariance", "invariant_unit", "associative", "unital",
+)
+
+
 @dataclass(frozen=True)
 class GfaReport:
     module_valid: bool
@@ -293,37 +307,29 @@ class GfaReport:
     invariant_unit: bool
     associative: bool
     unital: bool
+    failure: str | None = None  # the first of failures(), with its witness
 
     @property
     def passed(self) -> bool:
-        return (
-            self.module_valid
-            and self.self_invariant
-            and self.metric.passed
-            and self.equivariance
-            and self.graded_mult
-            and self.braided_commutativity
-            and self.metric_invariance
-            and self.invariant_unit
-            and self.associative
-            and self.unital
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        for name in (
-            "module_valid", "self_invariant", "equivariance", "graded_mult",
-            "braided_commutativity", "metric_invariance", "invariant_unit",
-            "associative", "unital",
-        ):
-            if not getattr(self, name):
-                out.append(name)
+        out = [name for name in GFA_CHECKS if not getattr(self, name)]
         if not self.metric.passed:
             out.append("metric")
         return out
 
 
 def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
+    """Every axiom of a G-Frobenius algebra; failure names the first that fails.
+
+    The witness is the failing report line of the module or the metric, or
+    the first indices at which the product breaks an axiom: an element g and
+    a pair (a, b) for equivariance, (a, b, k) for a structure constant of the
+    wrong degree, (a, b) for braided commutativity, (a, b, c) for metric
+    invariance and associativity, g or a unit entry j for the invariant unit,
+    and b for the unit law.
+    """
     h = alg.module
     g = h.group
     d = h.dim
@@ -333,94 +339,88 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     metric_rep = check_metric(Metric(h, eta))
     # nonzero structure constants and action entries, (index, value) pairs
     nz = [[[(k, x) for k, x in enumerate(c[a][b]) if x] for b in range(d)] for a in range(d)]
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    triples = [(a, b, x) for a in range(d) for b in range(d) for x in range(d)]
 
     def nz_col(m: Mat, j: int) -> list[tuple[int, Fraction]]:
         return [(i, m[i][j]) for i in range(d) if m[i][j]]
 
-    equivariance = True
-    for gamma in g.elements():
-        rho = h.action[gamma]
-        cols = [nz_col(rho, a) for a in range(d)]
-        for a in range(d):
-            for b in range(d):
-                lhs = [Fraction(0)] * d
-                for i, ra in cols[a]:
-                    for j, rb in cols[b]:
-                        coef = ra * rb
-                        for k, x in nz[i][j]:
-                            lhs[k] += coef * x
-                rhs = linalg.mat_vec(rho, c[a][b])
-                if tuple(lhs) != tuple(rhs):
-                    equivariance = False
+    def actions():
+        for gamma in g.elements():
+            rho = h.action[gamma]
+            yield gamma, rho, [nz_col(rho, a) for a in range(d)]
 
-    graded = all(
-        c[a][b][k] == 0
-        for a in range(d)
-        for b in range(d)
-        for k in range(d)
-        if h.degrees[k] != g.mul(h.degrees[a], h.degrees[b])
-    )
+    def equivariant(rho: Mat, cols, a: int, b: int) -> bool:
+        lhs = [Fraction(0)] * d
+        for i, ra in cols[a]:
+            for j, rb in cols[b]:
+                coef = ra * rb
+                for k, x in nz[i][j]:
+                    lhs[k] += coef * x
+        return tuple(lhs) == linalg.mat_vec(rho, c[a][b])
 
-    braided_comm = True
-    for a in range(d):
+    def braided_commutes(a: int, b: int) -> bool:
         rho = h.action[g.inv(h.degrees[a])]
-        for b in range(d):
-            rhs = [Fraction(0)] * d
-            for i, r in nz_col(rho, b):
-                for k, x in nz[i][a]:
-                    rhs[k] += r * x
-            if tuple(rhs) != c[a][b]:
-                braided_comm = False
+        rhs = [Fraction(0)] * d
+        for i, r in nz_col(rho, b):
+            for k, x in nz[i][a]:
+                rhs[k] += r * x
+        return tuple(rhs) == c[a][b]
 
     eta_cols = linalg.transpose(eta)
-    metric_inv = all(
-        sum((p * q for p, q in zip(c[a][b], eta_cols[x]) if p and q), ZERO)
-        == sum((p * q for p, q in zip(eta[a], c[b][x]) if p and q), ZERO)
-        for a in range(d)
-        for b in range(d)
-        for x in range(d)
-    )
 
-    unit_inv = all(
-        linalg.mat_vec(h.action[gamma], alg.unit) == alg.unit for gamma in g.elements()
-    )
-    unit_in_e = all(
-        alg.unit[j] == 0 for j in range(d) if h.degrees[j] != g.identity
-    )
+    def metric_invariant(a: int, b: int, x: int) -> bool:
+        return sum((p * q for p, q in zip(c[a][b], eta_cols[x]) if p and q), ZERO) == sum(
+            (p * q for p, q in zip(eta[a], c[b][x]) if p and q), ZERO
+        )
 
-    associative = True
-    for a in range(d):
-        for b in range(d):
-            for x in range(d):
-                lhs = [Fraction(0)] * d
-                for k, y in nz[a][b]:
-                    for l, z in nz[k][x]:
-                        lhs[l] += y * z
-                rhs = [Fraction(0)] * d
-                for k, y in nz[b][x]:
-                    for l, z in nz[a][k]:
-                        rhs[l] += y * z
-                if lhs != rhs:
-                    associative = False
+    def associates(a: int, b: int, x: int) -> bool:
+        lhs = [Fraction(0)] * d
+        for k, y in nz[a][b]:
+            for l, z in nz[k][x]:
+                lhs[l] += y * z
+        rhs = [Fraction(0)] * d
+        for k, y in nz[b][x]:
+            for l, z in nz[a][k]:
+                rhs[l] += y * z
+        return lhs == rhs
 
-    unital = True
-    for b in range(d):
-        out = alg.product(alg.unit, tuple(Fraction(1) if i == b else Fraction(0) for i in range(d)))
-        if out != tuple(Fraction(1) if i == b else Fraction(0) for i in range(d)):
-            unital = False
+    def unit_law(b: int) -> bool:
+        e_b = tuple(Fraction(1) if i == b else Fraction(0) for i in range(d))
+        return alg.product(alg.unit, e_b) == e_b
 
-    return GfaReport(
-        module_valid=mod_rep.valid,
-        self_invariant=mod_rep.self_invariant,
-        metric=metric_rep,
-        equivariance=equivariance,
-        graded_mult=graded,
-        braided_commutativity=braided_comm,
-        metric_invariance=metric_inv,
-        invariant_unit=unit_inv and unit_in_e,
-        associative=associative,
-        unital=unital,
+    witnesses = {
+        "module_valid": mod_rep.failure,
+        "self_invariant": self_invariance_failure(h),
+        "equivariance": next(
+            (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma, rho, cols in actions() for a, b in pairs
+             if not equivariant(rho, cols, a, b)),
+            None,
+        ),
+        "graded_mult": next(
+            (f"(a, b, k) = ({a}, {b}, {k})" for a, b, k in triples
+             if c[a][b][k] != 0 and h.degrees[k] != g.mul(h.degrees[a], h.degrees[b])),
+            None,
+        ),
+        "braided_commutativity": next((f"(a, b) = ({a}, {b})" for a, b in pairs if not braided_commutes(a, b)), None),
+        "metric_invariance": next(
+            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples if not metric_invariant(a, b, x)), None
+        ),
+        "invariant_unit": next(
+            (f"g = {gamma}" for gamma in g.elements() if linalg.mat_vec(h.action[gamma], alg.unit) != alg.unit),
+            next((f"j = {j}" for j in range(d) if alg.unit[j] != 0 and h.degrees[j] != g.identity), None),
+        ),
+        "associative": next((f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples if not associates(a, b, x)), None),
+        "unital": next((f"b = {b}" for b in range(d) if not unit_law(b)), None),
+        "metric": metric_rep.failure,
+    }
+    failure = next(
+        (f"{name} fails: {w}" if name in ("module_valid", "metric") else f"{name} fails at {w}"
+         for name, w in witnesses.items() if w is not None),
+        None,
     )
+    ok = {name: w is None for name, w in witnesses.items() if name != "metric"}
+    return GfaReport(**ok, metric=metric_rep, failure=failure)
 
 
 def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeniusAlgebra:

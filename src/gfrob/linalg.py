@@ -25,7 +25,8 @@ ONE = Fraction(1)
 
 
 def vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as Fractions; an entry that already is one is kept, not rebuilt."""
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 def mat(rows: Sequence[Sequence]) -> Mat:

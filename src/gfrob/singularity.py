@@ -331,9 +331,10 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     The estimate is potential_terms(m) * m**power term operations: power 2
     for the chart and the potential (the residue proof makes O(m^2)
     reductions), power 3 when every potential is also WDVV-checked.  A unit
-    took 8 to 18 microseconds under CPython 3.11 on a 2-core x86-64 host
-    (`potential A 15` 3.6 s, `construct-z2 7` 8.9 s), so the default limit
-    of 10^6 admits the potential of A_16 and construct-z2 up to n = 7.
+    took 2 to 8 microseconds under CPython 3.11.7 on a 2-core x86-64 host
+    (`potential A 15` 3.0-3.5 s, `potential A 16` 4.8-5.4 s, `construct-z2 7`
+    1.1-1.4 s, as subprocesses), so the default limit of 10^6 admits the
+    potential of A_16 and construct-z2 up to n = 7.
     """
     check_size(f"A_{m} potential: estimated cost", potential_terms(m) * m**power)
 

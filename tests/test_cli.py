@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -93,7 +94,21 @@ def test_check_gfa(capsys, files):
     code, out = run(capsys, "check-gfa", "--algebra", files["algebra"])
     assert code == 0
     doc = json.loads(out)
-    assert all(c["status"] == "pass" for c in doc["checks"])
+    assert all(c["status"] == "pass" and "witness" not in c for c in doc["checks"])
+
+
+def test_check_gfa_names_the_first_failing_axiom(capsys, tmp_path):
+    # doubling eta_yy breaks only metric invariance, first at eta(z . y, y) = eta(z, y . y)
+    metric = [row[:] for row in ALGEBRA["metric"]]
+    metric[3][3] = str(2 * Fraction(metric[3][3]))
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra_with(metric=metric)))
+    code, out = run(capsys, "check-gfa", "--algebra", str(path))
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert failed == [
+        {"name": "metric_invariance", "status": "fail", "witness": "metric_invariance fails at (a, b, c) = (0, 3, 3)"}
+    ]
 
 
 def test_wdvv_pass_and_fail(capsys, files, tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +62,7 @@ def test_check_metric_degenerate_twisted_block():
     rep = check_metric(Metric(alg.module, tuple(tuple(r) for r in m)))
     assert not rep.blockwise_nondegenerate
     assert rep.symmetric and rep.grading_preserving
+    assert rep.failure == "blockwise_nondegenerate fails at g = 1"
 
 
 def test_check_metric_grading_violation():
@@ -159,6 +162,61 @@ def test_orbifold_algebra_rescaled_twisted_metric_fails_only_invariance():
     rep = check_gfa(bad)
     assert rep.failures() == ["metric_invariance"]
     assert rep.associative and rep.metric.passed
+    # eta(z . y, y) = 2 eta_yy, while eta(z, y . y) keeps the old value
+    assert rep.failure == "metric_invariance fails at (a, b, c) = (0, 3, 3)"
+
+
+def _broken_algebras(rng, count):
+    """The A_3 orbifold algebra with up to two structure constants, metric or unit entries moved."""
+    alg = z2_frobenius_algebra(3)
+    d = alg.dim
+    for _ in range(count):
+        mult = [[list(r) for r in p] for p in alg.mult]
+        metric = [list(r) for r in alg.metric]
+        unit = list(alg.unit)
+        for _ in range(rng.randint(1, 2)):
+            v = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+            kind = rng.randrange(3)
+            if kind == 0:
+                mult[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] += v
+            elif kind == 1:
+                metric[rng.randrange(d)][rng.randrange(d)] += v
+            else:
+                unit[rng.randrange(d)] += v
+        yield GFrobeniusAlgebra(
+            alg.module, tuple(map(tuple, metric)), tuple(tuple(map(tuple, p)) for p in mult), tuple(unit)
+        )
+
+
+def test_gfa_failure_names_the_first_failing_axiom_and_a_true_witness():
+    seen = set()
+    for alg in _broken_algebras(random.Random(3), 150):
+        rep = check_gfa(alg)
+        assert (rep.failure is None) == rep.passed
+        if rep.passed:
+            continue
+        first = rep.failures()[0]
+        seen.add(first)
+        assert rep.failure.startswith(f"{first} fails")
+        idx = [int(x) for x in re.findall(r"-?\d+", rep.failure.split(" fails")[1])]
+        e = identity(alg.dim)
+
+        def eta(v, w):
+            return sum(x * y * alg.metric[i][j] for i, x in enumerate(v) for j, y in enumerate(w))
+
+        if first == "associative":
+            a, b, c = idx
+            assert alg.product(alg.product(e[a], e[b]), e[c]) != alg.product(e[a], alg.product(e[b], e[c]))
+        elif first == "metric_invariance":
+            a, b, c = idx
+            assert eta(alg.product(e[a], e[b]), e[c]) != eta(e[a], alg.product(e[b], e[c]))
+        elif first == "unital":
+            (b,) = idx
+            assert alg.product(alg.unit, e[b]) != e[b]
+        elif first == "graded_mult":
+            a, b, k = idx
+            assert alg.mult[a][b][k] != 0
+    assert {"metric_invariance", "unital", "graded_mult"} <= seen
 
 
 def test_gfa_from_cubic_round_trip():
