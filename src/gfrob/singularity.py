@@ -12,10 +12,11 @@ F(z(w)) = w^{n+1}/(n+1): requiring the coefficients of w^{n-1}..w^0 to
 vanish determines each unfolding coefficient a_i as a polynomial in t
 (triangular, with linear term -t_i).  The potential is read off one more
 coefficient of the same inverse series: the w^{-(2n+3)} coefficient of z(w),
-computed by Lagrange-Buermann inversion and Miller's power recurrence in
-O(n^2) polynomial products, holds in each degree d >= 3 the degree-d part of
-the potential times (n+2)(d-2).  Every potential built this way is proved
-against the residues Y_abc(t) = residue(dF/dt_a * dF/dt_b * dF/dt_c / F'):
+computed by Lagrange-Buermann inversion and Miller's power recurrence (run
+on integers) in O(n^2) polynomial products, holds in each degree d >= 3 the
+degree-d part of the potential times (n+2)(d-2).  Every potential built this
+way is proved against the residues
+Y_abc(t) = residue(dF/dt_a * dF/dt_b * dF/dt_c / F'):
 for each pair a <= b, dF/dt_a * dF/dt_b mod F' must have a constant residue
 (flatness) and must equal sum_c Y_abc dF/dt_{n-1-c}, which fixes every
 triple residue with O(n^2) reductions instead of O(n^3).
@@ -32,6 +33,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import factorial, perm
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
@@ -194,7 +197,21 @@ class UnfoldingChart:
     t_names: tuple[str, ...]
     a_names: tuple[str, ...]
     a_of_t: tuple[MultiPoly, ...]
-    t_of_a: tuple[MultiPoly, ...]
+
+    @cached_property
+    def t_of_a(self) -> tuple[MultiPoly, ...]:
+        """Flat coordinates in the a_i, built on first read by inverting the triangular system.
+
+        t_m = -a_m + (a_m + t_m)(t_{m+2}, ...), substituting t_j(a) for j > m.
+        """
+        t_of_a: list[MultiPoly | None] = [None] * self.n
+        for m in range(self.n - 1, -1, -1):
+            h = self.a_of_t[m] + MultiPoly.variable(self.t_names[m])  # higher-order part, in t
+            expr = -MultiPoly.variable(self.a_names[m]) + h
+            for j in range(self.n - 1, m, -1):
+                expr = expr.subst(self.t_names[j], t_of_a[j])
+            t_of_a[m] = expr
+        return tuple(t_of_a)
 
     def fprime_in_t(self) -> ZPoly:
         return fprime_coeffs(self.n, list(self.a_of_t))
@@ -212,8 +229,14 @@ def flat_coordinates(n: int) -> UnfoldingChart:
 
 
 def _build_flat_coordinates(n: int) -> UnfoldingChart:
+    """Solve for a_of_t from the powers z^k, each kept only down to the exponent the solve reads.
+
+    The solve reads only exponents >= 0, of z^k for k <= n+1.  The w^e
+    coefficient of z^k = z^{k-1} z takes exponents >= e-1 of z^{k-1}, since z
+    has no exponent above 1; so z^k is needed only down to w^{k-n-1}, and lmul
+    drops every term below that floor when it builds z^k.
+    """
     tn = _t_names(n)
-    an = tuple(f"a{i}" for i in range(n))
 
     # Laurent polynomials in w with Q[t] coefficients, as {exponent: poly}.
     t = [MultiPoly.variable(v) for v in tn]
@@ -221,9 +244,7 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
     for j in range(n):
         z[j - n] = t[j]
 
-    floor = -(n + 1)
-
-    def lmul(p: dict[int, MultiPoly], q: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+    def lmul(p: dict[int, MultiPoly], q: dict[int, MultiPoly], floor: int) -> dict[int, MultiPoly]:
         out: dict[int, MultiPoly] = {}
         for e1, c1 in p.items():
             for e2, c2 in q.items():
@@ -235,8 +256,8 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
         return {e: c for e, c in out.items() if c}
 
     powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(1)}, z]
-    for _ in range(2, n + 2):
-        powers.append(lmul(powers[-1], z))
+    for k in range(2, n + 2):
+        powers.append(lmul(powers[-1], z, k - n - 1))
 
     # Solve for a_m, top coefficient first: the w^m coefficient of
     # z^{n+1}/(n+1) + sum_i a_i z^i must vanish for m = n-1 .. 0.
@@ -262,22 +283,7 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
         if not set((p - linear - p.constant_term()).compact().vars) <= set(tn[m + 2:]):
             raise IntegrabilityFailure(f"a_{m} has higher terms outside t_{m + 2}..t_{n - 1}")
 
-    # Invert the triangular system: t_m = -a_m + (a_m + t_m)(t_{m+2}, ...).
-    t_of_a: list[MultiPoly | None] = [None] * n
-    for m in range(n - 1, -1, -1):
-        h = a_of_t[m] + t[m]  # higher-order part, in t
-        expr = -MultiPoly.variable(an[m]) + h
-        for j in range(n - 1, m, -1):
-            expr = expr.subst(tn[j], t_of_a[j])
-        t_of_a[m] = expr
-
-    return UnfoldingChart(
-        n=n,
-        t_names=tn,
-        a_names=an,
-        a_of_t=tuple(a_of_t),
-        t_of_a=tuple(t_of_a),
-    )
+    return UnfoldingChart(n=n, t_names=tn, a_names=tuple(f"a{i}" for i in range(n)), a_of_t=tuple(a_of_t))
 
 
 def flat_metric(n: int) -> linalg.Mat:
@@ -331,11 +337,17 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     The estimate is potential_terms(m) * m**power term operations: power 2
     for the chart and the potential (the residue proof makes O(m^2)
     reductions), power 3 when every potential is also WDVV-checked.  A unit
-    took 2 to 8 microseconds under CPython 3.11.7 on a 2-core x86-64 host
-    (`potential A 15` 3.0-3.5 s, `potential A 16` 4.8-5.4 s, `construct-z2 7`
-    1.1-1.4 s, as subprocesses), so the default limit of 10^6 admits the
+    took 1.7 to 3.5 microseconds under CPython 3.11.7 on a 2-core x86-64 host
+    (`potential A 15` 1.3-1.4 s, `potential A 16` 2.0-2.1 s, `construct-z2 7`
+    0.9 s, as subprocesses), so the default limit of 10^6 admits the
     potential of A_16 and construct-z2 up to n = 7.
+
+    The cubic terms t_0 t_b t_{m-1-b} alone give potential_terms(m) >=
+    (m-1)//2 + 1, so a cost over the limit on that lower bound is refused
+    before the O(m^2) count runs; the verdict is the same for every m.
     """
+    floor = (m - 1) // 2 + 1 if m >= 2 else 0
+    check_size(f"A_{m} potential: estimated cost (lower bound)", floor * m**power)
     check_size(f"A_{m} potential: estimated cost", potential_terms(m) * m**power)
 
 
@@ -396,24 +408,40 @@ def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
     degree-d part of c_K is (n+2)(d-2) times the degree-d part of the
     potential.  With t_i of weight n+1-i, u_j and g_k have weight j and k,
     so every term of c_K has weight 2n+4 and hence degree d >= 3.
+
+    The recurrence runs on integers: with N = n+1 and x = K/N, the scaled
+    G_k = N^k k! g_k satisfy
+    G_k = sum_j ((K+N) j - N k) N^(j-1) (k-1)!/(k-j)! u_j G_{k-j}, G_0 = 1,
+    whose scalars are integers.  The u_j are integral too: the solve for
+    a_m adds 1/N times an integral coefficient of z^{n+1} to integer
+    multiples of the a_i with i > m, so N a_m is integral by induction.  The
+    only division is one per degree part of G_{K+1}, by
+    N^(K+1) (K+1)! K (n+2) (d-2).
     """
     n = chart.n
-    big_k = 2 * n + 3
-    x1 = Fraction(big_k, n + 1) + 1
-    u = [(j, chart.a_of_t[n + 1 - j] * (n + 1)) for j in range(2, n + 2)]
+    big_n, big_k = n + 1, 2 * n + 3
+    c = _scaled_power_series(chart)[1][big_k + 1]
+    base = big_n ** (big_k + 1) * factorial(big_k + 1) * big_k * (n + 2)
+    parts = (c.homogeneous_part(d) * Fraction(1, base * (d - 2)) for d in range(3, c.total_degree() + 1))
+    return sum(parts, MultiPoly.zero(chart.t_names))
+
+
+def _scaled_power_series(chart: UnfoldingChart) -> tuple[list[tuple[int, MultiPoly]], list[MultiPoly]]:
+    """The pairs (j, u_j) for j = 2..n+1, and G_0 .. G_{K+1} of Miller's recurrence on integers."""
+    n = chart.n
+    big_n, big_k = n + 1, 2 * n + 3
+    u = [(j, chart.a_of_t[n + 1 - j] * big_n) for j in range(2, n + 2)]
     g = [MultiPoly.constant(1)]
     for k in range(1, big_k + 2):
         acc = MultiPoly.zero()
         for j, uj in u:
             if j > k:
                 break
-            scale = (x1 * j - k) / k
+            scale = ((big_k + big_n) * j - big_n * k) * big_n ** (j - 1) * perm(k - 1, j - 1)
             if scale and g[k - j]:
                 acc = acc + uj * scale * g[k - j]
         g.append(acc)
-    c = g[big_k + 1]
-    parts = (c.homogeneous_part(d) * Fraction(1, big_k * (n + 2) * (d - 2)) for d in range(3, c.total_degree() + 1))
-    return sum(parts, MultiPoly.zero(chart.t_names))
+    return u, g
 
 
 def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:

@@ -371,6 +371,40 @@ def test_size_limit_default_admits_the_benchmark_sizes(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["potential", "A"], ["potential", "B"], ["potential", "D"], ["flat-coords"], ["construct-z2"]])
+def test_size_limit_refuses_a_huge_n_at_once(capsys, monkeypatch, argv):
+    import time
+
+    monkeypatch.delenv("GFROB_SIZE_LIMIT", raising=False)
+    start = time.perf_counter()
+    code = main(argv + [str(10**11)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("size limit: ")
+    assert elapsed < 1
+
+
+def test_unfolding_guard_verdict_and_message_follow_the_full_count(monkeypatch):
+    """The lower bound only refuses early; where the full count runs, its message is unchanged."""
+    from gfrob.errors import SizeLimit
+    from gfrob.singularity import guard_unfolding, potential_terms
+
+    terms = {m: potential_terms(m) for m in range(-4, 60)}
+    for cap in (1, 7, 45616, 45617, 10**6):
+        monkeypatch.setenv("GFROB_SIZE_LIMIT", str(cap))
+        for m, count in terms.items():
+            for power in (2, 3):
+                cost = count * m**power
+                try:
+                    guard_unfolding(m, power)
+                    refusal = None
+                except SizeLimit as exc:
+                    refusal = str(exc)
+                assert (refusal is not None) == (cost > cap), (cap, m, power)
+                if refusal is not None and "(lower bound)" not in refusal:
+                    assert refusal == f"A_{m} potential: estimated cost = {cost} exceeds limit {cap}; set GFROB_SIZE_LIMIT to raise it"
+
+
 def test_byte_identical_output(capsys, files):
     _, out1 = run(capsys, "potential", "D", "3")
     _, out2 = run(capsys, "potential", "D", "3")

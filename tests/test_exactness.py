@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gfrob"
 # (file, source text of the division) -> why the left operand is a Fraction
 ALLOWED = {
     ("braided.py", "weight /= factorial(n)"): "weight starts as Fraction(c) in form_from_poly",
-    ("singularity.py", "(x1 * j - k) / k"): "x1 = Fraction(big_k, n + 1) + 1 in inverse_series_potential",
 }
 
 

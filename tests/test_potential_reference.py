@@ -6,6 +6,10 @@ computes every third partial Y_abc = residue(dF_a dF_b dF_c / F') as an
 O(n^3) loop of triple products reduced mod F', then integrates them with
 the Euler operator.  It is kept here as an independent reference: the two
 routes must agree term by term, names and declared variables included.
+
+Two more oracles cover the stages the residue route does not reach: the
+flat chart built from untruncated Laurent powers, and Miller's recurrence
+run on Fractions, as both were first written.
 """
 
 import re
@@ -21,6 +25,7 @@ from gfrob.frobenius import Potential
 from gfrob.serialize import potential_to_json
 from gfrob.singularity import (
     _potential_D_from,
+    _scaled_power_series,
     check_potential_residues,
     inverse_series_potential,
     potential_terms,
@@ -62,6 +67,88 @@ def residue_route_A(n):
 
 def same(got, want):
     assert potential_to_json(got) == potential_to_json(want)
+
+
+def identical(got, want):
+    """Equal terms and equal declared variables."""
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+
+
+def untruncated_chart(n):
+    """(a_of_t, t_of_a) from every power z^k kept down to w^-(n+1)."""
+    tn = tuple(f"t_{i}" for i in range(n))
+    an = tuple(f"a{i}" for i in range(n))
+    t = [MultiPoly.variable(v) for v in tn]
+    z = {1: MultiPoly.constant(1)}
+    for j in range(n):
+        z[j - n] = t[j]
+
+    def lmul(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                if e1 + e2 >= -(n + 1):
+                    out[e1 + e2] = out.get(e1 + e2, MultiPoly.zero()) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    powers = [{0: MultiPoly.constant(1)}, z]
+    for _ in range(2, n + 2):
+        powers.append(lmul(powers[-1], z))
+    a_of_t = [None] * n
+    for m in range(n - 1, -1, -1):
+        acc = powers[n + 1].get(m, MultiPoly.zero()) * Fraction(1, n + 1)
+        for i in range(m + 1, n):
+            if powers[i].get(m):
+                acc = acc + a_of_t[i] * powers[i][m]
+        a_of_t[m] = -acc
+    t_of_a = [None] * n
+    for m in range(n - 1, -1, -1):
+        expr = -MultiPoly.variable(an[m]) + (a_of_t[m] + t[m])
+        for j in range(n - 1, m, -1):
+            expr = expr.subst(tn[j], t_of_a[j])
+        t_of_a[m] = expr
+    return tuple(a_of_t), tuple(t_of_a)
+
+
+def fraction_recurrence(chart):
+    """The potential from Miller's recurrence on Fractions, g_k = (1/k) sum_j ((x+1) j - k) u_j g_{k-j}."""
+    n = chart.n
+    big_k = 2 * n + 3
+    x1 = Fraction(big_k, n + 1) + 1
+    u = [(j, chart.a_of_t[n + 1 - j] * (n + 1)) for j in range(2, n + 2)]
+    g = [MultiPoly.constant(1)]
+    for k in range(1, big_k + 2):
+        acc = MultiPoly.zero()
+        for j, uj in u:
+            if j <= k:
+                acc = acc + uj * ((x1 * j - k) / k) * g[k - j]
+        g.append(acc)
+    c = g[big_k + 1]
+    parts = (c.homogeneous_part(d) * Fraction(1, big_k * (n + 2) * (d - 2)) for d in range(3, c.total_degree() + 1))
+    return sum(parts, MultiPoly.zero(chart.t_names))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_truncated_chart_matches_the_untruncated_one(n):
+    chart = flat_coordinates(n)
+    a_of_t, t_of_a = untruncated_chart(n)
+    for got, want in zip(chart.a_of_t + chart.t_of_a, a_of_t + t_of_a):
+        identical(got, want)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_integer_recurrence_matches_the_fraction_one(n):
+    """n = 11 and 12 lie beyond the residue route's range."""
+    chart = flat_coordinates(n)
+    identical(inverse_series_potential(chart), fraction_recurrence(chart))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_recurrence_runs_on_ints(n):
+    u, g = _scaled_power_series(flat_coordinates(n))
+    assert len(u) == n and len(g) == 2 * n + 5
+    for p in [uj for _, uj in u] + g:
+        assert all(type(c) is int for c in p.terms.values())
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -194,6 +194,17 @@ def test_flat_tables_n5():
     assert ch.t_of_a[0] == -a[0] + a[3] ** 2 * Fraction(1, 2) + a[2] * a[4] - a[4] ** 3 * Fraction(7, 6)
 
 
+def test_t_of_a_is_built_only_when_read():
+    from gfrob.singularity import shared_builds
+
+    with shared_builds():
+        potential_A(7)
+        z2_frobenius_manifold(4, check_wdvv=False)
+        charts = [flat_coordinates(7), flat_coordinates(5)]
+        assert all("t_of_a" not in vars(ch) for ch in charts)
+        assert len(charts[1].t_of_a) == 5 and "t_of_a" in vars(charts[1])
+
+
 def test_flat_roundtrip():
     for n in (3, 4, 5):
         ch = flat_coordinates(n)
