@@ -43,7 +43,6 @@ from .modules import (
 )
 from .braided import (
     BraidedSeries,
-    SymmetricSeries,
     br_basis,
     braidize,
     circ_product,
@@ -58,7 +57,6 @@ from .braided import (
 from .frobenius import (
     FmData,
     GFrobeniusAlgebra,
-    Metric,
     Potential,
     assemble_z2,
     check_gfa,

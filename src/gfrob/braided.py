@@ -28,6 +28,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch
 from .groupoid import Component, check_size, guard_size, inverse_arrow, orbit_component
+from .groups import trivial_group
 from .modules import (
     GradedModule,
     Tensor,
@@ -37,6 +38,7 @@ from .modules import (
     require_morphism,
     slot_apply_into,
     split_homogeneous,
+    trivial_graded_module,
 )
 from .poly import MultiPoly
 
@@ -230,6 +232,12 @@ class BraidedSeries:
             and self.parts == other.parts
         )
 
+    def as_poly(self, names: Sequence[str]) -> MultiPoly:
+        """The polynomial whose polarization is this series, one name per coordinate."""
+        if len(names) != self.module.dim:
+            raise DegreeMismatch("coordinate name count differs from dimension")
+        return sum((poly_from_form(t, names) for t in self.parts.values()), MultiPoly.zero(names))
+
     def assert_braided(self) -> None:
         for t in self.parts.values():
             if not is_braided(self.module, t):
@@ -386,76 +394,19 @@ def restrict_tensor(x: Tensor, basis: Sequence[linalg.Vec]) -> Tensor:
     return pullback_tensor(x, m)
 
 
-def is_symmetric(t: Tensor) -> bool:
-    from itertools import permutations
-
-    for idx, c in t.terms.items():
-        for p in permutations(idx):
-            if t.terms.get(tuple(p), Fraction(0)) != c:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class SymmetricSeries:
-    """Symmetric truncated series over an anonymous coordinate list."""
-
-    dim: int
-    truncation: int
-    parts: dict[int, Tensor] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", {d: t for d, t in self.parts.items() if t})
-
-    def as_poly(self, names: Sequence[str]) -> MultiPoly:
-        if len(names) != self.dim:
-            raise DegreeMismatch("coordinate name count differs from dimension")
-        out = MultiPoly.zero(names)
-        for t in self.parts.values():
-            out = out + poly_from_form(t, names)
-        return out
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly, names: Sequence[str], truncation: int) -> "SymmetricSeries":
-        parts = {}
-        for d in range(truncation + 1):
-            t = form_from_poly(p, names, d)
-            if t:
-                parts[d] = t
-        return cls(len(names), truncation, parts)
-
-    def multiply(self, other: "SymmetricSeries") -> "SymmetricSeries":
-        if self.dim != other.dim or self.truncation != other.truncation:
-            raise ModuleMismatch("series shapes differ")
-        names = tuple(f"s{i}" for i in range(self.dim))
-        prod = self.as_poly(names) * other.as_poly(names)
-        capped = sum(
-            (prod.homogeneous_part(d) for d in range(self.truncation + 1)),
-            MultiPoly.zero(names),
-        )
-        return SymmetricSeries.from_poly(capped, names, self.truncation)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymmetricSeries)
-            and self.dim == other.dim
-            and self.truncation == other.truncation
-            and self.parts == other.parts
-        )
-
-
-def restrict_untwisted(x: BraidedSeries) -> SymmetricSeries:
-    """Restriction to the untwisted sector; an algebra morphism onto symmetric series."""
+def restrict_untwisted(x: BraidedSeries) -> BraidedSeries:
+    """Restriction to the untwisted sector; an algebra morphism onto the series of the trivial group."""
     h = x.module  # dual module carrying the forms
-    idx = h.untwisted_indices()
-    basis = [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(h.dim)) for j in idx
-    ]
+    basis = [tuple(Fraction(int(i == j)) for i in range(h.dim)) for j in h.untwisted_indices()]
+    return restrict_invariants(x, basis)
+
+
+def restrict_invariants(x: BraidedSeries, invariant_vectors: Sequence[linalg.Vec]) -> BraidedSeries:
+    """Restriction of forms to tuples of the given vectors; linear, lands in the series of the trivial group.
+
+    Over the trivial group a braid generator is a plain slot swap, so those
+    series are the symmetric ones and circ_product is the commutative product.
+    """
+    basis = list(invariant_vectors)
     parts = {d: restrict_tensor(t, basis) for d, t in x.parts.items()}
-    return SymmetricSeries(len(idx), x.truncation, parts)
-
-
-def restrict_invariants(x: BraidedSeries, invariant_vectors: Sequence[linalg.Vec]) -> SymmetricSeries:
-    """Restriction of forms to tuples of invariant vectors; linear, lands in symmetric series."""
-    parts = {d: restrict_tensor(t, list(invariant_vectors)) for d, t in x.parts.items()}
-    return SymmetricSeries(len(invariant_vectors), x.truncation, parts)
+    return BraidedSeries(trivial_graded_module(trivial_group(), len(basis)), x.truncation, parts)

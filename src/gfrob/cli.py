@@ -182,11 +182,11 @@ def _cmd_wdvv(args) -> RunReport:
 def _cmd_check_pre_gfm(args) -> RunReport:
     rep = RunReport("check-pre-gfm")
     h = ser.module_from_json(_read_json(args.module))
-    eta = ser.metric_from_json(_read_json(args.metric), h)
+    eta = ser.square_matrix_from_json(_read_json(args.metric), h.dim)
     pot = ser.potential_from_json(_read_json(args.potential))
     if len(pot.names) != h.dim:
         raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
-    report = check_pre_gfm(h, eta.matrix, pot)
+    report = check_pre_gfm(h, eta, pot)
     rep.add("module_valid", report.module_valid)
     rep.add("self_invariant", report.self_invariant)
     rep.add("metric", report.metric.passed)

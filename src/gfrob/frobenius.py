@@ -40,15 +40,9 @@ from .modules import (
     trivial_graded_module,
     validate_module,
 )
-from .poly import MultiPoly, linear_subst
+from .poly import MultiPoly
 
 # -- metrics ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Metric:
-    module: GradedModule
-    matrix: Mat
 
 
 @dataclass(frozen=True)
@@ -57,10 +51,6 @@ class MetricReport:
     g_invariant: bool
     grading_preserving: bool
     blockwise_nondegenerate: bool
-    eta_untwisted: Mat
-    eta_untwisted_nondegenerate: bool
-    eta_invariants: Mat
-    eta_invariants_nondegenerate: bool
     failure: str | None = None  # the first failing check of the four above, with its witness
 
     @property
@@ -77,11 +67,9 @@ def submatrix(m: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def check_metric(eta: Metric) -> MetricReport:
-    """The four metric checks, with the first failing one and its witness in failure."""
-    h = eta.module
+def check_metric(h: GradedModule, m: Mat) -> MetricReport:
+    """The four checks of a metric m on h, with the first failing one and its witness in failure."""
     g = h.group
-    m = eta.matrix
     d = h.dim
 
     def block_nondegenerate(gamma: int) -> bool:
@@ -107,19 +95,8 @@ def check_metric(eta: Metric) -> MetricReport:
         ),
     }
     failure = next((f"{name} fails at {w}" for name, w in witnesses.items() if w is not None), None)
-
-    e_idx = h.untwisted_indices()
-    eta_e = submatrix(m, e_idx, e_idx)
-    eta_e_nd = bool(e_idx) and linalg.rank(eta_e) == len(e_idx)
-    inv_vecs = invariants_basis(h)
-    incl = tuple(tuple(v[i] for v in inv_vecs) for i in range(d))
-    eta_g = (
-        linalg.mat_mul(linalg.transpose(incl), linalg.mat_mul(m, incl)) if inv_vecs else ()
-    )
-    eta_g_nd = bool(inv_vecs) and linalg.rank(eta_g) == len(inv_vecs)
     ok = {name: w is None for name, w in witnesses.items()}
-    return MetricReport(**ok, eta_untwisted=eta_e, eta_untwisted_nondegenerate=eta_e_nd,
-                        eta_invariants=eta_g, eta_invariants_nondegenerate=eta_g_nd, failure=failure)
+    return MetricReport(**ok, failure=failure)
 
 
 # -- potentials and WDVV ------------------------------------------------------
@@ -336,7 +313,7 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     c = alg.mult
     eta = alg.metric
     mod_rep = validate_module(h)
-    metric_rep = check_metric(Metric(h, eta))
+    metric_rep = check_metric(h, eta)
     # nonzero structure constants and action entries, (index, value) pairs
     nz = [[[(k, x) for k, x in enumerate(c[a][b]) if x] for b in range(d)] for a in range(d)]
     pairs = [(a, b) for a in range(d) for b in range(d)]
@@ -568,7 +545,7 @@ class PreGfmReport:
 def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     """Restrict the potential to the untwisted and invariant sectors and run WDVV."""
     mod_rep = validate_module(h)
-    metric_rep = check_metric(Metric(h, eta))
+    metric_rep = check_metric(h, eta)
     witness = braid_witness(h, pot)
     filter_ok = poly_g_degree_filter(dual_module(h), pot, h.group.identity)
 
@@ -581,7 +558,8 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     inv = invariants_basis(h)
     incl = [[v[i] for v in inv] for i in range(h.dim)]
     s_names = tuple(f"s{b}" for b in range(len(inv)))
-    y_g = linear_subst(pot.poly, pot.names, incl, s_names)
+    units = [tuple(int(b == c) for c in range(len(inv))) for b in range(len(inv))]
+    y_g = pot.poly.substitute({name: MultiPoly(s_names, dict(zip(units, row))) for name, row in zip(pot.names, incl)})
     eta_g = linalg.mat_mul(
         linalg.transpose(linalg.mat(incl)), linalg.mat_mul(eta, linalg.mat(incl))
     )

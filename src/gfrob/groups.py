@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadIndex, NotAGroup, SizeLimit
@@ -153,7 +152,6 @@ def perm_index(n: int, perm: Sequence[int]) -> int:
     return perms.index(tuple(perm))
 
 
-@lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of element indices into conjugation orbits, canonically sorted."""
     seen: set[int] = set()

@@ -164,13 +164,11 @@ def graded_module(
     group: FiniteGroup,
     degrees: Sequence[int],
     action: Sequence[Sequence[Sequence]],
-    require_valid: bool = True,
 ) -> GradedModule:
     h = GradedModule(group, tuple(degrees), tuple(linalg.mat(m) for m in action))
-    if require_valid:
-        rep = validate_module(h)
-        if not rep.valid:
-            raise InvalidAction(f"module validation failed: {rep.failure}")
+    rep = validate_module(h)
+    if not rep.valid:
+        raise InvalidAction(f"module validation failed: {rep.failure}")
     return h
 
 

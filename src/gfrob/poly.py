@@ -186,22 +186,40 @@ class MultiPoly:
         terms = {m - (1 << s): exact(c * e) for m, c in self.terms.items() if (e := m >> s & _MASK)}
         return MultiPoly._wrap(self.vars, terms)
 
-    def subst(self, name: str, value) -> "MultiPoly":
-        """Substitute a variable by a polynomial or scalar; unchanged when name is absent."""
-        if name not in self.vars:
+    def substitute(self, images: Mapping[str, object]) -> "MultiPoly":
+        """Substitute polynomials or scalars for variables, all at once; names not declared are ignored.
+
+        Terms are grouped by their exponents in the substituted fields.  Each
+        power of an image that occurs is built from the next lower one that
+        occurs, so an exponent k costs O(log k) products.
+        """
+        live = {_offsets[v]: img if isinstance(img, MultiPoly) else MultiPoly.constant(img)
+                for v, img in images.items() if v in self.vars}
+        if not live:
             return self
-        if not isinstance(value, MultiPoly):
-            value = MultiPoly.constant(value)
-        s, rest_vars = _offsets[name], tuple(v for v in self.vars if v != name)
-        by_power: dict[int, dict[int, Scalar]] = {}
+        mask = sum(_MASK << s for s in live)
+        rest_vars = tuple(v for v in self.vars if _offsets[v] not in live)
+        by_part: dict[int, dict[int, Scalar]] = {}
         for m, c in self.terms.items():
-            by_power.setdefault(m >> s & _MASK, {})[m & ~(_MASK << s)] = c
-        out = MultiPoly._wrap(rest_vars, by_power.pop(0, {}))
-        power, done = MultiPoly.constant(1, rest_vars), 0
-        for k in sorted(by_power):
-            power, done = power * value ** (k - done), k
-            out = out + MultiPoly._wrap(rest_vars, by_power[k]) * power
+            by_part.setdefault(m & mask, {})[m & ~mask] = c
+        out = MultiPoly._wrap(rest_vars, by_part.pop(0, {}))
+        powers: dict[tuple[int, int], MultiPoly] = {}
+        for s, img in live.items():
+            power, done = MultiPoly.constant(1, rest_vars), 0
+            for k in sorted({part >> s & _MASK for part in by_part} - {0}):
+                power, done = power * img ** (k - done), k
+                powers[s, k] = power
+        for part in sorted(by_part):
+            term = MultiPoly._wrap(rest_vars, by_part[part])
+            for s in live:
+                if k := part >> s & _MASK:
+                    term = term * powers[s, k]
+            out = out + term
         return out
+
+    def subst(self, name: str, value) -> "MultiPoly":
+        """Substitute one variable by a polynomial or scalar; unchanged when name is absent."""
+        return self.substitute({name: value})
 
     def subst_zero(self, names: Iterable[str]) -> "MultiPoly":
         """Set the given variables to zero, keeping them declared; names not declared are ignored."""
@@ -209,12 +227,6 @@ class MultiPoly:
         if not mask:
             return self
         return MultiPoly._wrap(self.vars, {m: c for m, c in self.terms.items() if not m & mask})
-
-    def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        order = _declare(mapping.get(v, v) for v in self.vars)
-        moves = [(_offsets[v], _offsets[mapping.get(v, v)]) for v in self.vars]
-        terms = {sum((m >> s & _MASK) << t for s, t in moves): c for m, c in self.terms.items()}
-        return MultiPoly._wrap(order, terms)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
         monomials = ((c, zip(self.vars, exp)) for exp, c in self.sorted_terms())
@@ -253,25 +265,3 @@ class MultiPoly:
             mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exp) if e)
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return " + ".join(bits) or "0"
-
-
-def linear_subst(
-    p: MultiPoly,
-    old_names: Sequence[str],
-    matrix: Sequence[Sequence[Fraction]],
-    new_names: Sequence[str],
-) -> MultiPoly:
-    """Substitute old_j -> sum_b matrix[j][b] * new_b, for every j at once."""
-    new_vars = _declare(new_names)
-    image = {_offsets[v]: MultiPoly._wrap(new_vars, {1 << _offsets[b]: exact(a) for b, a in zip(new_names, row) if a})
-             for v, row in zip(old_names, matrix) if v in p.vars}
-    mask = sum(_MASK << s for s in image)
-    by_old: dict[int, dict[int, Scalar]] = {}
-    for m, c in p.terms.items():
-        by_old.setdefault(m & mask, {})[m & ~mask] = c
-    rest_vars = tuple(v for v in p.vars if _offsets[v] not in image)
-    out = MultiPoly._wrap(rest_vars, by_old.pop(0, {}))
-    for old, rest in by_old.items():
-        factors = [image[s] ** k for s in image if (k := old >> s & _MASK)]
-        out = out + reduce(MultiPoly.__mul__, factors, MultiPoly._wrap(rest_vars, rest))
-    return out

@@ -14,7 +14,6 @@ from typing import Callable
 
 from .braided import br_basis, braidize, series_from_poly, restrict_untwisted, restrict_invariants
 from .frobenius import (
-    Metric,
     Potential,
     check_gfa,
     check_metric,
@@ -204,7 +203,7 @@ def _check_diagonal_commutes_with_braiding():
 
 def _check_orbifold_metric():
     alg = z2_frobenius_algebra(3)
-    rep = check_metric(Metric(alg.module, alg.metric))
+    rep = check_metric(alg.module, alg.metric)
     return _ok(rep.passed and alg.metric[-1][-1] == Fraction(-1), "block metric passes")
 
 

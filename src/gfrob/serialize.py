@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from . import linalg
 from .errors import GfrobError
-from .frobenius import FmData, GFrobeniusAlgebra, Metric, Potential
+from .frobenius import FmData, GFrobeniusAlgebra, Potential
 from .groups import FiniteGroup, group_from_table
 from .modules import GradedModule, Tensor, graded_module
 from .poly import MultiPoly
@@ -180,10 +180,6 @@ def square_matrix_from_json(obj: Any, dim: int) -> linalg.Mat:
     if len(m) != dim or any(len(row) != dim for row in m):
         raise ParseError(f"matrix must be {dim} x {dim}")
     return m
-
-
-def metric_from_json(obj: Any, module: GradedModule) -> Metric:
-    return Metric(module, square_matrix_from_json(obj, module.dim))
 
 
 def potential_from_json(obj: Any) -> Potential:

@@ -10,15 +10,17 @@ import pytest
 
 from gfrob import (
     GradedModule,
+    MultiPoly,
     Tensor,
     cyclic_group,
     graded_module,
     symmetric_group,
     trivial_group,
 )
+from gfrob.braided import series_from_poly
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
 from gfrob.groups import perm_index
-from gfrob.linalg import identity
+from gfrob.linalg import identity, mat
 from gfrob.singularity import z2_frobenius_algebra
 
 
@@ -64,6 +66,11 @@ def make_z3_module():
         [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
     ]
     return graded_module(g, (0, 0, 1, 2), [identity(4), rot, rot2])
+
+
+def unvalidated_module(group, degrees, action) -> GradedModule:
+    """The module graded_module would build, without its validation, so a test can break an axiom."""
+    return GradedModule(group, tuple(degrees), tuple(mat(m) for m in action))
 
 
 def rescale_basis(h, j, s):
@@ -136,6 +143,20 @@ def random_tensor(rng: random.Random, h: GradedModule, n: int, terms: int = 3) -
         idx = tuple(rng.randrange(h.dim) for _ in range(n))
         out[idx] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Tensor(n, out)
+
+
+def is_symmetric(t: Tensor) -> bool:
+    """Every permutation of every index tuple carries the same coefficient."""
+    return all(t.terms.get(p, 0) == c for idx, c in t.terms.items() for p in itertools.permutations(idx))
+
+
+def commutative_product(x, y):
+    """Two series of the trivial group multiplied as commutative polynomials and truncated:
+    an oracle for circ_product there, independent of braidize."""
+    names = tuple(f"s{i}" for i in range(x.module.dim))
+    prod = x.as_poly(names) * y.as_poly(names)
+    capped = sum((prod.homogeneous_part(d) for d in range(x.truncation + 1)), MultiPoly.zero(names))
+    return series_from_poly(x.module, capped, names, x.truncation)
 
 
 def realize(group, source, word):

@@ -26,7 +26,6 @@ from gfrob import (
     MultiPoly,
 )
 from gfrob.braided import (
-    is_symmetric,
     pullback_tensor,
     series_from_poly,
     series_from_tensors,
@@ -34,10 +33,20 @@ from gfrob.braided import (
 )
 from gfrob.errors import DegreeMismatch, ModuleMismatch
 from gfrob.linalg import identity, rank
-from gfrob.modules import submodule_on_indices
+from gfrob.groups import trivial_group
+from gfrob.modules import submodule_on_indices, trivial_graded_module
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis
+from conftest import (
+    commutative_product,
+    diag,
+    is_symmetric,
+    literal_action,
+    make_s3_module,
+    make_z3_module,
+    random_tensor,
+    rescale_basis,
+)
 
 
 def random_braided_series(rng, h, truncation, terms=2):
@@ -300,6 +309,20 @@ def test_form_poly_round_trip():
     assert t.terms[(0, 0, 1)] == Fraction(3) * 2 / 6
 
 
+def test_series_as_poly_is_the_truncated_polynomial(orbifold_module):
+    hd = dual_module(orbifold_module)
+    names = ("a", "b", "c", "d")
+    rng = random.Random(16)
+    for _ in range(10):
+        terms = {tuple(rng.randint(0, 2) for _ in names): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(6)}
+        p = MultiPoly(names, terms)
+        for truncation in range(p.total_degree() + 2):
+            capped = sum((p.homogeneous_part(d) for d in range(truncation + 1)), MultiPoly.zero(names))
+            assert series_from_poly(hd, p, names, truncation).as_poly(names) == capped
+        with pytest.raises(DegreeMismatch):
+            series_from_poly(hd, p, names).as_poly(names[:3])
+
+
 def test_restrict_untwisted_is_morphism(orbifold_module):
     hd = dual_module(orbifold_module)
     rng = random.Random(10)
@@ -307,7 +330,7 @@ def test_restrict_untwisted_is_morphism(orbifold_module):
         x = random_braided_series(rng, hd, 4)
         y = random_braided_series(rng, hd, 4)
         rx, ry = restrict_untwisted(x), restrict_untwisted(y)
-        assert rx.multiply(ry) == restrict_untwisted(circ_product(x, y))
+        assert circ_product(rx, ry) == restrict_untwisted(circ_product(x, y)) == commutative_product(rx, ry)
 
 
 def test_restrict_invariants_symmetric(orbifold_module, z3_module):
@@ -318,6 +341,8 @@ def test_restrict_invariants_symmetric(orbifold_module, z3_module):
         for _ in range(10):
             x = random_braided_series(rng, hd, 3)
             s = restrict_invariants(x, inv)
+            assert s.module == trivial_graded_module(trivial_group(), len(inv))
+            s.assert_braided()
             for t in s.parts.values():
                 assert is_symmetric(t)
 

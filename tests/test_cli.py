@@ -6,13 +6,15 @@ import pytest
 from gfrob.cli import main
 from gfrob.serialize import (
     gfa_to_json,
+    group_to_json,
     matrix_to_json,
     module_to_json,
     poly_to_json,
     potential_to_json,
     tensor_to_json,
 )
-from gfrob import Tensor, dual_module, potential_A
+from gfrob import Tensor, dual_module, potential_A, symmetric_group, trivial_group
+from gfrob.modules import trivial_graded_module
 from gfrob.linalg import identity
 from gfrob.singularity import flat_metric, z2_frobenius_algebra
 
@@ -37,6 +39,8 @@ def files(tmp_path_factory):
         "algebra": write("algebra.json", gfa_to_json(alg)),
         "phiA3": write("phiA3.json", potential_to_json(pa)),
         "etaA3": write("etaA3.json", {"matrix": matrix_to_json(flat_metric(3))}),
+        "s3": write("s3.json", group_to_json(symmetric_group(3))),
+        "trivial10": write("trivial10.json", module_to_json(trivial_graded_module(trivial_group(), 10))),
         "root": root,
     }
 
@@ -382,6 +386,56 @@ def test_size_limit_refuses_a_huge_n_at_once(capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("size limit: ")
     assert elapsed < 1
+
+
+HUGE_N = "7" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv, limit_digits",
+    [
+        pytest.param(["groupoid", "--group", "z2", "--n", "1424"], None, id="groupoid-z2-1424"),  # 4301 digits
+        pytest.param(["groupoid", "--group", "z2", "--n", str(10**6)], None, id="groupoid-z2-10^6"),
+        pytest.param(["groupoid", "--group", "z2", "--n", str(10**7)], None, id="groupoid-z2-10^7"),
+        pytest.param(["groupoid", "--group", "s3", "--n", "1300"], None, id="groupoid-s3-1300"),
+        pytest.param(["br-basis", "--module", "trivial10", "--n", "3000"], None, id="br-basis-trivial10-3000"),
+        pytest.param(["potential", "A", HUGE_N], None, id="potential-A-1500-digits"),
+        pytest.param(["potential", "B", HUGE_N], None, id="potential-B-1500-digits"),
+        pytest.param(["potential", "D", HUGE_N], None, id="potential-D-1500-digits"),
+        pytest.param(["flat-coords", HUGE_N], None, id="flat-coords-1500-digits"),
+        pytest.param(["construct-z2", HUGE_N], None, id="construct-z2-1500-digits"),
+        pytest.param(["groupoid", "--group", "z2", "--n", "2"], 5000, id="groupoid-limit-5000-digits"),
+        pytest.param(["br-basis", "--module", "module", "--n", "2"], 5000, id="br-basis-limit-5000-digits"),
+    ],
+)
+def test_size_guard_refuses_unprintable_sizes_at_once(capsys, files, monkeypatch, argv, limit_digits):
+    """A cost or limit of more than 4300 digits, which str() and int() refuse, exits 2 without a traceback."""
+    import time
+
+    if limit_digits is None:
+        monkeypatch.delenv("GFROB_SIZE_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("GFROB_SIZE_LIMIT", "9" * limit_digits)
+    start = time.perf_counter()
+    code = main([files.get(a, a) for a in argv])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err and "GFROB_SIZE_LIMIT" in err
+    assert elapsed < 1
+
+
+def test_size_guard_prints_every_printable_cost(capsys, files, monkeypatch):
+    """Below 10^4300 the refusal names the exact cost; a limit of 4300 digits is accepted."""
+    from math import factorial
+
+    monkeypatch.delenv("GFROB_SIZE_LIMIT", raising=False)
+    assert main(["groupoid", "--group", files["z2"], "--n", "1423"]) == 2
+    cost = 2**1423 * factorial(1423)
+    assert capsys.readouterr().err == f"size limit: |G|^n * n! = {cost} exceeds limit 1000000; set GFROB_SIZE_LIMIT to raise it\n"
+    assert main(["groupoid", "--group", files["z2"], "--n", "1424"]) == 2
+    assert capsys.readouterr().err == "size limit: |G|^n * n! >= 10^4300 exceeds limit 1000000; set GFROB_SIZE_LIMIT to raise it\n"
+    monkeypatch.setenv("GFROB_SIZE_LIMIT", "9" * 4300)
+    assert main(["groupoid", "--group", files["z2"], "--n", "2"]) == 0
 
 
 def test_unfolding_guard_verdict_and_message_follow_the_full_count(monkeypatch):

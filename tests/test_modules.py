@@ -24,7 +24,7 @@ from gfrob.linalg import identity
 from gfrob.modules import is_morphism, require_morphism, submodule_on_indices
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis
+from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis, unvalidated_module
 
 
 def test_validate_trivial_module(trivial_modules):
@@ -47,7 +47,7 @@ def test_orbifold_module_negated_twist(z2):
 
 
 def test_validate_rejects_non_homomorphism(z2):
-    bad = graded_module(z2, (0, 0), [identity(2), diag([2, 1])], require_valid=False)
+    bad = unvalidated_module(z2, (0, 0), [identity(2), diag([2, 1])])
     rep = validate_module(bad)
     assert not rep.valid
     with pytest.raises(InvalidAction):
@@ -57,7 +57,7 @@ def test_validate_rejects_non_homomorphism(z2):
 def test_validate_rejects_block_violation(z2):
     # action sends an untwisted vector into the twisted block
     m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    bad = graded_module(z2, (0, 1), [identity(2), m], require_valid=False)
+    bad = unvalidated_module(z2, (0, 1), [identity(2), m])
     assert not validate_module(bad).grading
 
 
@@ -75,7 +75,7 @@ def test_invalid_module_names_axiom_and_witness(z2, degrees, action, message):
     import re
 
     mats = [m if isinstance(m[0], list) else diag(m) for m in action]
-    rep = validate_module(graded_module(z2, degrees, mats, require_valid=False))
+    rep = validate_module(unvalidated_module(z2, degrees, mats))
     assert not rep.valid and rep.failure == message
     with pytest.raises(InvalidAction, match=re.escape(message)):
         graded_module(z2, degrees, mats)

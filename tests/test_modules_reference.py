@@ -19,7 +19,7 @@ from gfrob import graded_module, linalg, validate_module
 from gfrob.modules import ModuleReport
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import make_s3_module, make_z3_module
+from conftest import make_s3_module, make_z3_module, unvalidated_module
 
 # -- dense reference ------------------------------------------------------------
 
@@ -113,7 +113,7 @@ def modules(draw):
 @given(modules())
 def test_validate_module_matches_dense_reference(case):
     group, degrees, action, mutation = case
-    h = graded_module(group, degrees, action, require_valid=False)
+    h = unvalidated_module(group, degrees, action)
     rep = validate_module(h)
     assert rep == validate_module_reference(h)
     if mutation == "none":

@@ -5,7 +5,6 @@ import pytest
 
 from gfrob import MultiPoly
 from gfrob.errors import UnknownVariable
-from gfrob.poly import linear_subst
 from gfrob.serialize import poly_from_json, poly_to_json
 
 
@@ -82,8 +81,7 @@ def test_eval():
 
 def test_linear_subst():
     p = v("x") ** 2 + v("y")
-    m = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
-    q = linear_subst(p, ("x", "y"), m, ("u", "w"))
+    q = p.substitute({"x": v("u") + v("w"), "y": v("w") * 2})
     assert q == (v("u") + v("w")) ** 2 + v("w") * 2
 
 
@@ -92,9 +90,8 @@ def test_linear_subst_registers_no_names():
     from gfrob import poly
 
     p = (v("x") + v("y") * 2) ** 3 + v("z")
-    swap = [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(1), Fraction(0), Fraction(0)]]
     size = len(poly._offsets)
-    q = linear_subst(p, ("x", "y"), swap, ("x", "y", "z"))
+    q = p.substitute({"x": v("y"), "y": v("x")})
     assert len(poly._offsets) == size
     assert q == (v("y") + v("x") * 2) ** 3 + v("z")
 

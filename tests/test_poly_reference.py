@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from gfrob import MultiPoly, flat_coordinates
 from gfrob.braided import form_from_poly
 from gfrob.errors import SizeLimit, UnknownVariable
-from gfrob.poly import linear_subst
 from gfrob.serialize import poly_to_json
 from gfrob.singularity import inverse_series_potential
 
@@ -172,19 +171,19 @@ class DensePoly:
         return sorted(self.terms.items())
 
 
-def dense_linear_subst(p, old_names, matrix, new_names):
-    live = [j for j, name in enumerate(old_names) if name in p.vars]
-    images = {}
-    for j in live:
-        image = DensePoly(new_names, {})
-        for b in range(len(new_names)):
-            if matrix[j][b] != 0:
-                image = image + DensePoly(new_names, {tuple(int(k == b) for k in range(len(new_names))): matrix[j][b]})
-        images[j] = image
-    out = p.rename({old_names[j]: "#" + old_names[j] for j in live})
-    for j in live:
-        out = out.subst("#" + old_names[j], images[j])
+def dense_substitute(p, images):
+    """Substitute every named variable at once: rename each to a '#' temporary, then substitute one at a time."""
+    live = [name for name in images if name in p.vars]
+    out = p.rename({name: "#" + name for name in live})
+    for name in live:
+        out = out.subst("#" + name, images[name])
     return out
+
+
+def linear_images(old_names, matrix, new_names, cls):
+    """old_j -> sum_b matrix[j][b] * new_b, each a polynomial of class cls declaring all of new_names."""
+    units = [tuple(int(k == b) for k in range(len(new_names))) for b in range(len(new_names))]
+    return {name: cls(new_names, dict(zip(units, row))) for name, row in zip(old_names, matrix)}
 
 
 # -- strategies ------------------------------------------------------------------
@@ -236,7 +235,7 @@ def agrees(compute, ref: DensePoly, strict: bool = True) -> bool:
 
 
 def dense_monomial_subst(ref, old_names, matrix, new_names):
-    """dense_linear_subst for rows with at most one nonzero entry, an int, without expanding any power."""
+    """Linear substitution for rows with at most one nonzero entry, an int, without expanding any power."""
     live = [j for j, name in enumerate(old_names) if name in ref.vars]
     rest = [v for v in ref.vars if v not in old_names]
     moved = any(exp[ref.vars.index(old_names[j])] for exp in ref.terms for j in live)
@@ -303,8 +302,8 @@ def test_structure_matches_dense(polys, data):
     value = p.eval(point)
     assert type(value) is Fraction and value == rp.eval(point)
     image = data.draw(st.permutations(POOL + ("u", "w")))
-    mapping = dict(zip(POOL, image))
-    assert same(p.rename(mapping), rp.rename(mapping))
+    renamed = p.substitute({a: MultiPoly.variable(b) for a, b in zip(POOL, image)})
+    assert same(renamed, dense_substitute(rp, {a: DensePoly((b,), {(1,): 1}) for a, b in zip(POOL, image)}))
     extra = data.draw(st.sets(st.sampled_from(POOL + ("u",))))
     assert same(p.with_vars(set(p.vars) | extra), rp.with_vars(set(rp.vars) | extra))
 
@@ -316,7 +315,35 @@ def test_linear_subst_matches_dense(polys, data):
     old = data.draw(st.permutations(POOL))
     new = data.draw(st.sampled_from([("u", "w"), ("a", "u"), ("b", "a", "c")]))
     matrix = [[data.draw(coefs) for _ in new] for _ in old]
-    assert same(linear_subst(p, old, matrix, new), dense_linear_subst(rp, old, matrix, new))
+    images = linear_images(old, matrix, new, MultiPoly)
+    assert same(p.substitute(images), dense_substitute(rp, linear_images(old, matrix, new, DensePoly)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(count=4), st.data())
+def test_substitute_matches_dense(polys, data):
+    """Up to three variables at once, each by a polynomial of degree up to 3 (which may hold the
+    substituted variables) or a scalar.
+
+    The terms match the oracle.  The declared variables are the rest of p's and
+    those of the image of each variable that occurs in p; the oracle's can
+    differ where an intermediate result is zero, which drops what its later
+    images would declare.
+    """
+    (p, rp), *rest = polys
+    names = data.draw(st.permutations(POOL + ("u",)))
+    images, dense = {}, {}
+    for name, (q, rq) in zip(names, rest):
+        if data.draw(st.booleans()):
+            q = rq = data.draw(coefs)
+        images[name], dense[name] = q, rq
+    got = p.substitute(images)
+    assert same(got.compact(), dense_substitute(rp, dense).compact()) and stored_exactly(got)
+    declared = set(p.vars).difference(images)
+    for name in images:
+        if p.diff(name):
+            declared.update(getattr(images[name], "vars", ()))
+    assert set(got.vars) == declared
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,7 +372,7 @@ def test_near_guard_bit_matches_dense_or_refuses(polys, power, data):
         if b >= 0:
             row[b] = data.draw(st.sampled_from([-1, 1]))  # any other entry to a power near 2^31 is too large
     ref = dense_monomial_subst(rp, old, matrix, new)
-    assert agrees(lambda: linear_subst(p, old, matrix, new), ref, strict=False)
+    assert agrees(lambda: p.substitute(linear_images(old, matrix, new, MultiPoly)), ref, strict=False)
 
 
 def test_registry_survives_cache_resets():

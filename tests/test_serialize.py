@@ -158,7 +158,6 @@ VALID_DOCUMENTS = {
     "fmdata_from_json": {**potential_to_json(_A3), "metric": [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]]},
     "matrix_from_json": _GFA["metric"],
     "square_matrix_from_json": {"matrix": _GFA["metric"]},
-    "metric_from_json": _GFA["metric"],
     "vector_from_json": _GFA["unit"],
     "embedding_from_json": [0, 2],
 }
