@@ -53,6 +53,7 @@ from .braided import (
     pullback_series,
     restrict_invariants,
     restrict_untwisted,
+    unit_series,
 )
 from .frobenius import (
     FmData,
@@ -68,7 +69,6 @@ from .frobenius import (
     wdvv_check,
 )
 from .singularity import (
-    MilnorRing,
     UnfoldingChart,
     flat_coordinates,
     flat_metric,

@@ -39,6 +39,7 @@ from .modules import (
     slot_apply_into,
     split_homogeneous,
     trivial_graded_module,
+    untwisted_basis,
 )
 from .poly import MultiPoly
 
@@ -248,13 +249,6 @@ def unit_series(h: GradedModule, truncation: int) -> BraidedSeries:
     return BraidedSeries(h, truncation, {0: Tensor.scalar(1)})
 
 
-def series_from_tensors(h: GradedModule, truncation: int, tensors: Sequence[Tensor]) -> BraidedSeries:
-    parts: dict[int, Tensor] = {}
-    for t in tensors:
-        parts[t.n] = parts.get(t.n, Tensor(t.n)) + t
-    return BraidedSeries(h, truncation, parts)
-
-
 def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
     """Degreewise juxtaposition followed by braidization, truncated.
 
@@ -396,9 +390,7 @@ def restrict_tensor(x: Tensor, basis: Sequence[linalg.Vec]) -> Tensor:
 
 def restrict_untwisted(x: BraidedSeries) -> BraidedSeries:
     """Restriction to the untwisted sector; an algebra morphism onto the series of the trivial group."""
-    h = x.module  # dual module carrying the forms
-    basis = [tuple(Fraction(int(i == j)) for i in range(h.dim)) for j in h.untwisted_indices()]
-    return restrict_invariants(x, basis)
+    return restrict_invariants(x, untwisted_basis(x.module))
 
 
 def restrict_invariants(x: BraidedSeries, invariant_vectors: Sequence[linalg.Vec]) -> BraidedSeries:

@@ -81,7 +81,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bytes that are not text, an int over the digit limit
         raise ser.ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -187,15 +187,13 @@ def _cmd_check_pre_gfm(args) -> RunReport:
     if len(pot.names) != h.dim:
         raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
     report = check_pre_gfm(h, eta, pot)
-    rep.add("module_valid", report.module_valid)
-    rep.add("self_invariant", report.self_invariant)
-    rep.add("metric", report.metric.passed)
+    rep.add("module_valid", report.module.valid, report.module.failure)
+    rep.add("self_invariant", report.module.self_invariant, report.self_invariance_failure)
+    rep.add("metric", report.metric.passed, report.metric.failure)
     rep.add("braided", report.braided, report.braid_witness and list(report.braid_witness))
     rep.add("degree_filter", report.degree_filter)
-    rep.add("wdvv_untwisted", report.wdvv_untwisted.passed,
-            [list(w) for w in report.wdvv_untwisted.witnesses[:10]] or None)
-    rep.add("wdvv_invariants", report.wdvv_invariants.passed,
-            [list(w) for w in report.wdvv_invariants.witnesses[:10]] or None)
+    for name, wdvv in (("wdvv_untwisted", report.wdvv_untwisted), ("wdvv_invariants", report.wdvv_invariants)):
+        rep.add(name, wdvv.passed, wdvv.failure or [list(w) for w in wdvv.witnesses[:10]] or None)
     return rep
 
 

@@ -29,16 +29,18 @@ from .errors import (
     RestrictionMismatch,
     UnitFails,
 )
-from .groups import cyclic_group, trivial_group
+from .groups import trivial_group
 from .linalg import ZERO, Mat, Vec
 from .modules import (
     GradedModule,
+    ModuleReport,
     Tensor,
     dual_module,
     invariants_basis,
     self_invariance_failure,
     trivial_graded_module,
     validate_module,
+    z2_module,
 )
 from .poly import MultiPoly
 
@@ -140,6 +142,7 @@ class Potential:
 class WdvvReport:
     passed: bool
     witnesses: tuple[tuple[int, int, int, int], ...]
+    failure: str | None = None  # why the check failed where no tuple can witness it
 
 
 def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
@@ -217,22 +220,6 @@ def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] 
             row.append(tuple(entry))
         out.append(tuple(row))
     return tuple(out)
-
-
-def potential_unit(pot: Potential, eta: Mat) -> Vec:
-    """The vector u with u o e_b = e_b at the origin; raises UnitFails if none."""
-    d = len(pot.names)
-    c = mult_from_potential(pot, eta)
-    rows = []
-    rhs = []
-    for b in range(d):
-        for l in range(d):
-            rows.append([c[a][b][l] for a in range(d)])
-            rhs.append(Fraction(1) if b == l else Fraction(0))
-    try:
-        return linalg.solve_columns(rows, rhs)
-    except ValueError:
-        raise UnitFails("no unique unit vector at the origin") from None
 
 
 # -- G-Frobenius algebras ------------------------------------------------------
@@ -430,19 +417,6 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
     return alg
 
 
-def cubic_form_of(alg: GFrobeniusAlgebra) -> Tensor:
-    """Extract Y3(v_a, v_b, v_c) = eta(v_a . v_b, v_c) as a tensor on the dual."""
-    d = alg.dim
-    terms = {}
-    for a in range(d):
-        for b in range(d):
-            for cc in range(d):
-                val = sum(alg.mult[a][b][k] * alg.metric[k][cc] for k in range(d))
-                if val != 0:
-                    terms[(cc, b, a)] = val
-    return Tensor(3, terms)
-
-
 def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAlgebra]:
     """Ordinary Frobenius algebras on the untwisted sector and on the invariants."""
     h = alg.module
@@ -508,15 +482,10 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     return None
 
 
-def potential_is_braided(h: GradedModule, pot: Potential) -> bool:
-    """Exact braid-invariance of every homogeneous part of the potential."""
-    return braid_witness(h, pot) is None
-
-
 @dataclass(frozen=True)
 class PreGfmReport:
-    module_valid: bool
-    self_invariant: bool
+    module: ModuleReport
+    self_invariance_failure: str | None  # first g and entry (i, j) that break self-invariance, or None
     metric: MetricReport
     braid_witness: tuple[int, int] | None  # first failing coordinate pair, or None
     degree_filter: bool
@@ -532,14 +501,22 @@ class PreGfmReport:
     @property
     def passed(self) -> bool:
         return (
-            self.module_valid
-            and self.self_invariant
+            self.module.valid
+            and self.module.self_invariant
             and self.metric.passed
             and self.braided
             and self.degree_filter
             and self.wdvv_untwisted.passed
             and self.wdvv_invariants.passed
         )
+
+
+def _sector_wdvv(sector: str, pot: Potential, eta: Mat) -> WdvvReport:
+    """wdvv_check on one sector, failed with a witness naming the sector where its metric is singular."""
+    try:
+        return wdvv_check(pot, eta)
+    except DegenerateMetric:
+        return WdvvReport(False, (), f"metric is singular on the {sector} sector")
 
 
 def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
@@ -553,7 +530,7 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     e_names = tuple(pot.names[j] for j in e_idx)
     other = [pot.names[j] for j in range(h.dim) if j not in e_idx]
     y_e = pot.poly.subst_zero(other)
-    wdvv_e = wdvv_check(Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
+    wdvv_e = _sector_wdvv("untwisted", Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
 
     inv = invariants_basis(h)
     incl = [[v[i] for v in inv] for i in range(h.dim)]
@@ -563,11 +540,11 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     eta_g = linalg.mat_mul(
         linalg.transpose(linalg.mat(incl)), linalg.mat_mul(eta, linalg.mat(incl))
     )
-    wdvv_g = wdvv_check(Potential(s_names, y_g), eta_g)
+    wdvv_g = _sector_wdvv("invariant", Potential(s_names, y_g), eta_g)
 
     return PreGfmReport(
-        module_valid=mod_rep.valid,
-        self_invariant=mod_rep.self_invariant,
+        module=mod_rep,
+        self_invariance_failure=self_invariance_failure(h),
         metric=metric_rep,
         braid_witness=witness,
         degree_filter=filter_ok,
@@ -668,30 +645,12 @@ def assemble_z2(
             raise BlockDegreeViolation("potential has odd twisted degree")
 
     names = tuple(shared + v_names + g_names)
-    nv, ng = len(v_names), len(g_names)
-    group = cyclic_group(2)
-    degrees = tuple([group.identity] * (r + nv) + [1 - group.identity] * ng)
-    diag = [Fraction(1)] * r + [Fraction(-1)] * nv + [Fraction(1)] * ng
-    rho_g = tuple(
-        tuple(diag[i] if i == j else Fraction(0) for j in range(r + nv + ng))
-        for i in range(r + nv + ng)
+    module = z2_module(r, len(v_names), len(g_names))
+    # (block, source metric, source index) of each coordinate; the blocks pair only with themselves
+    coords = (
+        [(0, fe.metric, i) for i in iota_e] + [(1, fe.metric, j) for j in v_idx] + [(2, fg.metric, j) for j in g_idx]
     )
-    module = GradedModule(group, degrees, (linalg.identity(r + nv + ng), rho_g))
-
-    dim = r + nv + ng
-    eta = [[Fraction(0)] * dim for _ in range(dim)]
-    for p in range(r):
-        for q in range(r):
-            eta[p][q] = eta_i_e[p][q]
-    eta_v = submatrix(fe.metric, v_idx, v_idx)
-    for p in range(nv):
-        for q in range(nv):
-            eta[r + p][r + q] = eta_v[p][q]
-    eta_g = submatrix(fg.metric, g_idx, g_idx)
-    for p in range(ng):
-        for q in range(ng):
-            eta[r + nv + p][r + nv + q] = eta_g[p][q]
-    eta_m = tuple(tuple(row) for row in eta)
+    eta_m = tuple(tuple(m[i][j] if b == c else ZERO for c, _, j in coords) for b, m, i in coords)
 
     y_total = fe.potential + (fg.potential - y_g_restricted)
     pot = Potential(names, y_total.with_vars(sorted(set(y_total.vars) | set(names))))

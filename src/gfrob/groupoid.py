@@ -36,6 +36,7 @@ realizing word needs to be found or replayed.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from math import factorial, prod
 
@@ -43,35 +44,41 @@ from .errors import BadIndex, IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from .groups import FiniteGroup
 
 DEFAULT_SIZE_LIMIT = 10**6
-_DIGITS = 4300  # the most digits that int() parses and str() prints by default
-_HUGE = 10**_DIGITS
 
 GTuple = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
+def _max_digits() -> int:
+    """The most digits that int() parses and str() prints: the interpreter's limit, or 4300 where it sets none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def check_size(what: str, cost: int) -> None:
     """Refuse a cost over GFROB_SIZE_LIMIT (default 10^6), naming that override in the message.
 
-    A cost of 10^4300 or more, which str() refuses to print, exceeds every limit
-    that int() parses, and its refusal does not print it.
+    With D = _max_digits(), a cost of 10^D or more, which str() refuses to
+    print, exceeds every limit that int() parses, and its refusal does not
+    print it.
     """
+    digits = _max_digits()
     raw = os.environ.get("GFROB_SIZE_LIMIT")
-    if raw and raw.isdecimal() and len(raw) > _DIGITS:
-        raise BadIndex(f"GFROB_SIZE_LIMIT must be below 10^{_DIGITS}, got {len(raw)} digits")
+    if raw and raw.isdecimal() and len(raw) > digits:
+        raise BadIndex(f"GFROB_SIZE_LIMIT must be below 10^{digits}, got {len(raw)} digits")
     if raw and (not raw.isdecimal() or int(raw) == 0):
         raise BadIndex(f"GFROB_SIZE_LIMIT must be a positive integer, got {raw!r}")
     cap = int(raw) if raw else DEFAULT_SIZE_LIMIT
     if cost > cap:
-        size = f"= {cost}" if cost < _HUGE else f">= 10^{_DIGITS}"
+        size = f"= {cost}" if cost < 10**digits else f">= 10^{digits}"
         raise SizeLimit(f"{what} {size} exceeds limit {cap}; set GFROB_SIZE_LIMIT to raise it")
 
 
 def guard_size(group: FiniteGroup, n: int) -> None:
     if n < 0:
         raise BadIndex(f"tuple length n = {n} is negative")
-    # n! alone reaches 10^4300 before n = 4300, so a longer tuple is refused without building its cost
-    check_size("|G|^n * n!", group.order**n * factorial(n) if n <= _DIGITS else _HUGE)
+    digits = _max_digits()
+    # n! alone reaches 10^digits before n = digits, so a longer tuple is refused without building its cost
+    check_size("|G|^n * n!", group.order**n * factorial(n) if n <= digits else 10**digits)
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_table(table)
 
 
-def perm_index(n: int, perm: Sequence[int]) -> int:
-    """Index of a permutation tuple inside symmetric_group(n)'s element order."""
-    perms = sorted(itertools.permutations(range(n)))
-    return perms.index(tuple(perm))
-
-
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of element indices into conjugation orbits, canonically sorted."""
     seen: set[int] = set()

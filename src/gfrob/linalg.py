@@ -5,7 +5,7 @@ Every elimination runs through `eliminate`: sparse rows (column -> nonzero
 int or Fraction) in, the unique reduced row echelon form in Fractions out,
 with integer arithmetic in between.  Working on nonzeros only keeps the
 sparse br_basis systems cheap, and the unique form makes every kernel basis
-read from it canonical.  `rref`, `rank`, `nullspace`, `mat_inv` and
+read from it canonical.  `rank`, `nullspace`, `mat_inv` and
 `solve_columns` are thin dense adapters over it.
 """
 
@@ -140,13 +140,6 @@ def kernel(reduced: Mapping[int, Row], width: int) -> list[Row]:
 
 def _dense(row: Mapping[int, Fraction], width: int) -> list[Fraction]:
     return [row.get(j, ZERO) for j in range(width)]
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    width = len(rows[0]) if rows else 0
-    reduced = eliminate(dict(enumerate(r)) for r in rows)
-    return [_dense(r, width) for r in reduced.values()], list(reduced)
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DegreeMismatch, IndexOutOfRange, InvalidAction, InvalidMorphism, NotZ2
 from .groupoid import Arrow, GTuple, gen_arrow, inverse_gen_arrow
-from .groups import FiniteGroup
+from .groups import FiniteGroup, cyclic_group
 
 Matrix = linalg.Mat
 Columns = list[list[tuple[int, int]]]  # columns[j] = nonzero (row, entry of Delta * M) pairs
@@ -436,31 +436,21 @@ def require_morphism(source: GradedModule, target: GradedModule, m: Matrix) -> N
         raise InvalidMorphism("matrix is not a degree-preserving equivariant morphism")
 
 
-def submodule_on_indices(h: GradedModule, indices: Sequence[int]) -> tuple[GradedModule, Matrix]:
-    """Module on a subset of basis vectors whose span is action-invariant.
-
-    Returns the submodule and the inclusion matrix (h.dim x len(indices)).
-    """
-    idx = list(indices)
-    degrees = tuple(h.degrees[j] for j in idx)
-    action = []
-    for gamma in h.group.elements():
-        m = h.action[gamma]
-        for i in range(h.dim):
-            for j in idx:
-                if m[i][j] != 0 and i not in idx:
-                    raise InvalidMorphism("span of chosen indices is not action-invariant")
-        action.append(tuple(tuple(m[i][j] for j in idx) for i in idx))
-    sub = GradedModule(h.group, degrees, tuple(action))
-    incl = tuple(
-        tuple(Fraction(1) if (i == idx[j]) else Fraction(0) for j in range(len(idx)))
-        for i in range(h.dim)
-    )
-    return sub, incl
-
-
 def trivial_graded_module(group: FiniteGroup, dim: int) -> GradedModule:
     """Everything in the untwisted sector with the trivial action."""
     e = group.identity
     ident = linalg.identity(dim)
     return GradedModule(group, tuple([e] * dim), tuple(ident for _ in group.elements()))
+
+
+def z2_module(fixed: int, sign: int, twisted: int) -> GradedModule:
+    """The order-two module on three blocks in this order, on which the involution acts as +1, -1 and +1.
+
+    The fixed and sign blocks are untwisted; the twisted block has the degree of the involution.
+    """
+    group = cyclic_group(2)
+    dim = fixed + sign + twisted
+    diag = [Fraction(1)] * fixed + [Fraction(-1)] * sign + [Fraction(1)] * twisted
+    rho = tuple(tuple(diag[i] if i == j else Fraction(0) for j in range(dim)) for i in range(dim))
+    degrees = (group.identity,) * (fixed + sign) + (1 - group.identity,) * twisted
+    return GradedModule(group, degrees, (linalg.identity(dim), rho))

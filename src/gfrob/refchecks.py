@@ -291,12 +291,7 @@ def _check_wdvv_potentials():
 def _check_milnor_rings():
     a3 = milnor_ring("A", 3)
     d4 = milnor_ring("D", 4)
-    ok = (
-        a3.basis == ("1", "z^1", "z^2")
-        and a3.counit == (0, 0, 1)
-        and d4.multiply(3, 3) == (0, 0, Fraction(-1), 0)
-        and d4.multiply(1, 3) == (0, 0, 0, 0)
-    )
+    ok = a3.metric[0] == (0, 0, 1) and d4.mult[3][3] == (0, 0, Fraction(-1), 0) and d4.mult[1][3] == (0, 0, 0, 0)
     return _ok(ok, "A3 counit; D4 relations y.y=-x^2, x.y=0")
 
 
@@ -309,9 +304,7 @@ def _check_algebra(n: int):
         return _ok(False, "eta(y,y) != -1")
     _, sub_g = subalgebras(alg)
     mg = milnor_ring("D", n)
-    ok = sub_g.mult == tuple(
-        tuple(mg.multiply(p, q) for q in range(n)) for p in range(n)
-    ) and sub_g.metric == mg.metric()
+    ok = sub_g.mult == mg.mult and sub_g.metric == mg.metric
     return _ok(ok, f"n={n}: axioms + invariants ring")
 
 

@@ -194,18 +194,6 @@ def potential_to_json(p: Potential) -> dict:
     return {"names": list(p.names), "potential": poly_to_json(p.poly)}
 
 
-def gfa_to_json(a: GFrobeniusAlgebra) -> dict:
-    return {
-        "module": module_to_json(a.module),
-        "metric": matrix_to_json(a.metric),
-        "mult": [
-            [[frac_to_str(x) for x in a.mult[i][j]] for j in range(a.dim)]
-            for i in range(a.dim)
-        ],
-        "unit": [frac_to_str(x) for x in a.unit],
-    }
-
-
 def gfa_from_json(obj: Any) -> GFrobeniusAlgebra:
     if not isinstance(obj, dict):
         raise ParseError("algebra must be an object")

@@ -41,78 +41,47 @@ from . import linalg
 from .errors import BadIndex, IntegrabilityFailure
 from .frobenius import GFrobeniusAlgebra, Potential
 from .groupoid import check_size
-from .groups import cyclic_group
-from .modules import GradedModule
+from .groups import trivial_group
+from .modules import trivial_graded_module, z2_module
 from .poly import MultiPoly
 
 # -- Milnor rings --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MilnorRing:
-    """Quotient by the Jacobian ideal, with monomial basis and counit."""
+def milnor_ring(kind: str, n: int) -> GFrobeniusAlgebra:
+    """The Milnor ring of A_n or D_n as a Frobenius algebra of the trivial group.
 
-    kind: str  # "A" or "D"
-    n: int
-    basis: tuple[str, ...]
-    counit: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def multiply(self, p: int, q: int) -> tuple[Fraction, ...]:
-        """Product of two basis vectors as a coordinate vector."""
-        out = [Fraction(0)] * self.dim
-        if self.kind == "A":
-            s = p + q
-            if s < self.n:
-                out[s] = Fraction(1)
-            return tuple(out)
-        y = self.dim - 1
-        if p == y and q == y:
-            out[self.n - 2] = Fraction(-1)  # y^2 = -x^{n-2}
-            return tuple(out)
-        if p == y or q == y:
-            other = q if p == y else p
-            if other == 0:
-                out[y] = Fraction(1)
-            return tuple(out)  # x^a y = 0 for a >= 1
-        s = p + q
-        if s <= self.n - 2:
-            out[s] = Fraction(1)
-        return tuple(out)  # x^{n-1} = 0
-
-    def metric(self) -> linalg.Mat:
-        """Pairing (u, v) -> counit(u v)."""
-        rows = []
-        for p in range(self.dim):
-            row = []
-            for q in range(self.dim):
-                prod = self.multiply(p, q)
-                row.append(sum(c * e for c, e in zip(prod, self.counit)))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-
-def milnor_ring(kind: str, n: int) -> MilnorRing:
+    The basis is 1, z, .., z^{n-1} with z^n = 0 for A_n, and 1, x, ..,
+    x^{n-2}, y with x^{n-1} = x y = 0 and y^2 = -x^{n-2} for D_n.  The unit
+    is e_0 and the metric is (u, v) -> counit(u v), with the counit reading
+    the top power z^{n-1} or x^{n-2}.
+    """
     if kind == "A":
         if n < 2:
             raise BadIndex("A-series needs n >= 2")
-        basis = tuple("1" if i == 0 else f"z^{i}" for i in range(n))
-        counit = tuple(Fraction(1) if i == n - 1 else Fraction(0) for i in range(n))
-        return MilnorRing("A", n, basis, counit)
-    if kind == "D":
+        top, y = n - 1, None
+    elif kind == "D":
         if n < 3:
             raise BadIndex("D-series needs n >= 3")
-        basis = tuple(
-            ["1"] + [f"x^{i}" for i in range(1, n - 1)] + ["y"]
-        )
-        counit = tuple(
-            Fraction(1) if i == n - 2 else Fraction(0) for i in range(n)
-        )
-        return MilnorRing("D", n, basis, counit)
-    raise BadIndex(f"unknown singularity kind {kind!r}")
+        top, y = n - 2, n - 1
+    else:
+        raise BadIndex(f"unknown singularity kind {kind!r}")
+
+    def product(p: int, q: int) -> linalg.Vec:
+        out = [Fraction(0)] * n
+        if p == q == y:
+            out[top] = Fraction(-1)
+        elif y in (p, q):
+            if 0 in (p, q):
+                out[y] = Fraction(1)
+        elif p + q <= top:
+            out[p + q] = Fraction(1)
+        return tuple(out)
+
+    mult = tuple(tuple(product(p, q) for q in range(n)) for p in range(n))
+    metric = tuple(tuple(mult[p][q][top] for q in range(n)) for p in range(n))
+    unit = tuple(Fraction(int(i == 0)) for i in range(n))
+    return GFrobeniusAlgebra(trivial_graded_module(trivial_group(), n), metric, mult, unit)
 
 
 # -- parametric Jacobi rings -----------------------------------------------------
@@ -287,11 +256,8 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
 
 
 def flat_metric(n: int) -> linalg.Mat:
-    """Residue metric in flat coordinates: eta_ij = [i + j == n - 1]."""
-    return tuple(
-        tuple(Fraction(1) if i + j == n - 1 else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    """Residue metric in flat coordinates, eta_ij = [i + j == n - 1]: the metric of the A_n Milnor ring."""
+    return milnor_ring("A", n).metric
 
 
 def flat_metric_entries(chart: UnfoldingChart) -> list[list[MultiPoly]]:
@@ -498,19 +464,8 @@ def _potential_D_from(chart: UnfoldingChart, pa: Potential) -> Potential:
 
 
 def potential_D_metric(n: int) -> linalg.Mat:
-    """Flat metric on (t_0, t_2, ..., t_{2n-4}, t_*)."""
-    rows = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            if p < n - 1 and q < n - 1:
-                row.append(Fraction(1) if 2 * p + 2 * q == 2 * n - 4 else Fraction(0))
-            elif p == n - 1 and q == n - 1:
-                row.append(Fraction(-1))
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Flat metric on (t_0, t_2, ..., t_{2n-4}, t_*): the metric of the D_n Milnor ring."""
+    return milnor_ring("D", n).metric
 
 
 # -- the order-two orbifold objects --------------------------------------------
@@ -519,52 +474,19 @@ def potential_D_metric(n: int) -> linalg.Mat:
 def z2_frobenius_algebra(n: int) -> GFrobeniusAlgebra:
     """The order-two Frobenius algebra C[z,y]/(z^{2n-3}, yz, y^2 + z^{2n-4}).
 
-    Basis ordered (1, z^2, ..., z^{2n-4}, z, z^3, ..., z^{2n-5}, y); the
-    involution fixes even powers and y and negates odd powers; the metric is
-    anti-diagonal on the even and odd blocks with eta(y, y) = -1.
+    This is the Milnor ring of D_{2n-2} with x = z, reordered to the basis
+    (1, z^2, ..., z^{2n-4} | z, z^3, ..., z^{2n-5} | y): the involution fixes
+    the even powers and y and negates the odd powers, and y is twisted.
     """
     if n < 3:
         raise BadIndex("z2_frobenius_algebra needs n >= 3")
-    group = cyclic_group(2)
-    dim = 2 * n - 2
-    even = list(range(0, 2 * n - 3, 2))  # z-powers in the fixed block
-    odd = list(range(1, 2 * n - 4, 2))  # z-powers in the sign block
-    powers = even + odd
-    pos_of_power = {p: i for i, p in enumerate(powers)}
-    y = dim - 1
-
-    degrees = tuple([0] * (dim - 1) + [1])
-    signs = [Fraction(1)] * len(even) + [Fraction(-1)] * len(odd) + [Fraction(1)]
-    rho_g = tuple(
-        tuple(signs[i] if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
-    )
-    module = GradedModule(group, degrees, (linalg.identity(dim), rho_g))
-
-    eta = [[Fraction(0)] * dim for _ in range(dim)]
-    for i, p in enumerate(powers):
-        for j, q in enumerate(powers):
-            if p + q == 2 * n - 4:
-                eta[i][j] = Fraction(1)
-    eta[y][y] = Fraction(-1)
-
-    mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, p in enumerate(powers):
-        for j, q in enumerate(powers):
-            if p + q <= 2 * n - 4:
-                mult[i][j][pos_of_power[p + q]] = Fraction(1)
-    for i, p in enumerate(powers):
-        if p == 0:
-            mult[i][y][y] = Fraction(1)
-            mult[y][i][y] = Fraction(1)
-        # y z^p = 0 for p >= 1
-    mult[y][y][pos_of_power[2 * n - 4]] = Fraction(-1)
-
-    unit = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(dim))
+    ring = milnor_ring("D", 2 * n - 2)
+    order = [*range(0, 2 * n - 3, 2), *range(1, 2 * n - 4, 2), 2 * n - 3]
     return GFrobeniusAlgebra(
-        module,
-        tuple(tuple(row) for row in eta),
-        tuple(tuple(tuple(v) for v in row) for row in mult),
-        unit,
+        z2_module(n - 1, n - 2, 1),
+        tuple(tuple(ring.metric[p][q] for q in order) for p in order),
+        tuple(tuple(tuple(ring.mult[p][q][k] for k in order) for q in order) for p in order),
+        ring.unit,
     )
 
 

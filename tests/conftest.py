@@ -1,4 +1,4 @@
-"""Shared fixtures: small graded modules over the four test groups."""
+"""Shared fixtures: small graded modules over the four test groups, and helpers that only tests use."""
 
 from __future__ import annotations
 
@@ -17,11 +17,53 @@ from gfrob import (
     symmetric_group,
     trivial_group,
 )
-from gfrob.braided import series_from_poly
+from gfrob.braided import BraidedSeries, series_from_poly
+from gfrob.errors import InvalidMorphism
+from gfrob.frobenius import GFrobeniusAlgebra
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
-from gfrob.groups import perm_index
 from gfrob.linalg import identity, mat
+from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
 from gfrob.singularity import z2_frobenius_algebra
+
+
+def perm_index(n, perm):
+    """Index of a permutation tuple inside symmetric_group(n)'s element order."""
+    return sorted(itertools.permutations(range(n))).index(tuple(perm))
+
+
+def series_from_tensors(h, truncation, tensors):
+    """The series on h whose degree-d part is the sum of the given tensors of degree d."""
+    parts = {}
+    for t in tensors:
+        parts[t.n] = parts.get(t.n, Tensor(t.n)) + t
+    return BraidedSeries(h, truncation, parts)
+
+
+def submodule_on_indices(h, indices):
+    """Module on a subset of basis vectors whose span is action-invariant.
+
+    Returns the submodule and the inclusion matrix (h.dim x len(indices)).
+    """
+    idx = list(indices)
+    degrees = tuple(h.degrees[j] for j in idx)
+    action = []
+    for gamma in h.group.elements():
+        m = h.action[gamma]
+        if any(m[i][j] != 0 and i not in idx for i in range(h.dim) for j in idx):
+            raise InvalidMorphism("span of chosen indices is not action-invariant")
+        action.append(tuple(tuple(m[i][j] for j in idx) for i in idx))
+    incl = tuple(tuple(Fraction(int(i == idx[j])) for j in range(len(idx))) for i in range(h.dim))
+    return GradedModule(h.group, degrees, tuple(action)), incl
+
+
+def gfa_to_json(a: GFrobeniusAlgebra) -> dict:
+    """The JSON document of an algebra that gfa_from_json and `gfrob check-gfa` read."""
+    return {
+        "module": module_to_json(a.module),
+        "metric": matrix_to_json(a.metric),
+        "mult": [[[frac_to_str(x) for x in a.mult[i][j]] for j in range(a.dim)] for i in range(a.dim)],
+        "unit": [frac_to_str(x) for x in a.unit],
+    }
 
 
 def diag(entries):

@@ -28,13 +28,12 @@ from gfrob import (
 from gfrob.braided import (
     pullback_tensor,
     series_from_poly,
-    series_from_tensors,
     unit_series,
 )
 from gfrob.errors import DegreeMismatch, ModuleMismatch
 from gfrob.linalg import identity, rank
 from gfrob.groups import trivial_group
-from gfrob.modules import submodule_on_indices, trivial_graded_module
+from gfrob.modules import trivial_graded_module
 from gfrob.singularity import z2_frobenius_algebra
 
 from conftest import (
@@ -46,6 +45,8 @@ from conftest import (
     make_z3_module,
     random_tensor,
     rescale_basis,
+    series_from_tensors,
+    submodule_on_indices,
 )
 
 

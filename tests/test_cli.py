@@ -5,7 +5,6 @@ import pytest
 
 from gfrob.cli import main
 from gfrob.serialize import (
-    gfa_to_json,
     group_to_json,
     matrix_to_json,
     module_to_json,
@@ -17,6 +16,8 @@ from gfrob import Tensor, dual_module, potential_A, symmetric_group, trivial_gro
 from gfrob.modules import trivial_graded_module
 from gfrob.linalg import identity
 from gfrob.singularity import flat_metric, z2_frobenius_algebra
+
+from conftest import gfa_to_json
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,49 @@ def test_check_pre_gfm_command(capsys, files, tmp_path):
     assert code == 0
 
 
+PRE_GFM_CHECKS = ["module_valid", "self_invariant", "metric", "braided", "degree_filter", "wdvv_untwisted", "wdvv_invariants"]
+
+
+def test_check_pre_gfm_reports_a_singular_sector(capsys, files, tmp_path):
+    """A metric singular on the invariant sector fails that sector's check; all seven checks print."""
+    from gfrob.singularity import z2_frobenius_manifold
+
+    fm = z2_frobenius_manifold(3)
+    metric = matrix_to_json(fm.assembly.metric)
+    metric[-1][-1] = "0"
+    inputs = {
+        "--module": module_to_json(fm.assembly.module),
+        "--metric": {"matrix": metric},
+        "--potential": {"names": list(fm.names), "potential": poly_to_json(fm.potential)},
+    }
+    code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == PRE_GFM_CHECKS
+    assert [c for c in checks if c["status"] == "fail"] == [
+        {"name": "metric", "status": "fail", "witness": "blockwise_nondegenerate fails at g = 1"},
+        {"name": "wdvv_invariants", "status": "fail", "witness": "metric is singular on the invariant sector"},
+    ]
+
+
+def test_check_pre_gfm_names_the_self_invariance_witness(capsys, files, tmp_path):
+    # the involution negates the twisted basis vector, which self-invariance forbids
+    module = {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": [0, 1],
+              "action": {"0": [[ONE, ZERO], [ZERO, ONE]], "1": [[ONE, ZERO], [ZERO, "-1"]]}}
+    inputs = {
+        "--module": module,
+        "--metric": {"matrix": [[ONE, ZERO], [ZERO, ONE]]},
+        "--potential": {"names": ["a", "b"], "potential": {"vars": ["a"], "terms": [{"exp": [3], "coef": "1"}]}},
+    }
+    code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == PRE_GFM_CHECKS
+    assert [c for c in checks if c["status"] == "fail"] == [
+        {"name": "self_invariant", "status": "fail", "witness": "g = 1, (i, j) = (1, 1)"},
+    ]
+
+
 def test_assemble_z2_command(capsys, tmp_path):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(assembly_with([0, 2])))
@@ -182,6 +226,19 @@ def test_parse_error_exit_code(capsys, files):
     code = main(["braidize", "--module", files["bad"], "--tensor", files["tensor"]])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("text", ["[[0, 1], [1, " + "1" * 5000 + "]]", b"\xff\xfe{"], ids=["5000-digit-int", "not-utf8"])
+def test_unreadable_json_exits_3(capsys, tmp_path, text):
+    """An int literal over the interpreter's digit limit and bytes that are not text are malformed input."""
+    path = tmp_path / "group.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text('{"order": 2, "table": ' + text + "}")
+    code = main(["group", "--group", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and err.startswith(f"input error: cannot read {path}:")
 
 
 POLY_A3 = {"vars": ["t_0", "t_1", "t_2"], "terms": [{"exp": [1, 1, 0], "coef": "1"}]}
@@ -436,6 +493,40 @@ def test_size_guard_prints_every_printable_cost(capsys, files, monkeypatch):
     assert capsys.readouterr().err == "size limit: |G|^n * n! >= 10^4300 exceeds limit 1000000; set GFROB_SIZE_LIMIT to raise it\n"
     monkeypatch.setenv("GFROB_SIZE_LIMIT", "9" * 4300)
     assert main(["groupoid", "--group", files["z2"], "--n", "2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, limit_digits, message",
+    [
+        pytest.param(
+            ["groupoid", "--group", "z2", "--n", "500"], None,
+            "size limit: |G|^n * n! >= 10^640 exceeds limit 1000000; set GFROB_SIZE_LIMIT to raise it\n",
+            id="cost-1285-digits",
+        ),
+        pytest.param(
+            ["groupoid", "--group", "z2", "--n", "2"], 700,
+            "usage error: GFROB_SIZE_LIMIT must be below 10^640, got 700 digits\n",
+            id="limit-700-digits",
+        ),
+    ],
+)
+def test_size_guard_follows_a_lowered_digit_limit(files, argv, limit_digits, message):
+    """Under PYTHONINTMAXSTRDIGITS=640 a cost or limit that str() or int() refuses is refused with exit 2."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {k: v for k, v in os.environ.items() if k != "GFROB_SIZE_LIMIT"}
+    env["PYTHONINTMAXSTRDIGITS"] = "640"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if limit_digits is not None:
+        env["GFROB_SIZE_LIMIT"] = "9" * limit_digits
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfrob", *(files.get(a, a) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_unfolding_guard_verdict_and_message_follow_the_full_count(monkeypatch):

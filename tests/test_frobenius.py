@@ -28,8 +28,8 @@ from gfrob.errors import (
     RestrictionMismatch,
     UnitFails,
 )
-from gfrob.frobenius import cubic_form_of, decompose_z2_potential, potential_unit
-from gfrob.linalg import identity, rank
+from gfrob.frobenius import braid_witness, decompose_z2_potential
+from gfrob.linalg import identity, rank, solve_columns
 from gfrob.singularity import (
     flat_metric,
     potential_A,
@@ -40,6 +40,31 @@ from gfrob.singularity import (
 
 def v(name):
     return MultiPoly.variable(name)
+
+
+def potential_unit(pot, eta):
+    """The vector u with u o e_b = e_b at the origin; raises UnitFails if none."""
+    d = len(pot.names)
+    c = mult_from_potential(pot, eta)
+    rows = [[c[a][b][l] for a in range(d)] for b in range(d) for l in range(d)]
+    rhs = [Fraction(int(b == l)) for b in range(d) for l in range(d)]
+    try:
+        return solve_columns(rows, rhs)
+    except ValueError:
+        raise UnitFails("no unique unit vector at the origin") from None
+
+
+def cubic_form_of(alg):
+    """Y3(v_a, v_b, v_c) = eta(v_a . v_b, v_c) as a tensor on the dual."""
+    d = alg.dim
+    terms = {}
+    for a in range(d):
+        for b in range(d):
+            for cc in range(d):
+                val = sum(alg.mult[a][b][k] * alg.metric[k][cc] for k in range(d))
+                if val != 0:
+                    terms[(cc, b, a)] = val
+    return Tensor(3, terms)
 
 
 def test_check_metric_identity_trivial(trivial_modules):
@@ -346,29 +371,26 @@ def test_gfa_report_metric_nondegenerate_on_invariants():
 def test_potential_braidedness_non_diagonal_module():
     # the rotation-block module is not diagonal, so braidedness falls back
     # to polarized-tensor checks
-    from gfrob.frobenius import potential_is_braided
     from conftest import make_z3_module
 
     h = make_z3_module()
     names = ("s0", "s1", "s2", "s3")
     inside = MultiPoly(names, {(2, 1, 0, 0): Fraction(1)})  # untwisted only
-    assert potential_is_braided(h, Potential(names, inside))
+    assert braid_witness(h, Potential(names, inside)) is None
     mixed = MultiPoly(names, {(1, 0, 1, 0): Fraction(1)})  # rotation x twisted
-    assert not potential_is_braided(h, Potential(names, mixed))
+    assert braid_witness(h, Potential(names, mixed)) is not None
 
 
 def test_potential_braidedness_is_exact_beyond_degree_four():
     # s0^4 s2 mixes the rotation block with a twisted line; its polarization
     # has tensor degree 5 and is not fixed by the braiding
     from gfrob import dual_module, form_from_poly, is_braided
-    from gfrob.frobenius import braid_witness, potential_is_braided
     from conftest import make_z3_module
 
     h = make_z3_module()
     names = ("s0", "s1", "s2", "s3")
     quintic = MultiPoly(names, {(4, 0, 1, 0): Fraction(1)})
     assert not is_braided(dual_module(h), form_from_poly(quintic, names, 5))
-    assert not potential_is_braided(h, Potential(names, quintic))
     assert braid_witness(h, Potential(names, quintic)) == (0, 2)
 
 

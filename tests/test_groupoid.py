@@ -24,9 +24,8 @@ from gfrob.groupoid import (
     identity_arrow,
     inverse_gen_arrow,
 )
-from gfrob.groups import perm_index
 
-from conftest import realize
+from conftest import perm_index, realize
 
 
 def all_tuples(g, n):

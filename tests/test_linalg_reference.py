@@ -1,10 +1,11 @@
-"""The sparse elimination core against the earlier dense Gauss-Jordan loop.
+"""The sparse elimination core against a dense Gauss-Jordan loop.
 
-dense_rref below is the earlier body of linalg.rref: column by column, swap a
-pivot up, scale it, and clear the column from every other row.  It and the
-dense rank, nullspace, mat_inv and solve_columns built on it serve as an
-independent oracle for the adapters over linalg.eliminate, on sparse, dense,
-wide, tall, rank-deficient and empty matrices and on matrices with zero rows.
+dense_rref below runs column by column: swap a pivot up, scale it, and clear
+the column from every other row.  It and the dense rank, nullspace, mat_inv
+and solve_columns built on it serve as an independent oracle for
+linalg.eliminate and the adapters over it (rref here, the rest in linalg),
+on sparse, dense, wide, tall, rank-deficient and empty matrices and on
+matrices with zero rows.
 """
 
 from fractions import Fraction
@@ -15,6 +16,14 @@ from gfrob import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rref(rows):
+    """Dense reduced row echelon form through linalg.eliminate: (nonzero rows, pivot column indices)."""
+    width = len(rows[0]) if rows else 0
+    reduced = linalg.eliminate(dict(enumerate(r)) for r in rows)
+    return [[r.get(j, ZERO) for j in range(width)] for r in reduced.values()], list(reduced)
+
 
 # -- dense reference ------------------------------------------------------------
 
@@ -120,7 +129,7 @@ def matrices(draw, nrows=None, ncols=None, kinds=KINDS):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_rank_nullspace_match_dense(m):
-    assert linalg.rref(m) == dense_rref(m)
+    assert rref(m) == dense_rref(m)
     assert linalg.rank(m) == len(dense_rref(m)[1])
     assert linalg.nullspace(m) == dense_nullspace(m)
 
@@ -162,7 +171,7 @@ def test_solve_columns_inconsistent_and_dependent():
 
 def test_empty_matrices():
     for m in ([], [[]], [[], [], []]):
-        assert linalg.rref(m) == dense_rref(m) == ([], [])
+        assert rref(m) == dense_rref(m) == ([], [])
         assert linalg.rank(m) == 0
         assert linalg.nullspace(m) == dense_nullspace(m) == []
     assert linalg.mat_inv(()) == dense_mat_inv(()) == ()

@@ -21,10 +21,19 @@ from gfrob import (
 )
 from gfrob.errors import DegreeMismatch, IndexOutOfRange, InvalidAction, NotZ2
 from gfrob.linalg import identity
-from gfrob.modules import is_morphism, require_morphism, submodule_on_indices
+from gfrob.modules import is_morphism, require_morphism
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import diag, literal_action, make_s3_module, make_z3_module, random_tensor, rescale_basis, unvalidated_module
+from conftest import (
+    diag,
+    literal_action,
+    make_s3_module,
+    make_z3_module,
+    random_tensor,
+    rescale_basis,
+    submodule_on_indices,
+    unvalidated_module,
+)
 
 
 def test_validate_trivial_module(trivial_modules):

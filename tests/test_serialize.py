@@ -13,7 +13,6 @@ from gfrob.serialize import (
     frac_from_str,
     frac_to_str,
     gfa_from_json,
-    gfa_to_json,
     group_from_json,
     group_to_json,
     module_from_json,
@@ -24,6 +23,8 @@ from gfrob.serialize import (
     tensor_to_json,
 )
 from gfrob.singularity import potential_A, z2_frobenius_algebra
+
+from conftest import gfa_to_json
 
 
 def test_fraction_strings():

@@ -5,6 +5,8 @@ import pytest
 
 from gfrob import MultiPoly, flat_coordinates, flat_metric, milnor_ring, potential_A, potential_B, potential_D
 from gfrob.errors import BadIndex
+from gfrob.frobenius import check_gfa
+from gfrob.linalg import identity
 from gfrob.singularity import (
     TSTAR,
     flat_metric_entries,
@@ -35,21 +37,27 @@ def zpoly(*coeffs):
 
 def test_milnor_a3():
     m = milnor_ring("A", 3)
-    assert m.basis == ("1", "z^1", "z^2")
-    assert m.counit == (0, 0, 1)
-    assert m.multiply(1, 1) == (0, 0, 1)  # z.z = z^2
-    assert m.multiply(2, 1) == (0, 0, 0)  # z^2.z = 0
-    assert m.metric()[0][2] == 1 and m.metric()[1][1] == 1 and m.metric()[0][0] == 0
+    assert m.metric[0] == (0, 0, 1)
+    assert m.mult[1][1] == (0, 0, 1)  # z.z = z^2
+    assert m.mult[2][1] == (0, 0, 0)  # z^2.z = 0
+    assert m.metric[0][2] == 1 and m.metric[1][1] == 1 and m.metric[0][0] == 0
 
 
 def test_milnor_d4():
     m = milnor_ring("D", 4)
-    assert m.basis == ("1", "x^1", "x^2", "y")
-    assert m.multiply(3, 3) == (0, 0, -1, 0)  # y.y = -x^2
-    assert m.multiply(1, 3) == (0, 0, 0, 0)  # x.y = 0
-    assert m.multiply(1, 1) == (0, 0, 1, 0)
-    assert m.multiply(1, 2) == (0, 0, 0, 0)  # x^3 = 0
-    assert m.counit == (0, 0, 1, 0)
+    assert m.mult[3][3] == (0, 0, -1, 0)  # y.y = -x^2
+    assert m.mult[1][3] == (0, 0, 0, 0)  # x.y = 0
+    assert m.mult[1][1] == (0, 0, 1, 0)
+    assert m.mult[1][2] == (0, 0, 0, 0)  # x^3 = 0
+    assert m.metric[0] == (0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("kind, n", [("A", n) for n in range(2, 9)] + [("D", n) for n in range(3, 9)])
+def test_milnor_rings_are_frobenius_algebras_of_the_trivial_group(kind, n):
+    m = milnor_ring(kind, n)
+    assert m.module.group.order == 1 and m.dim == n
+    assert m.unit == tuple(int(i == 0) for i in range(n))
+    assert check_gfa(m).passed
 
 
 def test_milnor_bad_index():
@@ -73,7 +81,7 @@ def test_milnor_associative_commutative():
                 for q in range(m.dim):
                     if b[q] == 0:
                         continue
-                    prod = m.multiply(p, q)
+                    prod = m.mult[p][q]
                     for k in range(m.dim):
                         out[k] += a[p] * b[q] * prod[k]
             return tuple(out)
@@ -170,7 +178,7 @@ def test_residue_matches_counit_at_origin():
         for i in range(n):
             for j in range(n):
                 val = residue_pair(n, zpoly(*([0] * i + [1])), zpoly(*([0] * j + [1])))
-                assert val.constant_term() == m.metric()[i][j]
+                assert val.constant_term() == m.metric[i][j]
 
 
 # -- flat coordinates ---------------------------------------------------------
@@ -301,6 +309,55 @@ def test_z2_algebra_relations():
         a = z2_frobenius_algebra(n)
         assert a.metric[-1][-1] == -1
         assert a.dim == 2 * n - 2
+
+
+def hand_written_z2_algebra(n):
+    """C[z,y]/(z^{2n-3}, yz, y^2 + z^{2n-4}) built from its relations in the orbifold basis.
+
+    Basis (1, z^2, ..., z^{2n-4} | z, z^3, ..., z^{2n-5} | y) as
+    (degrees, action of the involution, metric, mult, unit).
+    """
+    dim = 2 * n - 2
+    even = list(range(0, 2 * n - 3, 2))
+    odd = list(range(1, 2 * n - 4, 2))
+    powers = even + odd
+    pos_of_power = {p: i for i, p in enumerate(powers)}
+    y = dim - 1
+    degrees = tuple([0] * (dim - 1) + [1])
+    signs = [1] * len(even) + [-1] * len(odd) + [1]
+    rho_g = tuple(tuple(Fraction(signs[i] if i == j else 0) for j in range(dim)) for i in range(dim))
+    eta = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, p in enumerate(powers):
+        for j, q in enumerate(powers):
+            if p + q == 2 * n - 4:
+                eta[i][j] = Fraction(1)
+    eta[y][y] = Fraction(-1)
+    mult = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, p in enumerate(powers):
+        for j, q in enumerate(powers):
+            if p + q <= 2 * n - 4:
+                mult[i][j][pos_of_power[p + q]] = Fraction(1)
+    mult[0][y][y] = mult[y][0][y] = Fraction(1)  # y z^p = 0 for p >= 1
+    mult[y][y][pos_of_power[2 * n - 4]] = Fraction(-1)
+    unit = tuple(Fraction(int(i == 0)) for i in range(dim))
+    return (
+        degrees,
+        rho_g,
+        tuple(tuple(row) for row in eta),
+        tuple(tuple(tuple(v) for v in row) for row in mult),
+        unit,
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_z2_algebra_matches_the_hand_written_tables(n):
+    alg = z2_frobenius_algebra(n)
+    degrees, rho_g, eta, mult, unit = hand_written_z2_algebra(n)
+    assert alg.module.degrees == degrees
+    assert alg.module.action == (identity(2 * n - 2), rho_g)
+    assert alg.metric == eta
+    assert alg.mult == mult
+    assert alg.unit == unit
 
 
 def test_z2_manifold_roundtrip():
