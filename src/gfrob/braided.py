@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch
-from .groupoid import Component, check_size, guard_size, inverse_arrow, orbit_component
+from .groupoid import Component, check_size, components, guard_size, inverse_arrow, orbit_component
 from .groups import trivial_group
 from .modules import (
     GradedModule,
@@ -68,7 +68,7 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
     by_base: dict[tuple[int, ...], tuple[Component, list]] = {}
     for deg, part in split_homogeneous(h, v).items():
         comp = orbit_component(group, deg)
-        by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part.terms))
+        by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part))
     out: dict[tuple[int, ...], Fraction] = {}
     for comp, parts in by_base.values():
         den = lcm(*(c.denominator for _, part in parts for c in part.values()))
@@ -126,28 +126,15 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
     if n == 0:
         return [InvariantForm((), h.group.identity, Tensor.scalar(1))]
 
-    # One closure per component, shared by all of its members.
-    blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    fibres: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    comp_of: dict[tuple[int, ...], Component] = {}
-    for idx in iter_product(range(h.dim), repeat=n):  # lexicographic, so every list is sorted
-        deg = h.degree_tuple(idx)
-        rep = rep_of.get(deg)
-        if rep is None:
-            comp = orbit_component(h.group, deg)
-            rep = comp.canonical
-            rep_of.update(dict.fromkeys(comp.members, rep))
-            comp_of[rep] = comp
-        blocks.setdefault(rep, []).append(idx)
-        if deg == comp_of[rep].basepoint:
-            fibres.setdefault(rep, []).append(idx)
-
+    # lexicographic degree tuples, so components come by least member; a degree
+    # with no basis vector (only an unvalidated module has one) gives no tuples
+    blocks = [h.block_indices(g) for g in h.group.elements()]
     dn = h.delta**n
     out: list[InvariantForm] = []
-    for rep in sorted(blocks):
-        comp = comp_of[rep]
-        tuples, fibre = blocks[rep], fibres.get(rep, [])
+    for comp in components(h.group, iter_product(sorted(set(h.degrees)), repeat=n)):
+        rep = comp.canonical
+        tuples = sorted(idx for m in comp.connectors for idx in iter_product(*(blocks[g] for g in m)))
+        fibre = list(iter_product(*(blocks[g] for g in comp.basepoint)))  # lexicographic, as blocks ascend
         last = len(tuples) - 1
         at = {t: k for k, t in enumerate(fibre)}
         rows = []
@@ -374,20 +361,6 @@ def pullback_series(
     return BraidedSeries(dual_module(source), x.truncation, parts)
 
 
-def restrict_tensor(x: Tensor, basis: Sequence[linalg.Vec]) -> Tensor:
-    """Values of a dual tensor on tuples from a chosen list of vectors.
-
-    basis[j] gives the coordinates of the j-th chosen vector; the result is
-    a tensor over indices into that list (the slot-wise pullback along the
-    column matrix of the chosen vectors).
-    """
-    if not basis:
-        return Tensor(x.n)
-    dim = len(basis[0])
-    m = tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(dim))
-    return pullback_tensor(x, m)
-
-
 def restrict_untwisted(x: BraidedSeries) -> BraidedSeries:
     """Restriction to the untwisted sector; an algebra morphism onto the series of the trivial group."""
     return restrict_invariants(x, untwisted_basis(x.module))
@@ -396,9 +369,12 @@ def restrict_untwisted(x: BraidedSeries) -> BraidedSeries:
 def restrict_invariants(x: BraidedSeries, invariant_vectors: Sequence[linalg.Vec]) -> BraidedSeries:
     """Restriction of forms to tuples of the given vectors; linear, lands in the series of the trivial group.
 
-    Over the trivial group a braid generator is a plain slot swap, so those
-    series are the symmetric ones and circ_product is the commutative product.
+    Each part is pulled back slot-wise along the inclusion of the vectors,
+    so a tensor over indices into their list comes out.  Over the trivial
+    group a braid generator is a plain slot swap, so those series are the
+    symmetric ones and circ_product is the commutative product.
     """
     basis = list(invariant_vectors)
-    parts = {d: restrict_tensor(t, basis) for d, t in x.parts.items()}
+    incl = linalg.inclusion(basis, x.module.dim)
+    parts = {d: pullback_tensor(t, incl) for d, t in x.parts.items()}
     return BraidedSeries(trivial_graded_module(trivial_group(), len(basis)), x.truncation, parts)

@@ -25,7 +25,7 @@ from . import serialize as ser
 from .braided import br_basis, braidize
 from .errors import BadIndex, GfrobError, NotAGroup, SizeLimit
 from .frobenius import GFA_CHECKS, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
-from .groupoid import enumerate_component, guard_size
+from .groupoid import components, guard_size
 from .groups import conjugacy_classes
 from .singularity import (
     flat_coordinates,
@@ -110,26 +110,11 @@ def _cmd_groupoid(args) -> RunReport:
     g = ser.group_from_json(_read_json(args.group))
     n = args.n
     guard_size(g, n)
-    lines = []
-    covered: set[tuple[int, ...]] = set()
-    for t in itertools.product(range(g.order), repeat=n):
-        if t in covered:
-            continue
-        # product order is lexicographic, so t is the least member of its component
-        comp = enumerate_component(g, t)
-        covered.update(comp.members)
-        lines.append(
-            ser.dumps_line(
-                {
-                    "component": list(t),
-                    "size": len(comp.members),
-                    "m_C": comp.m_C,
-                    "n_C": comp.n_C,
-                    "g_degree": comp.g_degree,
-                }
-            )
-        )
-    rep.lines = lines
+    rep.lines = [
+        ser.dumps_line({"component": list(c.canonical), "size": len(c.connectors), "m_C": c.m_C, "n_C": c.n_C,
+                        "g_degree": c.g_degree})
+        for c in components(g, itertools.product(range(g.order), repeat=n))
+    ]
     return rep
 
 

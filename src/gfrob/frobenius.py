@@ -39,6 +39,7 @@ from .modules import (
     invariants_basis,
     self_invariance_failure,
     trivial_graded_module,
+    untwisted_basis,
     validate_module,
     z2_module,
 )
@@ -145,6 +146,14 @@ class WdvvReport:
     failure: str | None = None  # why the check failed where no tuple can witness it
 
 
+def _inverse_metric(eta: Mat) -> Mat:
+    """eta^-1; DegenerateMetric where eta is singular."""
+    try:
+        return linalg.mat_inv(eta)
+    except ValueError:
+        raise DegenerateMetric("metric is singular") from None
+
+
 def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     """Exact associativity of the potential's product: reports violating tuples.
 
@@ -159,10 +168,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     the unordered {P, Q}; otherwise by the ordered (P, Q).
     """
     d = len(pot.names)
-    try:
-        ginv = linalg.mat_inv(eta)
-    except ValueError:
-        raise DegenerateMetric("metric is singular") from None
+    ginv = _inverse_metric(eta)
     y3 = pot.third
     zero = MultiPoly.zero(pot.names)
 
@@ -205,10 +211,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
     """Structure constants c[a][b][l] of the product at a point (default origin)."""
     d = len(pot.names)
-    try:
-        ginv = linalg.mat_inv(eta)
-    except ValueError:
-        raise DegenerateMetric("metric is singular") from None
+    ginv = _inverse_metric(eta)
     pt = {n: Fraction(0) for n in pot.names}
     if point:
         pt.update({k: Fraction(v) for k, v in point.items()})
@@ -398,10 +401,7 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
     for idx in y3.terms:
         if h.group.product(hd.degree_tuple(idx)) != h.group.identity:
             raise DegreeMismatch("cubic form has a component of nontrivial G-degree")
-    try:
-        eta_inv = linalg.mat_inv(eta)
-    except ValueError:
-        raise DegenerateMetric("metric is singular") from None
+    eta_inv = _inverse_metric(eta)
     mult = []
     for a in range(d):
         row = []
@@ -420,31 +420,17 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
 def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAlgebra]:
     """Ordinary Frobenius algebras on the untwisted sector and on the invariants."""
     h = alg.module
-    d = h.dim
-    e_idx = h.untwisted_indices()
-    pos = {j: p for p, j in enumerate(e_idx)}
-    mult_e = tuple(
-        tuple(tuple(alg.mult[a][b][k] for k in e_idx) for b in e_idx) for a in e_idx
-    )
-    eta_e = submatrix(alg.metric, e_idx, e_idx)
-    unit_e = tuple(alg.unit[j] for j in e_idx)
-    triv = trivial_group()
-    sub_e = GFrobeniusAlgebra(trivial_graded_module(triv, len(e_idx)), eta_e, mult_e, unit_e)
+    return _restrict(alg, untwisted_basis(h)), _restrict(alg, invariants_basis(h))
 
-    inv = invariants_basis(h)
-    incl = tuple(tuple(v[i] for v in inv) for i in range(d))
-    r = len(inv)
-    mult_g = []
-    for p in range(r):
-        row = []
-        for q in range(r):
-            w = alg.product(inv[p], inv[q])
-            row.append(linalg.solve_columns(incl, w))
-        mult_g.append(tuple(row))
-    eta_g = linalg.mat_mul(linalg.transpose(incl), linalg.mat_mul(alg.metric, incl))
-    unit_g = linalg.solve_columns(incl, alg.unit)
-    sub_g = GFrobeniusAlgebra(trivial_graded_module(triv, r), eta_g, tuple(mult_g), unit_g)
-    return sub_e, sub_g
+
+def _restrict(alg: GFrobeniusAlgebra, basis: Sequence[Vec]) -> GFrobeniusAlgebra:
+    """The algebra on the span of the basis over the trivial group; ValueError if a product or the unit leaves it."""
+    r = len(basis)
+    incl = linalg.inclusion(basis, alg.dim)
+    *flat, unit = linalg.solve_columns(incl, [alg.product(v, w) for v in basis for w in basis] + [alg.unit])
+    mult = tuple(tuple(flat[p * r:(p + 1) * r]) for p in range(r))
+    metric = linalg.pullback_metric(alg.metric, incl)
+    return GFrobeniusAlgebra(trivial_graded_module(trivial_group(), r), metric, mult, unit)
 
 
 # -- pre-G-Frobenius-manifold checking ----------------------------------------
@@ -533,13 +519,11 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     wdvv_e = _sector_wdvv("untwisted", Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
 
     inv = invariants_basis(h)
-    incl = [[v[i] for v in inv] for i in range(h.dim)]
+    incl = linalg.inclusion(inv, h.dim)
     s_names = tuple(f"s{b}" for b in range(len(inv)))
     units = [tuple(int(b == c) for c in range(len(inv))) for b in range(len(inv))]
     y_g = pot.poly.substitute({name: MultiPoly(s_names, dict(zip(units, row))) for name, row in zip(pot.names, incl)})
-    eta_g = linalg.mat_mul(
-        linalg.transpose(linalg.mat(incl)), linalg.mat_mul(eta, linalg.mat(incl))
-    )
+    eta_g = linalg.pullback_metric(eta, incl)
     wdvv_g = _sector_wdvv("invariant", Potential(s_names, y_g), eta_g)
 
     return PreGfmReport(

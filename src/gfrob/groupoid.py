@@ -39,6 +39,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from math import factorial, prod
+from typing import Iterable, Iterator
 
 from .errors import BadIndex, IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from .groups import FiniteGroup
@@ -49,7 +50,7 @@ GTuple = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-def _max_digits() -> int:
+def max_digits() -> int:
     """The most digits that int() parses and str() prints: the interpreter's limit, or 4300 where it sets none."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
@@ -57,11 +58,11 @@ def _max_digits() -> int:
 def check_size(what: str, cost: int) -> None:
     """Refuse a cost over GFROB_SIZE_LIMIT (default 10^6), naming that override in the message.
 
-    With D = _max_digits(), a cost of 10^D or more, which str() refuses to
+    With D = max_digits(), a cost of 10^D or more, which str() refuses to
     print, exceeds every limit that int() parses, and its refusal does not
     print it.
     """
-    digits = _max_digits()
+    digits = max_digits()
     raw = os.environ.get("GFROB_SIZE_LIMIT")
     if raw and raw.isdecimal() and len(raw) > digits:
         raise BadIndex(f"GFROB_SIZE_LIMIT must be below 10^{digits}, got {len(raw)} digits")
@@ -76,7 +77,7 @@ def check_size(what: str, cost: int) -> None:
 def guard_size(group: FiniteGroup, n: int) -> None:
     if n < 0:
         raise BadIndex(f"tuple length n = {n} is negative")
-    digits = _max_digits()
+    digits = max_digits()
     # n! alone reaches 10^digits before n = digits, so a longer tuple is refused without building its cost
     check_size("|G|^n * n!", group.order**n * factorial(n) if n <= digits else 10**digits)
 
@@ -341,8 +342,7 @@ class _Chain:
                     queue.append(gamma)
 
 
-_component_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}
-_orbit_cache: dict[tuple[FiniteGroup, GTuple], GTuple] = {}  # member -> basepoint
+_orbit_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}  # member -> its orbit's component
 
 
 def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
@@ -355,15 +355,9 @@ def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
     whole orbit and generate End(t).  Each one is sifted through the
     stabilizer chain built so far and joins it only if it is new
     (Schreier-Sims: Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
-
-    Results are cached per basepoint; the insert is idempotent, so
-    concurrent readers sharing the cache are safe.
+    Every call builds afresh; orbit_component is the cached accessor.
     """
     t = tuple(t)
-    key = (group, t)
-    hit = _component_cache.get(key)
-    if hit is not None:
-        return hit
     guard_size(group, len(t))
     ident = identity_arrow(group, t)
     connectors = {t: ident}
@@ -386,24 +380,33 @@ def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
     if any(g_degree(group, m) != deg for m in connectors):
         raise AssertionError(f"G-degree not constant on the component of {t}")
     gens = tuple(chain.gens[0]) if chain.gens else ()
-    comp = Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, deg)
-    _component_cache[key] = comp
-    return comp
+    return Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, deg)
 
 
 def orbit_component(group: FiniteGroup, t: GTuple) -> Component:
     """The one cached component of t's orbit, based at whichever member came first.
 
-    Arrows out of a member s are conn(u) o e o conn(s)^-1, so every member
-    of an orbit can share one component; the member index keeps the cache at
-    one entry per orbit met this way.
+    Arrows out of a member s are conn(u) o e o conn(s)^-1, so every member of
+    an orbit can share one component, and the cache maps each member to it.
     """
-    base = _orbit_cache.get((group, t))
-    comp = _component_cache.get((group, base)) if base is not None else None
+    comp = _orbit_cache.get((group, t))
     if comp is None:
         comp = enumerate_component(group, t)
-        _orbit_cache.update(dict.fromkeys(((group, m) for m in comp.connectors), t))
+        _orbit_cache.update(dict.fromkeys(((group, m) for m in comp.connectors), comp))
     return comp
+
+
+def components(group: FiniteGroup, tuples: Iterable[GTuple]) -> Iterator[Component]:
+    """Each orbit met among the tuples once, as its cached component, at the first member met.
+
+    For tuples in lexicographic order that member is the least one met.
+    """
+    seen: set[Component] = set()
+    for t in tuples:
+        comp = orbit_component(group, t)
+        if comp not in seen:
+            seen.add(comp)
+            yield comp
 
 
 def diagonal_g_action(group: FiniteGroup, g: int, comp: Component) -> Component:

@@ -6,7 +6,8 @@ int or Fraction) in, the unique reduced row echelon form in Fractions out,
 with integer arithmetic in between.  Working on nonzeros only keeps the
 sparse br_basis systems cheap, and the unique form makes every kernel basis
 read from it canonical.  `rank`, `nullspace`, `mat_inv` and
-`solve_columns` are thin dense adapters over it.
+`solve_columns` are thin dense adapters over it; `inclusion` and
+`pullback_metric` restrict a metric to a subspace.
 """
 
 from __future__ import annotations
@@ -163,16 +164,26 @@ def mat_inv(a: Mat) -> Mat:
     return tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for row in reduced.values())
 
 
-def solve_columns(a: Mat, b: Sequence[Fraction]) -> Vec:
-    """The unique x with a x = b, for a of full column rank.
+def solve_columns(a: Mat, bs: Sequence[Sequence[Fraction]]) -> list[Vec]:
+    """The unique x with a x = b for each b in bs, for a of full column rank, from one elimination of a | bs.
 
-    Raises ValueError if the system is inconsistent or the columns of a are
-    dependent.
+    Raises ValueError if a system is inconsistent or the columns of a are dependent.
     """
     width = len(a[0]) if a else 0
-    reduced = eliminate({**dict(enumerate(row)), width: bi} for row, bi in zip(a, b))
-    if width in reduced:
+    rows = ({**dict(enumerate(row)), **{width + k: b[i] for k, b in enumerate(bs)}} for i, row in enumerate(a))
+    reduced = eliminate(rows)
+    if any(p >= width for p in reduced):
         raise ValueError("inconsistent system")
     if list(reduced) != list(range(width)):
         raise ValueError("columns are not independent")
-    return tuple(row.get(width, ZERO) for row in reduced.values())
+    return [tuple(row.get(width + k, ZERO) for row in reduced.values()) for k in range(len(bs))]
+
+
+def inclusion(basis: Sequence[Vec], dim: int) -> Mat:
+    """The dim x len(basis) matrix whose columns are the basis vectors."""
+    return tuple(tuple(v[i] for v in basis) for i in range(dim))
+
+
+def pullback_metric(eta: Mat, incl: Mat) -> Mat:
+    """incl^T eta incl: the metric eta restricted to the span of the inclusion's columns."""
+    return mat_mul(transpose(incl), mat_mul(eta, incl))

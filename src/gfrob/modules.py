@@ -248,13 +248,12 @@ class Tensor:
         return " + ".join(bits)
 
 
-def split_homogeneous(h: GradedModule, v: Tensor) -> dict[GTuple, Tensor]:
-    """Split a tensor into its G^n-homogeneous parts, keyed by degree tuple."""
+def split_homogeneous(h: GradedModule, v: Tensor) -> dict[GTuple, dict[tuple[int, ...], Fraction]]:
+    """Split a tensor's terms into its G^n-homogeneous parts, keyed by degree tuple."""
     parts: dict[GTuple, dict[tuple[int, ...], Fraction]] = {}
     for idx, c in v.terms.items():
-        key = h.degree_tuple(idx)
-        parts.setdefault(key, {})[idx] = c
-    return {key: Tensor(v.n, terms) for key, terms in parts.items()}
+        parts.setdefault(h.degree_tuple(idx), {})[idx] = c
+    return parts
 
 
 def slot_apply_into(
@@ -329,7 +328,7 @@ def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tens
     step = inverse_gen_arrow if inverse else gen_arrow
     out: dict[tuple[int, ...], Fraction] = {}
     for deg, part in split_homogeneous(h, v).items():
-        arrow_apply_into(h, step(h.group, i, deg), part.terms, out)
+        arrow_apply_into(h, step(h.group, i, deg), part, out)
     return _unscaled_tensor(h, v.n, out)
 
 
@@ -371,10 +370,8 @@ def invariants_basis(h: GradedModule) -> list[linalg.Vec]:
 
 
 def untwisted_basis(h: GradedModule) -> list[linalg.Vec]:
-    vecs = []
-    for j in h.untwisted_indices():
-        vecs.append(tuple(Fraction(1) if i == j else Fraction(0) for i in range(h.dim)))
-    return vecs
+    ident = linalg.identity(h.dim)
+    return [ident[j] for j in h.untwisted_indices()]
 
 
 def z2_decompose(h: GradedModule) -> tuple[list[linalg.Vec], list[linalg.Vec], list[linalg.Vec]]:

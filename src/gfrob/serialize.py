@@ -8,12 +8,14 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
 from . import linalg
-from .errors import GfrobError
+from .errors import GfrobError, SizeLimit
 from .frobenius import FmData, GFrobeniusAlgebra, Potential
+from .groupoid import max_digits
 from .groups import FiniteGroup, group_from_table
 from .modules import GradedModule, Tensor, graded_module
 from .poly import MultiPoly
@@ -24,7 +26,11 @@ class ParseError(GfrobError):
 
 
 def frac_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """"p/q"; SizeLimit where p or q has more digits than str() prints."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise SizeLimit(f"a rational in the result has more than {max_digits()} digits, too many to print") from None
 
 
 def _is_int(x: Any) -> bool:
@@ -32,11 +38,21 @@ def _is_int(x: Any) -> bool:
     return type(x) is int
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def frac_from_str(s: str | int) -> Fraction:
+    """A JSON integer, or a string Fraction reads whose exponent is at most max_digits() in magnitude.
+
+    Fraction builds 10^exponent; a larger one takes seconds and cannot be printed.
+    """
     try:
         if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
+            exp = _EXPONENT.search(s)
+            if exp and abs(int(exp[1])) > max_digits():
+                raise ParseError(f"bad rational {s!r}: exponent exceeds {max_digits()} in magnitude")
             return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}") from None

@@ -182,6 +182,13 @@ class UnfoldingChart:
             t_of_a[m] = expr
         return tuple(t_of_a)
 
+    @cached_property
+    def potential(self) -> Potential:
+        """The potential on this chart, read off the inverse series on first read and proved by the residues."""
+        pot = Potential(self.t_names, inverse_series_potential(self))
+        check_potential_residues(self, pot)
+        return pot
+
     def fprime_in_t(self) -> ZPoly:
         return fprime_coeffs(self.n, list(self.a_of_t))
 
@@ -260,21 +267,6 @@ def flat_metric(n: int) -> linalg.Mat:
     return milnor_ring("A", n).metric
 
 
-def flat_metric_entries(chart: UnfoldingChart) -> list[list[MultiPoly]]:
-    """eta(dF/dt_i, dF/dt_j) as polynomials in t (flatness: all constant)."""
-    n = chart.n
-    fp = chart.fprime_in_t()
-    dfs = [chart.df_dt(a) for a in range(n)]
-    out = []
-    for dfi in dfs:
-        row = []
-        for dfj in dfs:
-            red = zp_reduce(zp_mul(dfi, dfj), fp)
-            row.append(red[n - 1] if len(red) >= n else MultiPoly.zero())
-        out.append(row)
-    return out
-
-
 # -- potentials --------------------------------------------------------------------
 
 
@@ -323,7 +315,7 @@ _builds: ContextVar[dict | None] = ContextVar("gfrob_shared_builds", default=Non
 
 @contextmanager
 def shared_builds() -> Iterator[None]:
-    """Inside the block, build each A_m flat chart, A_m potential and Z2 manifold once.
+    """Inside the block, build each A_m flat chart (with its potential) and Z2 manifold once.
 
     The memo belongs to the block and is dropped when it exits; outside any
     block every call builds (and proves) its objects afresh.
@@ -348,19 +340,7 @@ def potential_A(n: int) -> Potential:
     """Potential of the one-variable unfolding in flat coordinates, degree <= n+2."""
     if n < 2:
         raise BadIndex("potential_A needs n >= 2")
-    return _chart_and_potential_A(n)[1]
-
-
-def _chart_and_potential_A(n: int) -> tuple[UnfoldingChart, Potential]:
-    """The flat chart and the potential built on it, so callers needing both build each once."""
-
-    def build() -> tuple[UnfoldingChart, Potential]:
-        chart = flat_coordinates(n)
-        pot = Potential(chart.t_names, inverse_series_potential(chart))
-        check_potential_residues(chart, pot)
-        return chart, pot
-
-    return _shared(("A", n), build)
+    return flat_coordinates(n).potential
 
 
 def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
@@ -453,13 +433,13 @@ def potential_D(n: int) -> Potential:
     """Two-variable family: add -(1/2) a_0 t_*^2, then drop odd coordinates."""
     if n < 3:
         raise BadIndex("potential_D needs n >= 3")
-    return _potential_D_from(*_chart_and_potential_A(2 * n - 3))
+    return _potential_D_from(flat_coordinates(2 * n - 3))
 
 
-def _potential_D_from(chart: UnfoldingChart, pa: Potential) -> Potential:
-    """potential_D(n) from the chart and the potential of A_{2n-3}."""
+def _potential_D_from(chart: UnfoldingChart) -> Potential:
+    """potential_D(n) from the chart of A_{2n-3} and its potential."""
     tstar = MultiPoly.variable(TSTAR)
-    full = pa.poly + chart.a_of_t[0] * tstar * tstar * Fraction(-1, 2)
+    full = chart.potential.poly + chart.a_of_t[0] * tstar * tstar * Fraction(-1, 2)
     return Potential(chart.t_names[0::2] + (TSTAR,), full.subst_zero(chart.t_names[1::2]))
 
 
@@ -528,8 +508,8 @@ def _build_z2_manifold(n: int, check_wdvv: bool) -> Z2Manifold:
     from .frobenius import FmData, assemble_z2, gfa_from_cubic
 
     m = 2 * n - 3
-    chart, pa = _chart_and_potential_A(m)
-    pd = _potential_D_from(chart, pa)
+    chart = flat_coordinates(m)
+    pa, pd = chart.potential, _potential_D_from(chart)
     fe = FmData(pa.names, flat_metric(m), pa.poly)
     fg = FmData(pd.names, potential_D_metric(n), pd.poly)
     iota_e = list(range(0, m, 2))

@@ -33,7 +33,7 @@ from gfrob.braided import (
 from gfrob.errors import DegreeMismatch, ModuleMismatch
 from gfrob.linalg import identity, rank
 from gfrob.groups import trivial_group
-from gfrob.modules import trivial_graded_module
+from gfrob.modules import trivial_graded_module, z2_module
 from gfrob.singularity import z2_frobenius_algebra
 
 from conftest import (
@@ -334,6 +334,15 @@ def test_restrict_untwisted_is_morphism(orbifold_module):
         assert circ_product(rx, ry) == restrict_untwisted(circ_product(x, y)) == commutative_product(rx, ry)
 
 
+def test_restrictions_send_the_unit_to_the_unit_on_an_empty_sector():
+    # every basis vector twisted: the untwisted sector is zero, yet the
+    # restriction is an algebra morphism and keeps the constant term
+    hd = dual_module(z2_module(0, 0, 2))
+    zero_space = trivial_graded_module(trivial_group(), 0)
+    assert restrict_untwisted(unit_series(hd, 3)) == unit_series(zero_space, 3)
+    assert restrict_invariants(unit_series(hd, 3), []) == unit_series(zero_space, 3)
+
+
 def test_restrict_invariants_symmetric(orbifold_module, z3_module):
     rng = random.Random(11)
     for h in (orbifold_module, z3_module):
@@ -417,10 +426,11 @@ def test_br_basis_closes_each_component_once():
     from gfrob import groupoid
 
     h = dual_module(z2_frobenius_algebra(3).module)
-    groupoid._component_cache.clear()
+    groupoid._orbit_cache.clear()
     forms = br_basis(h, 4)
-    assert len(groupoid._component_cache) == 5
-    assert {f.component for f in forms} <= {c.canonical for c in groupoid._component_cache.values()}
+    built = set(groupoid._orbit_cache.values())
+    assert len(built) == 5
+    assert {f.component for f in forms} <= {c.canonical for c in built}
 
 
 def _span_rank(tensors, tuples):
@@ -487,10 +497,9 @@ def test_braidize_shares_one_component_per_orbit():
     h = dual_module(z2_frobenius_algebra(3).module)
     g = h.degrees.index(1)
     v = Tensor(3, {(0, 0, g): Fraction(1), (0, g, 0): Fraction(2), (g, 0, 0): Fraction(-3)})
-    groupoid._component_cache.clear()
     groupoid._orbit_cache.clear()
     w = braidize(h, v)
-    assert len(groupoid._component_cache) == 1
+    assert len(set(groupoid._orbit_cache.values())) == 1
     assert is_braided(h, w) and w == braidize(h, w)
 
 

@@ -721,3 +721,48 @@ def test_golden_braidize_outputs(capsys, tmp_path, golden, case):
     (tmp_path / "tensor.json").write_text(json.dumps(tensor))
     _, out = run(capsys, "braidize", "--module", str(tmp_path / "module.json"), "--tensor", str(tmp_path / "tensor.json"))
     assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+
+
+Z2_LINE = {
+    "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+    "dim": 2,
+    "degrees": [0, 1],
+    "action": {"0": [["1", "0"], ["0", "1"]], "1": [["1", "0"], ["0", "1"]]},
+}
+
+
+@pytest.mark.parametrize("coef", ["1e5000", "-2.5E-5000", "1e1_000_000", "3e10000000"])
+def test_huge_rational_exponent_is_input_error(capsys, files, tmp_path, coef):
+    """An exponent over the interpreter's digit limit exits 3 at once, before 10^exponent is built."""
+    import time
+
+    tensor = {"n": 2, "terms": [{"idx": [0, 1], "coef": coef}]}
+    start = time.perf_counter()
+    code = main(argv_with_files(files, tmp_path, "braidize", {"--module": Z2_LINE, "--tensor": tensor}))
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("input error: bad rational") and "exponent" in err and "Traceback" not in err
+
+
+def test_rational_exponents_up_to_the_digit_limit_are_read():
+    from gfrob.groupoid import max_digits
+    from gfrob.serialize import frac_from_str
+
+    d = max_digits()
+    assert frac_from_str(f"1e{d}") == 10**d and frac_from_str(f"-1E-{d}") == Fraction(-1, 10**d)
+    assert frac_from_str("25e-3") == Fraction(1, 40) and frac_from_str(" 1.5e+2 ") == 150
+
+
+def test_result_too_long_to_print_is_size_limit(capsys, files, tmp_path):
+    """Two printable inputs whose sum has a 4400-digit denominator exit 2, naming no override."""
+    import time
+
+    big = 10**2199
+    terms = [{"idx": [0, 1], "coef": f"1/{big + 1}"}, {"idx": [1, 0], "coef": f"1/{big + 3}"}]
+    start = time.perf_counter()
+    code = main(argv_with_files(files, tmp_path, "braidize", {"--module": Z2_LINE, "--tensor": {"n": 2, "terms": terms}}))
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("size limit: ") and "Traceback" not in err and "GFROB_SIZE_LIMIT" not in err

@@ -29,9 +29,12 @@ from gfrob.errors import (
     UnitFails,
 )
 from gfrob.frobenius import braid_witness, decompose_z2_potential
-from gfrob.linalg import identity, rank, solve_columns
+from gfrob.groups import cyclic_group, trivial_group
+from gfrob.linalg import identity, mat_mul, rank, solve_columns, transpose
+from gfrob.modules import invariants_basis, trivial_graded_module
 from gfrob.singularity import (
     flat_metric,
+    milnor_ring,
     potential_A,
     potential_D,
     potential_D_metric,
@@ -49,7 +52,7 @@ def potential_unit(pot, eta):
     rows = [[c[a][b][l] for a in range(d)] for b in range(d) for l in range(d)]
     rhs = [Fraction(int(b == l)) for b in range(d) for l in range(d)]
     try:
-        return solve_columns(rows, rhs)
+        return solve_columns(rows, [rhs])[0]
     except ValueError:
         raise UnitFails("no unique unit vector at the origin") from None
 
@@ -268,6 +271,40 @@ def test_subalgebras_trivial_group(trivial_modules):
     alg = GFrobeniusAlgebra(h, identity(1), (((Fraction(1),),),), (Fraction(1),))
     sub_e, sub_g = subalgebras(alg)
     assert sub_e.mult == alg.mult and sub_g.mult == alg.mult
+
+
+def two_branch_subalgebras(alg):
+    """The untwisted sector by index slicing and the invariants by one solve per product, as first written."""
+    h = alg.module
+    e_idx = h.untwisted_indices()
+    mult_e = tuple(tuple(tuple(alg.mult[a][b][k] for k in e_idx) for b in e_idx) for a in e_idx)
+    eta_e = tuple(tuple(alg.metric[i][j] for j in e_idx) for i in e_idx)
+    unit_e = tuple(alg.unit[j] for j in e_idx)
+    sub_e = GFrobeniusAlgebra(trivial_graded_module(trivial_group(), len(e_idx)), eta_e, mult_e, unit_e)
+    inv = invariants_basis(h)
+    incl = tuple(tuple(v[i] for v in inv) for i in range(h.dim))
+    mult_g = tuple(tuple(solve_columns(incl, [alg.product(p, q)])[0] for q in inv) for p in inv)
+    eta_g = mat_mul(transpose(incl), mat_mul(alg.metric, incl))
+    unit_g = solve_columns(incl, [alg.unit])[0]
+    return sub_e, GFrobeniusAlgebra(trivial_graded_module(trivial_group(), len(inv)), eta_g, mult_g, unit_g)
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("Z2", n) for n in range(3, 9)] + [("A", n) for n in range(2, 7)] + [("D", n) for n in range(3, 7)]
+)
+def test_subalgebras_match_the_two_branch_restriction(kind, n):
+    alg = z2_frobenius_algebra(n) if kind == "Z2" else milnor_ring(kind, n)
+    assert subalgebras(alg) == two_branch_subalgebras(alg)
+
+
+def test_subalgebras_refuse_a_product_outside_a_sector():
+    # e_0 e_0 = e_1 leaves the untwisted sector {e_0} of the module with degrees (e, g)
+    h = graded_module(cyclic_group(2), (0, 1), [identity(2)] * 2)
+    zero, one = Fraction(0), Fraction(1)
+    mult = (((zero, one), (zero, zero)), ((zero, zero), (zero, zero)))
+    alg = GFrobeniusAlgebra(h, identity(2), mult, (one, zero))
+    with pytest.raises(ValueError, match="inconsistent system"):
+        subalgebras(alg)
 
 
 def test_check_pre_gfm_passes_for_assembled():

@@ -19,6 +19,7 @@ from gfrob import (
 )
 from gfrob.errors import IndexOutOfRange, SizeLimit, SourceTargetMismatch
 from gfrob.groupoid import (
+    components,
     diagonal_tuple_action,
     guard_size,
     identity_arrow,
@@ -202,6 +203,43 @@ def test_component_matches_oracle(z2, z3, s3):
                 assert comp.g_degree == g_degree(g, t)
 
 
+def bfs_orbits(g, n):
+    """The braid orbits on G^n by brute-force BFS over every b_i and b_i^-1, in order of least member."""
+    seen, out = set(), []
+    for t in all_tuples(g, n):
+        if t in seen:
+            continue
+        orbit, queue = {t}, [t]
+        for s in queue:
+            for i in range(1, n):
+                for inverse in (False, True):
+                    u = braid_gen_action(g, i, s, inverse)
+                    if u not in orbit:
+                        orbit.add(u)
+                        queue.append(u)
+        seen |= orbit
+        out.append(frozenset(orbit))
+    return out
+
+
+@pytest.mark.parametrize("group, top", [("z2", 6), ("z3", 4), ("s3", 3)])
+def test_components_yields_each_orbit_once_at_its_least_member(request, group, top):
+    from gfrob import groupoid
+
+    g = request.getfixturevalue(group)
+    for n in range(top + 1):
+        groupoid._orbit_cache.clear()
+        comps = list(components(g, all_tuples(g, n)))
+        orbits = bfs_orbits(g, n)
+        assert [c.members for c in comps] == orbits
+        assert [c.basepoint for c in comps] == [c.canonical for c in comps] == [min(o) for o in orbits]
+        assert len(set(comps)) == len(comps) == len(set(groupoid._orbit_cache.values()))
+        # in any order, each orbit comes once, at the first of its members met
+        backwards = list(components(g, reversed(list(all_tuples(g, n)))))
+        assert [c.members for c in backwards] == sorted(orbits, key=max, reverse=True)
+        assert set(backwards) == set(comps)
+
+
 def test_reflect_arrow_matches_oracle_words(z2, z3, s3):
     rng = random.Random(11)
     for g, n in ((z2, 4), (z3, 3), (s3, 3)):
@@ -293,20 +331,21 @@ def test_reflect_hom_set_sizes(z2, s3):
                 assert fwd == bwd
 
 
-def test_reflect_arrow_builds_no_component(s3):
+def test_reflect_arrow_builds_no_component(s3, monkeypatch):
     # the reflection is read off the arrow in closed form: reflecting arrows
     # out of every member of the 18-member orbit of (1,2,4) closes no component
     from gfrob import groupoid
 
     members = sorted(enumerate_component(s3, (1, 2, 4)).members)
     assert len(members) == 18
-    groupoid._component_cache.clear()
     groupoid._orbit_cache.clear()
+    built = []
+    monkeypatch.setattr(groupoid, "enumerate_component", lambda *args: built.append(args))
     for t in members:
         a = gen_arrow(s3, 1, t)
         r = reflect_arrow(s3, a)
         assert (r.source, r.target) == (reflect_tuple(s3, a.target), reflect_tuple(s3, t))
-    assert len(groupoid._component_cache) == 0
+    assert len(set(groupoid._orbit_cache.values())) == 0 and built == []
 
 
 def test_reflect_arrow_generator(z2):

@@ -148,25 +148,48 @@ def test_mat_inv_singular():
     assert outcome(linalg.mat_inv, m) == outcome(dense_mat_inv, m) == ("error", "matrix is singular")
 
 
+def dense_solve_many(a, bs):
+    """dense_solve_columns column by column, with one error for the whole system.
+
+    An inconsistent column is reported before dependent columns of a, as
+    one elimination of a and every column together finds it.
+    """
+    outcomes = [outcome(dense_solve_columns, a, b) for b in bs]
+    errors = sorted({msg for kind, msg in outcomes if kind == "error"}, key=lambda msg: msg != "inconsistent system")
+    if errors:
+        raise ValueError(errors[0])
+    if dense_rref(a)[1] != list(range(len(a[0]))):
+        raise ValueError("columns are not independent")
+    return [x for _, x in outcomes]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(lambda shape: matrices(*shape)), st.data())
 def test_solve_columns_matches_dense(a, data):
-    if data.draw(st.booleans(), label="consistent"):
-        x = [data.draw(entries) for _ in a[0]]
-        b = [sum((p * q for p, q in zip(row, x)), ZERO) for row in a]
-    else:
-        b = [data.draw(entries) for _ in a]
-    assert outcome(linalg.solve_columns, a, b) == outcome(dense_solve_columns, a, b)
+    bs = []
+    for k in range(data.draw(st.integers(0, 4), label="right-hand sides")):
+        if data.draw(st.booleans(), label=f"consistent {k}"):
+            x = [data.draw(entries) for _ in a[0]]
+            bs.append([sum((p * q for p, q in zip(row, x)), ZERO) for row in a])
+        else:
+            bs.append([data.draw(entries) for _ in a])
+    assert outcome(linalg.solve_columns, a, bs) == outcome(dense_solve_many, a, bs)
 
 
 def test_solve_columns_inconsistent_and_dependent():
     a = [[ONE, ZERO], [ZERO, ONE], [ONE, ONE]]
-    assert outcome(linalg.solve_columns, a, [ONE, ONE, ZERO]) == ("error", "inconsistent system")
+    assert outcome(linalg.solve_columns, a, [[ONE, ONE, ZERO]]) == ("error", "inconsistent system")
     dep = [[ONE, Fraction(2)], [Fraction(3), Fraction(6)]]
-    assert outcome(linalg.solve_columns, dep, [ONE, Fraction(3)]) == ("error", "columns are not independent")
+    assert outcome(linalg.solve_columns, dep, [[ONE, Fraction(3)]]) == ("error", "columns are not independent")
     for m, b in ((a, [ONE, ONE, ZERO]), (dep, [ONE, Fraction(3)])):
-        assert outcome(linalg.solve_columns, m, b) == outcome(dense_solve_columns, m, b)
-    assert linalg.solve_columns(a, [ONE, Fraction(2), Fraction(3)]) == (ONE, Fraction(2))
+        assert outcome(linalg.solve_columns, m, [b]) == outcome(dense_solve_many, m, [b])
+    good, bad = [ONE, Fraction(2), Fraction(3)], [ONE, ONE, ZERO]
+    assert linalg.solve_columns(a, [good]) == [(ONE, Fraction(2))]
+    assert linalg.solve_columns(a, [good, [ZERO] * 3, good]) == [(ONE, Fraction(2)), (ZERO, ZERO), (ONE, Fraction(2))]
+    for bs in ([good, bad], [bad, good], [bad, [x * 2 for x in bad]]):
+        assert outcome(linalg.solve_columns, a, bs) == ("error", "inconsistent system")
+    assert outcome(linalg.solve_columns, dep, []) == ("error", "columns are not independent")
+    assert linalg.solve_columns(a, []) == []
 
 
 def test_empty_matrices():
