@@ -173,7 +173,7 @@ def _cmd_check_pre_gfm(args) -> RunReport:
         raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
     report = check_pre_gfm(h, eta, pot)
     rep.add("module_valid", report.module.valid, report.module.failure)
-    rep.add("self_invariant", report.module.self_invariant, report.self_invariance_failure)
+    rep.add("self_invariant", report.module.self_invariant, report.module.self_invariance_failure)
     rep.add("metric", report.metric.passed, report.metric.failure)
     rep.add("braided", report.braided, report.braid_witness and list(report.braid_witness))
     rep.add("degree_filter", report.degree_filter)

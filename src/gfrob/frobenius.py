@@ -37,7 +37,6 @@ from .modules import (
     Tensor,
     dual_module,
     invariants_basis,
-    self_invariance_failure,
     trivial_graded_module,
     untwisted_basis,
     validate_module,
@@ -230,6 +229,12 @@ def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] 
 
 @dataclass(frozen=True)
 class GFrobeniusAlgebra:
+    """The product e_a e_b = sum_k mult[a][b][k] e_k on a graded module, with a metric and a unit.
+
+    The nonzero structure constants are gathered on first use and kept on
+    the instance; product, the one multiplication, runs over them alone.
+    """
+
     module: GradedModule
     metric: Mat
     mult: tuple[tuple[tuple[Fraction, ...], ...], ...]  # mult[a][b][k]
@@ -239,19 +244,21 @@ class GFrobeniusAlgebra:
     def dim(self) -> int:
         return self.module.dim
 
+    @cached_property
+    def _nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """_nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant."""
+        return [[[(k, x) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
+
     def product(self, v: Vec, w: Vec) -> Vec:
-        d = self.dim
-        out = [Fraction(0)] * d
-        for a in range(d):
-            if v[a] == 0:
-                continue
-            for b in range(d):
-                if w[b] == 0:
-                    continue
-                coef = v[a] * w[b]
-                for k in range(d):
-                    if self.mult[a][b][k] != 0:
-                        out[k] += coef * self.mult[a][b][k]
+        # a zero that is the ZERO object skips the truth test, a Python call on a Fraction
+        out = [ZERO] * self.dim
+        ws = [(b, y) for b, y in enumerate(w) if y is not ZERO and y]
+        for row, x in zip(self._nonzero, v):
+            if x is not ZERO and x:
+                for b, y in ws:
+                    coef = x * y
+                    for k, z in row[b]:
+                        out[k] += coef * z
         return tuple(out)
 
 
@@ -296,89 +303,58 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     wrong degree, (a, b) for braided commutativity, (a, b, c) for metric
     invariance and associativity, g or a unit entry j for the invariant unit,
     and b for the unit law.
+
+    Every product below is alg.product: with e the basis and rho_g(e_a)
+    the columns of the action, equivariance is rho_g(e_a) rho_g(e_b) =
+    rho_g(e_a e_b), braided commutativity e_a e_b = rho_{deg(a)^-1}(e_b) e_a,
+    associativity (e_a e_b) e_c = e_a (e_b e_c), and the unit law 1 e_b = e_b.
     """
     h = alg.module
     g = h.group
     d = h.dim
-    c = alg.mult
     eta = alg.metric
     mod_rep = validate_module(h)
     metric_rep = check_metric(h, eta)
-    # nonzero structure constants and action entries, (index, value) pairs
-    nz = [[[(k, x) for k, x in enumerate(c[a][b]) if x] for b in range(d)] for a in range(d)]
+    e = linalg.identity(d)
+    ab = [[alg.product(x, y) for y in e] for x in e]  # ab[a][b] = e_a e_b
+    cols = [linalg.transpose(rho) for rho in h.action]  # cols[g][a] = rho_g(e_a)
+    eta_cols = linalg.transpose(eta)
     pairs = [(a, b) for a in range(d) for b in range(d)]
     triples = [(a, b, x) for a in range(d) for b in range(d) for x in range(d)]
 
-    def nz_col(m: Mat, j: int) -> list[tuple[int, Fraction]]:
-        return [(i, m[i][j]) for i in range(d) if m[i][j]]
-
-    def actions():
-        for gamma in g.elements():
-            rho = h.action[gamma]
-            yield gamma, rho, [nz_col(rho, a) for a in range(d)]
-
-    def equivariant(rho: Mat, cols, a: int, b: int) -> bool:
-        lhs = [Fraction(0)] * d
-        for i, ra in cols[a]:
-            for j, rb in cols[b]:
-                coef = ra * rb
-                for k, x in nz[i][j]:
-                    lhs[k] += coef * x
-        return tuple(lhs) == linalg.mat_vec(rho, c[a][b])
-
-    def braided_commutes(a: int, b: int) -> bool:
-        rho = h.action[g.inv(h.degrees[a])]
-        rhs = [Fraction(0)] * d
-        for i, r in nz_col(rho, b):
-            for k, x in nz[i][a]:
-                rhs[k] += r * x
-        return tuple(rhs) == c[a][b]
-
-    eta_cols = linalg.transpose(eta)
-
-    def metric_invariant(a: int, b: int, x: int) -> bool:
-        return sum((p * q for p, q in zip(c[a][b], eta_cols[x]) if p and q), ZERO) == sum(
-            (p * q for p, q in zip(eta[a], c[b][x]) if p and q), ZERO
-        )
-
-    def associates(a: int, b: int, x: int) -> bool:
-        lhs = [Fraction(0)] * d
-        for k, y in nz[a][b]:
-            for l, z in nz[k][x]:
-                lhs[l] += y * z
-        rhs = [Fraction(0)] * d
-        for k, y in nz[b][x]:
-            for l, z in nz[a][k]:
-                rhs[l] += y * z
-        return lhs == rhs
-
-    def unit_law(b: int) -> bool:
-        e_b = tuple(Fraction(1) if i == b else Fraction(0) for i in range(d))
-        return alg.product(alg.unit, e_b) == e_b
-
     witnesses = {
         "module_valid": mod_rep.failure,
-        "self_invariant": self_invariance_failure(h),
+        "self_invariant": mod_rep.self_invariance_failure,
         "equivariance": next(
-            (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma, rho, cols in actions() for a, b in pairs
-             if not equivariant(rho, cols, a, b)),
+            (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma in g.elements() for a, b in pairs
+             if alg.product(cols[gamma][a], cols[gamma][b]) != linalg.mat_vec(h.action[gamma], ab[a][b])),
             None,
         ),
         "graded_mult": next(
             (f"(a, b, k) = ({a}, {b}, {k})" for a, b, k in triples
-             if c[a][b][k] != 0 and h.degrees[k] != g.mul(h.degrees[a], h.degrees[b])),
+             if ab[a][b][k] != 0 and h.degrees[k] != g.mul(h.degrees[a], h.degrees[b])),
             None,
         ),
-        "braided_commutativity": next((f"(a, b) = ({a}, {b})" for a, b in pairs if not braided_commutes(a, b)), None),
+        "braided_commutativity": next(
+            (f"(a, b) = ({a}, {b})" for a, b in pairs
+             if ab[a][b] != alg.product(cols[g.inv(h.degrees[a])][b], e[a])),
+            None,
+        ),
         "metric_invariance": next(
-            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples if not metric_invariant(a, b, x)), None
+            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples
+             if linalg.dot(ab[a][b], eta_cols[x]) != linalg.dot(eta[a], ab[b][x])),
+            None,
         ),
         "invariant_unit": next(
             (f"g = {gamma}" for gamma in g.elements() if linalg.mat_vec(h.action[gamma], alg.unit) != alg.unit),
             next((f"j = {j}" for j in range(d) if alg.unit[j] != 0 and h.degrees[j] != g.identity), None),
         ),
-        "associative": next((f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples if not associates(a, b, x)), None),
-        "unital": next((f"b = {b}" for b in range(d) if not unit_law(b)), None),
+        "associative": next(
+            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples
+             if alg.product(ab[a][b], e[x]) != alg.product(e[a], ab[b][x])),
+            None,
+        ),
+        "unital": next((f"b = {b}" for b in range(d) if alg.product(alg.unit, e[b]) != e[b]), None),
         "metric": metric_rep.failure,
     }
     failure = next(
@@ -410,8 +386,7 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
             row.append(linalg.mat_vec(eta_inv, w))
         mult.append(tuple(row))
     alg = GFrobeniusAlgebra(h, eta, tuple(mult), tuple(Fraction(x) for x in unit))
-    for b in range(d):
-        e_b = tuple(Fraction(1) if i == b else Fraction(0) for i in range(d))
+    for b, e_b in enumerate(linalg.identity(d)):
         if alg.product(alg.unit, e_b) != e_b:
             raise UnitFails(f"unit fails on basis vector {b}")
     return alg
@@ -471,12 +446,10 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
 @dataclass(frozen=True)
 class PreGfmReport:
     module: ModuleReport
-    self_invariance_failure: str | None  # first g and entry (i, j) that break self-invariance, or None
     metric: MetricReport
     braid_witness: tuple[int, int] | None  # first failing coordinate pair, or None
     degree_filter: bool
     untwisted_potential: MultiPoly
-    invariants_potential: MultiPoly
     wdvv_untwisted: WdvvReport
     wdvv_invariants: WdvvReport
 
@@ -528,12 +501,10 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
 
     return PreGfmReport(
         module=mod_rep,
-        self_invariance_failure=self_invariance_failure(h),
         metric=metric_rep,
         braid_witness=witness,
         degree_filter=filter_ok,
         untwisted_potential=y_e,
-        invariants_potential=y_g,
         wdvv_untwisted=wdvv_e,
         wdvv_invariants=wdvv_g,
     )

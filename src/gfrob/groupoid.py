@@ -343,6 +343,7 @@ class _Chain:
 
 
 _orbit_cache: dict[tuple[FiniteGroup, GTuple], Component] = {}  # member -> its orbit's component
+_ORBIT_CACHE_BOUND = 1 << 16  # members kept; a new component past it empties the cache first
 
 
 def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
@@ -388,10 +389,15 @@ def orbit_component(group: FiniteGroup, t: GTuple) -> Component:
 
     Arrows out of a member s are conn(u) o e o conn(s)^-1, so every member of
     an orbit can share one component, and the cache maps each member to it.
+    When storing a new component would take the cache past _ORBIT_CACHE_BOUND
+    members, the cache is emptied in place first, so it never holds more than
+    the bound plus the members of the component just built.
     """
     comp = _orbit_cache.get((group, t))
     if comp is None:
         comp = enumerate_component(group, t)
+        if len(_orbit_cache) + len(comp.connectors) > _ORBIT_CACHE_BOUND:
+            _orbit_cache.clear()
         _orbit_cache.update(dict.fromkeys(((group, m) for m in comp.connectors), comp))
     return comp
 
@@ -400,12 +406,14 @@ def components(group: FiniteGroup, tuples: Iterable[GTuple]) -> Iterator[Compone
     """Each orbit met among the tuples once, as its cached component, at the first member met.
 
     For tuples in lexicographic order that member is the least one met.
+    The orbits are told apart by their members, not by the component
+    objects, since the cache may be emptied and an orbit rebuilt mid-census.
     """
-    seen: set[Component] = set()
+    seen: set[GTuple] = set()  # the members of every orbit yielded
     for t in tuples:
-        comp = orbit_component(group, t)
-        if comp not in seen:
-            seen.add(comp)
+        if t not in seen:
+            comp = orbit_component(group, t)
+            seen.update(comp.connectors)
             yield comp
 
 

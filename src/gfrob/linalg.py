@@ -44,13 +44,18 @@ def transpose(a: Mat) -> Mat:
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
+def dot(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
+    # a zero that is the ZERO object skips the truth test, a Python call on a Fraction
+    return sum((x * y for x, y in zip(v, w) if x is not ZERO and y is not ZERO and x and y), ZERO)
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def _sub_multiple(target: IntRow, f: int, row: IntRow) -> None:

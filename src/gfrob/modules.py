@@ -84,19 +84,25 @@ class ModuleReport:
     identity: bool
     grading: bool
     invertible: bool
-    self_invariant: bool
+    self_invariance_failure: str | None  # first g and entry (i, j) that break self-invariance, or None
     failure: str | None = None  # the first failing axiom above, with its witness
 
     @property
     def valid(self) -> bool:
         return self.homomorphism and self.identity and self.grading and self.invertible
 
+    @property
+    def self_invariant(self) -> bool:
+        return self.self_invariance_failure is None
+
 
 def validate_module(h: GradedModule) -> ModuleReport:
-    """The four module axioms, each with its first witness, and self-invariance.
+    """The four module axioms, each with its first witness, and self-invariance with its witness.
 
     failure names the first failing axiom in field order with its witness:
-    a pair (a, b), an entry (i, j) of rho(e), or an element g.
+    a pair (a, b), an entry (i, j) of rho(e), or an element g.  The
+    self-invariance witness is the first g and entry (i, j), with j in the
+    block H_g, where rho(g) is not the identity.
 
     The homomorphism axiom is checked exactly on the integer columns as
     Delta^2 rho(ab) = (Delta rho(a)) (Delta rho(b)).  Once it and the
@@ -136,7 +142,12 @@ def validate_module(h: GradedModule) -> ModuleReport:
     )
     failure = next((f"{axiom} axiom fails at {w}" for axiom, w in witnesses.items() if w is not None), None)
     ok = {axiom: w is None for axiom, w in witnesses.items()}
-    return ModuleReport(**ok, self_invariant=self_invariance_failure(h) is None, failure=failure)
+    self_invariance = next(
+        (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in elements for j in h.block_indices(gamma)
+         for i in range(d) if rho[gamma][i][j] != int(i == j)),
+        None,
+    )
+    return ModuleReport(**ok, self_invariance_failure=self_invariance, failure=failure)
 
 
 def _column_product(a: Columns, b: Columns) -> list[dict[int, int]]:
@@ -149,15 +160,6 @@ def _column_product(a: Columns, b: Columns) -> list[dict[int, int]]:
                 acc[i] = acc.get(i, 0) + x * y
         out.append({i: x for i, x in acc.items() if x})
     return out
-
-
-def self_invariance_failure(h: GradedModule) -> str | None:
-    """The first g and entry (i, j) with j in the block H_g where rho(g) is not the identity, or None."""
-    return next(
-        (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in h.group.elements() for j in h.block_indices(gamma)
-         for i in range(h.dim) if h.action[gamma][i][j] != int(i == j)),
-        None,
-    )
 
 
 def graded_module(

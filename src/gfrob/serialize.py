@@ -200,7 +200,7 @@ def square_matrix_from_json(obj: Any, dim: int) -> linalg.Mat:
 
 def potential_from_json(obj: Any) -> Potential:
     if isinstance(obj, dict) and "names" in obj:
-        poly = poly_from_json(obj.get("potential", obj.get("poly")))
+        poly = poly_from_json(obj.get("potential"))
         return Potential(_named_poly(obj["names"], poly), poly)
     poly = poly_from_json(obj)
     return Potential(poly.vars, poly)

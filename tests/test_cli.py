@@ -130,6 +130,17 @@ def test_wdvv_pass_and_fail(capsys, files, tmp_path):
     assert doc["checks"][0]["witness"]
 
 
+def test_potential_under_the_poly_key_is_input_error(capsys, files, tmp_path):
+    # a named potential is read from "potential" alone; "poly" is no alias for it
+    pa = potential_A(3)
+    aliased = tmp_path / "aliased.json"
+    aliased.write_text(json.dumps({"names": list(pa.names), "poly": poly_to_json(pa.poly)}))
+    code = main(["wdvv", "--potential", str(aliased), "--metric", files["etaA3"]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
 def test_potential_command(capsys):
     code, out = run(capsys, "potential", "A", "3")
     assert code == 0

@@ -240,6 +240,32 @@ def test_components_yields_each_orbit_once_at_its_least_member(request, group, t
         assert set(backwards) == set(comps)
 
 
+def test_bounded_orbit_cache_keeps_the_census_exact(s3, monkeypatch):
+    # with room for 8 members the cache is emptied many times during the
+    # S3 n=3 census; each orbit still comes once, and is built once
+    from gfrob import groupoid
+
+    bound = 8
+    monkeypatch.setattr(groupoid, "_ORBIT_CACHE_BOUND", bound)
+    built, build = [], groupoid.enumerate_component
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(groupoid, "enumerate_component", counted)
+    cache = groupoid._orbit_cache
+    cache.clear()
+    comps = []
+    for comp in components(s3, all_tuples(s3, 3)):
+        comps.append(comp)
+        assert comp is built[-1]
+        assert len(cache) <= bound + len(comp.members)
+    assert [c.members for c in comps] == bfs_orbits(s3, 3)
+    assert len(built) == len(comps) and len(cache) < s3.order ** 3
+    assert groupoid._orbit_cache is cache
+
+
 def test_reflect_arrow_matches_oracle_words(z2, z3, s3):
     rng = random.Random(11)
     for g, n in ((z2, 4), (z3, 3), (s3, 3)):

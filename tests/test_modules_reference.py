@@ -8,7 +8,7 @@ homomorphism or identity axiom fails.  The modules are the Z2, Z3 and S3
 fixtures in a random block-preserving basis (so Delta > 1), optionally
 broken by a perturbed entry, a singular rho(g), a broken grading, swapped
 matrices or an idempotent action; the two reports must be equal, down to
-the failure string.
+the failure string and the self-invariance witness.
 """
 
 from fractions import Fraction
@@ -45,16 +45,16 @@ def validate_module_reference(h) -> ModuleReport:
     }
     failure = next((f"{axiom} axiom fails at {w}" for axiom, w in witnesses.items() if w is not None), None)
 
-    self_inv = True
+    self_inv = None
     for gamma in elements:
         m = rho[gamma]
         for j in h.block_indices(gamma):
             for i in range(d):
                 want = Fraction(1) if i == j else Fraction(0)
-                if m[i][j] != want:
-                    self_inv = False
+                if m[i][j] != want and self_inv is None:
+                    self_inv = f"g = {gamma}, (i, j) = ({i}, {j})"
     ok = {axiom: w is None for axiom, w in witnesses.items()}
-    return ModuleReport(**ok, self_invariant=self_inv, failure=failure)
+    return ModuleReport(**ok, self_invariance_failure=self_inv, failure=failure)
 
 
 # -- strategies -----------------------------------------------------------------
