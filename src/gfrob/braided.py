@@ -53,7 +53,9 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
     sum(A) . v = sum_u conn(u) . (sum U_1) ... (sum U_k) . conn(s)^-1 . v,
     the deepest level applied first.  The parts of one component are moved to
     b and summed there, so each component costs one application per part
-    plus |C| + sum |U_i|, instead of |C| * m_C per part.
+    plus |C| + sum |U_i|, instead of |C| * m_C per part.  Each orbit keeps
+    one bucket even if the orbit cache is emptied and the orbit rebuilt at
+    another member between two of its parts.
 
     The sums run fraction-free: a component's parts are cleared to one
     common denominator D, every step multiplies the integer numerators by
@@ -68,6 +70,8 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
     by_base: dict[tuple[int, ...], tuple[Component, list]] = {}
     for deg, part in split_homogeneous(h, v).items():
         comp = orbit_component(group, deg)
+        if comp.basepoint not in by_base:  # a new orbit, or one rebuilt after the cache was emptied
+            comp = next((c for c, _ in by_base.values() if deg in c.connectors), comp)
         by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part))
     out: dict[tuple[int, ...], Fraction] = {}
     for comp, parts in by_base.values():

@@ -250,11 +250,10 @@ class GFrobeniusAlgebra:
         return [[[(k, x) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
 
     def product(self, v: Vec, w: Vec) -> Vec:
-        # a zero that is the ZERO object skips the truth test, a Python call on a Fraction
         out = [ZERO] * self.dim
-        ws = [(b, y) for b, y in enumerate(w) if y is not ZERO and y]
+        ws = [(b, y) for b, y in enumerate(w) if y]
         for row, x in zip(self._nonzero, v):
-            if x is not ZERO and x:
+            if x:
                 for b, y in ws:
                     coef = x * y
                     for k, z in row[b]:
@@ -306,8 +305,13 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
 
     Every product below is alg.product: with e the basis and rho_g(e_a)
     the columns of the action, equivariance is rho_g(e_a) rho_g(e_b) =
-    rho_g(e_a e_b), braided commutativity e_a e_b = rho_{deg(a)^-1}(e_b) e_a,
-    associativity (e_a e_b) e_c = e_a (e_b e_c), and the unit law 1 e_b = e_b.
+    rho_g(e_a e_b), associativity (e_a e_b) e_c = e_a (e_b e_c), and the
+    unit law 1 e_b = e_b.  Braided commutativity is checked as
+    e_a e_b = rho_{deg(a)^-1}(e_b) e_a.  The Jarvis-Kaufmann-Kimura axiom,
+    and the braiding that braided.is_braided tests, read rho_{deg(a)}
+    instead; the two agree when deg(a)^2 acts trivially, as over Z2, and
+    differ on the group algebra of S3 (a known defect, kept so that every
+    verdict stays as it was).
     """
     h = alg.module
     g = h.group

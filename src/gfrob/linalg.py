@@ -45,8 +45,7 @@ def transpose(a: Mat) -> Mat:
 
 
 def dot(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-    # a zero that is the ZERO object skips the truth test, a Python call on a Fraction
-    return sum((x * y for x, y in zip(v, w) if x is not ZERO and y is not ZERO and x and y), ZERO)
+    return sum((x * y for x, y in zip(v, w) if x and y), ZERO)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

@@ -503,6 +503,32 @@ def test_braidize_shares_one_component_per_orbit():
     assert is_braided(h, w) and w == braidize(h, w)
 
 
+def test_braidize_keeps_one_bucket_per_orbit_across_a_cache_clear(s3_module, monkeypatch):
+    # parts in orbit order A, B, A: with room for 8 members, building B's
+    # 9-member component empties the cache, and the second part of A's
+    # 3-member orbit rebuilds it at another basepoint
+    from gfrob import groupoid
+
+    h = s3_module
+    t = h.degrees.index(1)
+    u = h.degrees.index(2)
+    v = Tensor(3, {(0, 0, t): Fraction(1), (0, t, u): Fraction(5), (0, t, 0): Fraction(2)})
+    groupoid._orbit_cache.clear()
+    expected = braidize(h, v)
+    monkeypatch.setattr(groupoid, "_ORBIT_CACHE_BOUND", 8)
+    built, build = [], groupoid.enumerate_component
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(groupoid, "enumerate_component", counted)
+    groupoid._orbit_cache.clear()
+    assert braidize(h, v) == expected
+    assert [len(c.connectors) for c in built] == [3, 9, 3]  # A was rebuilt
+    assert is_braided(h, expected)
+
+
 # -- braidize properties over generated tensors ----------------------------
 
 PROPERTY_MODULES = {

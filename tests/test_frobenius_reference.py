@@ -14,6 +14,7 @@ reports must be equal, down to the failure string.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfrob import cyclic_group, linalg, symmetric_group
@@ -247,9 +248,15 @@ def test_product_matches_the_dense_product(case, data):
 
 
 def test_fixtures_pass_except_the_s3_group_algebra():
-    """Every fixture is a G-Frobenius algebra as check_gfa reads the axioms, but k[S3]:
-    with e_a e_b = rho_{deg(a)^-1}(e_b) e_a, a product of 3-cycles breaks braided commutativity."""
+    """Every fixture but k[S3] passes, and k[S3] gets the reference's verdict."""
     reports = {name: check_gfa(alg) for name, alg in ALGEBRAS.items()}
-    assert {name for name, rep in reports.items() if not rep.passed} == {"s3"}
-    assert reports["s3"].failures() == ["braided_commutativity"]
+    assert all(rep.passed for name, rep in reports.items() if name != "s3")
     assert all(rep == check_gfa_reference(ALGEBRAS[name]) for name, rep in reports.items())
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: braided commutativity is checked with rho_{deg(a)^-1}")
+def test_the_s3_group_algebra_passes():
+    """k[S3] with the conjugation action satisfies e_a e_b = rho_{deg(a)}(e_b) e_a,
+    the Jarvis-Kaufmann-Kimura axiom; check_gfa tests rho_{deg(a)^-1} instead,
+    which a product of two 3-cycles breaks."""
+    assert check_gfa(ALGEBRAS["s3"]).passed
