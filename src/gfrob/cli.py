@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 from . import serialize as ser
 from .braided import br_basis, braidize
-from .errors import BadIndex, GfrobError, NotAGroup, SizeLimit
+from .errors import BadIndex, DegenerateMetric, GfrobError, NotAGroup, SizeLimit
 from .frobenius import GFA_CHECKS, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import components, guard_size
 from .groups import conjugacy_classes
@@ -159,7 +159,11 @@ def _cmd_wdvv(args) -> RunReport:
     rep = RunReport("wdvv")
     pot = ser.potential_from_json(_read_json(args.potential))
     eta = ser.square_matrix_from_json(_read_json(args.metric), len(pot.names))
-    report = wdvv_check(pot, eta)
+    try:
+        report = wdvv_check(pot, eta)
+    except DegenerateMetric as exc:  # a failed check with its witness, as check-pre-gfm reports it
+        rep.add("wdvv", False, str(exc))
+        return rep
     rep.add("wdvv", report.passed, [list(w) for w in report.witnesses[:20]] or None)
     return rep
 

@@ -169,20 +169,13 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     d = len(pot.names)
     ginv = _inverse_metric(eta)
     y3 = pot.third
-    zero = MultiPoly.zero(pot.names)
 
-    # rows[a][b][l] = sum_k Y_abk g^{kl}
-    rows: dict[Pair, list[MultiPoly]] = {}
-    for a in range(d):
-        for b in range(a, d):
-            row = []
-            for l in range(d):
-                acc = MultiPoly.zero(pot.names)
-                for k in range(d):
-                    if ginv[k][l] != 0:
-                        acc = acc + y3(a, b, k) * ginv[k][l]
-                row.append(acc)
-            rows[(a, b)] = row
+    # rows[a][b][l] = sum_k Y_abk g^{kl}, over the nonzero g^{kl} of each column l
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in linalg.transpose(ginv)]
+    rows = {
+        (a, b): [MultiPoly.sum_of_products(((y3(a, b, k), x) for k, x in col), pot.names) for col in cols]
+        for a in range(d) for b in range(a, d)
+    }
 
     symmetric = all(ginv[k][l] == ginv[l][k] for k in range(d) for l in range(k))
 
@@ -193,9 +186,9 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
         key = (q, p) if symmetric and q < p else (p, q)
         m = table.get(key)
         if m is None:
-            row, (c, e) = rows[key[0]], key[1]
-            terms = ((row[l], y3(l, c, e)) for l in range(d) if row[l])
-            m = table[key] = sum((x * y for x, y in terms if y), zero)
+            c, e = key[1]
+            terms = ((x, y) for l, x in enumerate(rows[key[0]]) if x and (y := y3(l, c, e)))
+            m = table[key] = MultiPoly.sum_of_products(terms, pot.names)
         return m
 
     witnesses = []
@@ -441,7 +434,7 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     for x in range(d):
         for y in range(d):
             row = hd.action[hd.degrees[y]][x]
-            moved = sum((pot.second(y, b) * w for b, w in enumerate(row) if w != 0), MultiPoly.zero())
+            moved = MultiPoly.sum_of_products((pot.second(y, b), w) for b, w in enumerate(row) if w != 0)
             if pot.second(y, x) != moved:
                 return x, y
     return None

@@ -10,10 +10,11 @@ e_v * 2^(32 * index(v)) (packed exponent vectors, after Monagan and Pearce),
 with index(v) the place of v in a process-wide registry of variable names,
 which only grows and is never cleared.  Keys do not depend on the declared
 variables: binary operations declare the union of the two tuples and never
-rewrite a term, and a monomial product is one int addition.  Exponents are
-below 2^31; a product reaching 2^31 in the guard bit atop each field raises
-SizeLimit instead of carrying into the next.  Other modules read terms through
-sorted_terms (dense exponent vectors over the declared variables),
+rewrite a term.  sum_of_products makes every product and linear combination
+of products, each monomial product one int addition.  Exponents are below
+2^31; a product reaching 2^31 in the guard bit atop each field raises
+SizeLimit instead of carrying into the next.  Other modules read terms
+through sorted_terms (dense exponent vectors over the declared variables),
 homogeneous_part, coefficient and compact.  An undeclared variable is absent:
 its derivative is zero, and substituting it returns the polynomial unchanged.
 """
@@ -53,7 +54,7 @@ def _declare(variables: Iterable[str]) -> tuple[str, ...]:
 
 
 def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return a if a == b else tuple(sorted(set(a).union(b)))
+    return a if a == b or not b else tuple(sorted(set(a).union(b)))
 
 
 class MultiPoly:
@@ -137,18 +138,37 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            c = exact(other)
-            return MultiPoly._wrap(self.vars, {m: exact(c * v) for m, v in self.terms.items()} if c else {})
+        return MultiPoly.sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple], variables: Sequence[str] = ()) -> "MultiPoly":
+        """Sum a * b over the pairs (a, b), where a is a MultiPoly and b a MultiPoly or scalar, in one dict.
+
+        The guard bits are checked once, over every product monomial before any
+        cancellation, so SizeLimit is raised exactly when some pair's product
+        reaches 2^31; coefficients are normalized by `exact` once.  The result
+        declares `variables` and the variables of every operand.
+        """
         terms: dict[int, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                s = terms.get(m)
-                terms[m] = c1 * c2 if s is None else s + c1 * c2
+        get = terms.get
+        order = _declare(variables) if variables else ()
+        for a, b in pairs:
+            order = _union(order, a.vars)
+            if isinstance(b, MultiPoly):
+                order = _union(order, b.vars)
+                right = b.terms.items()
+                for m1, c1 in a.terms.items():
+                    for m2, c2 in right:
+                        m = m1 + m2
+                        s = get(m)
+                        terms[m] = c1 * c2 if s is None else s + c1 * c2
+            elif c := exact(b):
+                for m, v in a.terms.items():
+                    s = get(m)
+                    terms[m] = c * v if s is None else s + c * v
         if reduce(int.__or__, terms, 0) & _guard[0]:  # factor fields are below 2^31: no sum carries
             raise SizeLimit("a product has an exponent of 2^31 or more")
-        return MultiPoly._wrap(_union(self.vars, other.vars), {m: exact(c) for m, c in terms.items() if c})
+        return MultiPoly._wrap(order, {m: exact(c) for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 

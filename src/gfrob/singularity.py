@@ -101,17 +101,13 @@ def zp_trim(f: ZPoly) -> ZPoly:
 
 
 def zp_mul(f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> ZPoly:
+    """f g, each power of z one sum of products."""
     if not f or not g:
         return []
-    out = [MultiPoly.zero() for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if not b:
-                continue
-            out[i + j] = out[i + j] + a * b
-    return zp_trim(out)
+    return zp_trim([
+        MultiPoly.sum_of_products((a, g[k - i]) for i, a in enumerate(f) if a and 0 <= k - i < len(g) and g[k - i])
+        for k in range(len(f) + len(g) - 1)
+    ])
 
 
 def fprime_coeffs(n: int, unfolding: Sequence[MultiPoly]) -> ZPoly:
@@ -124,18 +120,21 @@ def fprime_coeffs(n: int, unfolding: Sequence[MultiPoly]) -> ZPoly:
 
 
 def zp_reduce(f: Sequence[MultiPoly], fprime: Sequence[MultiPoly]) -> ZPoly:
-    """Remainder of division by the monic polynomial fprime."""
+    """Remainder of division by the monic fprime of degree n, each coefficient one sum of products.
+
+    Top first, q_j = f_{j+n} - sum_{i<n} q_{j+n-i} fprime_i; then r_k = f_k - sum_{i<n} q_{k-i} fprime_i.
+    """
     n = len(fprime) - 1
-    work = list(f)
-    while len(work) > n:
-        lead = work[-1]
-        top = len(work) - 1
-        if lead:
-            for i in range(n + 1):
-                if fprime[i]:
-                    work[top - n + i] = work[top - n + i] - lead * fprime[i]
-        work.pop()
-    return zp_trim(work)
+    low = [(i, p) for i, p in enumerate(fprime[:n]) if p]
+    neg_q: dict[int, MultiPoly] = {}
+
+    def column(k: int) -> MultiPoly:
+        return MultiPoly.sum_of_products([(f[k], 1), *((neg_q[k - i], p) for i, p in low if k - i in neg_q)])
+
+    for j in range(len(f) - n - 1, -1, -1):
+        if q := column(j + n):
+            neg_q[j] = -q
+    return zp_trim([column(k) for k in range(min(len(f), n))])
 
 
 def jacobi_multiply(n: int, f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> ZPoly:
@@ -221,15 +220,12 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
         z[j - n] = t[j]
 
     def lmul(p: dict[int, MultiPoly], q: dict[int, MultiPoly], floor: int) -> dict[int, MultiPoly]:
-        out: dict[int, MultiPoly] = {}
+        pairs: dict[int, list[tuple[MultiPoly, MultiPoly]]] = {}
         for e1, c1 in p.items():
             for e2, c2 in q.items():
-                e = e1 + e2
-                if e < floor:
-                    continue
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return {e: c for e, c in out.items() if c}
+                if e1 + e2 >= floor:
+                    pairs.setdefault(e1 + e2, []).append((c1, c2))
+        return {e: c for e, ps in pairs.items() if (c := MultiPoly.sum_of_products(ps))}
 
     powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(1)}, z]
     for k in range(2, n + 2):
@@ -240,13 +236,9 @@ def _build_flat_coordinates(n: int) -> UnfoldingChart:
     a_of_t: list[MultiPoly | None] = [None] * n
     lead = powers[n + 1]
     for m in range(n - 1, -1, -1):
-        acc = lead.get(m, MultiPoly.zero()) * Fraction(1, n + 1)
-        for i in range(m + 1, n):
-            coeff = powers[i].get(m)
-            if coeff:
-                acc = acc + a_of_t[i] * coeff
+        terms = ((a_of_t[i], powers[i][m]) for i in range(m + 1, n) if powers[i].get(m))
         # a_m enters through a_m * z^m whose w^m coefficient is 1.
-        a_of_t[m] = -acc
+        a_of_t[m] = -MultiPoly.sum_of_products([(lead.get(m, MultiPoly.zero()), Fraction(1, n + 1)), *terms])
 
     # Structural check: linear term -t_m, higher terms only in t_{m+2}..t_{n-1}.
     for m in range(n):
@@ -295,10 +287,10 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     The estimate is potential_terms(m) * m**power term operations: power 2
     for the chart and the potential (the residue proof makes O(m^2)
     reductions), power 3 when every potential is also WDVV-checked.  A unit
-    took 1.7 to 3.5 microseconds under CPython 3.11.7 on a 2-core x86-64 host
-    (`potential A 15` 1.3-1.4 s, `potential A 16` 2.0-2.1 s, `construct-z2 7`
-    0.9 s, as subprocesses), so the default limit of 10^6 admits the
-    potential of A_16 and construct-z2 up to n = 7.
+    took 1.5 to 2.8 microseconds under CPython 3.11.7 on a 2-core x86-64 host
+    (as subprocesses: `potential A 15` 1.2 s for 420,750 units, `potential A 16`
+    1.8 s for 693,504, `construct-z2 7` 0.74 s for 501,787), so the default
+    limit of 10^6 admits the potential of A_16 and construct-z2 up to n = 7.
 
     The cubic terms t_0 t_b t_{m-1-b} alone give potential_terms(m) >=
     (m-1)//2 + 1, so a cost over the limit on that lower bound is refused
@@ -368,8 +360,8 @@ def inverse_series_potential(chart: UnfoldingChart) -> MultiPoly:
     big_n, big_k = n + 1, 2 * n + 3
     c = _scaled_power_series(chart)[1][big_k + 1]
     base = big_n ** (big_k + 1) * factorial(big_k + 1) * big_k * (n + 2)
-    parts = (c.homogeneous_part(d) * Fraction(1, base * (d - 2)) for d in range(3, c.total_degree() + 1))
-    return sum(parts, MultiPoly.zero(chart.t_names))
+    parts = ((c.homogeneous_part(d), Fraction(1, base * (d - 2))) for d in range(3, c.total_degree() + 1))
+    return MultiPoly.sum_of_products(parts, chart.t_names)
 
 
 def _scaled_power_series(chart: UnfoldingChart) -> tuple[list[tuple[int, MultiPoly]], list[MultiPoly]]:
@@ -378,15 +370,10 @@ def _scaled_power_series(chart: UnfoldingChart) -> tuple[list[tuple[int, MultiPo
     big_n, big_k = n + 1, 2 * n + 3
     u = [(j, chart.a_of_t[n + 1 - j] * big_n) for j in range(2, n + 2)]
     g = [MultiPoly.constant(1)]
-    for k in range(1, big_k + 2):
-        acc = MultiPoly.zero()
-        for j, uj in u:
-            if j > k:
-                break
-            scale = ((big_k + big_n) * j - big_n * k) * big_n ** (j - 1) * perm(k - 1, j - 1)
-            if scale and g[k - j]:
-                acc = acc + uj * scale * g[k - j]
-        g.append(acc)
+    for k in range(1, big_k + 2):  # u[: k - 1] holds the u_j with j <= k
+        scales = [((big_k + big_n) * j - big_n * k) * big_n ** (j - 1) * perm(k - 1, j - 1) for j, _ in u[: k - 1]]
+        terms = ((uj * s, g[k - j]) for (j, uj), s in zip(u, scales) if s and g[k - j])
+        g.append(MultiPoly.sum_of_products(terms))
     return u, g
 
 
@@ -407,13 +394,8 @@ def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
             top = r[n - 1] if len(r) >= n else MultiPoly.zero()
             if top != int(a + b == n - 1):
                 raise IntegrabilityFailure(f"residue pairing is not flat at {(a, b)}")
-            want = [MultiPoly.zero() for _ in range(n)]
-            for c in range(n):
-                y = pot.third(a, b, c)
-                if y:
-                    for i, f in enumerate(dfs[n - 1 - c]):
-                        if f:
-                            want[i] = want[i] + y * f
+            ys = [(y, dfs[n - 1 - c]) for c in range(n) if (y := pot.third(a, b, c))]
+            want = [MultiPoly.sum_of_products((y, df[i]) for y, df in ys if i < len(df) and df[i]) for i in range(n)]
             if zp_trim(want) != r:
                 raise IntegrabilityFailure(f"third partials do not match the residues at {(a, b)}")
 

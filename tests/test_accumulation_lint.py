@@ -1,0 +1,89 @@
+"""Outside poly.py, a linear combination of products is one MultiPoly.sum_of_products call.
+
+A hand loop `acc = acc + a * b` copies the accumulator's terms on every step,
+and so does `sum(<generator of products>, start)`.  In every module of
+src/gfrob except poly.py, the lint flags an assignment `x = x + a * b` or
+`x = x - a * b` whose left operand repeats the target, and a call of `sum` on
+a generator of products that starts from a polynomial: a `MultiPoly.*` call,
+or a name the module binds to one.  Augmented assignments such as a scalar
+`s += a * b`, and scalar sums such as linalg.dot's, which start from the
+Fraction ZERO, are out of its scope.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gfrob"
+
+
+def _is_product(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def _hand_accumulation(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return False
+    value = node.value
+    return (
+        isinstance(value, ast.BinOp)
+        and isinstance(value.op, (ast.Add, ast.Sub))
+        and _is_product(value.right)
+        and ast.unparse(value.left) == ast.unparse(node.targets[0])
+    )
+
+
+def _makes_poly(node: ast.AST) -> bool:
+    """A call of a MultiPoly constructor, such as MultiPoly.zero(names)."""
+    func = getattr(node, "func", None)
+    return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "MultiPoly"
+
+
+def _poly_sum(node: ast.AST, poly_names: set[str]) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"):
+        return False
+    starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+    poly_start = any(_makes_poly(s) or isinstance(s, ast.Name) and s.id in poly_names for s in starts)
+    return poly_start and isinstance(node.args[0], ast.GeneratorExp) and _is_product(node.args[0].elt)
+
+
+def hand_accumulations(src: Path) -> list[str]:
+    """file:line of every hand-written accumulation of products outside poly.py."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        poly_names = {
+            t.id for node in nodes if isinstance(node, ast.Assign) and _makes_poly(node.value)
+            for t in node.targets if isinstance(t, ast.Name)
+        }
+        lines = sorted(node.lineno for node in nodes if _hand_accumulation(node) or _poly_sum(node, poly_names))
+        out += [f"{path.name}:{line}" for line in lines]
+    return out
+
+
+def test_every_product_accumulation_calls_sum_of_products():
+    assert hand_accumulations(SRC) == [], "accumulate the products with MultiPoly.sum_of_products"
+
+
+def test_lint_sees_hand_accumulations(tmp_path):
+    (tmp_path / "poly.py").write_text("acc = acc + a * b\n")
+    (tmp_path / "a.py").write_text(
+        "acc = acc + a * b\n"
+        "out[i + j] = out[i + j] - lead * fp[i]\n"
+        "acc = acc + u * s * g[k]\n"
+        "zero = MultiPoly.zero(names)\n"
+        "m = sum((x * y for x, y in terms), zero)\n"
+        "m = sum((x * y for x, y in terms), start=MultiPoly.zero())\n"
+        "s += a * b\n"
+        "acc = other + a * b\n"
+        "acc = acc + b\n"
+        "acc = a * b + acc\n"
+        "total = sum(x * y for x, y in terms)\n"
+        "total = sum([x * y for x, y in terms], zero)\n"
+        "total = sum((x for x in terms), zero)\n"
+        "total = sum((x * y for x, y in terms), ZERO)\n"
+    )
+    (tmp_path / "b.py").write_text("def f(p):\n    return sum((q * c for q, c in p), MultiPoly.zero())\n")
+    assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:5", "a.py:6", "b.py:2"]

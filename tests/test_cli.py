@@ -130,6 +130,25 @@ def test_wdvv_pass_and_fail(capsys, files, tmp_path):
     assert doc["checks"][0]["witness"]
 
 
+def test_wdvv_reports_a_singular_metric(capsys, files, tmp_path):
+    """A square but singular metric fails the wdvv check with a witness; the report still prints."""
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({"matrix": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]}))
+    argv = ["wdvv", "--potential", files["phiA3"], "--metric", str(singular)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": "wdvv",
+        "checks": [{"name": "wdvv", "status": "fail", "witness": "metric is singular"}],
+        "exit_code": 1,
+    }
+    code = main([*argv, "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out == "FAIL  wdvv  metric is singular\n"
+
+
 def test_potential_under_the_poly_key_is_input_error(capsys, files, tmp_path):
     # a named potential is read from "potential" alone; "poly" is no alias for it
     pa = potential_A(3)

@@ -8,11 +8,14 @@ every coefficient as a Fraction; MultiPoly must store an integral one as an
 int and any other as a Fraction, and never a float, after every operation.
 Near the guard bit (exponents up to 2^31 - 1), every MultiPoly result either
 matches the oracle or raises SizeLimit; none carries into a neighbouring field.
+MultiPoly.sum_of_products must equal the loop `acc = acc + a * b` it replaces,
+and refuse exactly when one of its products reaches 2^31.
 """
 
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfrob import MultiPoly, flat_coordinates
@@ -373,6 +376,83 @@ def test_near_guard_bit_matches_dense_or_refuses(polys, power, data):
             row[b] = data.draw(st.sampled_from([-1, 1]))  # any other entry to a power near 2^31 is too large
     ref = dense_monomial_subst(rp, old, matrix, new)
     assert agrees(lambda: p.substitute(linear_images(old, matrix, new, MultiPoly)), ref, strict=False)
+
+
+@st.composite
+def product_lists(draw, exponents=st.integers(0, 3)):
+    """Both representations of up to four pairs (a, b), with b a polynomial or a scalar.
+
+    A pair may be followed by its negation (a, -b), so that products cancel across pairs.
+    """
+    polys = draw(pairs(count=8, exponents=exponents))
+    out = []
+    for (a, ra), (b, rb) in zip(polys[0::2], polys[1::2][: draw(st.integers(0, 4))]):
+        scalar = draw(st.one_of(st.none(), st.just(0), coefs))
+        if scalar is not None:
+            b = rb = scalar
+        out.append(((a, b), (ra, rb)))
+        if draw(st.booleans()):
+            out.append(((a, -b), (ra, -rb)))
+    return out
+
+
+def loop_sum(products, variables, zero):
+    """The hand loop that sum_of_products replaces."""
+    acc = zero(tuple(sorted(variables)))
+    for a, b in products:
+        acc = acc + a * b
+    return acc
+
+
+def reaches_guard(ra: DensePoly, rb) -> bool:
+    """Some monomial of the product ra * rb, before any cancellation, has an exponent >= 2^31."""
+    if not isinstance(rb, DensePoly):
+        return False
+    ra, rb = DensePoly._aligned(ra, rb)
+    return any(x + y >= HIGH for e1 in ra.terms for e2 in rb.terms for x, y in zip(e1, e2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_lists(), st.sets(st.sampled_from(POOL + ("u",))))
+def test_sum_of_products_matches_the_accumulation_loop(products, variables):
+    """Terms, declared variables and exact storage, with cancelling pairs, scalar factors and empty lists."""
+    polys = [p for p, _ in products]
+    ref = loop_sum([r for _, r in products], variables, lambda names: DensePoly.constant(0, names))
+    got = MultiPoly.sum_of_products(polys, variables)
+    loop = loop_sum(polys, variables, MultiPoly.zero)
+    assert same(got, ref) and same(loop, ref) and got.vars == loop.vars
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_lists(exponents=near_guard))
+def test_sum_of_products_refuses_exactly_when_a_product_reaches_the_guard_bit(products):
+    """Also where every product cancels against its negation in a later pair."""
+    polys = [p for p, _ in products]
+    cancelled = polys + [(a, -b) for a, b in polys]
+    if any(reaches_guard(ra, rb) for _, (ra, rb) in products):
+        for listed in (polys, cancelled):
+            with pytest.raises(SizeLimit):
+                MultiPoly.sum_of_products(listed)
+        with pytest.raises(SizeLimit):
+            loop_sum(polys, (), MultiPoly.zero)
+    else:
+        ref = loop_sum([r for _, r in products], (), lambda names: DensePoly.constant(0, names))
+        assert same(MultiPoly.sum_of_products(polys), ref)
+        assert not MultiPoly.sum_of_products(cancelled)
+
+
+def test_sum_of_products_edge_cases():
+    x = MultiPoly.variable("a")
+    big = MultiPoly(("a",), {(HIGH - 1,): 1})
+    with pytest.raises(SizeLimit):  # each product reaches 2^31, although the two cancel
+        MultiPoly.sum_of_products([(big, x), (big, -x)])
+    assert MultiPoly.sum_of_products([(big, 3), (big, Fraction(-3))]).vars == ("a",)
+    cancelled = MultiPoly.sum_of_products([(x, x), (x, -x)], ("b",))
+    assert not cancelled and cancelled.vars == ("a", "b")
+    assert MultiPoly.sum_of_products([]).vars == () and not MultiPoly.sum_of_products([])
+    assert MultiPoly.sum_of_products([(x, 0)]).vars == ("a",) and not MultiPoly.sum_of_products([(x, 0)])
+    half = MultiPoly.sum_of_products([(x, Fraction(1, 2)), (x, Fraction(1, 2)), (x, x)])
+    assert half.sorted_terms() == [((1,), 1), ((2,), 1)] and stored_exactly(half)
 
 
 def test_registry_survives_cache_resets():
