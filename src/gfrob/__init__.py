@@ -73,12 +73,12 @@ from .singularity import (
     flat_coordinates,
     flat_metric,
     jacobi_multiply,
+    jacobi_residue,
     milnor_ring,
     potential_A,
     potential_B,
     potential_D,
     potential_D_metric,
-    residue_pair,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
 )

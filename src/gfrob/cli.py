@@ -4,7 +4,8 @@ Subcommands read JSON from file arguments (or '-' for standard input) and
 write canonical JSON to standard output.  Exit codes: 0 all checks passed,
 1 a check failed, 2 usage error (an index out of range and a size-limit
 refusal too), 3 malformed input.  GFROB_SIZE_LIMIT, a positive integer,
-overrides the size guards: |G|^n * n! for `groupoid` and `br-basis`, the
+overrides the size guards: |G|^n * n! for `groupoid`, `braidize` (through
+`enumerate_component`) and `br-basis`, dim^n for `br-basis` too, and the
 estimated cost of the A_m potential for `potential`, `flat-coords` and
 `construct-z2`.
 

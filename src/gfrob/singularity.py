@@ -5,12 +5,17 @@ F = z^{n+1}/(n+1) + k_{n-1} z^{n-1} + ... + k_0.  Tangent spaces are the
 Jacobi rings Q[k][z] / (F'), with F' monic of degree n, so reduction is
 parametric univariate division.  The residue pairing of two tangent vectors
 is the sum over all poles of f g / F' dz, which for a monic F' equals the
-coefficient of z^{n-1} in the reduction of f g.
+coefficient of z^{n-1} in the reduction of f g.  Both rest on one
+representation, the ZPoly (coefficients over the parameter ring, indexed by
+the power of the variable), with one product zp_mul; jacobi_multiply and
+jacobi_residue take F' as an argument.
 
 Flat coordinates come from inverting z = w + t_{n-1}/w + ... + t_0/w^n in
 F(z(w)) = w^{n+1}/(n+1): requiring the coefficients of w^{n-1}..w^0 to
 vanish determines each unfolding coefficient a_i as a polynomial in t
-(triangular, with linear term -t_i).  The potential is read off one more
+(triangular, with linear term -t_i).  With x = 1/w, z = w P(x) for the
+ZPoly P = 1 + sum_j t_j x^{n+1-j}, so the w^m coefficient of z^k is the
+x^{k-m} coefficient of P^k.  The potential is read off one more
 coefficient of the same inverse series: the w^{-(2n+3)} coefficient of z(w),
 computed by Lagrange-Buermann inversion and Miller's power recurrence (run
 on integers) in O(n^2) polynomial products, holds in each degree d >= 3 the
@@ -90,23 +95,20 @@ def milnor_ring(kind: str, n: int) -> GFrobeniusAlgebra:
 ZPoly = list[MultiPoly]  # index = power of z, entries over the parameter ring
 
 
-def _k_names(n: int) -> tuple[str, ...]:
-    return tuple(f"k{i}" for i in range(n))
-
-
 def zp_trim(f: ZPoly) -> ZPoly:
     while f and not f[-1]:
         f.pop()
     return f
 
 
-def zp_mul(f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> ZPoly:
-    """f g, each power of z one sum of products."""
+def zp_mul(f: Sequence[MultiPoly], g: Sequence[MultiPoly], top: int | None = None) -> ZPoly:
+    """f g, each power of z one sum of products; with `top`, only the powers up to z^top."""
     if not f or not g:
         return []
+    end = len(f) + len(g) - 1 if top is None else min(len(f) + len(g) - 1, top + 1)
     return zp_trim([
         MultiPoly.sum_of_products((a, g[k - i]) for i, a in enumerate(f) if a and 0 <= k - i < len(g) and g[k - i])
-        for k in range(len(f) + len(g) - 1)
+        for k in range(end)
     ])
 
 
@@ -137,17 +139,15 @@ def zp_reduce(f: Sequence[MultiPoly], fprime: Sequence[MultiPoly]) -> ZPoly:
     return zp_trim([column(k) for k in range(min(len(f), n))])
 
 
-def jacobi_multiply(n: int, f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> ZPoly:
-    """Product in Q[k][z] / (F'), F' = z^n + sum i k_i z^{i-1}."""
-    ks = _k_names(n)
-    unfolding = [MultiPoly.variable(ks[i]) for i in range(n)]
-    return zp_reduce(zp_mul(f, g), fprime_coeffs(n, unfolding))
+def jacobi_multiply(f: Sequence[MultiPoly], g: Sequence[MultiPoly], fprime: Sequence[MultiPoly]) -> ZPoly:
+    """Product in the Jacobi ring of the monic fprime: f g reduced mod F'."""
+    return zp_reduce(zp_mul(f, g), fprime)
 
 
-def residue_pair(n: int, f: Sequence[MultiPoly], g: Sequence[MultiPoly]) -> MultiPoly:
-    """Global residue of f g / F' dz: coefficient of z^{n-1} after reduction."""
-    red = jacobi_multiply(n, f, g)
-    return red[n - 1] if len(red) >= n else MultiPoly.zero()
+def jacobi_residue(r: Sequence[MultiPoly], fprime: Sequence[MultiPoly]) -> MultiPoly:
+    """Global residue of r / F' dz for r reduced mod the monic fprime of degree n: the coefficient of z^{n-1}."""
+    n = len(fprime) - 1
+    return r[n - 1] if len(r) >= n else MultiPoly.zero()
 
 
 # -- flat coordinates --------------------------------------------------------------
@@ -176,9 +176,7 @@ class UnfoldingChart:
         for m in range(self.n - 1, -1, -1):
             h = self.a_of_t[m] + MultiPoly.variable(self.t_names[m])  # higher-order part, in t
             expr = -MultiPoly.variable(self.a_names[m]) + h
-            for j in range(self.n - 1, m, -1):
-                expr = expr.subst(self.t_names[j], t_of_a[j])
-            t_of_a[m] = expr
+            t_of_a[m] = expr.substitute({self.t_names[j]: t_of_a[j] for j in range(m + 1, self.n)})
         return tuple(t_of_a)
 
     @cached_property
@@ -197,48 +195,38 @@ class UnfoldingChart:
 
 
 def flat_coordinates(n: int) -> UnfoldingChart:
-    """Invert the Laurent ansatz z = w + t_{n-1}/w + ... + t_0/w^n order by order."""
+    """Invert the ansatz z = w + t_{n-1}/w + ... + t_0/w^n order by order."""
     if n < 2:
         raise BadIndex("flat_coordinates needs n >= 2")
     return _shared(("chart", n), lambda: _build_flat_coordinates(n))
 
 
 def _build_flat_coordinates(n: int) -> UnfoldingChart:
-    """Solve for a_of_t from the powers z^k, each kept only down to the exponent the solve reads.
+    """Solve for a_of_t from the powers z^k = w^k P(x)^k, each kept only up to the power the solve reads.
 
-    The solve reads only exponents >= 0, of z^k for k <= n+1.  The w^e
-    coefficient of z^k = z^{k-1} z takes exponents >= e-1 of z^{k-1}, since z
-    has no exponent above 1; so z^k is needed only down to w^{k-n-1}, and lmul
-    drops every term below that floor when it builds z^k.
+    With x = 1/w, z = w P(x) for the ZPoly P = [1, 0, t_{n-1}, .., t_0], and
+    the w^m coefficient of z^k is the x^{k-m} coefficient of P^k.  The solve
+    reads only m >= 0, of z^k for k <= n+1, so each P^k is needed only up to
+    x^{n+1}, and zp_mul drops every power above that when it builds P^k.
     """
     tn = _t_names(n)
-
-    # Laurent polynomials in w with Q[t] coefficients, as {exponent: poly}.
     t = [MultiPoly.variable(v) for v in tn]
-    z: dict[int, MultiPoly] = {1: MultiPoly.constant(1)}
-    for j in range(n):
-        z[j - n] = t[j]
+    p = [MultiPoly.constant(1), MultiPoly.zero(), *reversed(t)]
+    powers: list[ZPoly] = [[MultiPoly.constant(1)], p]
+    for _ in range(2, n + 2):
+        powers.append(zp_mul(powers[-1], p, top=n + 1))
 
-    def lmul(p: dict[int, MultiPoly], q: dict[int, MultiPoly], floor: int) -> dict[int, MultiPoly]:
-        pairs: dict[int, list[tuple[MultiPoly, MultiPoly]]] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                if e1 + e2 >= floor:
-                    pairs.setdefault(e1 + e2, []).append((c1, c2))
-        return {e: c for e, ps in pairs.items() if (c := MultiPoly.sum_of_products(ps))}
-
-    powers: list[dict[int, MultiPoly]] = [{0: MultiPoly.constant(1)}, z]
-    for k in range(2, n + 2):
-        powers.append(lmul(powers[-1], z, k - n - 1))
+    def coeff(k: int, m: int) -> MultiPoly:
+        """The w^m coefficient of z^k."""
+        return powers[k][k - m] if k - m < len(powers[k]) else MultiPoly.zero()
 
     # Solve for a_m, top coefficient first: the w^m coefficient of
     # z^{n+1}/(n+1) + sum_i a_i z^i must vanish for m = n-1 .. 0.
     a_of_t: list[MultiPoly | None] = [None] * n
-    lead = powers[n + 1]
     for m in range(n - 1, -1, -1):
-        terms = ((a_of_t[i], powers[i][m]) for i in range(m + 1, n) if powers[i].get(m))
+        terms = ((a_of_t[i], c) for i in range(m + 1, n) if (c := coeff(i, m)))
         # a_m enters through a_m * z^m whose w^m coefficient is 1.
-        a_of_t[m] = -MultiPoly.sum_of_products([(lead.get(m, MultiPoly.zero()), Fraction(1, n + 1)), *terms])
+        a_of_t[m] = -MultiPoly.sum_of_products([(coeff(n + 1, m), Fraction(1, n + 1)), *terms])
 
     # Structural check: linear term -t_m, higher terms only in t_{m+2}..t_{n-1}.
     for m in range(n):
@@ -390,9 +378,8 @@ def check_potential_residues(chart: UnfoldingChart, pot: Potential) -> None:
     dfs = [chart.df_dt(a) for a in range(n)]
     for a in range(n):
         for b in range(a, n):
-            r = zp_reduce(zp_mul(dfs[a], dfs[b]), fp)
-            top = r[n - 1] if len(r) >= n else MultiPoly.zero()
-            if top != int(a + b == n - 1):
+            r = jacobi_multiply(dfs[a], dfs[b], fp)
+            if jacobi_residue(r, fp) != int(a + b == n - 1):
                 raise IntegrabilityFailure(f"residue pairing is not flat at {(a, b)}")
             ys = [(y, dfs[n - 1 - c]) for c in range(n) if (y := pot.third(a, b, c))]
             want = [MultiPoly.sum_of_products((y, df[i]) for y, df in ys if i < len(df) and df[i]) for i in range(n)]

@@ -9,20 +9,21 @@ int and any other as a Fraction, and never a float, after every operation.
 Near the guard bit (exponents up to 2^31 - 1), every MultiPoly result either
 matches the oracle or raises SizeLimit; none carries into a neighbouring field.
 MultiPoly.sum_of_products must equal the loop `acc = acc + a * b` it replaces,
-and refuse exactly when one of its products reaches 2^31.
+and refuse exactly when one of its products reaches 2^31.  The z-polynomial
+product zp_mul cut at z^top must equal the full product cut there.
 """
 
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfrob import MultiPoly, flat_coordinates
 from gfrob.braided import form_from_poly
 from gfrob.errors import SizeLimit, UnknownVariable
 from gfrob.serialize import poly_to_json
-from gfrob.singularity import inverse_series_potential
+from gfrob.singularity import inverse_series_potential, zp_mul, zp_trim
 
 # -- dense reference ------------------------------------------------------------
 
@@ -453,6 +454,29 @@ def test_sum_of_products_edge_cases():
     assert MultiPoly.sum_of_products([(x, 0)]).vars == ("a",) and not MultiPoly.sum_of_products([(x, 0)])
     half = MultiPoly.sum_of_products([(x, Fraction(1, 2)), (x, Fraction(1, 2)), (x, x)])
     assert half.sorted_terms() == [((1,), 1), ((2,), 1)] and stored_exactly(half)
+
+
+@st.composite
+def zpolys(draw):
+    """A z-polynomial of up to four coefficients over different variable subsets, zero ones included."""
+    return [p for p, _ in draw(pairs(count=draw(st.integers(0, 4)), exponents=st.integers(0, 2)))]
+
+
+ONE, A = MultiPoly.constant(1), MultiPoly.variable("a")
+
+
+@settings(max_examples=150, deadline=None)
+@given(zpolys(), zpolys(), st.integers(-3, 9))
+@example([], [], 2)
+@example([A], [], 0)
+@example([ONE, A], [A], -1)
+@example([ONE, A], [A], -5)
+@example([ONE, A], [ONE, A, A], 10)  # beyond the full degree 3
+@example([A, A], [ONE, -ONE], 1)  # a(1 + z)(1 - z) = a - a z^2: the cut lands on a cancelled coefficient
+def test_truncated_zp_mul_is_the_cut_full_product(f, g, top):
+    """zp_mul(f, g, top) is the full product cut after z^top, declared variables included; [] for top < 0."""
+    want = zp_trim(zp_mul(f, g)[: top + 1]) if top >= 0 else []
+    assert [(p.vars, p.terms) for p in zp_mul(f, g, top)] == [(p.vars, p.terms) for p in want]
 
 
 def test_registry_survives_cache_resets():

@@ -11,8 +11,8 @@ from gfrob.singularity import (
     TSTAR,
     fprime_coeffs,
     jacobi_multiply,
+    jacobi_residue,
     potential_D_metric,
-    residue_pair,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
     zp_mul,
@@ -31,6 +31,11 @@ def C(x):
 
 def zpoly(*coeffs):
     return [c if isinstance(c, MultiPoly) else C(c) for c in coeffs]
+
+
+def k_fprime(n):
+    """F' = z^n + sum_i i k_i z^{i-1} over free parameters k_0 .. k_{n-1}."""
+    return fprime_coeffs(n, [v(f"k{i}") for i in range(n)])
 
 
 # -- Milnor rings ----------------------------------------------------------
@@ -101,11 +106,12 @@ def test_milnor_associative_commutative():
 
 def test_jacobi_multiply_at_zero_parameters():
     n = 4
+    fp = k_fprime(n)
     for a in range(n):
         for b in range(n):
             f = zpoly(*([0] * a + [1]))
             g = zpoly(*([0] * b + [1]))
-            red = jacobi_multiply(n, f, g)
+            red = jacobi_multiply(f, g, fp)
             if a + b <= n - 1:
                 assert len(red) == a + b + 1
                 assert red[a + b] == C(1)
@@ -118,7 +124,7 @@ def test_jacobi_multiply_at_zero_parameters():
 
 def test_jacobi_multiply_a3_example():
     # z . z^2 = z^3 = -2 k_2 z - k_1 modulo z^3 + 2 k_2 z + k_1
-    red = jacobi_multiply(3, zpoly(0, 1), zpoly(0, 0, 1))
+    red = jacobi_multiply(zpoly(0, 1), zpoly(0, 0, 1), k_fprime(3))
     assert red[0] == -v("k1")
     assert red[1] == v("k2") * -2
     assert len(red) == 2
@@ -126,8 +132,7 @@ def test_jacobi_multiply_a3_example():
 
 def test_reduce_idempotent():
     n = 4
-    ks = [v(f"k{i}") for i in range(n)]
-    fp = fprime_coeffs(n, ks)
+    fp = k_fprime(n)
     rng = random.Random(1)
     for _ in range(10):
         f = zpoly(*[rng.randint(-3, 3) for _ in range(7)])
@@ -138,9 +143,10 @@ def test_reduce_idempotent():
 
 def test_residue_at_origin_is_delta():
     for n in (3, 4, 5):
+        fp = k_fprime(n)
         for i in range(n):
             for j in range(n):
-                val = residue_pair(n, zpoly(*([0] * i + [1])), zpoly(*([0] * j + [1])))
+                val = jacobi_residue(jacobi_multiply(zpoly(*([0] * i + [1])), zpoly(*([0] * j + [1])), fp), fp)
                 const = val.constant_term()
                 assert const == (1 if i + j == n - 1 else 0)
                 if i + j < n - 1:
@@ -151,34 +157,35 @@ def test_jacobi_ring_axioms_up_to_six():
     rng = random.Random(5)
     for n in (3, 4, 5, 6):
         one = zpoly(1)
+        fp = k_fprime(n)
         for _ in range(6):
             f, g, h = (zpoly(*[rng.randint(-2, 2) for _ in range(n + 1)]) for _ in range(3))
-            assert jacobi_multiply(n, f, g) == jacobi_multiply(n, g, f)
-            lhs = jacobi_multiply(n, jacobi_multiply(n, f, g), h)
-            rhs = jacobi_multiply(n, f, jacobi_multiply(n, g, h))
+            assert jacobi_multiply(f, g, fp) == jacobi_multiply(g, f, fp)
+            lhs = jacobi_multiply(jacobi_multiply(f, g, fp), h, fp)
+            rhs = jacobi_multiply(f, jacobi_multiply(g, h, fp), fp)
             assert lhs == rhs
-            assert jacobi_multiply(n, one, f) == zp_reduce(
-                f, fprime_coeffs(n, [v(f"k{i}") for i in range(n)])
-            )
+            assert jacobi_multiply(one, f, fp) == zp_reduce(f, fp)
 
 
 def test_residue_frobenius_property():
     # residue(fg, h) == residue(f, gh) in the Jacobi ring
     rng = random.Random(2)
     n = 4
+    fp = k_fprime(n)
     for _ in range(15):
         f, g, h = (zpoly(*[rng.randint(-2, 2) for _ in range(n)]) for _ in range(3))
-        lhs = residue_pair(n, jacobi_multiply(n, f, g), h)
-        rhs = residue_pair(n, f, jacobi_multiply(n, g, h))
+        lhs = jacobi_residue(jacobi_multiply(jacobi_multiply(f, g, fp), h, fp), fp)
+        rhs = jacobi_residue(jacobi_multiply(f, jacobi_multiply(g, h, fp), fp), fp)
         assert lhs == rhs
 
 
 def test_residue_matches_counit_at_origin():
     for n in (3, 5):
         m = milnor_ring("A", n)
+        fp = k_fprime(n)
         for i in range(n):
             for j in range(n):
-                val = residue_pair(n, zpoly(*([0] * i + [1])), zpoly(*([0] * j + [1])))
+                val = jacobi_residue(jacobi_multiply(zpoly(*([0] * i + [1])), zpoly(*([0] * j + [1])), fp), fp)
                 assert val.constant_term() == m.metric[i][j]
 
 
