@@ -185,7 +185,6 @@ class BraidedSeries:
     module: GradedModule
     truncation: int
     parts: dict[int, Tensor] = field(default_factory=dict)
-    g_degree_filter: int | None = None
 
     def __post_init__(self):
         clean = {d: t for d, t in self.parts.items() if t and 0 <= d <= self.truncation}
@@ -193,11 +192,6 @@ class BraidedSeries:
             if t.n != d:
                 raise DegreeMismatch(f"part at degree {d} has tensor degree {t.n}")
         object.__setattr__(self, "parts", clean)
-        if self.g_degree_filter is not None:
-            for t in clean.values():
-                for idx in t.terms:
-                    if self.module.group.product(self.module.degree_tuple(idx)) != self.g_degree_filter:
-                        raise DegreeMismatch("series violates its G-degree filter")
 
     def part(self, d: int) -> Tensor:
         return self.parts.get(d, Tensor(d))
@@ -208,13 +202,10 @@ class BraidedSeries:
         parts = dict(self.parts)
         for d, t in other.parts.items():
             parts[d] = parts.get(d, Tensor(d)) + t
-        return BraidedSeries(self.module, self.truncation, parts, self.g_degree_filter)
+        return BraidedSeries(self.module, self.truncation, parts)
 
     def scale(self, c) -> "BraidedSeries":
-        return BraidedSeries(
-            self.module, self.truncation, {d: t.scale(c) for d, t in self.parts.items()},
-            self.g_degree_filter,
-        )
+        return BraidedSeries(self.module, self.truncation, {d: t.scale(c) for d, t in self.parts.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -316,11 +307,7 @@ def poly_from_form(t: Tensor, names: Sequence[str]) -> MultiPoly:
 
 
 def series_from_poly(
-    h: GradedModule,
-    p: MultiPoly,
-    names: Sequence[str],
-    truncation: int | None = None,
-    g_degree_filter: int | None = None,
+    h: GradedModule, p: MultiPoly, names: Sequence[str], truncation: int | None = None
 ) -> BraidedSeries:
     cap = truncation if truncation is not None else p.total_degree()
     parts = {}
@@ -328,7 +315,7 @@ def series_from_poly(
         t = form_from_poly(p, names, d)
         if t:
             parts[d] = t
-    return BraidedSeries(h, cap, parts, g_degree_filter)
+    return BraidedSeries(h, cap, parts)
 
 
 # -- pullback and restrictions ---------------------------------------------

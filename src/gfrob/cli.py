@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from . import serialize as ser
 from .braided import br_basis, braidize
 from .errors import BadIndex, DegenerateMetric, GfrobError, NotAGroup, SizeLimit
-from .frobenius import GFA_CHECKS, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
+from .frobenius import GFA_CHECKS, Potential, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import components, guard_size
 from .groups import conjugacy_classes
 from .singularity import (
@@ -176,15 +176,36 @@ def _cmd_check_pre_gfm(args) -> RunReport:
     pot = ser.potential_from_json(_read_json(args.potential))
     if len(pot.names) != h.dim:
         raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
-    report = check_pre_gfm(h, eta, pot)
-    rep.add("module_valid", report.module.valid, report.module.failure)
-    rep.add("self_invariant", report.module.self_invariant, report.module.self_invariance_failure)
-    rep.add("metric", report.metric.passed, report.metric.failure)
-    rep.add("braided", report.braided, report.braid_witness and list(report.braid_witness))
-    rep.add("degree_filter", report.degree_filter)
-    for name, wdvv in (("wdvv_untwisted", report.wdvv_untwisted), ("wdvv_invariants", report.wdvv_invariants)):
-        rep.add(name, wdvv.passed, wdvv.failure or [list(w) for w in wdvv.witnesses[:10]] or None)
+    for name, ok, witness in _pre_gfm_checks(check_pre_gfm(h, eta, pot)):
+        rep.add(name, ok, witness)
     return rep
+
+
+def _pre_gfm_checks(report) -> list[tuple[str, bool, object]]:
+    """(name, passed, witness) of each check of a check_pre_gfm report, in print order."""
+    rows = [
+        ("module_valid", report.module.valid, report.module.failure),
+        ("self_invariant", report.module.self_invariant, report.module.self_invariance_failure),
+        ("metric", report.metric.passed, report.metric.failure),
+        ("braided", report.braided, report.braid_witness and list(report.braid_witness)),
+        ("degree_filter", report.degree_filter, report.degree_witness and [list(p) for p in report.degree_witness]),
+    ]
+    for name, wdvv in (("wdvv_untwisted", report.wdvv_untwisted), ("wdvv_invariants", report.wdvv_invariants)):
+        rows.append((name, wdvv.passed, wdvv.failure or [list(w) for w in wdvv.witnesses[:10]] or None))
+    return rows
+
+
+def _checked_assembly(rep: RunReport, asm) -> dict:
+    """Add an assembly's pre_gfm check, witnessed by its first failing sub-check, and return its JSON fields."""
+    report = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+    failed = next(({"check": name, "witness": w} for name, ok, w in _pre_gfm_checks(report) if not ok), None)
+    rep.add("pre_gfm", failed is None, failed)
+    return {
+        "module": ser.module_to_json(asm.module),
+        "names": list(asm.names),
+        "metric": ser.matrix_to_json(asm.metric),
+        "potential": ser.poly_to_json(asm.potential),
+    }
 
 
 def _cmd_assemble_z2(args) -> RunReport:
@@ -197,12 +218,8 @@ def _cmd_assemble_z2(args) -> RunReport:
     iota_e = ser.embedding_from_json(obj["iota_e"], len(fe.names))
     iota_g = ser.embedding_from_json(obj["iota_g"], len(fg.names))
     asm = assemble_z2(fe, fg, iota_e, iota_g)
-    rep.add("pre_gfm", asm.pre_gfm.passed)
     rep.payload = {
-        "module": ser.module_to_json(asm.module),
-        "names": list(asm.names),
-        "metric": ser.matrix_to_json(asm.metric),
-        "potential": ser.poly_to_json(asm.potential),
+        **_checked_assembly(rep, asm),
         "sectors": {
             "fixed": list(asm.fixed_names),
             "sign": list(asm.sign_names),
@@ -246,17 +263,9 @@ def _cmd_construct_z2(args) -> RunReport:
     rep = RunReport("construct-z2")
     guard_unfolding(2 * args.n - 3, power=3)
     fm = z2_frobenius_manifold(args.n)
-    pre = fm.assembly.pre_gfm
-    rep.add("pre_gfm", pre.passed)
+    assembly = _checked_assembly(rep, fm.assembly)
     rep.add("cubic_matches_algebra", fm.matches_algebra)
-    rep.payload = {
-        "n": fm.n,
-        "module": ser.module_to_json(fm.assembly.module),
-        "names": list(fm.names),
-        "metric": ser.matrix_to_json(fm.assembly.metric),
-        "potential": ser.poly_to_json(fm.potential),
-        "twisted_cubic": ser.poly_to_json(fm.twisted_cubic),
-    }
+    rep.payload = {"n": fm.n, **assembly, "twisted_cubic": ser.poly_to_json(fm.twisted_cubic)}
     return rep
 
 

@@ -15,7 +15,7 @@ potential whose two restrictions recover the inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -408,17 +408,22 @@ def _restrict(alg: GFrobeniusAlgebra, basis: Sequence[Vec]) -> GFrobeniusAlgebra
 # -- pre-G-Frobenius-manifold checking ----------------------------------------
 
 
-def poly_g_degree_filter(h: GradedModule, pot: Potential, g_target: int) -> bool:
-    """Every monomial's product of coordinate degrees equals the target element."""
+def g_degree_witness(h: GradedModule, pot: Potential, g_target: int) -> tuple[tuple[int, int], ...] | None:
+    """First monomial not of G-degree g_target, as sorted (coordinate index, exponent) pairs, else None.
+
+    The polarization of a monomial holds every ordering of its letters, and
+    swapping two adjacent degrees that do not commute changes the product.
+    So a monomial passes exactly when the degrees of its coordinates commute
+    pairwise and multiply to the target, whatever the coordinates are called.
+    """
     g = h.group
     for exp, _ in pot.poly.sorted_terms():
-        total = g.identity
-        for v, e in zip(pot.poly.vars, exp):
-            for _ in range(e % g.order):  # x^|G| is the identity
-                total = g.mul(total, h.degrees[pot.names.index(v)])
-        if total != g_target:
-            return False
-    return True
+        mono = sorted((pot.names.index(v), e) for v, e in zip(pot.poly.vars, exp) if e)
+        degrees = [h.degrees[j] for j, _ in mono]
+        total = g.product([x for x, (_, e) in zip(degrees, mono) for _ in range(e % g.order)])  # x^|G| = 1
+        if total != g_target or any(g.mul(a, b) != g.mul(b, a) for a, b in itertools.combinations(degrees, 2)):
+            return tuple(mono)
+    return None
 
 
 def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
@@ -445,7 +450,7 @@ class PreGfmReport:
     module: ModuleReport
     metric: MetricReport
     braid_witness: tuple[int, int] | None  # first failing coordinate pair, or None
-    degree_filter: bool
+    degree_witness: tuple[tuple[int, int], ...] | None  # first monomial off the identity degree, or None
     untwisted_potential: MultiPoly
     wdvv_untwisted: WdvvReport
     wdvv_invariants: WdvvReport
@@ -453,6 +458,10 @@ class PreGfmReport:
     @property
     def braided(self) -> bool:
         return self.braid_witness is None
+
+    @property
+    def degree_filter(self) -> bool:
+        return self.degree_witness is None
 
     @property
     def passed(self) -> bool:
@@ -476,11 +485,14 @@ def _sector_wdvv(sector: str, pot: Potential, eta: Mat) -> WdvvReport:
 
 
 def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
-    """Restrict the potential to the untwisted and invariant sectors and run WDVV."""
+    """Module, metric, braiding and G-degree e of the potential, then WDVV on its two sector restrictions.
+
+    No constructor runs it: a caller that wants the verdict on an assembly calls it.
+    """
     mod_rep = validate_module(h)
     metric_rep = check_metric(h, eta)
     witness = braid_witness(h, pot)
-    filter_ok = poly_g_degree_filter(dual_module(h), pot, h.group.identity)
+    degree_witness = g_degree_witness(dual_module(h), pot, h.group.identity)
 
     e_idx = h.untwisted_indices()
     e_names = tuple(pot.names[j] for j in e_idx)
@@ -500,7 +512,7 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
         module=mod_rep,
         metric=metric_rep,
         braid_witness=witness,
-        degree_filter=filter_ok,
+        degree_witness=degree_witness,
         untwisted_potential=y_e,
         wdvv_untwisted=wdvv_e,
         wdvv_invariants=wdvv_g,
@@ -528,7 +540,6 @@ class Z2Assembly:
     fixed_names: tuple[str, ...]
     sign_names: tuple[str, ...]
     twisted_names: tuple[str, ...]
-    pre_gfm: PreGfmReport | None = field(repr=False)
 
 
 def decompose_z2_potential(
@@ -547,20 +558,15 @@ def decompose_z2_potential(
     return y_i, y_v, y_g
 
 
-def assemble_z2(
-    fe: FmData,
-    fg: FmData,
-    iota_e: Sequence[int],
-    iota_g: Sequence[int],
-    verify: bool = True,
-) -> Z2Assembly:
+def assemble_z2(fe: FmData, fg: FmData, iota_e: Sequence[int], iota_g: Sequence[int]) -> Z2Assembly:
     """Glue two Frobenius manifolds along a shared flat subspace.
 
     The embeddings are coordinate embeddings given by index lists; matched
     coordinates must carry the same name in both inputs.  The result is an
     order-two graded module with involution +1 / -1 / +1 on the fixed, sign
-    and twisted blocks, block metric, and summed potential.  With verify the
-    assembled data is rechecked end to end (restrictions and WDVV).
+    and twisted blocks, block metric, and summed potential.  Only the
+    gluing conditions are checked here; check_pre_gfm(module, metric,
+    Potential(names, potential)) verifies the result.
     """
     if len(iota_e) != len(iota_g):
         raise RestrictionMismatch("embeddings have different ranks")
@@ -605,16 +611,12 @@ def assemble_z2(
     eta_m = tuple(tuple(m[i][j] if b == c else ZERO for c, _, j in coords) for b, m, i in coords)
 
     y_total = fe.potential + (fg.potential - y_g_restricted)
-    pot = Potential(names, y_total.with_vars(sorted(set(y_total.vars) | set(names))))
-
-    report = check_pre_gfm(module, eta_m, pot) if verify else None
     return Z2Assembly(
         module=module,
         names=names,
         metric=eta_m,
-        potential=pot.poly,
+        potential=y_total.with_vars(sorted(set(y_total.vars) | set(names))),
         fixed_names=tuple(shared),
         sign_names=tuple(v_names),
         twisted_names=tuple(g_names),
-        pre_gfm=report,
     )

@@ -13,13 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .braided import br_basis, braidize, series_from_poly, restrict_untwisted, restrict_invariants
-from .frobenius import (
-    Potential,
-    check_gfa,
-    check_metric,
-    subalgebras,
-    wdvv_check,
-)
+from .frobenius import Potential, check_gfa, check_metric, check_pre_gfm, g_degree_witness, subalgebras, wdvv_check
 from .groupoid import compose_arrows, enumerate_component, g_degree, gen_arrow, inverse_gen_arrow
 from .groups import cyclic_group, symmetric_group
 from .modules import (
@@ -266,7 +260,7 @@ def _check_metric_constancy():
     return _ok(True, "residue metric constant in flat coordinates")
 
 
-def _check_wdvv_potentials():
+def _check_four_potentials_wdvv():
     cases = [
         ("A3", potential_A(3), flat_metric(3)),
         ("A5", potential_A(5), flat_metric(5)),
@@ -300,17 +294,16 @@ def _check_algebra(n: int):
 
 
 def _check_pre_gfm_n3():
-    fm = z2_frobenius_manifold(3)
-    rep = fm.assembly.pre_gfm
-    ok = rep is not None and rep.passed
-    ok = ok and rep.untwisted_potential == phi_a3()
+    asm = z2_frobenius_manifold(3).assembly
+    rep = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+    ok = rep.passed and rep.untwisted_potential == phi_a3()
     return _ok(ok, "restrictions satisfy associativity")
 
 
 def _check_twisted_cubic():
     expected = MultiPoly(("t_*", "t_0"), {(2, 1): Fraction(1, 2)})
     for n in (3, 4, 5, 6):
-        fm = z2_frobenius_manifold(n, check_wdvv=(n <= 4))
+        fm = z2_frobenius_manifold(n)
         if fm.twisted_cubic != expected:
             return _ok(False, f"n={n}: {fm.twisted_cubic}")
         if not fm.matches_algebra:
@@ -331,11 +324,12 @@ def _check_y_g_n3():
 def _check_restrictions_n3():
     fm = z2_frobenius_manifold(3)
     h = fm.assembly.module
-    y = series_from_poly(dual_module(h), fm.potential, fm.names, truncation=5,
-                         g_degree_filter=h.group.identity)
+    hd = dual_module(h)
+    y = series_from_poly(hd, fm.potential, fm.names, truncation=5)
     y.assert_braided()
+    ok = g_degree_witness(hd, Potential(fm.names, fm.potential), h.group.identity) is None
     e_names = tuple(fm.names[j] for j in h.untwisted_indices())
-    ok = restrict_untwisted(y).as_poly(e_names) == potential_A(3).poly
+    ok = ok and restrict_untwisted(y).as_poly(e_names) == potential_A(3).poly
     inv = invariants_basis(h)
     inv_names = tuple(fm.names[[i for i, x in enumerate(v) if x][0]] for v in inv)
     ok = ok and restrict_invariants(y, inv).as_poly(inv_names) == potential_D(3).poly
@@ -375,7 +369,7 @@ def all_checks() -> list[Check]:
         ("flat.metric-constancy", _check_metric_constancy),
         ("potential.displayed-values", _check_potentials),
         ("potential.degree-bound", _check_degree_bound),
-        ("wdvv.four-potentials", _check_wdvv_potentials),
+        ("wdvv.four-potentials", _check_four_potentials_wdvv),
         ("milnor.rings", _check_milnor_rings),
         ("algebra.orbifold.n3", lambda: _check_algebra(3)),
         ("algebra.orbifold.n4", lambda: _check_algebra(4)),

@@ -441,7 +441,7 @@ def z2_frobenius_algebra(n: int) -> GFrobeniusAlgebra:
 
 @dataclass(frozen=True)
 class Z2Manifold:
-    """Assembled order-two Frobenius manifold with its verification reports."""
+    """Assembled order-two Frobenius manifold and the comparison of its cubic part with the algebra."""
 
     n: int
     assembly: "Z2Assembly"
@@ -459,20 +459,21 @@ class Z2Manifold:
         return self.assembly.names
 
 
-def z2_frobenius_manifold(n: int, check_wdvv: bool = True) -> Z2Manifold:
+def z2_frobenius_manifold(n: int) -> Z2Manifold:
     """Glue the (2n-3)-variable and two-variable manifolds over their shared block.
 
     The degree-3 part of the assembled potential, rescaled by 3! and
     transported along basis vector -> -(coordinate vector), must reproduce
-    z2_frobenius_algebra(n); check_wdvv additionally runs the full
-    associativity verification of both restrictions.
+    z2_frobenius_algebra(n); matches_algebra records whether it does.  The
+    associativity of both restrictions is not checked here: run
+    check_pre_gfm on the assembly for that.
     """
     if n < 3:
         raise BadIndex("z2_frobenius_manifold needs n >= 3")
-    return _shared(("Z2", n, check_wdvv), lambda: _build_z2_manifold(n, check_wdvv))
+    return _shared(("Z2", n), lambda: _build_z2_manifold(n))
 
 
-def _build_z2_manifold(n: int, check_wdvv: bool) -> Z2Manifold:
+def _build_z2_manifold(n: int) -> Z2Manifold:
     from .braided import form_from_poly
     from .frobenius import FmData, assemble_z2, gfa_from_cubic
 
@@ -483,7 +484,7 @@ def _build_z2_manifold(n: int, check_wdvv: bool) -> Z2Manifold:
     fg = FmData(pd.names, potential_D_metric(n), pd.poly)
     iota_e = list(range(0, m, 2))
     iota_g = list(range(n - 1))
-    assembly = assemble_z2(fe, fg, iota_e, iota_g, verify=check_wdvv)
+    assembly = assemble_z2(fe, fg, iota_e, iota_g)
 
     algebra = z2_frobenius_algebra(n)
     cubic_poly = assembly.potential.homogeneous_part(3)

@@ -155,6 +155,13 @@ def make_s3_module(sign_twist: bool = False):
     return graded_module(g, degrees, action)
 
 
+def make_s3_regular_module():
+    """dim 6 over S_3: basis and degrees the group elements, each element acting by conjugation."""
+    g = symmetric_group(3)
+    action = [[[int(i == g.conj(s, j)) for j in g.elements()] for i in g.elements()] for s in g.elements()]
+    return graded_module(g, tuple(g.elements()), action)
+
+
 @pytest.fixture(scope="session")
 def z3_module():
     return make_z3_module()

@@ -31,6 +31,7 @@ from gfrob.braided import (
     unit_series,
 )
 from gfrob.errors import DegreeMismatch, ModuleMismatch
+from gfrob.frobenius import Potential, g_degree_witness
 from gfrob.linalg import identity, rank
 from gfrob.groups import trivial_group
 from gfrob.modules import trivial_graded_module, z2_module
@@ -401,18 +402,12 @@ def test_pullback_realizes_untwisted_restriction(orbifold_module):
         assert direct.parts == via_pullback.parts
 
 
-def test_series_g_degree_filter(orbifold_module):
-    hd = dual_module(orbifold_module)
-    with pytest.raises(DegreeMismatch):
-        BraidedSeries(hd, 2, {1: Tensor.basis((3,))}, g_degree_filter=0)
-    BraidedSeries(hd, 2, {2: Tensor.basis((3, 3))}, g_degree_filter=0)
-
-
 def test_series_from_poly_braided(orbifold_module):
     hd = dual_module(orbifold_module)
     names = ("t_0", "t_2", "t_1", "t_*")
     p = MultiPoly(names, {(1, 0, 2, 0): Fraction(1), (0, 1, 0, 2): Fraction(2)})
-    s = series_from_poly(hd, p, names, truncation=3, g_degree_filter=0)
+    assert g_degree_witness(hd, Potential(names, p), 0) is None
+    s = series_from_poly(hd, p, names, truncation=3)
     s.assert_braided()
     mixed = MultiPoly(names, {(0, 0, 1, 1): Fraction(1)})
     bad = series_from_poly(hd, mixed, names, truncation=2)

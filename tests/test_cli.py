@@ -252,6 +252,41 @@ def test_assemble_z2_command(capsys, tmp_path):
     assert doc["payload"]["sectors"] == {"fixed": ["t_0", "t_2"], "sign": ["t_1"], "twisted": ["t_*"]}
 
 
+def test_assemble_z2_names_the_failing_sub_check(capsys, tmp_path):
+    """The broken A3/D3 gluing of test_check_pre_gfm_detects_bad_twisted_term fails WDVV on the invariants."""
+    from gfrob import MultiPoly, potential_D
+
+    broken = potential_D(3).poly + MultiPoly(("t_*", "t_0", "t_2"), {(2, 0, 2): Fraction(1, 7)})
+    doc = assembly_with([0, 2])
+    doc["fg"]["potential"] = poly_to_json(broken)
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    code, out = run(capsys, "assemble-z2", "--input", str(src))
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "pre_gfm", "status": "fail", "witness": {"check": "wdvv_invariants", "witness": [[1, 1, 2, 2], [1, 2, 2, 1]]}}
+    ]
+
+
+@pytest.mark.parametrize("names", [[f"x{i}" for i in range(6)], ["x0", "x1", "x5", "x3", "x4", "x2"]], ids=["plain", "swapped"])
+def test_check_pre_gfm_names_the_degree_witness(capsys, files, tmp_path, names):
+    """x2 x3 x5 on S3's regular module has dual degrees 2, 4, 5, which do not commute, under either naming."""
+    from conftest import make_s3_regular_module
+
+    h = make_s3_regular_module()
+    g = h.group
+    exp = [int(j in (2, 3, 5)) for j in range(6)]
+    inputs = {
+        "--module": module_to_json(h),
+        "--metric": {"matrix": [[int(g.mul(i, j) == g.identity) for j in g.elements()] for i in g.elements()]},
+        "--potential": {"names": names, "potential": {"vars": names, "terms": [{"exp": exp, "coef": "1"}]}},
+    }
+    code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert code == 1
+    degree = next(c for c in json.loads(out)["checks"] if c["name"] == "degree_filter")
+    assert degree == {"name": "degree_filter", "status": "fail", "witness": [[2, 1], [3, 1], [5, 1]]}
+
+
 def test_parse_error_exit_code(capsys, files):
     code = main(["braidize", "--module", files["bad"], "--tensor", files["tensor"]])
     capsys.readouterr()
@@ -646,6 +681,22 @@ def test_huge_exponent_is_prompt(capsys, files, tmp_path, command):
     code, _ = run(capsys, *argv_with_files(files, tmp_path, command, inputs))
     assert code == 0
     assert time.perf_counter() - start < 5
+
+
+def test_degree_witness_of_a_huge_exponent_is_prompt(capsys, files, tmp_path):
+    """x^(2^30 + 1) of degree g over Z2 fails the degree filter; its witness is one [index, exponent] pair."""
+    import time
+
+    poly = {"vars": ["x"], "terms": [{"exp": [2**30 + 1], "coef": "1"}]}
+    module = {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": [1], "action": {"0": [[ONE]], "1": [[ONE]]}}
+    inputs = {"--module": module, "--metric": [[1]], "--potential": {"names": ["x"], "potential": poly}}
+    start = time.perf_counter()
+    code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert [c for c in json.loads(out)["checks"] if c["status"] == "fail"] == [
+        {"name": "degree_filter", "status": "fail", "witness": [[0, 2**30 + 1]]}
+    ]
 
 
 @pytest.mark.parametrize("exponent", [2**31, 2**30 + 3])  # refused when read; refused in a product

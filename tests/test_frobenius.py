@@ -28,10 +28,10 @@ from gfrob.errors import (
     RestrictionMismatch,
     UnitFails,
 )
-from gfrob.frobenius import braid_witness, decompose_z2_potential
+from gfrob.frobenius import braid_witness, decompose_z2_potential, g_degree_witness
 from gfrob.groups import cyclic_group, trivial_group
 from gfrob.linalg import identity, mat_mul, rank, solve_columns, transpose
-from gfrob.modules import invariants_basis, trivial_graded_module
+from gfrob.modules import dual_module, invariants_basis, trivial_graded_module
 from gfrob.singularity import (
     flat_metric,
     milnor_ring,
@@ -40,6 +40,9 @@ from gfrob.singularity import (
     potential_D_metric,
     z2_frobenius_algebra,
 )
+
+from conftest import make_s3_regular_module
+
 
 def v(name):
     return MultiPoly.variable(name)
@@ -307,12 +310,17 @@ def test_subalgebras_refuse_a_product_outside_a_sector():
         subalgebras(alg)
 
 
+def check_assembly(asm):
+    """check_pre_gfm on the module, metric and potential of an assembly."""
+    return check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+
+
 def test_check_pre_gfm_passes_for_assembled():
     pa, pd = potential_A(3), potential_D(3)
     fe = FmData(pa.names, flat_metric(3), pa.poly)
     fg = FmData(pd.names, potential_D_metric(3), pd.poly)
     asm = assemble_z2(fe, fg, [0, 2], [0, 1])
-    assert asm.pre_gfm.passed
+    assert check_assembly(asm).passed
     assert asm.fixed_names == ("t_0", "t_2")
     assert asm.sign_names == ("t_1",)
     assert asm.twisted_names == ("t_*",)
@@ -323,10 +331,10 @@ def test_check_pre_gfm_detects_bad_twisted_term():
     broken = pd.poly + MultiPoly(("t_*", "t_0", "t_2"), {(2, 0, 2): Fraction(1, 7)})
     fe = FmData(pa.names, flat_metric(3), pa.poly)
     fg = FmData(pd.names, potential_D_metric(3), broken)
-    asm = assemble_z2(fe, fg, [0, 2], [0, 1])
-    assert not asm.pre_gfm.passed
-    assert not asm.pre_gfm.wdvv_invariants.passed
-    assert asm.pre_gfm.wdvv_untwisted.passed
+    report = check_assembly(assemble_z2(fe, fg, [0, 2], [0, 1]))
+    assert not report.passed
+    assert not report.wdvv_invariants.passed
+    assert report.wdvv_untwisted.passed
 
 
 def test_check_pre_gfm_trivial_group_single_wdvv(trivial_modules):
@@ -337,6 +345,29 @@ def test_check_pre_gfm_trivial_group_single_wdvv(trivial_modules):
     assert rep.untwisted_potential == pot.poly
 
 
+def test_check_pre_gfm_degree_filter_ignores_coordinate_names():
+    """x2 x3 x5 has dual degrees 2, 4, 5 and 2*4 != 4*2: off degree e in some ordering, whatever the names."""
+    h = make_s3_regular_module()
+    g = h.group
+    eta = [[int(g.mul(i, j) == g.identity) for j in g.elements()] for i in g.elements()]
+    plain = tuple(f"x{i}" for i in range(6))
+    swapped = ("x0", "x1", "x5", "x3", "x4", "x2")  # coordinates 2 and 5 trade names
+    for names in (plain, swapped):
+        exp = tuple(int(j in (2, 3, 5)) for j in range(6))
+        report = check_pre_gfm(h, eta, Potential(names, MultiPoly(names, {exp: 1})))
+        assert not report.degree_filter
+        assert report.degree_witness == ((2, 1), (3, 1), (5, 1))
+
+
+def test_g_degree_witness_on_the_orbifold_dual(orbifold_module):
+    hd = dual_module(orbifold_module)
+    names = ("t_0", "t_2", "t_1", "t_*")
+    t_star = MultiPoly(("t_*",), {(1,): 1})
+    assert g_degree_witness(hd, Potential(names, t_star), 0) == ((3, 1),)
+    assert g_degree_witness(hd, Potential(names, t_star * t_star), 0) is None
+    assert g_degree_witness(hd, Potential(names, t_star * t_star * t_star), 1) is None
+
+
 def test_assemble_z2_trivial_merge():
     # both inputs equal, everything shared: no sign or twisted block
     pa = potential_A(3)
@@ -345,7 +376,7 @@ def test_assemble_z2_trivial_merge():
     assert asm.sign_names == () and asm.twisted_names == ()
     assert asm.potential == pa.poly
     assert asm.metric == flat_metric(3)
-    assert asm.pre_gfm.passed
+    assert check_assembly(asm).passed
 
 
 def test_assemble_z2_restriction_mismatch():

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import gfrob.refchecks as refchecks
 import gfrob.singularity as sing
 from gfrob.cli import main
 from gfrob.refchecks import run_all
@@ -32,22 +33,27 @@ def test_cli_verify_paper_text(capsys):
 
 
 def test_run_all_builds_each_potential_and_manifold_once(monkeypatch):
-    """One run shares its A_m potentials and Z2 manifolds, then drops them."""
-    series, manifold = sing.inverse_series_potential, sing._build_z2_manifold
+    """One run shares its A_m potentials and Z2 manifolds, then drops them, and checks one manifold's pre-structure."""
+    series, manifold, check = sing.inverse_series_potential, sing._build_z2_manifold, refchecks.check_pre_gfm
     built = Counter()
 
     def counted_series(chart):
         built["A", chart.n] += 1
         return series(chart)
 
-    def counted_manifold(n, check_wdvv):
-        built["Z2", n, check_wdvv] += 1
-        return manifold(n, check_wdvv)
+    def counted_manifold(n):
+        built["Z2", n] += 1
+        return manifold(n)
+
+    def counted_check(*args):
+        built["check_pre_gfm"] += 1
+        return check(*args)
 
     monkeypatch.setattr(sing, "inverse_series_potential", counted_series)
     monkeypatch.setattr(sing, "_build_z2_manifold", counted_manifold)
+    monkeypatch.setattr(refchecks, "check_pre_gfm", counted_check)
     assert all(ok for _, ok, _ in run_all())
-    assert built[("A", 3)] == built[("A", 5)] == built[("Z2", 3, True)] == 1
+    assert built[("A", 3)] == built[("A", 5)] == built[("Z2", 3)] == built["check_pre_gfm"] == 1
     assert set(built.values()) == {1}
     assert sing._builds.get() is None
     sing.potential_A(3)

@@ -5,7 +5,7 @@ import pytest
 
 from gfrob import MultiPoly, flat_coordinates, flat_metric, milnor_ring, potential_A, potential_B, potential_D
 from gfrob.errors import BadIndex
-from gfrob.frobenius import check_gfa
+from gfrob.frobenius import Potential, check_gfa, check_pre_gfm
 from gfrob.linalg import identity
 from gfrob.singularity import (
     TSTAR,
@@ -215,7 +215,7 @@ def test_t_of_a_is_built_only_when_read():
 
     with shared_builds():
         potential_A(7)
-        z2_frobenius_manifold(4, check_wdvv=False)
+        z2_frobenius_manifold(4)
         charts = [flat_coordinates(7), flat_coordinates(5)]
         assert all("t_of_a" not in vars(ch) for ch in charts)
         assert len(charts[1].t_of_a) == 5 and "t_of_a" in vars(charts[1])
@@ -372,7 +372,8 @@ def test_z2_algebra_matches_the_hand_written_tables(n):
 def test_z2_manifold_roundtrip():
     for n in (3, 4):
         fm = z2_frobenius_manifold(n)
-        assert fm.assembly.pre_gfm.passed
+        asm = fm.assembly
+        assert check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential)).passed
         assert fm.matches_algebra
         expected = MultiPoly(("t_*", "t_0"), {(2, 1): Fraction(1, 2)})
         assert fm.twisted_cubic == expected
