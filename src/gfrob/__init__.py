@@ -31,12 +31,14 @@ from .groupoid import (
 from .modules import (
     GradedModule,
     Tensor,
+    Verdict,
     arrow_act,
     braid_act,
     diagonal_act,
     dual_module,
     graded_module,
     invariants_basis,
+    self_invariance_witness,
     untwisted_basis,
     validate_module,
     z2_decompose,
@@ -79,6 +81,7 @@ from .singularity import (
     potential_B,
     potential_D,
     potential_D_metric,
+    z2_cubic_witness,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
 )

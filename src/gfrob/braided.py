@@ -207,14 +207,6 @@ class BraidedSeries:
     def scale(self, c) -> "BraidedSeries":
         return BraidedSeries(self.module, self.truncation, {d: t.scale(c) for d, t in self.parts.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BraidedSeries)
-            and self.module == other.module
-            and self.truncation == other.truncation
-            and self.parts == other.parts
-        )
-
     def as_poly(self, names: Sequence[str]) -> MultiPoly:
         """The polynomial whose polarization is this series, one name per coordinate."""
         if len(names) != self.module.dim:

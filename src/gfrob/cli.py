@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 from . import serialize as ser
 from .braided import br_basis, braidize
 from .errors import BadIndex, DegenerateMetric, GfrobError, NotAGroup, SizeLimit
-from .frobenius import GFA_CHECKS, Potential, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
+from .frobenius import Potential, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import components, guard_size
 from .groups import conjugacy_classes
+from .modules import Verdict, require_valid_module
 from .singularity import (
     flat_coordinates,
     flat_metric,
@@ -36,6 +37,7 @@ from .singularity import (
     potential_B,
     potential_D,
     potential_D_metric,
+    z2_cubic_witness,
     z2_frobenius_manifold,
 )
 
@@ -54,6 +56,17 @@ class RunReport:
         if witness is not None:
             entry["witness"] = witness
         self.checks.append(entry)
+
+    def add_verdict(self, verdict: Verdict, headline: bool = False) -> None:
+        """One row per check of the verdict, in report order.
+
+        A failed row carries its witness, a nested verdict by its failure
+        line; with headline, only the first failed row carries a witness,
+        the failure line of the whole verdict.
+        """
+        first = next(iter(verdict.failed), None)
+        for name, w in verdict.checks.items():
+            self.add(name, w is None, (verdict.failure if name == first else None) if headline else _shown(w))
 
     @property
     def exit_code(self) -> int:
@@ -74,6 +87,11 @@ class RunReport:
         if self.payload is not None:
             doc["payload"] = self.payload
         return ser.dumps(doc)
+
+
+def _shown(witness):
+    """A witness as a report prints it: a nested verdict by its failure line."""
+    return witness.failure if isinstance(witness, Verdict) else witness
 
 
 def _read_json(path: str):
@@ -121,7 +139,7 @@ def _cmd_groupoid(args) -> RunReport:
 
 def _cmd_braidize(args) -> RunReport:
     rep = RunReport("braidize")
-    h = ser.module_from_json(_read_json(args.module))
+    h = require_valid_module(ser.module_from_json(_read_json(args.module)))
     v = ser.module_tensor_from_json(_read_json(args.tensor), h)
     rep.payload = ser.tensor_to_json(braidize(h, v))
     return rep
@@ -129,7 +147,7 @@ def _cmd_braidize(args) -> RunReport:
 
 def _cmd_br_basis(args) -> RunReport:
     rep = RunReport("br-basis")
-    h = ser.module_from_json(_read_json(args.module))
+    h = require_valid_module(ser.module_from_json(_read_json(args.module)))
     forms = br_basis(h, args.n)
     rep.payload = {
         "dimension": len(forms),
@@ -147,12 +165,7 @@ def _cmd_br_basis(args) -> RunReport:
 
 def _cmd_check_gfa(args) -> RunReport:
     rep = RunReport("check-gfa")
-    alg = ser.gfa_from_json(_read_json(args.algebra))
-    report = check_gfa(alg)
-    first = next(iter(report.failures()), None)
-    for name in GFA_CHECKS:
-        rep.add(name, getattr(report, name), report.failure if name == first else None)
-    rep.add("metric", report.metric.passed, report.failure if first == "metric" else None)
+    rep.add_verdict(check_gfa(ser.gfa_from_json(_read_json(args.algebra))), headline=True)
     return rep
 
 
@@ -176,30 +189,15 @@ def _cmd_check_pre_gfm(args) -> RunReport:
     pot = ser.potential_from_json(_read_json(args.potential))
     if len(pot.names) != h.dim:
         raise ser.ParseError(f"potential has {len(pot.names)} names for a module of dimension {h.dim}")
-    for name, ok, witness in _pre_gfm_checks(check_pre_gfm(h, eta, pot)):
-        rep.add(name, ok, witness)
+    rep.add_verdict(check_pre_gfm(h, eta, pot))
     return rep
-
-
-def _pre_gfm_checks(report) -> list[tuple[str, bool, object]]:
-    """(name, passed, witness) of each check of a check_pre_gfm report, in print order."""
-    rows = [
-        ("module_valid", report.module.valid, report.module.failure),
-        ("self_invariant", report.module.self_invariant, report.module.self_invariance_failure),
-        ("metric", report.metric.passed, report.metric.failure),
-        ("braided", report.braided, report.braid_witness and list(report.braid_witness)),
-        ("degree_filter", report.degree_filter, report.degree_witness and [list(p) for p in report.degree_witness]),
-    ]
-    for name, wdvv in (("wdvv_untwisted", report.wdvv_untwisted), ("wdvv_invariants", report.wdvv_invariants)):
-        rows.append((name, wdvv.passed, wdvv.failure or [list(w) for w in wdvv.witnesses[:10]] or None))
-    return rows
 
 
 def _checked_assembly(rep: RunReport, asm) -> dict:
     """Add an assembly's pre_gfm check, witnessed by its first failing sub-check, and return its JSON fields."""
-    report = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
-    failed = next(({"check": name, "witness": w} for name, ok, w in _pre_gfm_checks(report) if not ok), None)
-    rep.add("pre_gfm", failed is None, failed)
+    verdict = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+    first = next(iter(verdict.failed), None)
+    rep.add("pre_gfm", first is None, first and {"check": first, "witness": _shown(verdict.checks[first])})
     return {
         "module": ser.module_to_json(asm.module),
         "names": list(asm.names),
@@ -264,7 +262,8 @@ def _cmd_construct_z2(args) -> RunReport:
     guard_unfolding(2 * args.n - 3, power=3)
     fm = z2_frobenius_manifold(args.n)
     assembly = _checked_assembly(rep, fm.assembly)
-    rep.add("cubic_matches_algebra", fm.matches_algebra)
+    witness = z2_cubic_witness(fm)
+    rep.add("cubic_matches_algebra", witness is None, witness)
     rep.payload = {"n": fm.n, **assembly, "twisted_cubic": ser.poly_to_json(fm.twisted_cubic)}
     return rep
 

@@ -33,10 +33,11 @@ from .groups import trivial_group
 from .linalg import ZERO, Mat, Vec
 from .modules import (
     GradedModule,
-    ModuleReport,
     Tensor,
+    Verdict,
     dual_module,
     invariants_basis,
+    self_invariance_witness,
     trivial_graded_module,
     untwisted_basis,
     validate_module,
@@ -47,30 +48,17 @@ from .poly import MultiPoly
 # -- metrics ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    symmetric: bool
-    g_invariant: bool
-    grading_preserving: bool
-    blockwise_nondegenerate: bool
-    failure: str | None = None  # the first failing check of the four above, with its witness
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.symmetric
-            and self.g_invariant
-            and self.grading_preserving
-            and self.blockwise_nondegenerate
-        )
-
-
 def submatrix(m: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def check_metric(h: GradedModule, m: Mat) -> MetricReport:
-    """The four checks of a metric m on h, with the first failing one and its witness in failure."""
+def check_metric(h: GradedModule, m: Mat) -> Verdict:
+    """The symmetric, g_invariant, grading_preserving and blockwise_nondegenerate checks of a metric m on h.
+
+    The witness is an entry (i, j) of m for symmetry and for grading, and an
+    element g for invariance and for the nondegenerate pairing of H_g with
+    H_{g^-1}; the failure line reads `blockwise_nondegenerate fails at g = 1`.
+    """
     g = h.group
     d = h.dim
 
@@ -80,7 +68,7 @@ def check_metric(h: GradedModule, m: Mat) -> MetricReport:
         return len(rows) == len(cols) and (not rows or linalg.rank(submatrix(m, rows, cols)) == len(rows))
 
     cells = [(i, j) for i in range(d) for j in range(d)]
-    witnesses = {
+    return Verdict({
         "symmetric": next((f"(i, j) = ({i}, {j})" for i, j in cells if m[i][j] != m[j][i]), None),
         "g_invariant": next(
             (f"g = {gamma}" for gamma in g.elements()
@@ -95,10 +83,7 @@ def check_metric(h: GradedModule, m: Mat) -> MetricReport:
         "blockwise_nondegenerate": next(
             (f"g = {gamma}" for gamma in g.elements() if not block_nondegenerate(gamma)), None
         ),
-    }
-    failure = next((f"{name} fails at {w}" for name, w in witnesses.items() if w is not None), None)
-    ok = {name: w is None for name, w in witnesses.items()}
-    return MetricReport(**ok, failure=failure)
+    })
 
 
 # -- potentials and WDVV ------------------------------------------------------
@@ -140,9 +125,11 @@ class Potential:
 
 @dataclass(frozen=True)
 class WdvvReport:
-    passed: bool
-    witnesses: tuple[tuple[int, int, int, int], ...]
-    failure: str | None = None  # why the check failed where no tuple can witness it
+    witnesses: tuple[tuple[int, int, int, int], ...]  # every violating tuple, sorted
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 def _inverse_metric(eta: Mat) -> Mat:
@@ -197,7 +184,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
         for a, b, c, e in set(itertools.permutations(quad)):
             if a <= c and product(table, pair(a, b), pair(c, e)) != product(table, pair(b, c), pair(a, e)):
                 witnesses.append((a, b, c, e))
-    return WdvvReport(not witnesses, tuple(sorted(witnesses)))
+    return WdvvReport(tuple(sorted(witnesses)))
 
 
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
@@ -254,47 +241,19 @@ class GFrobeniusAlgebra:
         return tuple(out)
 
 
-# the boolean checks of a GfaReport in report order; the metric's verdict follows them
-GFA_CHECKS = (
-    "module_valid", "self_invariant", "equivariance", "graded_mult", "braided_commutativity",
-    "metric_invariance", "invariant_unit", "associative", "unital",
-)
+def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
+    """Every axiom of a G-Frobenius algebra, each with its first witness, in report order.
 
-
-@dataclass(frozen=True)
-class GfaReport:
-    module_valid: bool
-    self_invariant: bool
-    metric: MetricReport
-    equivariance: bool
-    graded_mult: bool
-    braided_commutativity: bool
-    metric_invariance: bool
-    invariant_unit: bool
-    associative: bool
-    unital: bool
-    failure: str | None = None  # the first of failures(), with its witness
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> list[str]:
-        out = [name for name in GFA_CHECKS if not getattr(self, name)]
-        if not self.metric.passed:
-            out.append("metric")
-        return out
-
-
-def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
-    """Every axiom of a G-Frobenius algebra; failure names the first that fails.
-
-    The witness is the failing report line of the module or the metric, or
-    the first indices at which the product breaks an axiom: an element g and
-    a pair (a, b) for equivariance, (a, b, k) for a structure constant of the
-    wrong degree, (a, b) for braided commutativity, (a, b, c) for metric
-    invariance and associativity, g or a unit entry j for the invariant unit,
-    and b for the unit law.
+    The ten checks are module_valid, self_invariant, equivariance,
+    graded_mult, braided_commutativity, metric_invariance, invariant_unit,
+    associative, unital and metric.  The witness of module_valid and of
+    metric is the failing verdict of validate_module or check_metric, so the
+    failure line reads `metric fails: blockwise_nondegenerate fails at g = 1`.
+    The others name the first indices at which the product breaks an axiom:
+    an element g and a pair (a, b) for equivariance, (a, b, k) for a
+    structure constant of the wrong degree, (a, b) for braided
+    commutativity, (a, b, c) for metric invariance and associativity, g or a
+    unit entry j for the invariant unit, and b for the unit law.
 
     Every product below is alg.product: with e the basis and rho_g(e_a)
     the columns of the action, equivariance is rho_g(e_a) rho_g(e_b) =
@@ -310,8 +269,6 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     g = h.group
     d = h.dim
     eta = alg.metric
-    mod_rep = validate_module(h)
-    metric_rep = check_metric(h, eta)
     e = linalg.identity(d)
     ab = [[alg.product(x, y) for y in e] for x in e]  # ab[a][b] = e_a e_b
     cols = [linalg.transpose(rho) for rho in h.action]  # cols[g][a] = rho_g(e_a)
@@ -319,9 +276,9 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
     pairs = [(a, b) for a in range(d) for b in range(d)]
     triples = [(a, b, x) for a in range(d) for b in range(d) for x in range(d)]
 
-    witnesses = {
-        "module_valid": mod_rep.failure,
-        "self_invariant": mod_rep.self_invariance_failure,
+    return Verdict({
+        "module_valid": validate_module(h).witness,
+        "self_invariant": self_invariance_witness(h),
         "equivariance": next(
             (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma in g.elements() for a, b in pairs
              if alg.product(cols[gamma][a], cols[gamma][b]) != linalg.mat_vec(h.action[gamma], ab[a][b])),
@@ -352,15 +309,8 @@ def check_gfa(alg: GFrobeniusAlgebra) -> GfaReport:
             None,
         ),
         "unital": next((f"b = {b}" for b in range(d) if alg.product(alg.unit, e[b]) != e[b]), None),
-        "metric": metric_rep.failure,
-    }
-    failure = next(
-        (f"{name} fails: {w}" if name in ("module_valid", "metric") else f"{name} fails at {w}"
-         for name, w in witnesses.items() if w is not None),
-        None,
-    )
-    ok = {name: w is None for name, w in witnesses.items() if name != "metric"}
-    return GfaReport(**ok, metric=metric_rep, failure=failure)
+        "metric": check_metric(h, eta).witness,
+    })
 
 
 def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeniusAlgebra:
@@ -445,60 +395,44 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class PreGfmReport:
-    module: ModuleReport
-    metric: MetricReport
-    braid_witness: tuple[int, int] | None  # first failing coordinate pair, or None
-    degree_witness: tuple[tuple[int, int], ...] | None  # first monomial off the identity degree, or None
-    untwisted_potential: MultiPoly
-    wdvv_untwisted: WdvvReport
-    wdvv_invariants: WdvvReport
-
-    @property
-    def braided(self) -> bool:
-        return self.braid_witness is None
-
-    @property
-    def degree_filter(self) -> bool:
-        return self.degree_witness is None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.module.valid
-            and self.module.self_invariant
-            and self.metric.passed
-            and self.braided
-            and self.degree_filter
-            and self.wdvv_untwisted.passed
-            and self.wdvv_invariants.passed
-        )
-
-
-def _sector_wdvv(sector: str, pot: Potential, eta: Mat) -> WdvvReport:
-    """wdvv_check on one sector, failed with a witness naming the sector where its metric is singular."""
+def _sector_wdvv(sector: str, pot: Potential, eta: Mat) -> list[list[int]] | str | None:
+    """The first ten tuples that break WDVV on one sector, a line naming the sector where its metric
+    is singular, or None."""
     try:
-        return wdvv_check(pot, eta)
+        report = wdvv_check(pot, eta)
     except DegenerateMetric:
-        return WdvvReport(False, (), f"metric is singular on the {sector} sector")
+        return f"metric is singular on the {sector} sector"
+    return [list(w) for w in report.witnesses[:10]] or None
 
 
-def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
+def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> Verdict:
     """Module, metric, braiding and G-degree e of the potential, then WDVV on its two sector restrictions.
+
+    The seven checks are module_valid, self_invariant, metric, braided,
+    degree_filter, wdvv_untwisted and wdvv_invariants.  module_valid and
+    metric carry the failing verdict of validate_module or check_metric;
+    braided the coordinate pair [x, y] of braid_witness; degree_filter the
+    monomial of g_degree_witness as [coordinate index, exponent] pairs; and
+    each WDVV check its first ten violating tuples, or the line
+    `metric is singular on the invariant sector` (or `untwisted`).
 
     No constructor runs it: a caller that wants the verdict on an assembly calls it.
     """
-    mod_rep = validate_module(h)
-    metric_rep = check_metric(h, eta)
-    witness = braid_witness(h, pot)
-    degree_witness = g_degree_witness(dual_module(h), pot, h.group.identity)
+    checks = {
+        "module_valid": validate_module(h).witness,
+        "self_invariant": self_invariance_witness(h),
+        "metric": check_metric(h, eta).witness,
+    }
+    braided = braid_witness(h, pot)
+    checks["braided"] = braided and list(braided)
+    degree = g_degree_witness(dual_module(h), pot, h.group.identity)
+    checks["degree_filter"] = degree and [list(p) for p in degree]
 
     e_idx = h.untwisted_indices()
     e_names = tuple(pot.names[j] for j in e_idx)
     other = [pot.names[j] for j in range(h.dim) if j not in e_idx]
     y_e = pot.poly.subst_zero(other)
-    wdvv_e = _sector_wdvv("untwisted", Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
+    checks["wdvv_untwisted"] = _sector_wdvv("untwisted", Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
 
     inv = invariants_basis(h)
     incl = linalg.inclusion(inv, h.dim)
@@ -506,17 +440,8 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> PreGfmReport:
     units = [tuple(int(b == c) for c in range(len(inv))) for b in range(len(inv))]
     y_g = pot.poly.substitute({name: MultiPoly(s_names, dict(zip(units, row))) for name, row in zip(pot.names, incl)})
     eta_g = linalg.pullback_metric(eta, incl)
-    wdvv_g = _sector_wdvv("invariant", Potential(s_names, y_g), eta_g)
-
-    return PreGfmReport(
-        module=mod_rep,
-        metric=metric_rep,
-        braid_witness=witness,
-        degree_witness=degree_witness,
-        untwisted_potential=y_e,
-        wdvv_untwisted=wdvv_e,
-        wdvv_invariants=wdvv_g,
-    )
+    checks["wdvv_invariants"] = _sector_wdvv("invariant", Potential(s_names, y_g), eta_g)
+    return Verdict(checks)
 
 
 # -- assembling an order-two pre-Frobenius manifold from two ordinary ones -----

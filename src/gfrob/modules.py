@@ -24,7 +24,7 @@ and divides once per output term; the other actions divide by Delta^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -45,7 +45,6 @@ class GradedModule:
     group: FiniteGroup
     degrees: tuple[int, ...]
     action: tuple[Matrix, ...]
-    _columns: dict[int, Columns] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -59,17 +58,14 @@ class GradedModule:
         """Common denominator Delta of all action entries; 1 for an integral action."""
         return lcm(*(a.denominator for m in self.action for row in m for a in row))
 
-    def columns(self, g: int) -> Columns:
-        """Sparse integer columns of Delta times the action matrix of g, built once per module."""
-        cols = self._columns.get(g)
-        if cols is None:
-            delta = self.delta
-            cols = [
-                [(i, a.numerator * (delta // a.denominator)) for i, a in enumerate(col) if a]
-                for col in zip(*self.action[g])
-            ]
-            self._columns[g] = cols
-        return cols
+    @cached_property
+    def columns(self) -> list[Columns]:
+        """columns[g] = the sparse integer columns of Delta times the action matrix of g."""
+        delta = self.delta
+        return [
+            [[(i, a.numerator * (delta // a.denominator)) for i, a in enumerate(col) if a] for col in zip(*m)]
+            for m in self.action
+        ]
 
     def block_indices(self, g: int) -> list[int]:
         return [j for j, d in enumerate(self.degrees) if d == g]
@@ -79,36 +75,41 @@ class GradedModule:
 
 
 @dataclass(frozen=True)
-class ModuleReport:
-    homomorphism: bool
-    identity: bool
-    grading: bool
-    invertible: bool
-    self_invariance_failure: str | None  # first g and entry (i, j) that break self-invariance, or None
-    failure: str | None = None  # the first failing axiom above, with its witness
+class Verdict:
+    """The checks of one list of axioms, in report order, each mapped to its first witness or None.
 
-    @property
-    def valid(self) -> bool:
-        return self.homomorphism and self.identity and self.grading and self.invertible
-
-    @property
-    def self_invariant(self) -> bool:
-        return self.self_invariance_failure is None
-
-
-def validate_module(h: GradedModule) -> ModuleReport:
-    """The four module axioms, each with its first witness, and self-invariance with its witness.
-
-    failure names the first failing axiom in field order with its witness:
-    a pair (a, b), an entry (i, j) of rho(e), or an element g.  The
-    self-invariance witness is the first g and entry (i, j), with j in the
-    block H_g, where rho(g) is not the identity.
-
-    The homomorphism axiom is checked exactly on the integer columns as
-    Delta^2 rho(ab) = (Delta rho(a)) (Delta rho(b)).  Once it and the
-    identity axiom hold, rho(g) rho(g^-1) = rho(e) = I proves every rho(g)
-    invertible, so ranks are computed only when one of the two fails.
+    A check fails exactly when it has a witness.  A witness may itself be a
+    Verdict, such as the module or the metric under an algebra.
     """
+
+    checks: dict[str, object]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
+
+    @property
+    def failed(self) -> list[str]:
+        """The names of the failing checks, in report order."""
+        return [name for name, w in self.checks.items() if w is not None]
+
+    @property
+    def failure(self) -> str | None:
+        """The first failing check with its witness, or None: `name fails: <inner failure>` for a
+        nested verdict and `name fails at <witness>` otherwise."""
+        for name, w in self.checks.items():
+            if w is not None:
+                return f"{name} fails: {w.failure}" if isinstance(w, Verdict) else f"{name} fails at {w}"
+        return None
+
+    @property
+    def witness(self) -> Verdict | None:
+        """This verdict as the witness of the check it settles: None when it passes."""
+        return None if self.passed else self
+
+
+def _require_shape(h: GradedModule) -> None:
+    """InvalidAction unless the action is |G| square matrices of the module dimension and every degree is in G."""
     g = h.group
     d = h.dim
     if len(h.action) != g.order or any(len(m) != d or any(len(r) != d for r in m) for m in h.action):
@@ -116,38 +117,63 @@ def validate_module(h: GradedModule) -> ModuleReport:
     if any(not 0 <= deg < g.order for deg in h.degrees):
         raise InvalidAction("basis degree out of range")
 
+
+def validate_module(h: GradedModule) -> Verdict:
+    """The homomorphism, identity, grading and invertible axioms of a G-module, each with its first witness.
+
+    The witness is a pair (a, b) for the homomorphism axiom, an entry (i, j)
+    of rho(e) for the identity axiom, an element g and an entry (i, j) of
+    rho(g) for the grading axiom, and an element g for invertibility; the
+    failure line reads `homomorphism axiom fails at (a, b) = (1, 1)`.
+    InvalidAction if the action matrices do not fit the module.
+
+    The homomorphism axiom is checked exactly on the integer columns as
+    Delta^2 rho(ab) = (Delta rho(a)) (Delta rho(b)).  Once it and the
+    identity axiom hold, rho(g) rho(g^-1) = rho(e) = I proves every rho(g)
+    invertible, so ranks are computed only when one of the two fails.
+    """
+    _require_shape(h)
+    g = h.group
+    d = h.dim
     rho, elements, e = h.action, list(g.elements()), g.identity
-    cols = [h.columns(gamma) for gamma in elements]
+    cols = h.columns
     scaled = [[{i: h.delta * x for i, x in col} for col in cs] for cs in cols]
-    witnesses = {
-        "homomorphism": next(
+    checks = {
+        "homomorphism axiom": next(
             (f"(a, b) = ({a}, {b})" for a in elements for b in elements
              if _column_product(cols[a], cols[b]) != scaled[g.mul(a, b)]),
             None,
         ),
-        "identity": next(
+        "identity axiom": next(
             (f"(i, j) = ({i}, {j})" for i, row in enumerate(rho[e]) for j, x in enumerate(row) if x != int(i == j)),
             None,
         ),
-        "grading": next(
+        "grading axiom": next(
             (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in elements
              for i, row in enumerate(rho[gamma]) for j, x in enumerate(row)
              if x and h.degrees[i] != g.conj(gamma, h.degrees[j])),
             None,
         ),
     }
-    proved = witnesses["homomorphism"] is None and witnesses["identity"] is None
-    witnesses["invertible"] = None if proved else next(
+    proved = checks["homomorphism axiom"] is None and checks["identity axiom"] is None
+    checks["invertible axiom"] = None if proved else next(
         (f"g = {gamma}" for gamma in elements if linalg.rank(rho[gamma]) != d), None
     )
-    failure = next((f"{axiom} axiom fails at {w}" for axiom, w in witnesses.items() if w is not None), None)
-    ok = {axiom: w is None for axiom, w in witnesses.items()}
-    self_invariance = next(
-        (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in elements for j in h.block_indices(gamma)
-         for i in range(d) if rho[gamma][i][j] != int(i == j)),
+    return Verdict(checks)
+
+
+def self_invariance_witness(h: GradedModule) -> str | None:
+    """First g and entry (i, j), with j in the block H_g, at which rho(g) is not the identity, else None.
+
+    InvalidAction if the action matrices do not fit the module.
+    """
+    _require_shape(h)
+    rho = h.action
+    return next(
+        (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in h.group.elements() for j in h.block_indices(gamma)
+         for i in range(h.dim) if rho[gamma][i][j] != int(i == j)),
         None,
     )
-    return ModuleReport(**ok, self_invariance_failure=self_invariance, failure=failure)
 
 
 def _column_product(a: Columns, b: Columns) -> list[dict[int, int]]:
@@ -167,10 +193,14 @@ def graded_module(
     degrees: Sequence[int],
     action: Sequence[Sequence[Sequence]],
 ) -> GradedModule:
-    h = GradedModule(group, tuple(degrees), tuple(linalg.mat(m) for m in action))
-    rep = validate_module(h)
-    if not rep.valid:
-        raise InvalidAction(f"module validation failed: {rep.failure}")
+    return require_valid_module(GradedModule(group, tuple(degrees), tuple(linalg.mat(m) for m in action)))
+
+
+def require_valid_module(h: GradedModule) -> GradedModule:
+    """h itself; InvalidAction naming the first failing axiom of validate_module if h is no G-module."""
+    failure = validate_module(h).failure
+    if failure is not None:
+        raise InvalidAction(f"module validation failed: {failure}")
     return h
 
 
@@ -307,7 +337,7 @@ def arrow_apply_into(
     through the kernel's scale.
     """
     e = h.group.identity
-    cols = [None if g == e else h.columns(g) for g in a.gpart]
+    cols = [None if g == e else h.columns[g] for g in a.gpart]
     slot_apply_into(cols, a.perm, terms, out, h.delta ** cols.count(None))
 
 
@@ -353,7 +383,7 @@ def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
     if g == h.group.identity:
         return v
     out: dict[tuple[int, ...], Fraction] = {}
-    slot_apply_into([h.columns(g)] * v.n, range(v.n), v.terms, out)
+    slot_apply_into([h.columns[g]] * v.n, range(v.n), v.terms, out)
     return _unscaled_tensor(h, v.n, out)
 
 
@@ -385,8 +415,7 @@ def z2_decompose(h: GradedModule) -> tuple[list[linalg.Vec], list[linalg.Vec], l
     g = h.group
     if g.order != 2:
         raise NotZ2("z2_decompose requires a group of order 2")
-    rep = validate_module(h)
-    if not rep.self_invariant:
+    if self_invariance_witness(h) is not None:
         raise NotZ2("z2_decompose requires a self-invariant module")
     nontriv = 1 - g.identity
     rho = h.action[nontriv]

@@ -17,7 +17,7 @@ from .errors import GfrobError, SizeLimit
 from .frobenius import FmData, GFrobeniusAlgebra, Potential
 from .groupoid import max_digits
 from .groups import FiniteGroup, group_from_table
-from .modules import GradedModule, Tensor, graded_module
+from .modules import GradedModule, Tensor
 from .poly import MultiPoly
 
 
@@ -146,6 +146,7 @@ def module_to_json(h: GradedModule) -> dict:
 
 
 def module_from_json(obj: Any) -> GradedModule:
+    """A module of the right shape; the module axioms are a check, validate_module, left to the caller."""
     if not isinstance(obj, dict):
         raise ParseError("module must be an object")
     try:
@@ -161,7 +162,7 @@ def module_from_json(obj: Any) -> GradedModule:
     dim = len(degrees)
     if any(len(m) != dim or any(len(row) != dim for row in m) for m in action):
         raise ParseError(f"module action matrices must be {dim} x {dim}")
-    return graded_module(group, degrees, action)
+    return GradedModule(group, tuple(degrees), tuple(action))
 
 
 def tensor_to_json(t: Tensor) -> dict:

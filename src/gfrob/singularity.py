@@ -34,6 +34,7 @@ the potential on coordinates (t_even, t_*).
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -441,13 +442,10 @@ def z2_frobenius_algebra(n: int) -> GFrobeniusAlgebra:
 
 @dataclass(frozen=True)
 class Z2Manifold:
-    """Assembled order-two Frobenius manifold and the comparison of its cubic part with the algebra."""
+    """Assembled order-two Frobenius manifold and the twisted part of its cubic term."""
 
     n: int
     assembly: "Z2Assembly"
-    algebra: GFrobeniusAlgebra  # the polynomial-ring model at the origin
-    origin_algebra: GFrobeniusAlgebra  # from the cubic part of the potential
-    matches_algebra: bool
     twisted_cubic: MultiPoly
 
     @property
@@ -462,11 +460,8 @@ class Z2Manifold:
 def z2_frobenius_manifold(n: int) -> Z2Manifold:
     """Glue the (2n-3)-variable and two-variable manifolds over their shared block.
 
-    The degree-3 part of the assembled potential, rescaled by 3! and
-    transported along basis vector -> -(coordinate vector), must reproduce
-    z2_frobenius_algebra(n); matches_algebra records whether it does.  The
-    associativity of both restrictions is not checked here: run
-    check_pre_gfm on the assembly for that.
+    Only what gluing needs is checked here: check_pre_gfm on the assembly
+    checks both restrictions, and z2_cubic_witness the cubic part.
     """
     if n < 3:
         raise BadIndex("z2_frobenius_manifold needs n >= 3")
@@ -474,8 +469,7 @@ def z2_frobenius_manifold(n: int) -> Z2Manifold:
 
 
 def _build_z2_manifold(n: int) -> Z2Manifold:
-    from .braided import form_from_poly
-    from .frobenius import FmData, assemble_z2, gfa_from_cubic
+    from .frobenius import FmData, assemble_z2
 
     m = 2 * n - 3
     chart = flat_coordinates(m)
@@ -485,27 +479,30 @@ def _build_z2_manifold(n: int) -> Z2Manifold:
     iota_e = list(range(0, m, 2))
     iota_g = list(range(n - 1))
     assembly = assemble_z2(fe, fg, iota_e, iota_g)
-
-    algebra = z2_frobenius_algebra(n)
     cubic_poly = assembly.potential.homogeneous_part(3)
-    y3 = form_from_poly(cubic_poly, assembly.names, 3).scale(6)
-    dim = 2 * n - 2
-    unit = tuple(Fraction(-1) if i == 0 else Fraction(0) for i in range(dim))
-    origin_algebra = gfa_from_cubic(assembly.module, assembly.metric, y3, unit)
+    return Z2Manifold(n=n, assembly=assembly, twisted_cubic=cubic_poly - cubic_poly.subst_zero([TSTAR]))
 
-    # Transport along e_a -> -e_a: same metric, negated structure constants.
-    matches = origin_algebra.metric == algebra.metric and all(
-        origin_algebra.mult[a][b][k] == -algebra.mult[a][b][k]
-        for a in range(dim)
-        for b in range(dim)
-        for k in range(dim)
-    )
-    twisted = cubic_poly - cubic_poly.subst_zero([TSTAR])
-    return Z2Manifold(
-        n=n,
-        assembly=assembly,
-        algebra=algebra,
-        origin_algebra=origin_algebra,
-        matches_algebra=matches,
-        twisted_cubic=twisted,
-    )
+
+def z2_cubic_witness(fm: Z2Manifold) -> tuple[int, ...] | None:
+    """First index at which the cubic part of fm's potential misses z2_frobenius_algebra(fm.n), else None.
+
+    The degree-3 part, rescaled by 3!, defines an algebra with unit -e_0
+    through gfa_from_cubic.  Transported along basis vector -> -(coordinate
+    vector), it must have the metric of z2_frobenius_algebra(fm.n) and the
+    negated structure constants; the witness is a metric entry (i, j) or a
+    structure constant (a, b, k).
+    """
+    from .braided import form_from_poly
+    from .frobenius import gfa_from_cubic
+
+    asm = fm.assembly
+    dim = asm.module.dim
+    y3 = form_from_poly(asm.potential.homogeneous_part(3), asm.names, 3).scale(6)
+    unit = tuple(Fraction(-1) if i == 0 else Fraction(0) for i in range(dim))
+    origin = gfa_from_cubic(asm.module, asm.metric, y3, unit)
+    algebra = z2_frobenius_algebra(fm.n)
+    cells, constants = itertools.product(range(dim), repeat=2), itertools.product(range(dim), repeat=3)
+    return next(itertools.chain(
+        ((i, j) for i, j in cells if origin.metric[i][j] != algebra.metric[i][j]),
+        ((a, b, k) for a, b, k in constants if origin.mult[a][b][k] != -algebra.mult[a][b][k]),
+    ), None)

@@ -17,9 +17,9 @@ from gfrob import (
     symmetric_group,
     trivial_group,
 )
-from gfrob.braided import BraidedSeries, series_from_poly
+from gfrob.braided import BraidedSeries, form_from_poly, series_from_poly
 from gfrob.errors import InvalidMorphism
-from gfrob.frobenius import GFrobeniusAlgebra
+from gfrob.frobenius import GFrobeniusAlgebra, gfa_from_cubic
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
 from gfrob.linalg import identity, mat
 from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
@@ -64,6 +64,14 @@ def gfa_to_json(a: GFrobeniusAlgebra) -> dict:
         "mult": [[[frac_to_str(x) for x in a.mult[i][j]] for j in range(a.dim)] for i in range(a.dim)],
         "unit": [frac_to_str(x) for x in a.unit],
     }
+
+
+def origin_algebra(fm) -> GFrobeniusAlgebra:
+    """The algebra of the cubic part of an order-two manifold's potential, rescaled by 3!, with unit -e_0."""
+    asm = fm.assembly
+    y3 = form_from_poly(asm.potential.homogeneous_part(3), asm.names, 3).scale(6)
+    unit = tuple(Fraction(-int(i == 0)) for i in range(asm.module.dim))
+    return gfa_from_cubic(asm.module, asm.metric, y3, unit)
 
 
 def diag(entries):

@@ -403,6 +403,46 @@ def test_module_failing_an_axiom_exits_1(capsys, files, tmp_path):
     assert out == "" and "InvalidAction" in err
     # rho(e) = diag(0, 1): the identity axiom is the first to fail, at entry (0, 0)
     assert "identity axiom fails at (i, j) = (0, 0)" in err
+    # braidize, which needs a valid module too, refuses it the same way
+    tensor = {"n": 2, "terms": [{"idx": [0, 1], "coef": "1"}]}
+    code = main(argv_with_files(files, tmp_path, "braidize", {"--module": singular, "--tensor": tensor}))
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == "" and err == "error: InvalidAction: module validation failed: identity axiom fails at (i, j) = (0, 0)\n"
+
+
+GFA_CHECK_NAMES = [
+    "module_valid", "self_invariant", "equivariance", "graded_mult", "braided_commutativity",
+    "metric_invariance", "invariant_unit", "associative", "unital", "metric",
+]
+
+
+def test_checks_report_a_module_that_breaks_an_axiom(capsys, files, tmp_path):
+    """check-gfa and check-pre-gfm print every check, and module_valid fails with the module's witness."""
+    # rho(1) = diag(2, 1) squares to diag(4, 1), not rho(0) = I
+    module = {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": [0, 0],
+              "action": {"0": [[ONE, ZERO], [ZERO, ONE]], "1": [["2", ZERO], [ZERO, ONE]]}}
+    line = "homomorphism axiom fails at (a, b) = (1, 1)"
+    algebra = {"module": module, "metric": [[ONE, ZERO], [ZERO, ONE]],
+               "mult": [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ONE, ZERO]]], "unit": [ONE, ZERO]}
+    code = main(argv_with_files(files, tmp_path, "check-gfa", {"--algebra": algebra}))
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert code == 1 and err == ""
+    assert [c["name"] for c in checks] == GFA_CHECK_NAMES
+    assert checks[0] == {"name": "module_valid", "status": "fail", "witness": f"module_valid fails: {line}"}
+
+    inputs = {
+        "--module": module,
+        "--metric": {"matrix": [[ONE, ZERO], [ZERO, ONE]]},
+        "--potential": {"names": ["a", "b"], "potential": {"vars": ["a"], "terms": [{"exp": [3], "coef": "1"}]}},
+    }
+    code = main(argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    out, err = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert code == 1 and err == ""
+    assert [c["name"] for c in checks] == PRE_GFM_CHECKS
+    assert checks[0] == {"name": "module_valid", "status": "fail", "witness": line}
 
 
 def test_check_pre_gfm_names_braid_witness(capsys, files, tmp_path):

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfrob import cyclic_group, linalg, symmetric_group
-from gfrob.frobenius import GFrobeniusAlgebra, GfaReport, check_gfa, check_metric
+from gfrob.frobenius import GFrobeniusAlgebra, check_gfa, check_metric
 from gfrob.linalg import ZERO
-from gfrob.modules import GradedModule, validate_module
+from gfrob.modules import GradedModule, Verdict, validate_module
 from gfrob.singularity import z2_frobenius_algebra
 
 # -- dense reference ------------------------------------------------------------
@@ -50,7 +50,7 @@ def self_invariance_reference(h):
     )
 
 
-def check_gfa_reference(alg) -> GfaReport:
+def check_gfa_reference(alg) -> Verdict:
     h = alg.module
     g = h.group
     d = h.dim
@@ -110,7 +110,7 @@ def check_gfa_reference(alg) -> GfaReport:
         return dense_product(alg, alg.unit, e_b) == e_b
 
     witnesses = {
-        "module_valid": mod_rep.failure,
+        "module_valid": None if mod_rep.passed else mod_rep,
         "self_invariant": self_invariance_reference(h),
         "equivariance": next(
             (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma, rho, cols in actions() for a, b in pairs
@@ -132,15 +132,9 @@ def check_gfa_reference(alg) -> GfaReport:
         ),
         "associative": next((f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples if not associates(a, b, x)), None),
         "unital": next((f"b = {b}" for b in range(d) if not unit_law(b)), None),
-        "metric": metric_rep.failure,
+        "metric": None if metric_rep.passed else metric_rep,
     }
-    failure = next(
-        (f"{name} fails: {w}" if name in ("module_valid", "metric") else f"{name} fails at {w}"
-         for name, w in witnesses.items() if w is not None),
-        None,
-    )
-    ok = {name: w is None for name, w in witnesses.items() if name != "metric"}
-    return GfaReport(**ok, metric=metric_rep, failure=failure)
+    return Verdict(witnesses)
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -230,7 +224,8 @@ vectors = st.lists(st.sampled_from([ZERO, Fraction(0), 0, 3] + [Fraction(x) for 
 def test_check_gfa_matches_the_loop_reference(case):
     name, alg, mutation = case
     rep = check_gfa(alg)
-    assert rep == check_gfa_reference(alg)
+    ref = check_gfa_reference(alg)
+    assert rep == ref and list(rep.checks) == list(ref.checks) and rep.failure == ref.failure
     if mutation == "none" and name != "s3":
         assert rep.passed and rep.failure is None
 

@@ -15,6 +15,7 @@ from gfrob import (
     gen_arrow,
     graded_module,
     invariants_basis,
+    self_invariance_witness,
     untwisted_basis,
     validate_module,
     z2_decompose,
@@ -39,12 +40,12 @@ from conftest import (
 def test_validate_trivial_module(trivial_modules):
     for h in trivial_modules:
         rep = validate_module(h)
-        assert rep.valid and rep.self_invariant
+        assert rep.passed and self_invariance_witness(h) is None
 
 
 def test_validate_orbifold_module(orbifold_module):
     rep = validate_module(orbifold_module)
-    assert rep.valid and rep.self_invariant
+    assert rep.passed and self_invariance_witness(orbifold_module) is None
 
 
 def test_orbifold_module_negated_twist(z2):
@@ -52,13 +53,13 @@ def test_orbifold_module_negated_twist(z2):
     # grading but destroys self-invariance
     h = graded_module(z2, (0, 0, 0, 1), [identity(4), diag([1, 1, -1, -1])])
     rep = validate_module(h)
-    assert rep.valid and not rep.self_invariant
+    assert rep.passed and self_invariance_witness(h) is not None
 
 
 def test_validate_rejects_non_homomorphism(z2):
     bad = unvalidated_module(z2, (0, 0), [identity(2), diag([2, 1])])
     rep = validate_module(bad)
-    assert not rep.valid
+    assert not rep.passed
     with pytest.raises(InvalidAction):
         graded_module(z2, (0, 0), [identity(2), diag([2, 1])])
 
@@ -67,7 +68,7 @@ def test_validate_rejects_block_violation(z2):
     # action sends an untwisted vector into the twisted block
     m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     bad = unvalidated_module(z2, (0, 1), [identity(2), m])
-    assert not validate_module(bad).grading
+    assert validate_module(bad).checks["grading axiom"] is not None
 
 
 @pytest.mark.parametrize(
@@ -85,7 +86,7 @@ def test_invalid_module_names_axiom_and_witness(z2, degrees, action, message):
 
     mats = [m if isinstance(m[0], list) else diag(m) for m in action]
     rep = validate_module(unvalidated_module(z2, degrees, mats))
-    assert not rep.valid and rep.failure == message
+    assert not rep.passed and rep.failure == message
     with pytest.raises(InvalidAction, match=re.escape(message)):
         graded_module(z2, degrees, mats)
 
@@ -94,7 +95,7 @@ def test_dual_module_z3(z3_module):
     d = dual_module(z3_module)
     # a twisted line in degree g moves to degree g^2 in the dual
     assert d.degrees == (0, 0, 2, 1)
-    assert validate_module(d).valid
+    assert validate_module(d).passed
     dd = dual_module(d)
     assert dd.degrees == z3_module.degrees
     assert dd.action == z3_module.action
@@ -292,7 +293,7 @@ def test_morphism_validation(orbifold_module):
 def test_submodule_inclusion(orbifold_module):
     sub, incl = submodule_on_indices(orbifold_module, [0, 1, 2])
     assert sub.dim == 3
-    assert validate_module(sub).valid
+    assert validate_module(sub).passed
     assert is_morphism(sub, orbifold_module, incl)
 
 

@@ -7,16 +7,16 @@ integer columns Delta * rho(g), which computes ranks only when the
 homomorphism or identity axiom fails.  The modules are the Z2, Z3 and S3
 fixtures in a random block-preserving basis (so Delta > 1), optionally
 broken by a perturbed entry, a singular rho(g), a broken grading, swapped
-matrices or an idempotent action; the two reports must be equal, down to
-the failure string and the self-invariance witness.
+matrices or an idempotent action; the two verdicts must be equal, down to
+the failure string, and so must the self-invariance witnesses.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gfrob import graded_module, linalg, validate_module
-from gfrob.modules import ModuleReport
+from gfrob import graded_module, linalg, self_invariance_witness, validate_module
+from gfrob.modules import Verdict
 from gfrob.singularity import z2_frobenius_algebra
 
 from conftest import make_s3_module, make_z3_module, unvalidated_module
@@ -24,27 +24,32 @@ from conftest import make_s3_module, make_z3_module, unvalidated_module
 # -- dense reference ------------------------------------------------------------
 
 
-def validate_module_reference(h) -> ModuleReport:
+def validate_module_reference(h) -> Verdict:
     g = h.group
     d = h.dim
     rho, elements, e = h.action, list(g.elements()), g.identity
     cells = [(i, j) for i in range(d) for j in range(d)]
     witnesses = {
-        "homomorphism": next(
+        "homomorphism axiom": next(
             (f"(a, b) = ({a}, {b})" for a in elements for b in elements
              if rho[g.mul(a, b)] != linalg.mat_mul(rho[a], rho[b])),
             None,
         ),
-        "identity": next((f"(i, j) = ({i}, {j})" for i, j in cells if rho[e][i][j] != int(i == j)), None),
-        "grading": next(
+        "identity axiom": next((f"(i, j) = ({i}, {j})" for i, j in cells if rho[e][i][j] != int(i == j)), None),
+        "grading axiom": next(
             (f"g = {gamma}, (i, j) = ({i}, {j})" for gamma in elements for i, j in cells
              if rho[gamma][i][j] != 0 and h.degrees[i] != g.conj(gamma, h.degrees[j])),
             None,
         ),
-        "invertible": next((f"g = {gamma}" for gamma in elements if linalg.rank(rho[gamma]) != d), None),
+        "invertible axiom": next((f"g = {gamma}" for gamma in elements if linalg.rank(rho[gamma]) != d), None),
     }
-    failure = next((f"{axiom} axiom fails at {w}" for axiom, w in witnesses.items() if w is not None), None)
+    return Verdict(witnesses)
 
+
+def self_invariance_reference(h):
+    g = h.group
+    d = h.dim
+    rho, elements = h.action, list(g.elements())
     self_inv = None
     for gamma in elements:
         m = rho[gamma]
@@ -53,8 +58,7 @@ def validate_module_reference(h) -> ModuleReport:
                 want = Fraction(1) if i == j else Fraction(0)
                 if m[i][j] != want and self_inv is None:
                     self_inv = f"g = {gamma}, (i, j) = ({i}, {j})"
-    ok = {axiom: w is None for axiom, w in witnesses.items()}
-    return ModuleReport(**ok, self_invariance_failure=self_inv, failure=failure)
+    return self_inv
 
 
 # -- strategies -----------------------------------------------------------------
@@ -115,9 +119,11 @@ def test_validate_module_matches_dense_reference(case):
     group, degrees, action, mutation = case
     h = unvalidated_module(group, degrees, action)
     rep = validate_module(h)
-    assert rep == validate_module_reference(h)
+    ref = validate_module_reference(h)
+    assert rep == ref and list(rep.checks) == list(ref.checks) and rep.failure == ref.failure
+    assert self_invariance_witness(h) == self_invariance_reference(h)
     if mutation == "none":
-        assert rep.valid and rep.failure is None
+        assert rep.passed and rep.failure is None
 
 
 def test_basis_change_makes_non_integral_actions():
@@ -128,3 +134,4 @@ def test_basis_change_makes_non_integral_actions():
     scaled = graded_module(h.group, h.degrees, action)
     assert scaled.delta == 2
     assert validate_module(scaled) == validate_module_reference(scaled)
+    assert self_invariance_witness(scaled) == self_invariance_reference(scaled)

@@ -61,7 +61,7 @@ def wdvv_reference(pot, eta):
                             rhs = rhs + rhs_row[l] * y3(l, a, dd)
                     if lhs != rhs:
                         witnesses.append((a, b, c, dd))
-    return WdvvReport(not witnesses, tuple(sorted(set(witnesses))))
+    return WdvvReport(tuple(sorted(set(witnesses))))
 
 
 CLOSED_FORMS = {
