@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product as iter_product
 from math import factorial, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch
@@ -37,15 +37,26 @@ from .modules import (
     dual_module,
     require_morphism,
     slot_apply_into,
-    split_homogeneous,
     trivial_graded_module,
     untwisted_basis,
 )
 from .poly import MultiPoly
 
 
+def _cleared(terms: Mapping) -> tuple[dict, int]:
+    """The nonzero Fractions of terms as integer numerators over their one least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den
+
+
 def braidize(h: GradedModule, v: Tensor) -> Tensor:
-    """Average of all arrow actions with source the degree tuple of each part.
+    """Average of all arrow actions with source the degree tuple of each part."""
+    nums, den = _cleared(v.terms)
+    return _braidize_numerators(h, v.n, nums, den)
+
+
+def _braidize_numerators(h: GradedModule, n: int, nums: dict[tuple[int, ...], int], den: int) -> Tensor:
+    """braidize of the n-tensor nums / den, for integer numerators nums over one denominator den.
 
     All members of an orbit share one component based at b.  The arrows out
     of a member s are conn(u) o e o conn(s)^-1 for members u and e in End(b),
@@ -57,47 +68,48 @@ def braidize(h: GradedModule, v: Tensor) -> Tensor:
     one bucket even if the orbit cache is emptied and the orbit rebuilt at
     another member between two of its parts.
 
-    The sums run fraction-free: a component's parts are cleared to one
-    common denominator D, every step multiplies the integer numerators by
-    Delta^n (the kernel's factor; the identity terms of the transversals and
-    the parts already at b get it by hand), and each output term is divided
-    once by D * n_C * Delta^(n * steps).
+    The sums run fraction-free: every step multiplies the integer numerators
+    by Delta^n (the kernel's factor; the identity terms of the transversals
+    and the parts already at b get it by hand), and each output term is
+    divided once by den * n_C * Delta^(n * steps).
     """
-    if v.n <= 1:
-        return v
+    if n <= 1:
+        return Tensor(n, {idx: Fraction(c, den) for idx, c in nums.items()})
     group = h.group
-    dn = h.delta**v.n
+    dn = h.delta**n
+    by_degree: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for idx, c in nums.items():
+        if c:
+            by_degree.setdefault(h.degree_tuple(idx), {})[idx] = c
     by_base: dict[tuple[int, ...], tuple[Component, list]] = {}
-    for deg, part in split_homogeneous(h, v).items():
+    for deg, part in by_degree.items():
         comp = orbit_component(group, deg)
         if comp.basepoint not in by_base:  # a new orbit, or one rebuilt after the cache was emptied
             comp = next((c for c, _ in by_base.values() if deg in c.connectors), comp)
         by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part))
     out: dict[tuple[int, ...], Fraction] = {}
     for comp, parts in by_base.values():
-        den = lcm(*(c.denominator for _, part in parts for c in part.values()))
         at_base: dict[tuple[int, ...], int] = {}
         for deg, part in parts:
-            nums = {idx: c.numerator * (den // c.denominator) for idx, c in part.items()}
             if deg == comp.basepoint:
-                for idx, c in nums.items():
+                for idx, c in part.items():
                     at_base[idx] = at_base.get(idx, 0) + c * dn
             else:
-                arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), nums, at_base)
+                arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), part, at_base)
         terms = {idx: c for idx, c in at_base.items() if c}
         for level in reversed(comp.transversals):
             acc = {idx: c * dn for idx, c in terms.items()}  # the identity, first in every transversal
             for u in islice(level.values(), 1, None):
                 arrow_apply_into(h, u, terms, acc)
             terms = {idx: c for idx, c in acc.items() if c}
-        nums = {}
+        moved: dict[tuple[int, ...], int] = {}
         for conn in comp.connectors.values():
-            arrow_apply_into(h, conn, terms, nums)
-        den *= comp.n_C * dn ** (len(comp.transversals) + 2)
-        for idx, c in nums.items():
+            arrow_apply_into(h, conn, terms, moved)
+        total = den * comp.n_C * dn ** (len(comp.transversals) + 2)
+        for idx, c in moved.items():
             if c:
-                out[idx] = Fraction(c, den)
-    return Tensor(v.n, out)
+                out[idx] = Fraction(c, total)
+    return Tensor(n, out)
 
 
 def is_braided(h: GradedModule, v: Tensor) -> bool:
@@ -154,8 +166,7 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         col = {t: last - k for k, t in enumerate(tuples)}
         spans = []
         for x in linalg.kernel(linalg.eliminate(rows), len(fibre)):
-            den = lcm(*(c.denominator for c in x.values()))
-            nums = {fibre[k]: c.numerator * (den // c.denominator) for k, c in x.items()}
+            nums = {fibre[k]: c for k, c in _cleared(x)[0].items()}
             v: dict[tuple[int, ...], int] = {}
             for conn in comp.connectors.values():
                 arrow_apply_into(h, conn, nums, v)
@@ -227,21 +238,31 @@ def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
     """Degreewise juxtaposition followed by braidization, truncated.
 
     parts[d] = braidize(sum_m x_m y_(d-m)): one braidization per degree.
+    Each part of x and y is cleared to integers once; the juxtapositions of
+    one degree accumulate into one integer dict over the lcm of their pairs'
+    denominators, which goes to braidize's integer core as it is.
     """
     if x.module != y.module:
         raise ModuleMismatch("series live on different modules")
     if x.truncation != y.truncation:
         raise ModuleMismatch("series have different truncations")
     h = x.module
+    xs = [(m, *_cleared(t.terms)) for m, t in x.parts.items()]
+    ys = {m: _cleared(t.terms) for m, t in y.parts.items()}
     parts: dict[int, Tensor] = {}
     for d in range(x.truncation + 1):
-        acc = Tensor(d)
-        for m, xm in x.parts.items():
-            yn = y.parts.get(d - m)
-            if yn:
-                acc = acc + xm.juxt(yn)
+        pairs = [(xn, xd, *ys[d - m]) for m, xn, xd in xs if d - m in ys]
+        den = lcm(*(xd * yd for _, xd, _, yd in pairs))
+        acc: dict[tuple[int, ...], int] = {}
+        for xn, xd, yn, yd in pairs:
+            scale = den // (xd * yd)
+            for i1, c1 in xn.items():
+                c1 *= scale
+                for i2, c2 in yn.items():
+                    idx = i1 + i2
+                    acc[idx] = acc.get(idx, 0) + c1 * c2
         if acc:
-            parts[d] = braidize(h, acc)
+            parts[d] = _braidize_numerators(h, d, acc, den)
     return BraidedSeries(h, x.truncation, parts)
 
 

@@ -18,8 +18,10 @@ kernel slot_apply_into: sparse matrix columns per slot, then a slot
 permutation.  A module keeps its columns as the integers of Delta * M_g,
 with Delta the common denominator of all action entries (1 for an integral
 action), and an arrow application yields Delta^n times the arrow's action.
-braidize feeds the kernel integer numerators over one common denominator
-and divides once per output term; the other actions divide by Delta^n.
+braidize's integer core, which circ_product feeds directly with the
+juxtapositions of one degree, gives the kernel integer numerators over one
+common denominator and divides once per output term; the other actions
+divide by Delta^n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .groups import FiniteGroup, cyclic_group
 
 Matrix = linalg.Mat
 Columns = list[list[tuple[int, int]]]  # columns[j] = nonzero (row, entry of Delta * M) pairs
-Terms = Mapping[tuple[int, ...], int | Fraction]  # Fractions, or integer numerators in braidize
+# Fractions, or the integer numerators that braidize and circ_product feed braidize's core
+Terms = Mapping[tuple[int, ...], int | Fraction]
 
 
 @dataclass(frozen=True)

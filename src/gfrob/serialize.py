@@ -39,17 +39,22 @@ def _is_int(x: Any) -> bool:
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def frac_from_str(s: str | int) -> Fraction:
     """A JSON integer, or a string Fraction reads whose exponent is at most max_digits() in magnitude.
 
     Fraction builds 10^exponent; a larger one takes seconds and cannot be printed.
+    A canonical "p/q" of ASCII digits skips Fraction's general string parser.
     """
     try:
         if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
+            plain = _CANONICAL.fullmatch(s)
+            if plain:
+                return Fraction(int(plain[1]), int(plain[2]))
             exp = _EXPONENT.search(s)
             if exp and abs(int(exp[1])) > max_digits():
                 raise ParseError(f"bad rational {s!r}: exponent exceeds {max_digits()} in magnitude")

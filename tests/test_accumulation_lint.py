@@ -8,6 +8,11 @@ a generator of products that starts from a polynomial: a `MultiPoly.*` call,
 or a name the module binds to one.  Augmented assignments such as a scalar
 `s += a * b`, and scalar sums such as linalg.dot's, which start from the
 Fraction ZERO, are out of its scope.
+
+Tensors accumulate juxtapositions into one dict of integer numerators, as
+braided.circ_product does, so in every module of src/gfrob, poly.py
+included, the lint also flags `x = x + a.juxt(b)`, `x = x - a.juxt(b)` and
+`x += a.juxt(b)`: Tensor has no in-place addition, so each copies too.
 """
 
 import ast
@@ -21,16 +26,25 @@ def _is_product(node: ast.AST) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
 
 
-def _hand_accumulation(node: ast.AST) -> bool:
+def _is_juxt(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "juxt"
+
+
+def _hand_accumulation(node: ast.AST, is_term) -> bool:
     if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
         return False
     value = node.value
     return (
         isinstance(value, ast.BinOp)
         and isinstance(value.op, (ast.Add, ast.Sub))
-        and _is_product(value.right)
+        and is_term(value.right)
         and ast.unparse(value.left) == ast.unparse(node.targets[0])
     )
+
+
+def _juxt_accumulation(node: ast.AST) -> bool:
+    augmented = isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)) and _is_juxt(node.value)
+    return augmented or _hand_accumulation(node, _is_juxt)
 
 
 def _makes_poly(node: ast.AST) -> bool:
@@ -48,23 +62,26 @@ def _poly_sum(node: ast.AST, poly_names: set[str]) -> bool:
 
 
 def hand_accumulations(src: Path) -> list[str]:
-    """file:line of every hand-written accumulation of products outside poly.py."""
+    """file:line of every hand-written accumulation of products outside poly.py, and of juxtapositions anywhere."""
     out = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "poly.py":
-            continue
         nodes = list(ast.walk(ast.parse(path.read_text())))
         poly_names = {
             t.id for node in nodes if isinstance(node, ast.Assign) and _makes_poly(node.value)
             for t in node.targets if isinstance(t, ast.Name)
         }
-        lines = sorted(node.lineno for node in nodes if _hand_accumulation(node) or _poly_sum(node, poly_names))
+        products = path.name != "poly.py"
+        lines = sorted(
+            node.lineno for node in nodes
+            if _juxt_accumulation(node)
+            or products and (_hand_accumulation(node, _is_product) or _poly_sum(node, poly_names))
+        )
         out += [f"{path.name}:{line}" for line in lines]
     return out
 
 
 def test_every_product_accumulation_calls_sum_of_products():
-    assert hand_accumulations(SRC) == [], "accumulate the products with MultiPoly.sum_of_products"
+    assert hand_accumulations(SRC) == [], "accumulate with MultiPoly.sum_of_products, or tensors in one integer dict"
 
 
 def test_lint_sees_hand_accumulations(tmp_path):
@@ -87,3 +104,19 @@ def test_lint_sees_hand_accumulations(tmp_path):
     )
     (tmp_path / "b.py").write_text("def f(p):\n    return sum((q * c for q, c in p), MultiPoly.zero())\n")
     assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:5", "a.py:6", "b.py:2"]
+
+
+def test_lint_sees_juxtaposition_accumulations(tmp_path):
+    (tmp_path / "poly.py").write_text("acc = acc + xm.juxt(yn)\n")
+    (tmp_path / "a.py").write_text(
+        "acc = acc + xm.juxt(yn)\n"
+        "acc = acc - xm.juxt(yn)\n"
+        "acc += xm.juxt(yn)\n"
+        "parts[d] = parts[d] + x.part(m).juxt(y.part(d - m))\n"
+        "acc = xm.juxt(yn)\n"
+        "acc = other + xm.juxt(yn)\n"
+        "acc = xm.juxt(yn) + acc\n"
+        "acc *= xm.juxt(yn)\n"
+        "acc = acc + juxt(xm, yn)\n"
+    )
+    assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:4", "poly.py:1"]

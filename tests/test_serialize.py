@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gfrob import Tensor, cyclic_group, dual_module, serialize, symmetric_group
 from gfrob.errors import GfrobError
+from gfrob.groupoid import max_digits
 from gfrob.serialize import (
     ParseError,
     frac_from_str,
@@ -37,6 +39,56 @@ def test_fraction_strings():
         frac_from_str("1/0")
     with pytest.raises(ParseError):
         frac_from_str("pi")
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def frac_from_str_reference(s):
+    """The earlier body of frac_from_str: every string goes through Fraction's own parser."""
+    try:
+        if type(s) is int:
+            return Fraction(s)
+        if isinstance(s, str):
+            exp = _EXPONENT.search(s)
+            if exp and abs(int(exp[1])) > max_digits():
+                raise ParseError(f"bad rational {s!r}: exponent exceeds {max_digits()} in magnitude")
+            return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {s!r}: {exc}") from None
+    raise ParseError(f"bad rational {s!r}")
+
+
+def _outcome(parse, s):
+    try:
+        return parse(s)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+_LIMIT = max_digits()
+_digits = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.text("0123456789\u0663\uff11\u0967_", min_size=0, max_size=4),  # Arabic-Indic, fullwidth, Devanagari
+    st.sampled_from(["0", "00", "007", "1" * _LIMIT, "1" * (_LIMIT + 1), "9" * (_LIMIT + 5)]),
+)
+_space = st.sampled_from(["", " ", "\t", "\n", "\u00a0"])
+_signs = st.sampled_from(["", "-", "+", "--", "\u2212"])
+_rationals = st.one_of(
+    st.builds(lambda a, sign, p, q, b: f"{a}{sign}{p}/{q}{b}", _space, _signs, _digits, _digits, _space),
+    st.builds(lambda sign, p: f"{sign}{p}", _signs, _digits),
+    st.sampled_from([
+        "1/0", "-1/0", "-0/1", "0/0", "-0/0", "007/010", "+1/2", " 1/2 ", "1/2\n", "1 / 2", "1/-2", "1e5", "1/2e3",
+        "1.5", "1/2x", "1/2/3", "12/34 5", "\u0661/\u0662", "\uff11/2", "1_0/3", "", "/", "-/1", "1/",
+    ]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rationals)
+def test_frac_from_str_matches_fractions_parser(s):
+    assert _outcome(frac_from_str, s) == _outcome(frac_from_str_reference, s)
 
 
 def test_group_round_trip():
