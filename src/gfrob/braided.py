@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch
-from .groupoid import Component, check_size, components, guard_size, inverse_arrow, orbit_component
+from .groupoid import check_size, components, guard_size, inverse_arrow
 from .groups import trivial_group
 from .modules import (
     GradedModule,
@@ -62,50 +62,42 @@ def _braidize_numerators(h: GradedModule, n: int, nums: dict[tuple[int, ...], in
     of a member s are conn(u) o e o conn(s)^-1 for members u and e in End(b),
     and End(b) = U_1 o ... o U_k factors through its stabilizer chain, so
     sum(A) . v = sum_u conn(u) . (sum U_1) ... (sum U_k) . conn(s)^-1 . v,
-    the deepest level applied first.  The parts of one component are moved to
-    b and summed there, so each component costs one application per part
-    plus |C| + sum |U_i|, instead of |C| * m_C per part.  Each orbit keeps
-    one bucket even if the orbit cache is emptied and the orbit rebuilt at
-    another member between two of its parts.
+    the deepest level applied first.  The orbits come from the one census,
+    components, and the parts of one component are moved to b and summed
+    there, so each component costs one application per part plus
+    |C| + sum |U_i|, instead of |C| * m_C per part.
 
-    The sums run fraction-free: every step multiplies the integer numerators
-    by Delta^n (the kernel's factor; the identity terms of the transversals
-    and the parts already at b get it by hand), and each output term is
-    divided once by den * n_C * Delta^(n * steps).
+    The sums never divide: an integral action keeps the numerators ints, a
+    non-integral one turns them into Fractions, and each output term is
+    divided once by den * n_C.
     """
     if n <= 1:
         return Tensor(n, {idx: Fraction(c, den) for idx, c in nums.items()})
     group = h.group
-    dn = h.delta**n
     by_degree: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for idx, c in nums.items():
         if c:
             by_degree.setdefault(h.degree_tuple(idx), {})[idx] = c
-    by_base: dict[tuple[int, ...], tuple[Component, list]] = {}
-    for deg, part in by_degree.items():
-        comp = orbit_component(group, deg)
-        if comp.basepoint not in by_base:  # a new orbit, or one rebuilt after the cache was emptied
-            comp = next((c for c, _ in by_base.values() if deg in c.connectors), comp)
-        by_base.setdefault(comp.basepoint, (comp, []))[1].append((deg, part))
     out: dict[tuple[int, ...], Fraction] = {}
-    for comp, parts in by_base.values():
-        at_base: dict[tuple[int, ...], int] = {}
-        for deg, part in parts:
+    for comp in components(group, by_degree):
+        at_base: dict[tuple[int, ...], int | Fraction] = {}
+        for deg in by_degree.keys() & comp.connectors.keys():
+            part = by_degree[deg]
             if deg == comp.basepoint:
                 for idx, c in part.items():
-                    at_base[idx] = at_base.get(idx, 0) + c * dn
+                    at_base[idx] = at_base.get(idx, 0) + c
             else:
                 arrow_apply_into(h, inverse_arrow(group, comp.connectors[deg]), part, at_base)
         terms = {idx: c for idx, c in at_base.items() if c}
         for level in reversed(comp.transversals):
-            acc = {idx: c * dn for idx, c in terms.items()}  # the identity, first in every transversal
+            acc = dict(terms)  # the identity, first in every transversal
             for u in islice(level.values(), 1, None):
                 arrow_apply_into(h, u, terms, acc)
             terms = {idx: c for idx, c in acc.items() if c}
-        moved: dict[tuple[int, ...], int] = {}
+        moved: dict[tuple[int, ...], int | Fraction] = {}
         for conn in comp.connectors.values():
             arrow_apply_into(h, conn, terms, moved)
-        total = den * comp.n_C * dn ** (len(comp.transversals) + 2)
+        total = den * comp.n_C
         for idx, c in moved.items():
             if c:
                 out[idx] = Fraction(c, total)
@@ -130,9 +122,9 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
 
     On a component based at b, an invariant is the transport sum_u conn(u) x
     of its part x on the fibre F_b of degree-b tuples, and x is fixed by
-    End(b) (Brown, Topology and Groupoids): x spans the kernel of the integer
-    matrix s - Delta^n, one row per strong generator s of End(b) and tuple u
-    of F_b, with the entry (s e_t)[u] - Delta^n [t = u] at column t.  The
+    End(b) (Brown, Topology and Groupoids): x spans the kernel of the matrix
+    s - 1, one row per strong generator s of End(b) and tuple u of F_b, with
+    the entry (s e_t)[u] - [t = u] at column t.  The
     canonical basis, one form per free column of the component's sorted
     tuples, is the RREF of the transported vectors with the columns in
     reverse order.  No step uses the averaging in braidize.
@@ -145,7 +137,6 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
     # lexicographic degree tuples, so components come by least member; a degree
     # with no basis vector (only an unvalidated module has one) gives no tuples
     blocks = [h.block_indices(g) for g in h.group.elements()]
-    dn = h.delta**n
     out: list[InvariantForm] = []
     for comp in components(h.group, iter_product(sorted(set(h.degrees)), repeat=n)):
         rep = comp.canonical
@@ -155,9 +146,9 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         at = {t: k for k, t in enumerate(fibre)}
         rows = []
         for s in comp.gens:
-            block = [{k: -dn} for k in range(len(fibre))]  # row u of s - Delta^n
+            block = [{k: -1} for k in range(len(fibre))]  # row u of s - 1
             for k, t in enumerate(fibre):
-                image: dict[tuple[int, ...], int] = {}
+                image: dict[tuple[int, ...], int | Fraction] = {}
                 arrow_apply_into(h, s, {t: 1}, image)
                 for u, c in image.items():
                     row = block[at[u]]
@@ -167,7 +158,7 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         spans = []
         for x in linalg.kernel(linalg.eliminate(rows), len(fibre)):
             nums = {fibre[k]: c for k, c in _cleared(x)[0].items()}
-            v: dict[tuple[int, ...], int] = {}
+            v: dict[tuple[int, ...], int | Fraction] = {}
             for conn in comp.connectors.values():
                 arrow_apply_into(h, conn, nums, v)
             spans.append({col[t]: c for t, c in v.items()})
@@ -223,11 +214,6 @@ class BraidedSeries:
         if len(names) != self.module.dim:
             raise DegreeMismatch("coordinate name count differs from dimension")
         return sum((poly_from_form(t, names) for t in self.parts.values()), MultiPoly.zero(names))
-
-    def assert_braided(self) -> None:
-        for t in self.parts.values():
-            if not is_braided(self.module, t):
-                raise DegreeMismatch("series part is not braid-invariant")
 
 
 def unit_series(h: GradedModule, truncation: int) -> BraidedSeries:

@@ -357,10 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser(invoked_command(argv)).parse_args(argv)
     try:
         report: RunReport = args.fn(args)
-    except ser.ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except NotAGroup as exc:
+    except (ser.ParseError, NotAGroup) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except BadIndex as exc:

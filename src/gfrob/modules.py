@@ -15,13 +15,12 @@ groupoid arrows.
 Every linear action on tensors (groupoid arrows, the braiding applied per
 degree tuple, the diagonal action, pullbacks) is one call of the sparse
 kernel slot_apply_into: sparse matrix columns per slot, then a slot
-permutation.  A module keeps its columns as the integers of Delta * M_g,
-with Delta the common denominator of all action entries (1 for an integral
-action), and an arrow application yields Delta^n times the arrow's action.
-braidize's integer core, which circ_product feeds directly with the
-juxtapositions of one degree, gives the kernel integer numerators over one
-common denominator and divides once per output term; the other actions
-divide by Delta^n.
+permutation.  A module keeps the nonzero entries of each action matrix as
+its columns, an int where the entry is integral and a Fraction otherwise,
+so an integral action runs on ints alone.  braidize's integer core, which
+circ_product feeds directly with the juxtapositions of one degree, gives
+the kernel numerators over one common denominator and divides once per
+output term.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -38,7 +36,7 @@ from .groupoid import Arrow, GTuple, gen_arrow, inverse_gen_arrow
 from .groups import FiniteGroup, cyclic_group
 
 Matrix = linalg.Mat
-Columns = list[list[tuple[int, int]]]  # columns[j] = nonzero (row, entry of Delta * M) pairs
+Columns = list[list[tuple[int, int | Fraction]]]  # columns[j] = nonzero (row, entry of M) pairs
 # Fractions, or the integer numerators that braidize and circ_product feed braidize's core
 Terms = Mapping[tuple[int, ...], int | Fraction]
 
@@ -57,16 +55,10 @@ class GradedModule:
         return tuple(self.degrees[j] for j in idx)
 
     @cached_property
-    def delta(self) -> int:
-        """Common denominator Delta of all action entries; 1 for an integral action."""
-        return lcm(*(a.denominator for m in self.action for row in m for a in row))
-
-    @cached_property
     def columns(self) -> list[Columns]:
-        """columns[g] = the sparse integer columns of Delta times the action matrix of g."""
-        delta = self.delta
+        """columns[g] = the sparse columns of the action matrix of g, each entry an int where it is integral."""
         return [
-            [[(i, a.numerator * (delta // a.denominator)) for i, a in enumerate(col) if a] for col in zip(*m)]
+            [[(i, a.numerator if a.denominator == 1 else a) for i, a in enumerate(col) if a] for col in zip(*m)]
             for m in self.action
         ]
 
@@ -130,21 +122,20 @@ def validate_module(h: GradedModule) -> Verdict:
     failure line reads `homomorphism axiom fails at (a, b) = (1, 1)`.
     InvalidAction if the action matrices do not fit the module.
 
-    The homomorphism axiom is checked exactly on the integer columns as
-    Delta^2 rho(ab) = (Delta rho(a)) (Delta rho(b)).  Once it and the
-    identity axiom hold, rho(g) rho(g^-1) = rho(e) = I proves every rho(g)
-    invertible, so ranks are computed only when one of the two fails.
+    The homomorphism axiom rho(ab) = rho(a) rho(b) is checked exactly on
+    the sparse columns.  Once it and the identity axiom hold,
+    rho(g) rho(g^-1) = rho(e) = I proves every rho(g) invertible, so ranks
+    are computed only when one of the two fails.
     """
     _require_shape(h)
     g = h.group
     d = h.dim
     rho, elements, e = h.action, list(g.elements()), g.identity
     cols = h.columns
-    scaled = [[{i: h.delta * x for i, x in col} for col in cs] for cs in cols]
     checks = {
         "homomorphism axiom": next(
             (f"(a, b) = ({a}, {b})" for a in elements for b in elements
-             if _column_product(cols[a], cols[b]) != scaled[g.mul(a, b)]),
+             if _column_product(cols[a], cols[b]) != [dict(col) for col in cols[g.mul(a, b)]]),
             None,
         ),
         "identity axiom": next(
@@ -179,11 +170,11 @@ def self_invariance_witness(h: GradedModule) -> str | None:
     )
 
 
-def _column_product(a: Columns, b: Columns) -> list[dict[int, int]]:
-    """The columns of the integer matrix product a b, as {row: nonzero entry}."""
+def _column_product(a: Columns, b: Columns) -> list[dict[int, int | Fraction]]:
+    """The columns of the matrix product a b, as {row: nonzero entry}."""
     out = []
     for col in b:
-        acc: dict[int, int] = {}
+        acc: dict[int, int | Fraction] = {}
         for k, y in col:
             for i, x in a[k]:
                 acc[i] = acc.get(i, 0) + x * y
@@ -296,22 +287,20 @@ def slot_apply_into(
     perm: Sequence[int],
     terms: Terms,
     out: dict[tuple[int, ...], int | Fraction],
-    scale: int | Fraction = 1,
 ) -> None:
-    """Accumulate scale * (P_perm . (M_1 (x) ... (x) M_n) . terms) into out.
+    """Accumulate P_perm . (M_1 (x) ... (x) M_n) . terms into out.
 
     cols[s] holds the sparse columns of the matrix M_s acting on slot s, or
     None for the identity; slot perm[s] of the result then comes from slot s.
-    Coefficients may be ints or Fractions; ints stay ints.
+    Coefficients and matrix entries may be ints or Fractions; ints stay ints.
     """
     # Build each result tuple in result order: position k comes from slot source[k].
     source = [0] * len(perm)
     for s, k in enumerate(perm):
         source[k] = s
     slots = [(s, cols[s]) for s in source]
-    unscaled = scale == 1
     for idx, c in terms.items():
-        partial: list[tuple[tuple[int, ...], int | Fraction]] = [((), c if unscaled else c * scale)]
+        partial: list[tuple[tuple[int, ...], int | Fraction]] = [((), c)]
         for s, col in slots:
             j = idx[s]
             if col is None:
@@ -334,22 +323,9 @@ def arrow_apply_into(
     terms: Terms,
     out: dict[tuple[int, ...], int | Fraction],
 ) -> None:
-    """Accumulate Delta^n * (a . terms) into out (no degree validation).
-
-    The columns carry one factor Delta each; the identity slots get theirs
-    through the kernel's scale.
-    """
+    """Accumulate a . terms into out (no degree validation); an integral action keeps int terms ints."""
     e = h.group.identity
-    cols = [None if g == e else h.columns[g] for g in a.gpart]
-    slot_apply_into(cols, a.perm, terms, out, h.delta ** cols.count(None))
-
-
-def _unscaled_tensor(h: GradedModule, n: int, out: dict[tuple[int, ...], Fraction]) -> Tensor:
-    """The tensor Delta^-n * out, for out accumulated by the kernel on module columns."""
-    den = h.delta**n
-    if den != 1:
-        out = {idx: Fraction(c.numerator, c.denominator * den) for idx, c in out.items()}
-    return Tensor(n, out)
+    slot_apply_into([None if g == e else h.columns[g] for g in a.gpart], a.perm, terms, out)
 
 
 def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tensor:
@@ -364,7 +340,7 @@ def braid_act(h: GradedModule, i: int, v: Tensor, inverse: bool = False) -> Tens
     out: dict[tuple[int, ...], Fraction] = {}
     for deg, part in split_homogeneous(h, v).items():
         arrow_apply_into(h, step(h.group, i, deg), part, out)
-    return _unscaled_tensor(h, v.n, out)
+    return Tensor(v.n, out)
 
 
 def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
@@ -378,7 +354,7 @@ def arrow_act(h: GradedModule, a: Arrow, v: Tensor) -> Tensor:
             )
     out: dict[tuple[int, ...], Fraction] = {}
     arrow_apply_into(h, a, v.terms, out)
-    return _unscaled_tensor(h, v.n, out)
+    return Tensor(v.n, out)
 
 
 def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
@@ -387,7 +363,7 @@ def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
         return v
     out: dict[tuple[int, ...], Fraction] = {}
     slot_apply_into([h.columns[g]] * v.n, range(v.n), v.terms, out)
-    return _unscaled_tensor(h, v.n, out)
+    return Tensor(v.n, out)
 
 
 def invariants_basis(h: GradedModule) -> list[linalg.Vec]:

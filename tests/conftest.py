@@ -135,6 +135,11 @@ def rescale_basis(h, j, s):
     return graded_module(h.group, h.degrees, action)
 
 
+def has_non_integral_entry(h: GradedModule) -> bool:
+    """Whether some entry of some action matrix of h is not an integer."""
+    return any(a.denominator != 1 for m in h.action for row in m for a in row)
+
+
 def make_s3_module(sign_twist: bool = False):
     """dim 4 over S_3: one untwisted line plus the three transposition lines."""
     g = symmetric_group(3)

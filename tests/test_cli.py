@@ -783,7 +783,7 @@ def test_golden_groupoid_census(capsys, tmp_path, golden, group, n):
     ],
 )
 def test_golden_br_basis_outputs(capsys, files, tmp_path, golden, module, n):
-    """Canonical invariant bases stay byte-identical, also for Delta = 2."""
+    """Canonical invariant bases stay byte-identical, also for a non-integral action."""
     import pathlib
     from fractions import Fraction
 

@@ -27,6 +27,7 @@ from gfrob.singularity import z2_frobenius_algebra
 
 from conftest import (
     diag,
+    has_non_integral_entry,
     literal_action,
     make_s3_module,
     make_z3_module,
@@ -226,11 +227,11 @@ def test_diagonal_act(orbifold_module, z3_module, s3_module):
 
 @pytest.mark.parametrize("make", [make_z3_module, make_s3_module])
 def test_actions_on_a_non_integral_module_match_literal_matrices(make):
-    """The kernel scales columns by the common denominator; every action divides it out again."""
+    """On a module with Fraction entries in its columns, every action is the literal matrix action."""
     from gfrob.groupoid import inverse_gen_arrow
 
     h = rescale_basis(make(), 1, Fraction(1, 2))
-    assert h.delta == 2 and make().delta == 1
+    assert has_non_integral_entry(h) and not has_non_integral_entry(make())
     rng = random.Random(7)
     for n in (2, 3):
         for _ in range(6):
@@ -246,6 +247,32 @@ def test_actions_on_a_non_integral_module_match_literal_matrices(make):
                         assert moved == Tensor(n, literal_action(h, a.gpart, a.perm, {idx: c}))
                         want = want + moved
                     assert braid_act(h, i, v, inverse=inverse) == want
+
+
+INTEGRAL_MODULES = {
+    "z2-orbifold-dual": lambda: dual_module(z2_frobenius_algebra(3).module),
+    "z3-rot": make_z3_module,
+    "s3": make_s3_module,
+    "s3-sign": lambda: make_s3_module(sign_twist=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_MODULES))
+def test_columns_of_an_integral_action_hold_ints(name):
+    h = INTEGRAL_MODULES[name]()
+    for g, m in enumerate(h.action):
+        assert h.columns[g] == [[(i, m[i][j]) for i in range(h.dim) if m[i][j]] for j in range(h.dim)]
+    assert all(type(x) is int for cols in h.columns for col in cols for _, x in col)
+
+
+@pytest.mark.parametrize("make", [make_z3_module, make_s3_module])
+def test_columns_hold_fractions_exactly_at_non_integral_entries(make):
+    h = rescale_basis(make(), 1, Fraction(1, 2))
+    assert has_non_integral_entry(h)
+    for g, m in enumerate(h.action):
+        assert h.columns[g] == [[(i, m[i][j]) for i in range(h.dim) if m[i][j]] for j in range(h.dim)]
+        for j, col in enumerate(h.columns[g]):
+            assert all(type(x) is (int if m[i][j].denominator == 1 else Fraction) for i, x in col)
 
 
 def test_invariants_and_untwisted(orbifold_module, trivial_modules):

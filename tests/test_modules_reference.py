@@ -3,9 +3,9 @@
 validate_module_reference below is the earlier body of modules.validate_module:
 the homomorphism axiom as dense Fraction products rho(a) rho(b), and a rank
 for every rho(g).  It serves as an independent oracle for the check on the
-integer columns Delta * rho(g), which computes ranks only when the
-homomorphism or identity axiom fails.  The modules are the Z2, Z3 and S3
-fixtures in a random block-preserving basis (so Delta > 1), optionally
+sparse columns of rho(g), which computes ranks only when the homomorphism
+or identity axiom fails.  The modules are the Z2, Z3 and S3 fixtures in a
+random block-preserving basis (so the action is non-integral), optionally
 broken by a perturbed entry, a singular rho(g), a broken grading, swapped
 matrices or an idempotent action; the two verdicts must be equal, down to
 the failure string, and so must the self-invariance witnesses.
@@ -19,7 +19,7 @@ from gfrob import graded_module, linalg, self_invariance_witness, validate_modul
 from gfrob.modules import Verdict
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import make_s3_module, make_z3_module, unvalidated_module
+from conftest import has_non_integral_entry, make_s3_module, make_z3_module, unvalidated_module
 
 # -- dense reference ------------------------------------------------------------
 
@@ -127,11 +127,11 @@ def test_validate_module_matches_dense_reference(case):
 
 
 def test_basis_change_makes_non_integral_actions():
-    """The strategy reaches modules with Delta > 1, where the integer columns are scaled."""
+    """The strategy reaches modules whose action has a non-integral entry."""
     h = BASES["z3"]
     s = [Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1)]
     action = [[[m[a][b] * s[b] / s[a] for b in range(h.dim)] for a in range(h.dim)] for m in h.action]
     scaled = graded_module(h.group, h.degrees, action)
-    assert scaled.delta == 2
+    assert has_non_integral_entry(scaled)
     assert validate_module(scaled) == validate_module_reference(scaled)
     assert self_invariance_witness(scaled) == self_invariance_reference(scaled)

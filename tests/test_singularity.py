@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -380,6 +381,23 @@ def test_z2_manifold_roundtrip():
         assert z2_cubic_witness(fm) is None
         expected = MultiPoly(("t_*", "t_0"), {(2, 1): Fraction(1, 2)})
         assert fm.twisted_cubic == expected
+
+
+@pytest.mark.parametrize(
+    "exponents, c, witness",
+    [
+        ((0, 3, 0, 0, 0, 0), Fraction(1, 7), (1, 1, 1)),  # t_2^3 / 7
+        ((0, 0, 1, 2, 0, 0), Fraction(1, 3), (2, 3, 4)),  # t_1^2 t_4 / 3
+    ],
+)
+def test_z2_cubic_witness_names_a_perturbed_cubic(exponents, c, witness):
+    """The failing side of construct-z2's cubic_matches_algebra row: a witness, not an exception."""
+    fm = z2_frobenius_manifold(4)
+    asm = fm.assembly
+    assert asm.names == ("t_0", "t_2", "t_4", "t_1", "t_3", "t_*")
+    perturbed = asm.potential + MultiPoly(asm.names, {exponents: c})
+    bad = dataclasses.replace(fm, assembly=dataclasses.replace(asm, potential=perturbed))
+    assert z2_cubic_witness(bad) == witness
 
 
 def test_z2_manifold_unit_at_origin():
