@@ -30,7 +30,7 @@ from .errors import (
     UnitFails,
 )
 from .groups import trivial_group
-from .linalg import ZERO, Mat, Vec
+from .linalg import ONE, ZERO, Mat, Vec
 from .modules import (
     GradedModule,
     Tensor,
@@ -207,12 +207,21 @@ def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] 
 # -- G-Frobenius algebras ------------------------------------------------------
 
 
+def _accumulate(terms) -> dict:
+    """The sums of the (key, value) terms per key, without the sums that are zero."""
+    out: dict = {}
+    for key, x in terms:
+        out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if x}
+
+
 @dataclass(frozen=True)
 class GFrobeniusAlgebra:
     """The product e_a e_b = sum_k mult[a][b][k] e_k on a graded module, with a metric and a unit.
 
     The nonzero structure constants are gathered on first use and kept on
-    the instance; product, the one multiplication, runs over them alone.
+    the instance.  times, the one multiplication, runs over them alone on
+    sparse vectors {index: nonzero entry}; product is its dense form.
     """
 
     module: GradedModule
@@ -225,20 +234,23 @@ class GFrobeniusAlgebra:
         return self.module.dim
 
     @cached_property
-    def _nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """_nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant."""
+    def nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant."""
         return [[[(k, x) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
 
+    def times(self, v: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        nz = self.nonzero
+        return _accumulate((k, x * y * z) for a, x in v.items() for b, y in w.items() for k, z in nz[a][b])
+
     def product(self, v: Vec, w: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        ws = [(b, y) for b, y in enumerate(w) if y]
-        for row, x in zip(self._nonzero, v):
-            if x:
-                for b, y in ws:
-                    coef = x * y
-                    for k, z in row[b]:
-                        out[k] += coef * z
-        return tuple(out)
+        out = self.times(_accumulate(enumerate(v)), _accumulate(enumerate(w)))
+        return tuple(out.get(k, ZERO) for k in range(self.dim))
+
+
+def _least_difference(left: Mapping, right: Mapping) -> str | None:
+    """(a, b, c) of the least key (a, b, c, ...) at which two sparse sums differ, one-sided keys included."""
+    keys = () if left == right else [k for k in left.keys() | right.keys() if left.get(k) != right.get(k)]
+    return "(a, b, c) = ({}, {}, {})".format(*min(keys)[:3]) if keys else None
 
 
 def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
@@ -255,60 +267,56 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
     commutativity, (a, b, c) for metric invariance and associativity, g or a
     unit entry j for the invariant unit, and b for the unit law.
 
-    Every product below is alg.product: with e the basis and rho_g(e_a)
-    the columns of the action, equivariance is rho_g(e_a) rho_g(e_b) =
-    rho_g(e_a e_b), associativity (e_a e_b) e_c = e_a (e_b e_c), and the
-    unit law 1 e_b = e_b.  Braided commutativity is checked as
-    e_a e_b = rho_{deg(a)^-1}(e_b) e_a.  The Jarvis-Kaufmann-Kimura axiom,
-    and the braiding that braided.is_braided tests, read rho_{deg(a)}
-    instead; the two agree when deg(a)^2 acts trivially, as over Z2, and
-    differ on the group algebra of S3 (a known defect, kept so that every
-    verdict stays as it was).
+    validate_module runs first, so a malformed module raises before the
+    action is read.  Every axiom runs over the nonzero constants alone, in
+    O(nnz * d) for nnz of them.  Equivariance rho_g(e_a) rho_g(e_b) =
+    rho_g(e_a e_b), braided commutativity, the invariant unit and the unit
+    law 1 e_b = e_b compare sparse vectors through alg.times, with rho_g(e_a)
+    the sparse columns of the action.  Metric invariance compares
+    eta(e_a e_b, e_c) with eta(e_a, e_b e_c) and associativity
+    (e_a e_b) e_c with e_a (e_b e_c), each side built once, at the least
+    (a, b, c) where they differ, an entry on one side only included.
+    Braided commutativity is checked as e_a e_b = rho_{deg(a)^-1}(e_b) e_a.
+    The Jarvis-Kaufmann-Kimura axiom, and the braiding that
+    braided.is_braided tests, read rho_{deg(a)} instead; the two agree when
+    deg(a)^2 acts trivially, as over Z2, and differ on the group algebra of
+    S3 (a known defect, kept so that every verdict stays as it was).
     """
     h = alg.module
-    g = h.group
-    d = h.dim
-    eta = alg.metric
-    e = linalg.identity(d)
-    ab = [[alg.product(x, y) for y in e] for x in e]  # ab[a][b] = e_a e_b
-    cols = [linalg.transpose(rho) for rho in h.action]  # cols[g][a] = rho_g(e_a)
-    eta_cols = linalg.transpose(eta)
-    pairs = [(a, b) for a in range(d) for b in range(d)]
-    triples = [(a, b, x) for a in range(d) for b in range(d) for x in range(d)]
-
+    g, d, deg, eta, nz = h.group, h.dim, h.degrees, alg.metric, alg.nonzero
+    consts = [(a, b, k, y) for a, row in enumerate(nz) for b, ab in enumerate(row) for k, y in ab]
+    unit = _accumulate(enumerate(alg.unit))
     return Verdict({
         "module_valid": validate_module(h).witness,
         "self_invariant": self_invariance_witness(h),
         "equivariance": next(
-            (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma in g.elements() for a, b in pairs
-             if alg.product(cols[gamma][a], cols[gamma][b]) != linalg.mat_vec(h.action[gamma], ab[a][b])),
+            (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma, cols in enumerate(h.columns) for a in range(d)
+             for b in range(d) if alg.times(dict(cols[a]), dict(cols[b]))
+             != _accumulate((i, r * x) for j, x in nz[a][b] for i, r in cols[j])),
             None,
         ),
         "graded_mult": next(
-            (f"(a, b, k) = ({a}, {b}, {k})" for a, b, k in triples
-             if ab[a][b][k] != 0 and h.degrees[k] != g.mul(h.degrees[a], h.degrees[b])),
-            None,
+            (f"(a, b, k) = ({a}, {b}, {k})" for a, b, k, _ in consts if deg[k] != g.mul(deg[a], deg[b])), None
         ),
         "braided_commutativity": next(
-            (f"(a, b) = ({a}, {b})" for a, b in pairs
-             if ab[a][b] != alg.product(cols[g.inv(h.degrees[a])][b], e[a])),
+            (f"(a, b) = ({a}, {b})" for a in range(d) for b in range(d)
+             if dict(nz[a][b]) != alg.times(dict(h.columns[g.inv(deg[a])][b]), {a: ONE})),
             None,
         ),
-        "metric_invariance": next(
-            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples
-             if linalg.dot(ab[a][b], eta_cols[x]) != linalg.dot(eta[a], ab[b][x])),
-            None,
+        "metric_invariance": _least_difference(  # eta(e_a e_b, e_c) and eta(e_a, e_b e_c)
+            _accumulate(((a, b, x), y * eta[k][x]) for a, b, k, y in consts for x in range(d) if eta[k][x]),
+            _accumulate(((x, a, b), eta[x][k] * y) for a, b, k, y in consts for x in range(d) if eta[x][k]),
         ),
         "invariant_unit": next(
-            (f"g = {gamma}" for gamma in g.elements() if linalg.mat_vec(h.action[gamma], alg.unit) != alg.unit),
-            next((f"j = {j}" for j in range(d) if alg.unit[j] != 0 and h.degrees[j] != g.identity), None),
+            (f"g = {gamma}" for gamma, cols in enumerate(h.columns)
+             if _accumulate((i, r * x) for j, x in unit.items() for i, r in cols[j]) != unit),
+            next((f"j = {j}" for j in unit if deg[j] != g.identity), None),
         ),
-        "associative": next(
-            (f"(a, b, c) = ({a}, {b}, {x})" for a, b, x in triples
-             if alg.product(ab[a][b], e[x]) != alg.product(e[a], ab[b][x])),
-            None,
+        "associative": _least_difference(  # (e_a e_b) e_c and e_a (e_b e_c), keyed (a, b, c, l)
+            _accumulate(((a, b, x, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[k][x]),
+            _accumulate(((x, a, b, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[x][k]),
         ),
-        "unital": next((f"b = {b}" for b in range(d) if alg.product(alg.unit, e[b]) != e[b]), None),
+        "unital": next((f"b = {b}" for b in range(d) if alg.times(unit, {b: ONE}) != {b: ONE}), None),
         "metric": check_metric(h, eta).witness,
     })
 
@@ -324,18 +332,14 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
     for idx in y3.terms:
         if h.group.product(hd.degree_tuple(idx)) != h.group.identity:
             raise DegreeMismatch("cubic form has a component of nontrivial G-degree")
-    eta_inv = _inverse_metric(eta)
-    mult = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            w = [y3.terms.get((k, b, a), Fraction(0)) for k in range(d)]
-            row.append(linalg.mat_vec(eta_inv, w))
-        mult.append(tuple(row))
-    alg = GFrobeniusAlgebra(h, eta, tuple(mult), tuple(Fraction(x) for x in unit))
-    for b, e_b in enumerate(linalg.identity(d)):
-        if alg.product(alg.unit, e_b) != e_b:
-            raise UnitFails(f"unit fails on basis vector {b}")
+    # mult[a][b][l] = sum_k eta^{lk} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero eta^{lk}
+    cols = [[(l, x) for l, x in enumerate(col) if x] for col in linalg.transpose(_inverse_metric(eta))]
+    sums = _accumulate(((a, b, l), x * y) for (k, b, a), y in y3.terms.items() for l, x in cols[k])
+    mult = tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
+    alg = GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
+    one = _accumulate(enumerate(alg.unit))
+    if (bad := next((b for b in range(d) if alg.times(one, {b: ONE}) != {b: ONE}), None)) is not None:
+        raise UnitFails(f"unit fails on basis vector {bad}")
     return alg
 
 

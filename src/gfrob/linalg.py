@@ -53,10 +53,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return tuple(dot(row, v) for row in a)
-
-
 def _sub_multiple(target: IntRow, f: int, row: IntRow) -> None:
     """target -= f * row, dropping the entries that cancel."""
     for c, x in row.items():

@@ -21,7 +21,7 @@ from gfrob.braided import BraidedSeries, form_from_poly, series_from_poly
 from gfrob.errors import InvalidMorphism
 from gfrob.frobenius import GFrobeniusAlgebra, gfa_from_cubic
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
-from gfrob.linalg import identity, mat
+from gfrob.linalg import dot, identity, mat
 from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
 from gfrob.singularity import z2_frobenius_algebra
 
@@ -72,6 +72,11 @@ def origin_algebra(fm) -> GFrobeniusAlgebra:
     y3 = form_from_poly(asm.potential.homogeneous_part(3), asm.names, 3).scale(6)
     unit = tuple(Fraction(-int(i == 0)) for i in range(asm.module.dim))
     return gfa_from_cubic(asm.module, asm.metric, y3, unit)
+
+
+def mat_vec(a, v):
+    """The dense matrix-vector product a v, an oracle for the sparse products of src/gfrob."""
+    return tuple(dot(row, v) for row in a)
 
 
 def diag(entries):

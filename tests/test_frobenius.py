@@ -25,13 +25,14 @@ from gfrob import (
 from gfrob.errors import (
     BlockDegreeViolation,
     DegenerateMetric,
+    InvalidAction,
     RestrictionMismatch,
     UnitFails,
 )
 from gfrob.frobenius import braid_witness, decompose_z2_potential, g_degree_witness
 from gfrob.groups import cyclic_group, trivial_group
 from gfrob.linalg import identity, mat_mul, rank, solve_columns, transpose
-from gfrob.modules import dual_module, invariants_basis, trivial_graded_module
+from gfrob.modules import GradedModule, dual_module, invariants_basis, trivial_graded_module
 from gfrob.singularity import (
     flat_metric,
     milnor_ring,
@@ -169,6 +170,36 @@ def test_group_algebra_is_gfa(z2):
 def test_orbifold_algebra_axioms():
     for n in (3, 4, 5, 6):
         assert check_gfa(z2_frobenius_algebra(n)).passed
+
+
+@pytest.mark.parametrize("alg", [
+    pytest.param(lambda: z2_frobenius_algebra(10), id="z2-d18"),
+    pytest.param(lambda: z2_frobenius_algebra(14), id="z2-d26"),
+    pytest.param(lambda: z2_frobenius_algebra(18), id="z2-d34"),
+    pytest.param(lambda: milnor_ring("A", 28), id="A28"),
+])
+def test_large_algebras_pass(alg):
+    """Sizes at which a d^4 check takes seconds: the sparse check_gfa proves them in a fraction of one."""
+    assert check_gfa(alg()).passed
+
+
+@pytest.mark.parametrize("shape", ["one matrix", "short rows", "ragged", "bad degree"])
+def test_check_gfa_refuses_a_malformed_module(shape):
+    """The module's shape is checked before its action is read: a ragged matrix is InvalidAction too."""
+    alg = z2_frobenius_algebra(3)
+    h = alg.module
+    degrees, action = h.degrees, h.action
+    if shape == "one matrix":
+        action = action[:1]
+    elif shape == "short rows":
+        action = tuple(tuple(r[:-1] for r in m) for m in action)
+    elif shape == "ragged":
+        action = tuple(tuple(r if i == 0 else r[:-1] for i, r in enumerate(m)) for m in action)
+    else:
+        degrees = degrees[:-1] + (h.group.order,)
+    bad = GFrobeniusAlgebra(GradedModule(h.group, degrees, action), alg.metric, alg.mult, alg.unit)
+    with pytest.raises(InvalidAction):
+        check_gfa(bad)
 
 
 def test_orbifold_algebra_broken_square_fails():
