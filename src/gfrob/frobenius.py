@@ -58,6 +58,8 @@ def check_metric(h: GradedModule, m: Mat) -> Verdict:
     The witness is an entry (i, j) of m for symmetry and for grading, and an
     element g for invariance and for the nondegenerate pairing of H_g with
     H_{g^-1}; the failure line reads `blockwise_nondegenerate fails at g = 1`.
+    Invariance is read as a pullback: m is g-invariant when
+    linalg.pullback_metric(m, rho_g) = rho_g^T m rho_g equals m.
     """
     g = h.group
     d = h.dim
@@ -71,9 +73,7 @@ def check_metric(h: GradedModule, m: Mat) -> Verdict:
     return Verdict({
         "symmetric": next((f"(i, j) = ({i}, {j})" for i, j in cells if m[i][j] != m[j][i]), None),
         "g_invariant": next(
-            (f"g = {gamma}" for gamma in g.elements()
-             if linalg.mat_mul(linalg.transpose(h.action[gamma]), linalg.mat_mul(m, h.action[gamma])) != m),
-            None,
+            (f"g = {gamma}" for gamma in g.elements() if linalg.pullback_metric(m, h.action[gamma]) != m), None
         ),
         "grading_preserving": next(
             (f"(i, j) = ({i}, {j})" for i, j in cells
@@ -158,7 +158,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     y3 = pot.third
 
     # rows[a][b][l] = sum_k Y_abk g^{kl}, over the nonzero g^{kl} of each column l
-    cols = [[(k, x) for k, x in enumerate(col) if x] for col in linalg.transpose(ginv)]
+    cols = linalg.columns(ginv)
     rows = {
         (a, b): [MultiPoly.sum_of_products(((y3(a, b, k), x) for k, x in col), pot.names) for col in cols]
         for a in range(d) for b in range(a, d)
@@ -188,20 +188,17 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
 
 
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
-    """Structure constants c[a][b][l] of the product at a point (default origin)."""
+    """Structure constants c[a][b][l] = sum_k Y_abk g^{kl} at a point (default origin), each Y_abk evaluated once."""
     d = len(pot.names)
-    ginv = _inverse_metric(eta)
+    cols = linalg.columns(_inverse_metric(eta))
     pt = {n: Fraction(0) for n in pot.names}
     if point:
         pt.update({k: Fraction(v) for k, v in point.items()})
-    out = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            entry = [sum(pot.third(a, b, k).eval(pt) * ginv[k][l] for k in range(d)) for l in range(d)]
-            row.append(tuple(entry))
-        out.append(tuple(row))
-    return tuple(out)
+    y3 = {abc: y.eval(pt) for abc, y in pot.thirds.items()}
+    return tuple(
+        tuple(tuple(sum((y3[tuple(sorted((a, b, k)))] * x for k, x in col), ZERO) for col in cols) for b in range(d))
+        for a in range(d)
+    )
 
 
 # -- G-Frobenius algebras ------------------------------------------------------
@@ -291,8 +288,7 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
         "self_invariant": self_invariance_witness(h),
         "equivariance": next(
             (f"g = {gamma}, (a, b) = ({a}, {b})" for gamma, cols in enumerate(h.columns) for a in range(d)
-             for b in range(d) if alg.times(dict(cols[a]), dict(cols[b]))
-             != _accumulate((i, r * x) for j, x in nz[a][b] for i, r in cols[j])),
+             for b in range(d) if alg.times(dict(cols[a]), dict(cols[b])) != linalg.apply(cols, nz[a][b])),
             None,
         ),
         "graded_mult": next(
@@ -308,8 +304,7 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
             _accumulate(((x, a, b), eta[x][k] * y) for a, b, k, y in consts for x in range(d) if eta[x][k]),
         ),
         "invariant_unit": next(
-            (f"g = {gamma}" for gamma, cols in enumerate(h.columns)
-             if _accumulate((i, r * x) for j, x in unit.items() for i, r in cols[j]) != unit),
+            (f"g = {gamma}" for gamma, cols in enumerate(h.columns) if linalg.apply(cols, unit.items()) != unit),
             next((f"j = {j}" for j in unit if deg[j] != g.identity), None),
         ),
         "associative": _least_difference(  # (e_a e_b) e_c and e_a (e_b e_c), keyed (a, b, c, l)
@@ -333,7 +328,7 @@ def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeni
         if h.group.product(hd.degree_tuple(idx)) != h.group.identity:
             raise DegreeMismatch("cubic form has a component of nontrivial G-degree")
     # mult[a][b][l] = sum_k eta^{lk} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero eta^{lk}
-    cols = [[(l, x) for l, x in enumerate(col) if x] for col in linalg.transpose(_inverse_metric(eta))]
+    cols = linalg.columns(_inverse_metric(eta))
     sums = _accumulate(((a, b, l), x * y) for (k, b, a), y in y3.terms.items() for l, x in cols[k])
     mult = tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
     alg = GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
@@ -383,17 +378,17 @@ def g_degree_witness(h: GradedModule, pot: Potential, g_target: int) -> tuple[tu
 def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     """First coordinate pair (x, y) at which the potential is not braided, else None.
 
-    For the polarization T on hd = dual_module(h), with rho the action of hd,
-    b_1 T = T reads T(y, x, ...) = sum_b rho(deg y)[x][b] T(y, b, ...), that is
-    d_y d_x P = sum_b rho(deg y)[x][b] d_y d_b P in every degree at once.
-    Slot permutations fix T and conjugate b_1 into every b_i, so this is exact.
+    For the polarization T on dual_module(h), with rho the action of h,
+    b_1 T = T reads T(y, x, ...) = sum_b rho(deg y)[b][x] T(y, b, ...), that is
+    d_y d_x P = sum_b rho(deg y)[b][x] d_y d_b P in every degree at once: the
+    dual acts by rho(g^-1)^T, and y has degree deg(y)^-1 there.  The sum runs
+    over column x of rho(deg y), read from h.columns.  Slot permutations fix
+    T and conjugate b_1 into every b_i, so this is exact.
     """
-    hd = dual_module(h)
     d = len(pot.names)
     for x in range(d):
         for y in range(d):
-            row = hd.action[hd.degrees[y]][x]
-            moved = MultiPoly.sum_of_products((pot.second(y, b), w) for b, w in enumerate(row) if w != 0)
+            moved = MultiPoly.sum_of_products((pot.second(y, b), w) for b, w in h.columns[h.degrees[y]][x])
             if pot.second(y, x) != moved:
                 return x, y
     return None

@@ -6,8 +6,13 @@ int or Fraction) in, the unique reduced row echelon form in Fractions out,
 with integer arithmetic in between.  Working on nonzeros only keeps the
 sparse br_basis systems cheap, and the unique form makes every kernel basis
 read from it canonical.  `rank`, `nullspace`, `mat_inv` and
-`solve_columns` are thin dense adapters over it; `inclusion` and
-`pullback_metric` restrict a metric to a subspace.
+`solve_columns` are thin dense adapters over it.
+
+`columns` and `apply` are the one sparse linear-map layer: a matrix as the
+nonzero (row, entry) pairs of each column, and M v for a sparse v.  Every
+action, matrix product and metric pullback reads them; `inclusion` and
+`pullback_metric`, computed over the columns of the inclusion, restrict a
+metric to a subspace.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 Row = dict[int, Fraction]
 IntRow = dict[int, int]
+Columns = list[list[tuple[int, int | Fraction]]]  # columns[j] = nonzero (row, entry of M) pairs
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,13 +50,18 @@ def transpose(a: Mat) -> Mat:
     return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
 
 
-def dot(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(v, w) if x and y), ZERO)
+def columns(m: Sequence[Sequence[Fraction]]) -> Columns:
+    """The sparse columns of m, each entry an int where it is integral; a matrix with no rows has none."""
+    return [[(i, a.numerator if a.denominator == 1 else a) for i, a in enumerate(col) if a] for col in zip(*m)]
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+def apply(cols: Columns, v: Iterable[tuple[int, int | Fraction]]) -> dict[int, int | Fraction]:
+    """M v as {row: nonzero entry}, for M given by its sparse columns and v by its (index, entry) pairs."""
+    out: dict[int, int | Fraction] = {}
+    for j, y in v:
+        for i, x in cols[j]:
+            out[i] = out.get(i, 0) + x * y
+    return {i: x for i, x in out.items() if x}
 
 
 def _sub_multiple(target: IntRow, f: int, row: IntRow) -> None:
@@ -185,5 +196,7 @@ def inclusion(basis: Sequence[Vec], dim: int) -> Mat:
 
 
 def pullback_metric(eta: Mat, incl: Mat) -> Mat:
-    """incl^T eta incl: the metric eta restricted to the span of the inclusion's columns."""
-    return mat_mul(transpose(incl), mat_mul(eta, incl))
+    """incl^T eta incl, over the sparse columns of incl: the metric eta restricted to the span of those columns."""
+    cols, eta_cols = columns(incl), columns(eta)
+    moved = [apply(eta_cols, q) for q in cols]  # the columns of eta incl
+    return tuple(tuple(sum((x * w[i] for i, x in p if i in w), ZERO) for w in moved) for p in cols)

@@ -16,11 +16,12 @@ Every linear action on tensors (groupoid arrows, the braiding applied per
 degree tuple, the diagonal action, pullbacks) is one call of the sparse
 kernel slot_apply_into: sparse matrix columns per slot, then a slot
 permutation.  A module keeps the nonzero entries of each action matrix as
-its columns, an int where the entry is integral and a Fraction otherwise,
-so an integral action runs on ints alone.  braidize's integer core, which
-circ_product feeds directly with the juxtapositions of one degree, gives
-the kernel numerators over one common denominator and divides once per
-output term.
+its columns, from linalg.columns: an int where the entry is integral and a
+Fraction otherwise, so an integral action runs on ints alone.  The module
+axioms and is_morphism multiply those columns with linalg.apply.
+braidize's integer core, which circ_product feeds directly with the
+juxtapositions of one degree, gives the kernel numerators over one common
+denominator and divides once per output term.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .groupoid import Arrow, GTuple, gen_arrow, inverse_gen_arrow
 from .groups import FiniteGroup, cyclic_group
 
 Matrix = linalg.Mat
-Columns = list[list[tuple[int, int | Fraction]]]  # columns[j] = nonzero (row, entry of M) pairs
 # Fractions, or the integer numerators that braidize and circ_product feed braidize's core
 Terms = Mapping[tuple[int, ...], int | Fraction]
 
@@ -55,12 +55,9 @@ class GradedModule:
         return tuple(self.degrees[j] for j in idx)
 
     @cached_property
-    def columns(self) -> list[Columns]:
-        """columns[g] = the sparse columns of the action matrix of g, each entry an int where it is integral."""
-        return [
-            [[(i, a.numerator if a.denominator == 1 else a) for i, a in enumerate(col) if a] for col in zip(*m)]
-            for m in self.action
-        ]
+    def columns(self) -> list[linalg.Columns]:
+        """columns[g] = linalg.columns of the action matrix of g."""
+        return [linalg.columns(m) for m in self.action]
 
     def block_indices(self, g: int) -> list[int]:
         return [j for j, d in enumerate(self.degrees) if d == g]
@@ -135,7 +132,7 @@ def validate_module(h: GradedModule) -> Verdict:
     checks = {
         "homomorphism axiom": next(
             (f"(a, b) = ({a}, {b})" for a in elements for b in elements
-             if _column_product(cols[a], cols[b]) != [dict(col) for col in cols[g.mul(a, b)]]),
+             if [linalg.apply(cols[a], col) for col in cols[b]] != [dict(col) for col in cols[g.mul(a, b)]]),
             None,
         ),
         "identity axiom": next(
@@ -168,18 +165,6 @@ def self_invariance_witness(h: GradedModule) -> str | None:
          for i in range(h.dim) if rho[gamma][i][j] != int(i == j)),
         None,
     )
-
-
-def _column_product(a: Columns, b: Columns) -> list[dict[int, int | Fraction]]:
-    """The columns of the matrix product a b, as {row: nonzero entry}."""
-    out = []
-    for col in b:
-        acc: dict[int, int | Fraction] = {}
-        for k, y in col:
-            for i, x in a[k]:
-                acc[i] = acc.get(i, 0) + x * y
-        out.append({i: x for i, x in acc.items() if x})
-    return out
 
 
 def graded_module(
@@ -283,7 +268,7 @@ def split_homogeneous(h: GradedModule, v: Tensor) -> dict[GTuple, dict[tuple[int
 
 
 def slot_apply_into(
-    cols: Sequence[Columns | None],
+    cols: Sequence[linalg.Columns | None],
     perm: Sequence[int],
     terms: Terms,
     out: dict[tuple[int, ...], int | Fraction],
@@ -428,14 +413,14 @@ def is_morphism(source: GradedModule, target: GradedModule, m: Matrix) -> bool:
         return False
     if len(m) != target.dim or any(len(r) != source.dim for r in m):
         return False
-    for i in range(target.dim):
-        for j in range(source.dim):
-            if m[i][j] != 0 and target.degrees[i] != source.degrees[j]:
-                return False
-    for gamma in source.group.elements():
-        if linalg.mat_mul(m, source.action[gamma]) != linalg.mat_mul(target.action[gamma], m):
-            return False
-    return True
+    cols = linalg.columns(m) if m else [[]] * source.dim  # columns() cannot see the width of a matrix with no rows
+    if any(target.degrees[i] != source.degrees[j] for j, col in enumerate(cols) for i, _ in col):
+        return False
+    # m rho_s(gamma) = rho_t(gamma) m, column by column
+    return all(
+        linalg.apply(cols, s) == linalg.apply(target.columns[gamma], cols[j])
+        for gamma in source.group.elements() for j, s in enumerate(source.columns[gamma])
+    )
 
 
 def require_morphism(source: GradedModule, target: GradedModule, m: Matrix) -> None:

@@ -21,7 +21,7 @@ from gfrob.braided import BraidedSeries, form_from_poly, series_from_poly
 from gfrob.errors import InvalidMorphism
 from gfrob.frobenius import GFrobeniusAlgebra, gfa_from_cubic
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
-from gfrob.linalg import dot, identity, mat
+from gfrob.linalg import ZERO, identity, mat, transpose
 from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
 from gfrob.singularity import z2_frobenius_algebra
 
@@ -74,9 +74,20 @@ def origin_algebra(fm) -> GFrobeniusAlgebra:
     return gfa_from_cubic(asm.module, asm.metric, y3, unit)
 
 
+def dot(v, w):
+    """The dense dot product, a Fraction: an oracle for the sparse products of src/gfrob."""
+    return sum((x * y for x, y in zip(v, w)), ZERO)
+
+
 def mat_vec(a, v):
     """The dense matrix-vector product a v, an oracle for the sparse products of src/gfrob."""
     return tuple(dot(row, v) for row in a)
+
+
+def mat_mul(a, b):
+    """The dense matrix product a b, an oracle for the sparse products of src/gfrob."""
+    bt = transpose(b)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def diag(entries):

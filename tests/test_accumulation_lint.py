@@ -6,8 +6,8 @@ src/gfrob except poly.py, the lint flags an assignment `x = x + a * b` or
 `x = x - a * b` whose left operand repeats the target, and a call of `sum` on
 a generator of products that starts from a polynomial: a `MultiPoly.*` call,
 or a name the module binds to one.  Augmented assignments such as a scalar
-`s += a * b`, and scalar sums such as linalg.dot's, which start from the
-Fraction ZERO, are out of its scope.
+`s += a * b`, and scalar sums, which start from the Fraction ZERO, are out
+of its scope.
 
 Tensors accumulate juxtapositions into one dict of integer numerators, as
 braided.circ_product does, so in every module of src/gfrob, poly.py

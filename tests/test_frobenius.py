@@ -31,7 +31,7 @@ from gfrob.errors import (
 )
 from gfrob.frobenius import braid_witness, decompose_z2_potential, g_degree_witness
 from gfrob.groups import cyclic_group, trivial_group
-from gfrob.linalg import identity, mat_mul, rank, solve_columns, transpose
+from gfrob.linalg import identity, mat, mat_inv, rank, solve_columns, transpose
 from gfrob.modules import GradedModule, dual_module, invariants_basis, trivial_graded_module
 from gfrob.singularity import (
     flat_metric,
@@ -42,7 +42,7 @@ from gfrob.singularity import (
     z2_frobenius_algebra,
 )
 
-from conftest import make_s3_regular_module
+from conftest import make_s3_regular_module, mat_mul
 
 
 def v(name):
@@ -154,6 +154,25 @@ def test_mult_commutative_at_points():
     for a in range(4):
         for b in range(4):
             assert c[a][b] == c[b][a]
+
+
+def test_mult_from_potential_matches_the_dense_contraction():
+    """Each c[a][b][l] is the Fraction sum over every k of Y_abk g^{kl}, as first
+    written, for flat metrics and a metric with a dense inverse, at the origin
+    and at a point."""
+    dense_eta = mat([[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 1, Fraction(1, 2)], [0, 0, Fraction(1, 2), 5]])
+    cases = [(potential_A(5), flat_metric(5)), (potential_D(4), potential_D_metric(4)), (potential_A(4), dense_eta)]
+    for pot, eta in cases:
+        ginv, d = mat_inv(eta), len(pot.names)
+        for pt in ({}, {name: Fraction(j - 1, 3) for j, name in enumerate(pot.names)}):
+            point = {name: pt.get(name, Fraction(0)) for name in pot.names}
+            want = tuple(
+                tuple(tuple(sum(pot.third(a, b, k).eval(point) * ginv[k][l] for k in range(d)) for l in range(d))
+                      for b in range(d))
+                for a in range(d)
+            )
+            got = mult_from_potential(pot, eta, pt)
+            assert got == want and all(type(x) is Fraction for row in got for ab in row for x in ab)
 
 
 def test_group_algebra_is_gfa(z2):

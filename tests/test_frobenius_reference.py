@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mat_vec
+from conftest import dot, mat_mul, mat_vec
 from gfrob import cyclic_group, linalg, symmetric_group
 from gfrob.frobenius import GFrobeniusAlgebra, check_gfa, check_metric
 from gfrob.linalg import ZERO
@@ -183,8 +183,8 @@ def in_basis(alg, p):
     p_inv = linalg.mat_inv(p)
     cols = linalg.transpose(p)
     mult = [[list(mat_vec(p_inv, dense_product(alg, cols[a], cols[b]))) for b in range(d)] for a in range(d)]
-    action = [[list(r) for r in linalg.mat_mul(p_inv, linalg.mat_mul(m, p))] for m in alg.module.action]
-    metric = [list(r) for r in linalg.mat_mul(cols, linalg.mat_mul(alg.metric, p))]
+    action = [[list(r) for r in mat_mul(p_inv, mat_mul(m, p))] for m in alg.module.action]
+    metric = [list(r) for r in mat_mul(cols, mat_mul(alg.metric, p))]
     return mult, action, metric, list(mat_vec(p_inv, alg.unit))
 
 
@@ -272,7 +272,7 @@ def one_sided_constant(alg):
     return next(
         (a, b, k) for a in range(d) for b in range(d) for k in range(d)
         if alg.mult[a][b][k] == 0
-        and any(eta[k][c] and not linalg.dot(eta[a], dense_product(alg, e[b], e[c])) for c in range(d))
+        and any(eta[k][c] and not dot(eta[a], dense_product(alg, e[b], e[c])) for c in range(d))
     )
 
 

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gfrob import linalg
 
+from conftest import dot, mat_mul, mat_vec
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -115,7 +117,7 @@ def matrices(draw, nrows=None, ncols=None, kinds=KINDS):
         if k == 0:
             return [[ZERO] * ncols for _ in range(nrows)]
         left, right = block(nrows, k, st.just(True)), block(k, ncols, st.just(True))
-        return [list(row) for row in linalg.mat_mul(left, right)]
+        return [list(row) for row in mat_mul(left, right)]
     sparse = st.sampled_from((True, False, False, False, False))
     m = block(nrows, ncols, sparse if kind == "sparse" else st.booleans())
     if kind == "zero_rows":
@@ -140,7 +142,7 @@ def test_mat_inv_matches_dense(m):
     got, want = outcome(linalg.mat_inv, m), outcome(dense_mat_inv, m)
     assert got == want
     if got[0] == "ok":
-        assert linalg.mat_mul(got[1], linalg.mat(m)) == linalg.identity(len(m))
+        assert mat_mul(got[1], linalg.mat(m)) == linalg.identity(len(m))
 
 
 def test_mat_inv_singular():
@@ -232,26 +234,40 @@ def test_kernel_vectors_solve_the_system(m):
 
 @st.composite
 def products(draw):
+    """a (n x k), b (k x m) with some columns zeroed, and a k-vector v, for k from 0."""
     inner = draw(st.integers(0, 5))
     a, b = draw(matrices(ncols=inner)), draw(matrices(nrows=inner))
+    zeroed = [draw(st.booleans()) for _ in range(len(b[0]) if b else 0)]
+    b = [[ZERO if z else x for x, z in zip(row, zeroed)] for row in b]
     return a, b, [draw(entries) if draw(st.booleans()) else ZERO for _ in range(inner)]
 
 
-@settings(max_examples=100, deadline=None)
+def dense(w, n):
+    """The sparse vector {row: entry} as n dense entries."""
+    return tuple(w.get(i, ZERO) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
 @given(products())
-def test_mat_mul_and_dot_match_dense(case):
-    """The zero-skipping products equal the plain sums, and every entry is a
-    Fraction, also for zero rows and an empty inner dimension."""
+def test_columns_and_apply_match_dense(case):
+    """linalg.columns holds each column's nonzero entries, an int exactly
+    where one is integral, and a matrix with no rows has no columns.
+    linalg.apply gives the dense a v, and apply over the columns of b gives
+    the dense a b column by column; the conftest oracles return Fractions,
+    also for zero rows, zero columns and an empty inner dimension."""
     a, b, v = case
-    width = len(b[0]) if b else 0
-    got = linalg.mat_mul(a, b)
-    want = tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(len(b))), ZERO) for j in range(width)) for row in a
-    )
-    assert got == want and all(type(x) is Fraction for r in got for x in r)
-    got_v = tuple(linalg.dot(row, v) for row in a)
-    assert got_v == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
-    assert all(type(x) is Fraction for x in got_v)
+    cols = linalg.columns(a)
+    assert cols == ([[(i, row[j]) for i, row in enumerate(a) if row[j]] for j in range(len(v))] if a else [])
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for col in cols for _, x in col)
+    assert all(type(dot(row, v)) is Fraction for row in a)
+    if a:
+        av = linalg.apply(cols, enumerate(v))
+        assert all(av.values()) and dense(av, len(a)) == mat_vec(a, v)
+        want = mat_mul(a, b)
+        got = [dense(linalg.apply(cols, col), len(a)) for col in linalg.columns(b)]
+        assert len(got) == (len(b[0]) if b else 0)
+        assert got == [tuple(row[j] for row in want) for j in range(len(got))]
+        assert all(type(x) is Fraction for row in want for x in row)
 
 
 big = st.integers(-(2**64), 2**64)

@@ -19,7 +19,7 @@ from gfrob import graded_module, linalg, self_invariance_witness, validate_modul
 from gfrob.modules import Verdict
 from gfrob.singularity import z2_frobenius_algebra
 
-from conftest import has_non_integral_entry, make_s3_module, make_z3_module, unvalidated_module
+from conftest import has_non_integral_entry, make_s3_module, make_z3_module, mat_mul, unvalidated_module
 
 # -- dense reference ------------------------------------------------------------
 
@@ -32,7 +32,7 @@ def validate_module_reference(h) -> Verdict:
     witnesses = {
         "homomorphism axiom": next(
             (f"(a, b) = ({a}, {b})" for a in elements for b in elements
-             if rho[g.mul(a, b)] != linalg.mat_mul(rho[a], rho[b])),
+             if rho[g.mul(a, b)] != mat_mul(rho[a], rho[b])),
             None,
         ),
         "identity axiom": next((f"(i, j) = ({i}, {j})" for i, j in cells if rho[e][i][j] != int(i == j)), None),
@@ -88,7 +88,7 @@ def modules(draw):
         p[i][j] = draw(SMALL)
     p = linalg.mat(p)
     p_inv = linalg.mat_inv(p)
-    action = [[list(r) for r in linalg.mat_mul(p_inv, linalg.mat_mul(m, p))] for m in h.action]
+    action = [[list(r) for r in mat_mul(p_inv, mat_mul(m, p))] for m in h.action]
 
     mutation = draw(st.sampled_from(MUTATIONS))
     gamma = draw(st.sampled_from(list(g.elements())))
