@@ -43,7 +43,7 @@ from .modules import (
     validate_module,
     z2_module,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, exact
 
 # -- metrics ----------------------------------------------------------------
 
@@ -147,11 +147,11 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     product M(P, Q) = sum_l rows[P][l] Y_lQ is the coefficient that WDVV makes
     symmetric in its two pairs (Dubrovin 1996, Lecture 1).  A tuple
     (a, b, c, d) with a <= c is a witness when M((a,b), (c,d)) differs from
-    M((b,c), (a,d)).  Both sides pair up the 4-multiset {a, b, c, d}, so the
-    loop walks the multisets and keeps each one's pair products in a table
-    that is dropped with it: every M is computed once in the whole run.  When
-    g^{-1} is symmetric, M(P, Q) = M(Q, P) exactly and the table is keyed by
-    the unordered {P, Q}; otherwise by the ordered (P, Q).
+    M((b,c), (a,d)).  Both sides split the 4-multiset {a, b, c, d} into two
+    pairs.  So the loop walks the multisets and computes M once on each of
+    their three pairings, in both orders unless g^{-1} is symmetric (then
+    M(P, Q) = M(Q, P) exactly); only where these values differ does it walk
+    the 24 permutations, on the values already computed.
     """
     d = len(pot.names)
     ginv = _inverse_metric(eta)
@@ -181,9 +181,13 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     witnesses = []
     for quad in itertools.combinations_with_replacement(range(d), 4):
         table: dict[tuple[Pair, Pair], MultiPoly] = {}  # this multiset's pair products
-        for a, b, c, e in set(itertools.permutations(quad)):
-            if a <= c and product(table, pair(a, b), pair(c, e)) != product(table, pair(b, c), pair(a, e)):
-                witnesses.append((a, b, c, e))
+        w, x, y, z = quad
+        sides = [((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))]
+        values = [product(table, p, q) for p, q in sides + ([] if symmetric else [(q, p) for p, q in sides])]
+        if values.count(values[0]) < len(values):
+            for a, b, c, e in set(itertools.permutations(quad)):
+                if a <= c and product(table, pair(a, b), pair(c, e)) != product(table, pair(b, c), pair(a, e)):
+                    witnesses.append((a, b, c, e))
     return WdvvReport(tuple(sorted(witnesses)))
 
 
@@ -231,9 +235,9 @@ class GFrobeniusAlgebra:
         return self.module.dim
 
     @cached_property
-    def nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant."""
-        return [[[(k, x) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
+    def nonzero(self) -> list[list[list[tuple[int, int | Fraction]]]]:
+        """nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant, each an int where it is integral."""
+        return [[[(k, exact(x)) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
 
     def times(self, v: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> dict[int, Fraction]:
         nz = self.nonzero
@@ -241,7 +245,7 @@ class GFrobeniusAlgebra:
 
     def product(self, v: Vec, w: Vec) -> Vec:
         out = self.times(_accumulate(enumerate(v)), _accumulate(enumerate(w)))
-        return tuple(out.get(k, ZERO) for k in range(self.dim))
+        return tuple(Fraction(out.get(k, 0)) for k in range(self.dim))
 
 
 def _least_difference(left: Mapping, right: Mapping) -> str | None:

@@ -15,8 +15,9 @@ of products, each monomial product one int addition.  Exponents are below
 2^31; a product reaching 2^31 in the guard bit atop each field raises
 SizeLimit instead of carrying into the next.  Other modules read terms
 through sorted_terms (dense exponent vectors over the declared variables),
-homogeneous_part, coefficient and compact.  An undeclared variable is absent:
-its derivative is zero, and substituting it returns the polynomial unchanged.
+homogeneous_part, coefficient, compact and by_power.  An undeclared variable
+is absent: its derivative is zero, and substituting it returns the
+polynomial unchanged.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _declare(variables: Iterable[str]) -> tuple[str, ...]:
 
 
 def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return a if a == b or not b else tuple(sorted(set(a).union(b)))
+    return a if a == b or not b else b if not a else tuple(sorted(set(a).union(b)))
 
 
 class MultiPoly:
@@ -205,6 +206,17 @@ class MultiPoly:
         s = _offsets[name]
         terms = {m - (1 << s): exact(c * e) for m, c in self.terms.items() if (e := m >> s & _MASK)}
         return MultiPoly._wrap(self.vars, terms)
+
+    def by_power(self, name: str) -> dict[int, "MultiPoly"]:
+        """{k: the coefficient of name^k} in ascending k, each over the other variables; {0: self} if name is absent."""
+        if name not in self.vars:
+            return {0: self}
+        s, parts = _offsets[name], {}
+        rest_bits = ~(_MASK << s)
+        for m, c in self.terms.items():
+            parts.setdefault(m >> s & _MASK, {})[m & rest_bits] = c
+        rest = tuple(v for v in self.vars if v != name)
+        return {k: MultiPoly._wrap(rest, parts[k]) for k in sorted(parts)}
 
     def substitute(self, images: Mapping[str, object]) -> "MultiPoly":
         """Substitute polynomials or scalars for variables, all at once; names not declared are ignored.

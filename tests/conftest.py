@@ -23,7 +23,7 @@ from gfrob.frobenius import GFrobeniusAlgebra, gfa_from_cubic
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
 from gfrob.linalg import ZERO, identity, mat, transpose
 from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
-from gfrob.singularity import z2_frobenius_algebra
+from gfrob.singularity import Z, z2_frobenius_algebra
 
 
 def perm_index(n, perm):
@@ -88,6 +88,54 @@ def mat_mul(a, b):
     """The dense matrix product a b, an oracle for the sparse products of src/gfrob."""
     bt = transpose(b)
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def zp_trim(f):
+    """The coefficient list f without its trailing zeros."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def zp_mul(f, g):
+    """The full product of two coefficient lists (index = power of z), each power one sum of products:
+    an oracle for the packed Jacobi ring."""
+    if not f or not g:
+        return []
+    return zp_trim([
+        MultiPoly.sum_of_products((a, g[k - i]) for i, a in enumerate(f) if a and 0 <= k - i < len(g) and g[k - i])
+        for k in range(len(f) + len(g) - 1)
+    ])
+
+
+def zp_reduce(f, fprime):
+    """Remainder of the coefficient list f divided by the monic coefficient list fprime of degree n, column by column:
+    an oracle for the packed Jacobi ring.
+
+    Top first, q_j = f_{j+n} - sum_{i<n} q_{j+n-i} fprime_i; then r_k = f_k - sum_{i<n} q_{k-i} fprime_i.
+    """
+    n = len(fprime) - 1
+    low = [(i, p) for i, p in enumerate(fprime[:n]) if p]
+    neg_q = {}
+
+    def column(k):
+        return MultiPoly.sum_of_products([(f[k], 1), *((neg_q[k - i], p) for i, p in low if k - i in neg_q)])
+
+    for j in range(len(f) - n - 1, -1, -1):
+        if q := column(j + n):
+            neg_q[j] = -q
+    return zp_trim([column(k) for k in range(min(len(f), n))])
+
+
+def pack(coeffs):
+    """The coefficient list (index = power of z) as one polynomial in z."""
+    return MultiPoly.sum_of_products((c, MultiPoly((Z,), {(k,): 1})) for k, c in enumerate(coeffs) if c)
+
+
+def unpack(p):
+    """The coefficient list (index = power of z) of a polynomial in z, read through by_power."""
+    parts = p.by_power(Z)
+    return zp_trim([parts.get(k, MultiPoly.zero()) for k in range(max(parts, default=-1) + 1)])
 
 
 def diag(entries):

@@ -10,7 +10,8 @@ Near the guard bit (exponents up to 2^31 - 1), every MultiPoly result either
 matches the oracle or raises SizeLimit; none carries into a neighbouring field.
 MultiPoly.sum_of_products must equal the loop `acc = acc + a * b` it replaces,
 and refuse exactly when one of its products reaches 2^31.  The z-polynomial
-product zp_mul cut at z^top must equal the full product cut there.
+product zp_mul cut at z^top must equal the full product (the oracle in
+conftest.py) cut there.
 """
 
 import sys
@@ -19,11 +20,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gfrob import MultiPoly, flat_coordinates
+from gfrob import MultiPoly, flat_coordinates, singularity
 from gfrob.braided import form_from_poly
 from gfrob.errors import SizeLimit, UnknownVariable
 from gfrob.serialize import poly_to_json
-from gfrob.singularity import inverse_series_potential, zp_mul, zp_trim
+from gfrob.singularity import inverse_series_potential
+
+from conftest import zp_mul, zp_trim
 
 # -- dense reference ------------------------------------------------------------
 
@@ -312,6 +315,23 @@ def test_structure_matches_dense(polys, data):
     assert same(p.with_vars(set(p.vars) | extra), rp.with_vars(set(rp.vars) | extra))
 
 
+@settings(max_examples=150, deadline=None)
+@given(pairs(count=1))
+def test_by_power_parts_recombine(polys):
+    """by_power(name) splits p by the power of name: the parts, in ascending power, are nonzero, declare the
+    other variables and recombine to p; an absent name gives {0: p}."""
+    [(p, rp)] = polys
+    for name in POOL:
+        parts = p.by_power(name)
+        if name not in p.vars:
+            assert list(parts) == [0] and parts[0] is p
+            continue
+        rest = tuple(v for v in p.vars if v != name)
+        assert list(parts) == sorted(parts) and all(part and part.vars == rest for part in parts.values())
+        powers = ((part, MultiPoly((name,), {(k,): 1})) for k, part in parts.items())
+        assert same(MultiPoly.sum_of_products(powers, p.vars), rp)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pairs(count=1), st.data())
 def test_linear_subst_matches_dense(polys, data):
@@ -476,7 +496,7 @@ ONE, A = MultiPoly.constant(1), MultiPoly.variable("a")
 def test_truncated_zp_mul_is_the_cut_full_product(f, g, top):
     """zp_mul(f, g, top) is the full product cut after z^top, declared variables included; [] for top < 0."""
     want = zp_trim(zp_mul(f, g)[: top + 1]) if top >= 0 else []
-    assert [(p.vars, p.terms) for p in zp_mul(f, g, top)] == [(p.vars, p.terms) for p in want]
+    assert [(p.vars, p.terms) for p in singularity.zp_mul(f, g, top)] == [(p.vars, p.terms) for p in want]
 
 
 def test_registry_survives_cache_resets():

@@ -27,9 +27,9 @@ from gfrob.singularity import (
     _scaled_power_series,
     check_potential_residues,
     inverse_series_potential,
+    jacobi_multiply,
+    jacobi_residue,
     potential_terms,
-    zp_mul,
-    zp_reduce,
 )
 
 
@@ -45,10 +45,9 @@ def euler_integrate(names, third):
     return sum(parts, MultiPoly.zero(total.vars))
 
 
-def residue(n, product, fp):
+def residue(product, fp):
     """res(product / F' dz): the z^(n-1) coefficient of the product reduced mod F'."""
-    red = zp_reduce(product, fp)
-    return red[n - 1] if len(red) >= n else MultiPoly.zero()
+    return jacobi_residue(jacobi_multiply(product, MultiPoly.constant(1), fp), fp)
 
 
 @cache
@@ -60,9 +59,9 @@ def residue_route_A(n):
     third = {}
     for a in range(n):
         for b in range(a, n):
-            ab = zp_mul(dfs[a], dfs[b])
+            ab = dfs[a] * dfs[b]
             for c in range(b, n):
-                third[(a, b, c)] = residue(n, zp_mul(ab, dfs[c]), fp)
+                third[(a, b, c)] = residue(ab * dfs[c], fp)
     pot = Potential(chart.t_names, euler_integrate(chart.t_names, third))
     for (a, b, c), y in third.items():
         assert pot.third(a, b, c) == y, (n, a, b, c)

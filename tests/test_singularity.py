@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfrob import MultiPoly, flat_coordinates, flat_metric, milnor_ring, potential_A, potential_B, potential_D
 from gfrob.errors import BadIndex
@@ -10,6 +11,8 @@ from gfrob.frobenius import Potential, check_gfa, check_pre_gfm
 from gfrob.linalg import identity
 from gfrob.singularity import (
     TSTAR,
+    Z,
+    check_potential_residues,
     fprime_coeffs,
     jacobi_multiply,
     jacobi_residue,
@@ -17,11 +20,9 @@ from gfrob.singularity import (
     z2_cubic_witness,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
-    zp_mul,
-    zp_reduce,
 )
 
-from conftest import origin_algebra
+from conftest import origin_algebra, pack, unpack, zp_mul, zp_reduce
 from test_potential_reference import residue
 
 
@@ -34,7 +35,8 @@ def C(x):
 
 
 def zpoly(*coeffs):
-    return [c if isinstance(c, MultiPoly) else C(c) for c in coeffs]
+    """sum_k coeffs[k] z^k as one polynomial in z."""
+    return pack([c if isinstance(c, MultiPoly) else C(c) for c in coeffs])
 
 
 def k_fprime(n):
@@ -115,34 +117,35 @@ def test_jacobi_multiply_at_zero_parameters():
         for b in range(n):
             f = zpoly(*([0] * a + [1]))
             g = zpoly(*([0] * b + [1]))
-            red = jacobi_multiply(f, g, fp)
+            red = jacobi_multiply(f, g, fp).by_power(Z)
             if a + b <= n - 1:
-                assert len(red) == a + b + 1
+                assert max(red) == a + b
                 assert red[a + b] == C(1)
             else:
                 # reduction has no z-power above n-1, and constant terms vanish at k=0
-                assert len(red) <= n
-                for p in red:
+                assert max(red) <= n - 1
+                for p in red.values():
                     assert p.constant_term() == 0
 
 
 def test_jacobi_multiply_a3_example():
     # z . z^2 = z^3 = -2 k_2 z - k_1 modulo z^3 + 2 k_2 z + k_1
-    red = jacobi_multiply(zpoly(0, 1), zpoly(0, 0, 1), k_fprime(3))
+    red = jacobi_multiply(zpoly(0, 1), zpoly(0, 0, 1), k_fprime(3)).by_power(Z)
     assert red[0] == -v("k1")
     assert red[1] == v("k2") * -2
-    assert len(red) == 2
+    assert max(red) == 1
 
 
 def test_reduce_idempotent():
     n = 4
     fp = k_fprime(n)
     rng = random.Random(1)
+    one = zpoly(1)
     for _ in range(10):
         f = zpoly(*[rng.randint(-3, 3) for _ in range(7)])
-        red = zp_reduce(f, fp)
-        assert zp_reduce(red, fp) == red
-        assert len(red) <= n
+        red = jacobi_multiply(f, one, fp)
+        assert jacobi_multiply(red, one, fp) == red
+        assert max(red.by_power(Z), default=0) <= n - 1
 
 
 def test_residue_at_origin_is_delta():
@@ -168,7 +171,43 @@ def test_jacobi_ring_axioms_up_to_six():
             lhs = jacobi_multiply(jacobi_multiply(f, g, fp), h, fp)
             rhs = jacobi_multiply(f, jacobi_multiply(g, h, fp), fp)
             assert lhs == rhs
-            assert jacobi_multiply(one, f, fp) == zp_reduce(f, fp)
+            assert unpack(jacobi_multiply(one, f, fp)) == zp_reduce(unpack(f), unpack(fp))
+
+
+@st.composite
+def jacobi_inputs(draw):
+    """n in 2..7 and two coefficient lists of up to n + 2 entries, each c + d k_i."""
+    n = draw(st.integers(2, 7))
+    entry = st.builds(lambda c, d, i: C(c) + v(f"k{i}") * d, st.integers(-3, 3), st.integers(-2, 2), st.integers(0, n - 1))
+    return n, draw(st.lists(entry, max_size=n + 2)), draw(st.lists(entry, max_size=n + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(jacobi_inputs())
+def test_packed_jacobi_ring_matches_the_list_oracle(inputs):
+    """jacobi_multiply and jacobi_residue on polynomials in z equal the column-wise list oracle of conftest.py,
+    over F' = z^n + sum_i i k_i z^(i-1) with free k_i."""
+    n, f, g = inputs
+    fp = k_fprime(n)
+    red = zp_reduce(zp_mul(f, g), [v(f"k{i}") * i for i in range(1, n)] + [C(0), C(1)])
+    got = jacobi_multiply(pack(f), pack(g), fp)
+    assert unpack(got) == red
+    assert jacobi_residue(got, fp) == (red[n - 1] if len(red) >= n else 0)
+
+
+def test_residue_proof_makes_a_few_kernel_calls_per_pair(monkeypatch):
+    """check_potential_residues at A_9 makes a handful of sum_of_products calls per pair (a, b), not one per power of z."""
+    chart = flat_coordinates(9)
+    pot = chart.potential
+    kernel, calls = MultiPoly.sum_of_products, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(counted))
+    check_potential_residues(chart, pot)
+    assert len(calls) <= 6 * (9 * 10 // 2)
 
 
 def test_residue_frobenius_property():
@@ -243,7 +282,7 @@ def test_flat_metric_constancy():
         eta = flat_metric(n)
         for i in range(n):
             for j in range(n):
-                assert residue(n, zp_mul(dfs[i], dfs[j]), fp) == MultiPoly.constant(eta[i][j])
+                assert residue(dfs[i] * dfs[j], fp) == MultiPoly.constant(eta[i][j])
 
 
 # -- potentials ---------------------------------------------------------------
@@ -445,7 +484,6 @@ def test_mult_from_potential_matches_jacobi_ring_at_generic_point():
     from gfrob.frobenius import mult_from_potential
     from conftest import mat_vec
     from gfrob.linalg import mat_inv
-    from gfrob.singularity import zp_mul
 
     for n, point in (
         (3, {"t_0": Fraction(1, 2), "t_1": Fraction(-2), "t_2": Fraction(3)}),
@@ -456,19 +494,15 @@ def test_mult_from_potential_matches_jacobi_ring_at_generic_point():
         got = mult_from_potential(pot, eta, point)
 
         chart = flat_coordinates(n)
-        fp_t = chart.fprime_in_t()
-        fp = [MultiPoly.constant(p.eval(point)) for p in fp_t]
-        dfs = []
-        for a in range(n):
-            dfs.append([MultiPoly.constant(p.eval(point)) for p in chart.df_dt(a)])
+        fp = chart.fprime_in_t().substitute(point)
+        dfs = [chart.df_dt(a).substitute(point) for a in range(n)]
         eta_inv = mat_inv(eta)
         for a in range(n):
             for b in range(n):
-                prod = zp_reduce(zp_mul(dfs[a], dfs[b]), fp)
+                prod = jacobi_multiply(dfs[a], dfs[b], fp)
                 # pairings with each basis field, then raise an index
                 w = []
                 for k in range(n):
-                    red = zp_reduce(zp_mul(prod, dfs[k]), fp)
-                    w.append(red[n - 1].constant_term() if len(red) >= n else Fraction(0))
+                    w.append(jacobi_residue(jacobi_multiply(prod, dfs[k], fp), fp).constant_term())
                 coords = mat_vec(eta_inv, w)
                 assert coords == got[a][b], (n, a, b)
