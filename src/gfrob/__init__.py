@@ -61,6 +61,7 @@ from .frobenius import (
     FmData,
     GFrobeniusAlgebra,
     Potential,
+    Z2Assembly,
     assemble_z2,
     check_gfa,
     check_metric,

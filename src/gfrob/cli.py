@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from . import serialize as ser
 from .braided import br_basis, braidize
 from .errors import BadIndex, DegenerateMetric, GfrobError, NotAGroup, SizeLimit
-from .frobenius import Potential, assemble_z2, check_gfa, check_pre_gfm, wdvv_check
+from .frobenius import assemble_z2, check_gfa, check_pre_gfm, wdvv_check
 from .groupoid import components, guard_size
 from .groups import conjugacy_classes
 from .modules import Verdict, require_valid_module
@@ -195,14 +195,13 @@ def _cmd_check_pre_gfm(args) -> RunReport:
 
 def _checked_assembly(rep: RunReport, asm) -> dict:
     """Add an assembly's pre_gfm check, witnessed by its first failing sub-check, and return its JSON fields."""
-    verdict = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+    verdict = check_pre_gfm(asm.module, asm.metric, asm.potential)
     first = next(iter(verdict.failed), None)
     rep.add("pre_gfm", first is None, first and {"check": first, "witness": _shown(verdict.checks[first])})
     return {
         "module": ser.module_to_json(asm.module),
-        "names": list(asm.names),
         "metric": ser.matrix_to_json(asm.metric),
-        "potential": ser.poly_to_json(asm.potential),
+        **ser.potential_to_json(asm.potential),
     }
 
 
@@ -213,8 +212,8 @@ def _cmd_assemble_z2(args) -> RunReport:
         raise ser.ParseError("input needs fe, fg, iota_e, iota_g")
     fe = ser.fmdata_from_json(obj["fe"])
     fg = ser.fmdata_from_json(obj["fg"])
-    iota_e = ser.embedding_from_json(obj["iota_e"], len(fe.names))
-    iota_g = ser.embedding_from_json(obj["iota_g"], len(fg.names))
+    iota_e = ser.embedding_from_json(obj["iota_e"], len(fe.potential.names))
+    iota_g = ser.embedding_from_json(obj["iota_g"], len(fg.potential.names))
     asm = assemble_z2(fe, fg, iota_e, iota_g)
     rep.payload = {
         **_checked_assembly(rep, asm),
@@ -260,11 +259,11 @@ def _cmd_flat_coords(args) -> RunReport:
 def _cmd_construct_z2(args) -> RunReport:
     rep = RunReport("construct-z2")
     guard_unfolding(2 * args.n - 3, power=3)
-    fm = z2_frobenius_manifold(args.n)
-    assembly = _checked_assembly(rep, fm.assembly)
-    witness = z2_cubic_witness(fm)
+    asm = z2_frobenius_manifold(args.n)
+    assembly = _checked_assembly(rep, asm)
+    witness = z2_cubic_witness(asm)
     rep.add("cubic_matches_algebra", witness is None, witness)
-    rep.payload = {"n": fm.n, **assembly, "twisted_cubic": ser.poly_to_json(fm.twisted_cubic)}
+    rep.payload = {"n": args.n, **assembly, "twisted_cubic": ser.poly_to_json(asm.twisted_cubic)}
     return rep
 
 

@@ -157,12 +157,13 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     ginv = _inverse_metric(eta)
     y3 = pot.third
 
-    # rows[a][b][l] = sum_k Y_abk g^{kl}, over the nonzero g^{kl} of each column l
+    # rows[(a, b)] = the (l, sum_k Y_abk g^{kl}) over the nonzero Y_abk and g^{kl}, for each l with such a pair
     cols = linalg.columns(ginv)
-    rows = {
-        (a, b): [MultiPoly.sum_of_products(((y3(a, b, k), x) for k, x in col), pot.names) for col in cols]
-        for a in range(d) for b in range(a, d)
-    }
+    rows = {}
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        ys = {k: y for k in range(d) if (y := y3(a, b, k))}
+        sums = ((l, [(ys[k], x) for k, x in col if k in ys]) for l, col in enumerate(cols))
+        rows[(a, b)] = [(l, MultiPoly.sum_of_products(terms, pot.names)) for l, terms in sums if terms]
 
     symmetric = all(ginv[k][l] == ginv[l][k] for k in range(d) for l in range(k))
 
@@ -174,7 +175,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
         m = table.get(key)
         if m is None:
             c, e = key[1]
-            terms = ((x, y) for l, x in enumerate(rows[key[0]]) if x and (y := y3(l, c, e)))
+            terms = ((x, y) for l, x in rows[key[0]] if x and (y := y3(l, c, e)))
             m = table[key] = MultiPoly.sum_of_products(terms, pot.names)
         return m
 
@@ -452,30 +453,33 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> Verdict:
 
 @dataclass(frozen=True)
 class FmData:
-    """One formal Frobenius manifold: coordinate names, flat metric, potential."""
+    """One formal Frobenius manifold: flat metric and potential in named flat coordinates."""
 
-    names: tuple[str, ...]
     metric: Mat
-    potential: MultiPoly
+    potential: Potential
 
 
 @dataclass(frozen=True)
 class Z2Assembly:
+    """An order-two pre-Frobenius manifold: module, block metric, potential, and the names of its three blocks."""
+
     module: GradedModule
-    names: tuple[str, ...]
     metric: Mat
-    potential: MultiPoly
+    potential: Potential
     fixed_names: tuple[str, ...]
     sign_names: tuple[str, ...]
     twisted_names: tuple[str, ...]
 
+    @property
+    def twisted_cubic(self) -> MultiPoly:
+        """The terms of the cubic part of the potential that have a factor in twisted_names."""
+        cubic = self.potential.poly.homogeneous_part(3)
+        return cubic - cubic.subst_zero(self.twisted_names)
 
-def decompose_z2_potential(
-    assembly_names: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]],
-    poly: MultiPoly,
-) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Split a potential into (fixed-only, has-sign-factor, has-twisted-factor) parts."""
-    _, v_names, g_names = assembly_names
+
+def decompose_z2_potential(asm: Z2Assembly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Split an assembly's potential into (fixed-only, has-sign-factor, has-twisted-factor) parts."""
+    poly, v_names, g_names = asm.potential.poly, asm.sign_names, asm.twisted_names
     y_no_v = poly.subst_zero(v_names)
     y_no_g = poly.subst_zero(g_names)
     y_i = y_no_v.subst_zero(g_names)
@@ -487,26 +491,28 @@ def decompose_z2_potential(
 
 
 def assemble_z2(fe: FmData, fg: FmData, iota_e: Sequence[int], iota_g: Sequence[int]) -> Z2Assembly:
-    """Glue two Frobenius manifolds along a shared flat subspace.
+    """Glue two Frobenius manifolds along a shared flat subspace, as one Z2Assembly asm.
 
     The embeddings are coordinate embeddings given by index lists; matched
-    coordinates must carry the same name in both inputs.  The result is an
-    order-two graded module with involution +1 / -1 / +1 on the fixed, sign
-    and twisted blocks, block metric, and summed potential.  Only the
-    gluing conditions are checked here; check_pre_gfm(module, metric,
-    Potential(names, potential)) verifies the result.
+    coordinates must carry the same name in both inputs.  The shared
+    coordinates make the fixed block, the other coordinates of fe the sign
+    block and those of fg the twisted block, each in index order.  asm has
+    an order-two module with involution +1 / -1 / +1 on the three blocks,
+    the block metric, and the summed potential in the names
+    fixed + sign + twisted.  Only the gluing conditions are checked here;
+    check_pre_gfm(asm.module, asm.metric, asm.potential) verifies the result.
     """
     if len(iota_e) != len(iota_g):
         raise RestrictionMismatch("embeddings have different ranks")
-    r = len(iota_e)
-    for j in range(r):
-        if fe.names[iota_e[j]] != fg.names[iota_g[j]]:
-            raise RestrictionMismatch(
-                f"shared coordinate {j} is named {fe.names[iota_e[j]]!r} vs {fg.names[iota_g[j]]!r}"
-            )
-    shared = [fe.names[iota_e[j]] for j in range(r)]
-    v_names = [n for j, n in enumerate(fe.names) if j not in set(iota_e)]
-    g_names = [n for j, n in enumerate(fg.names) if j not in set(iota_g)]
+    pe, pg = fe.potential, fg.potential
+    for j, (i, k) in enumerate(zip(iota_e, iota_g)):
+        if pe.names[i] != pg.names[k]:
+            raise RestrictionMismatch(f"shared coordinate {j} is named {pe.names[i]!r} vs {pg.names[k]!r}")
+    shared = [pe.names[i] for i in iota_e]
+    v_idx = sorted(set(range(len(pe.names))) - set(iota_e))
+    g_idx = sorted(set(range(len(pg.names))) - set(iota_g))
+    v_names = [pe.names[j] for j in v_idx]
+    g_names = [pg.names[j] for j in g_idx]
     if set(v_names) & set(g_names) or set(shared) & (set(v_names) | set(g_names)):
         raise RestrictionMismatch("coordinate names of the complements must be disjoint")
 
@@ -514,36 +520,31 @@ def assemble_z2(fe: FmData, fg: FmData, iota_e: Sequence[int], iota_g: Sequence[
     eta_i_g = submatrix(fg.metric, iota_g, iota_g)
     if eta_i_e != eta_i_g:
         raise RestrictionMismatch("restricted metrics disagree on the shared subspace")
-    v_idx = [j for j in range(len(fe.names)) if j not in set(iota_e)]
-    g_idx = [j for j in range(len(fg.names)) if j not in set(iota_g)]
     if any(fe.metric[i][j] != 0 for i in iota_e for j in v_idx) or any(
         fg.metric[i][j] != 0 for i in iota_g for j in g_idx
     ):
         raise BlockDegreeViolation("metric blocks must be homogeneous: cross pairings found")
 
-    y_e_restricted = fe.potential.subst_zero(v_names)
-    y_g_restricted = fg.potential.subst_zero(g_names)
-    if y_e_restricted != y_g_restricted:
+    y_g_restricted = pg.poly.subst_zero(g_names)
+    if pe.poly.subst_zero(v_names) != y_g_restricted:
         raise RestrictionMismatch("restricted potentials disagree on the shared subspace")
-    twisted = [v in g_names for v in fg.potential.vars]
-    for exp, _ in fg.potential.sorted_terms():
+    twisted = [v in g_names for v in pg.poly.vars]
+    for exp, _ in pg.poly.sorted_terms():
         if sum(e for e, t in zip(exp, twisted) if t) % 2:
             raise BlockDegreeViolation("potential has odd twisted degree")
 
     names = tuple(shared + v_names + g_names)
-    module = z2_module(r, len(v_names), len(g_names))
     # (block, source metric, source index) of each coordinate; the blocks pair only with themselves
     coords = (
         [(0, fe.metric, i) for i in iota_e] + [(1, fe.metric, j) for j in v_idx] + [(2, fg.metric, j) for j in g_idx]
     )
     eta_m = tuple(tuple(m[i][j] if b == c else ZERO for c, _, j in coords) for b, m, i in coords)
 
-    y_total = fe.potential + (fg.potential - y_g_restricted)
+    y_total = pe.poly + (pg.poly - y_g_restricted)
     return Z2Assembly(
-        module=module,
-        names=names,
+        module=z2_module(len(shared), len(v_names), len(g_names)),
         metric=eta_m,
-        potential=y_total.with_vars(sorted(set(y_total.vars) | set(names))),
+        potential=Potential(names, y_total.with_vars(sorted(set(y_total.vars) | set(names)))),
         fixed_names=tuple(shared),
         sign_names=tuple(v_names),
         twisted_names=tuple(g_names),

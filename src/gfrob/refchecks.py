@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .braided import br_basis, braidize, is_braided, series_from_poly, restrict_untwisted, restrict_invariants
-from .frobenius import Potential, check_gfa, check_metric, check_pre_gfm, g_degree_witness, subalgebras, wdvv_check
+from .frobenius import Potential, check_gfa, check_metric, check_pre_gfm, decompose_z2_potential, g_degree_witness
+from .frobenius import subalgebras, wdvv_check
 from .groupoid import compose_arrows, enumerate_component, g_degree, gen_arrow, inverse_gen_arrow
 from .groups import cyclic_group, symmetric_group
 from .modules import (
@@ -296,26 +297,25 @@ def _check_algebra(n: int):
 
 
 def _check_pre_gfm_n3():
-    asm = z2_frobenius_manifold(3).assembly
-    rep = check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
-    ok = rep.passed and asm.potential.subst_zero(asm.twisted_names) == phi_a3()
+    asm = z2_frobenius_manifold(3)
+    rep = check_pre_gfm(asm.module, asm.metric, asm.potential)
+    ok = rep.passed and asm.potential.poly.subst_zero(asm.twisted_names) == phi_a3()
     return _ok(ok, "restrictions satisfy associativity")
 
 
 def _check_twisted_cubic():
     expected = MultiPoly(("t_*", "t_0"), {(2, 1): Fraction(1, 2)})
     for n in (3, 4, 5, 6):
-        fm = z2_frobenius_manifold(n)
-        if fm.twisted_cubic != expected:
-            return _ok(False, f"n={n}: {fm.twisted_cubic}")
-        if z2_cubic_witness(fm) is not None:
+        asm = z2_frobenius_manifold(n)
+        if asm.twisted_cubic != expected:
+            return _ok(False, f"n={n}: {asm.twisted_cubic}")
+        if z2_cubic_witness(asm) is not None:
             return _ok(False, f"n={n}: cubic part does not match the algebra")
     return _ok(True, "t_0 t_*^2 / 2 for n=3..6; cubic reproduces the algebra")
 
 
 def _check_y_g_n3():
-    fm = z2_frobenius_manifold(3)
-    y = fm.potential
+    y = z2_frobenius_manifold(3).potential.poly
     y_g = y - y.subst_zero([TSTAR])
     expected = MultiPoly(
         ("t_*", "t_0", "t_2"), {(2, 1, 0): Fraction(1, 2), (2, 0, 2): Fraction(-1, 4)}
@@ -324,27 +324,24 @@ def _check_y_g_n3():
 
 
 def _check_restrictions_n3():
-    fm = z2_frobenius_manifold(3)
-    h = fm.assembly.module
+    asm = z2_frobenius_manifold(3)
+    h, names = asm.module, asm.potential.names
     hd = dual_module(h)
-    y = series_from_poly(hd, fm.potential, fm.names, truncation=5)
+    y = series_from_poly(hd, asm.potential.poly, names, truncation=5)
     ok = all(is_braided(hd, t) for t in y.parts.values())
-    ok = ok and g_degree_witness(hd, Potential(fm.names, fm.potential), h.group.identity) is None
-    e_names = tuple(fm.names[j] for j in h.untwisted_indices())
+    ok = ok and g_degree_witness(hd, asm.potential, h.group.identity) is None
+    e_names = tuple(names[j] for j in h.untwisted_indices())
     ok = ok and restrict_untwisted(y).as_poly(e_names) == potential_A(3).poly
     inv = invariants_basis(h)
-    inv_names = tuple(fm.names[[i for i, x in enumerate(v) if x][0]] for v in inv)
+    inv_names = tuple(names[[i for i, x in enumerate(v) if x][0]] for v in inv)
     ok = ok and restrict_invariants(y, inv).as_poly(inv_names) == potential_D(3).poly
     return _ok(ok, "untwisted -> A3, invariants -> D3")
 
 
 def _check_assembly_decomposition():
-    from .frobenius import decompose_z2_potential
-
-    fm = z2_frobenius_manifold(3)
-    names = (fm.assembly.fixed_names, fm.assembly.sign_names, fm.assembly.twisted_names)
-    y_i, y_v, y_g = decompose_z2_potential(names, fm.potential)
-    ok = fm.potential == y_i + y_v + y_g
+    asm = z2_frobenius_manifold(3)
+    y_i, y_v, y_g = decompose_z2_potential(asm)
+    ok = asm.potential.poly == y_i + y_v + y_g
     ok = ok and y_i + y_v == potential_A(3).poly
     ok = ok and (y_i + y_g).compact() == potential_D(3).poly.compact()
     return _ok(ok, "unique three-part split recovers both inputs")

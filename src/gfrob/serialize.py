@@ -132,15 +132,6 @@ def poly_from_json(obj: Any) -> MultiPoly:
     return MultiPoly(variables, _terms(obj, "exp", len(variables)))
 
 
-def _named_poly(names: Any, poly: MultiPoly) -> tuple[str, ...]:
-    """The coordinate names, which must cover every variable the polynomial uses."""
-    names = _names(names)
-    stray = sorted(set(poly.compact().vars) - set(names))
-    if stray:
-        raise ParseError(f"potential uses variables {stray} that are not among its names")
-    return names
-
-
 def module_to_json(h: GradedModule) -> dict:
     return {
         "group": group_to_json(h.group),
@@ -205,9 +196,13 @@ def square_matrix_from_json(obj: Any, dim: int) -> linalg.Mat:
 
 
 def potential_from_json(obj: Any) -> Potential:
+    """{"names", "potential"}, whose names cover every variable the polynomial uses, or a bare polynomial."""
     if isinstance(obj, dict) and "names" in obj:
-        poly = poly_from_json(obj.get("potential"))
-        return Potential(_named_poly(obj["names"], poly), poly)
+        poly, names = poly_from_json(obj.get("potential")), _names(obj["names"])
+        stray = sorted(set(poly.compact().vars) - set(names))
+        if stray:
+            raise ParseError(f"potential uses variables {stray} that are not among its names")
+        return Potential(names, poly)
     poly = poly_from_json(obj)
     return Potential(poly.vars, poly)
 
@@ -235,15 +230,11 @@ def gfa_from_json(obj: Any) -> GFrobeniusAlgebra:
 
 
 def fmdata_from_json(obj: Any) -> FmData:
-    if not isinstance(obj, dict):
-        raise ParseError("Frobenius manifold data must be an object")
-    try:
-        poly = poly_from_json(obj["potential"])
-        names = _named_poly(obj["names"], poly)
-        metric = square_matrix_from_json(obj["metric"], len(names))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed manifold data: {exc}") from None
-    return FmData(names, metric, poly)
+    """{"names", "potential", "metric"}: a named potential as potential_from_json reads it, and its metric."""
+    if not isinstance(obj, dict) or not {"names", "potential", "metric"} <= set(obj):
+        raise ParseError("Frobenius manifold data needs 'names', 'potential' and 'metric'")
+    pot = potential_from_json(obj)
+    return FmData(square_matrix_from_json(obj["metric"], len(pot.names)), pot)
 
 
 def embedding_from_json(obj: Any, size: int) -> list[int]:

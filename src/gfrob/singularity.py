@@ -38,8 +38,9 @@ from math import factorial, perm
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
-from .errors import BadIndex, IntegrabilityFailure
-from .frobenius import GFrobeniusAlgebra, Potential
+from .errors import BadIndex, IntegrabilityFailure, ModuleMismatch
+from .braided import form_from_poly
+from .frobenius import FmData, GFrobeniusAlgebra, Potential, Z2Assembly, assemble_z2, gfa_from_cubic
 from .groupoid import check_size
 from .groups import trivial_group
 from .modules import trivial_graded_module, z2_module
@@ -424,67 +425,45 @@ def z2_frobenius_algebra(n: int) -> GFrobeniusAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class Z2Manifold:
-    """Assembled order-two Frobenius manifold and the twisted part of its cubic term."""
+def z2_frobenius_manifold(n: int) -> Z2Assembly:
+    """Glue the A_{2n-3} and D_n manifolds over their shared block, as the Z2Assembly of assemble_z2.
 
-    n: int
-    assembly: "Z2Assembly"
-    twisted_cubic: MultiPoly
-
-    @property
-    def potential(self) -> MultiPoly:
-        return self.assembly.potential
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.assembly.names
-
-
-def z2_frobenius_manifold(n: int) -> Z2Manifold:
-    """Glue the (2n-3)-variable and two-variable manifolds over their shared block.
-
-    Only what gluing needs is checked here: check_pre_gfm on the assembly
-    checks both restrictions, and z2_cubic_witness the cubic part.
+    The fixed block is (t_0, t_2, ..., t_{2n-4}), the sign block the odd
+    t_j and the twisted block t_*.  Only what gluing needs is checked here:
+    check_pre_gfm(fm.module, fm.metric, fm.potential) checks both
+    restrictions, and z2_cubic_witness(fm) the cubic part.
     """
     if n < 3:
         raise BadIndex("z2_frobenius_manifold needs n >= 3")
     return _shared(("Z2", n), lambda: _build_z2_manifold(n))
 
 
-def _build_z2_manifold(n: int) -> Z2Manifold:
-    from .frobenius import FmData, assemble_z2
-
+def _build_z2_manifold(n: int) -> Z2Assembly:
     m = 2 * n - 3
     chart = flat_coordinates(m)
-    pa, pd = chart.potential, _potential_D_from(chart)
-    fe = FmData(pa.names, flat_metric(m), pa.poly)
-    fg = FmData(pd.names, potential_D_metric(n), pd.poly)
-    iota_e = list(range(0, m, 2))
-    iota_g = list(range(n - 1))
-    assembly = assemble_z2(fe, fg, iota_e, iota_g)
-    cubic_poly = assembly.potential.homogeneous_part(3)
-    return Z2Manifold(n=n, assembly=assembly, twisted_cubic=cubic_poly - cubic_poly.subst_zero([TSTAR]))
+    fe = FmData(flat_metric(m), chart.potential)
+    fg = FmData(potential_D_metric(n), _potential_D_from(chart))
+    return assemble_z2(fe, fg, list(range(0, m, 2)), list(range(n - 1)))
 
 
-def z2_cubic_witness(fm: Z2Manifold) -> tuple[int, ...] | None:
-    """First index at which the cubic part of fm's potential misses z2_frobenius_algebra(fm.n), else None.
+def z2_cubic_witness(asm: Z2Assembly) -> tuple[int, ...] | None:
+    """First index at which the cubic part of asm's potential misses z2_frobenius_algebra(n), else None.
 
+    Here n = len(asm.fixed_names) + 1, the n of z2_frobenius_manifold(n);
+    ModuleMismatch if asm's module is not the algebra's z2_module(n - 1, n - 2, 1).
     The degree-3 part, rescaled by 3!, defines an algebra with unit -e_0
     through gfa_from_cubic.  Transported along basis vector -> -(coordinate
-    vector), it must have the metric of z2_frobenius_algebra(fm.n) and the
+    vector), it must have the metric of z2_frobenius_algebra(n) and the
     negated structure constants; the witness is a metric entry (i, j) or a
     structure constant (a, b, k).
     """
-    from .braided import form_from_poly
-    from .frobenius import gfa_from_cubic
-
-    asm = fm.assembly
-    dim = asm.module.dim
-    y3 = form_from_poly(asm.potential.homogeneous_part(3), asm.names, 3).scale(6)
+    n, dim = len(asm.fixed_names) + 1, asm.module.dim
+    algebra = z2_frobenius_algebra(n)
+    if asm.module != algebra.module:
+        raise ModuleMismatch(f"the assembly's module is not that of z2_frobenius_algebra({n})")
+    y3 = form_from_poly(asm.potential.poly.homogeneous_part(3), asm.potential.names, 3).scale(6)
     unit = tuple(Fraction(-1) if i == 0 else Fraction(0) for i in range(dim))
     origin = gfa_from_cubic(asm.module, asm.metric, y3, unit)
-    algebra = z2_frobenius_algebra(fm.n)
     cells, constants = itertools.product(range(dim), repeat=2), itertools.product(range(dim), repeat=3)
     return next(itertools.chain(
         ((i, j) for i, j in cells if origin.metric[i][j] != algebra.metric[i][j]),

@@ -66,10 +66,9 @@ def gfa_to_json(a: GFrobeniusAlgebra) -> dict:
     }
 
 
-def origin_algebra(fm) -> GFrobeniusAlgebra:
+def origin_algebra(asm) -> GFrobeniusAlgebra:
     """The algebra of the cubic part of an order-two manifold's potential, rescaled by 3!, with unit -e_0."""
-    asm = fm.assembly
-    y3 = form_from_poly(asm.potential.homogeneous_part(3), asm.names, 3).scale(6)
+    y3 = form_from_poly(asm.potential.poly.homogeneous_part(3), asm.potential.names, 3).scale(6)
     unit = tuple(Fraction(-int(i == 0)) for i in range(asm.module.dim))
     return gfa_from_cubic(asm.module, asm.metric, y3, unit)
 

@@ -183,10 +183,9 @@ def test_criterion_5_structure_round_trip():
     ok = True
     for n in (3, 4):
         fm = z2_frobenius_manifold(n)
-        asm = fm.assembly
-        ok = ok and check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential)).passed
+        ok = ok and check_pre_gfm(fm.module, fm.metric, fm.potential).passed
         ok = ok and z2_cubic_witness(fm) is None
-        d = fm.assembly.module.dim
+        d = fm.module.dim
         origin, algebra = origin_algebra(fm), z2_frobenius_algebra(n)
         ok = ok and origin.metric == algebra.metric
         ok = ok and all(

@@ -189,13 +189,11 @@ def test_check_pre_gfm_command(capsys, files, tmp_path):
 
     fm = z2_frobenius_manifold(3)
     mod = tmp_path / "m.json"
-    mod.write_text(json.dumps(module_to_json(fm.assembly.module)))
+    mod.write_text(json.dumps(module_to_json(fm.module)))
     eta = tmp_path / "eta.json"
-    eta.write_text(json.dumps({"matrix": matrix_to_json(fm.assembly.metric)}))
+    eta.write_text(json.dumps({"matrix": matrix_to_json(fm.metric)}))
     pot = tmp_path / "pot.json"
-    pot.write_text(
-        json.dumps({"names": list(fm.names), "potential": poly_to_json(fm.potential)})
-    )
+    pot.write_text(json.dumps(potential_to_json(fm.potential)))
     code, out = run(capsys, "check-pre-gfm", "--module", str(mod), "--metric", str(eta), "--potential", str(pot))
     assert code == 0
 
@@ -208,12 +206,12 @@ def test_check_pre_gfm_reports_a_singular_sector(capsys, files, tmp_path):
     from gfrob.singularity import z2_frobenius_manifold
 
     fm = z2_frobenius_manifold(3)
-    metric = matrix_to_json(fm.assembly.metric)
+    metric = matrix_to_json(fm.metric)
     metric[-1][-1] = "0"
     inputs = {
-        "--module": module_to_json(fm.assembly.module),
+        "--module": module_to_json(fm.module),
         "--metric": {"matrix": metric},
-        "--potential": {"names": list(fm.names), "potential": poly_to_json(fm.potential)},
+        "--potential": potential_to_json(fm.potential),
     }
     code, out = run(capsys, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
     assert code == 1
@@ -250,6 +248,18 @@ def test_assemble_z2_command(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["payload"]["sectors"] == {"fixed": ["t_0", "t_2"], "sign": ["t_1"], "twisted": ["t_*"]}
+
+
+@pytest.mark.parametrize("golden, fmt", [("assemble_z2_a3_d3.json", []), ("assemble_z2_a3_d3.txt", ["--format", "text"])])
+def test_golden_assemble_z2_output(capsys, tmp_path, golden, fmt):
+    """The whole payload of the A3/D3 gluing: module, names, metric, potential and sectors."""
+    import pathlib
+
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(assembly_with([0, 2])))
+    code, out = run(capsys, *fmt, "assemble-z2", "--input", str(src))
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_assemble_z2_names_the_failing_sub_check(capsys, tmp_path):
@@ -323,15 +333,21 @@ def z2_module_with(degrees=(0, 1), action=((ONE, ZERO), (ZERO, ONE))):
     return {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": list(degrees), "action": {"0": rows, "1": rows}}
 
 
-def assembly_with(iota_e):
-    """The A3/D3 gluing input of test_assemble_z2_command with another iota_e."""
+def assembly_with(iota_e, fe=None, fg=None):
+    """The A3/D3 gluing input of test_assemble_z2_command with another iota_e.
+
+    fe and fg override fields of the two manifolds; a field given as None is left out.
+    """
     from gfrob import potential_D
     from gfrob.singularity import potential_D_metric
 
-    pa, pd = potential_A(3), potential_D(3)
+    def manifold(pot, metric, fields):
+        doc = {**potential_to_json(pot), "metric": matrix_to_json(metric), **(fields or {})}
+        return {k: x for k, x in doc.items() if x is not None}
+
     return {
-        "fe": {"names": list(pa.names), "metric": matrix_to_json(flat_metric(3)), "potential": poly_to_json(pa.poly)},
-        "fg": {"names": list(pd.names), "metric": matrix_to_json(potential_D_metric(3)), "potential": poly_to_json(pd.poly)},
+        "fe": manifold(potential_A(3), flat_metric(3), fe),
+        "fg": manifold(potential_D(3), potential_D_metric(3), fg),
         "iota_e": iota_e,
         "iota_g": [0, 1],
     }
@@ -364,6 +380,16 @@ MALFORMED = {
     "embedding not a list": ("assemble-z2", {"--input": assembly_with(5)}),
     "embedding index negative": ("assemble-z2", {"--input": assembly_with([0, -3])}),
     "embedding index repeated": ("assemble-z2", {"--input": assembly_with([2, 2])}),
+    "manifold without names": ("assemble-z2", {"--input": assembly_with([0, 2], fe={"names": None})}),
+    "manifold variable not among names": (
+        "assemble-z2",
+        {"--input": assembly_with([0, 2], fg={"names": ["t_0", "t_2", "u"]})},
+    ),
+    "manifold metric of the wrong size": (
+        "assemble-z2",
+        {"--input": assembly_with([0, 2], fe={"metric": [["1", "0"], ["0", "1"]]})},
+    ),
+    "manifold without potential": ("assemble-z2", {"--input": assembly_with([0, 2], fg={"potential": None})}),
     "module action not dim x dim": ("br-basis", {"--module": z2_module_with(action=[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]), "--n": 2}),
     "module action rows ragged": ("br-basis", {"--module": z2_module_with(action=[[ONE, ZERO], [ZERO]]), "--n": 2}),
     "module degree out of range": ("br-basis", {"--module": z2_module_with(degrees=[0, 5]), "--n": 2}),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -362,13 +363,13 @@ def test_subalgebras_refuse_a_product_outside_a_sector():
 
 def check_assembly(asm):
     """check_pre_gfm on the module, metric and potential of an assembly."""
-    return check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential))
+    return check_pre_gfm(asm.module, asm.metric, asm.potential)
 
 
 def test_check_pre_gfm_passes_for_assembled():
     pa, pd = potential_A(3), potential_D(3)
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(pd.names, potential_D_metric(3), pd.poly)
+    fe = FmData(flat_metric(3), pa)
+    fg = FmData(potential_D_metric(3), pd)
     asm = assemble_z2(fe, fg, [0, 2], [0, 1])
     assert check_assembly(asm).passed
     assert asm.fixed_names == ("t_0", "t_2")
@@ -379,8 +380,8 @@ def test_check_pre_gfm_passes_for_assembled():
 def test_check_pre_gfm_detects_bad_twisted_term():
     pa, pd = potential_A(3), potential_D(3)
     broken = pd.poly + MultiPoly(("t_*", "t_0", "t_2"), {(2, 0, 2): Fraction(1, 7)})
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(pd.names, potential_D_metric(3), broken)
+    fe = FmData(flat_metric(3), pa)
+    fg = FmData(potential_D_metric(3), Potential(pd.names, broken))
     report = check_assembly(assemble_z2(fe, fg, [0, 2], [0, 1]))
     assert not report.passed
     assert report.checks["wdvv_invariants"] is not None
@@ -421,18 +422,18 @@ def test_g_degree_witness_on_the_orbifold_dual(orbifold_module):
 def test_assemble_z2_trivial_merge():
     # both inputs equal, everything shared: no sign or twisted block
     pa = potential_A(3)
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
+    fe = FmData(flat_metric(3), pa)
     asm = assemble_z2(fe, fe, [0, 1, 2], [0, 1, 2])
     assert asm.sign_names == () and asm.twisted_names == ()
-    assert asm.potential == pa.poly
+    assert asm.potential.poly == pa.poly
     assert asm.metric == flat_metric(3)
     assert check_assembly(asm).passed
 
 
 def test_assemble_z2_restriction_mismatch():
     pa, pd = potential_A(3), potential_D(3)
-    fe = FmData(pa.names, flat_metric(3), pa.poly + v("t_0") ** 3)
-    fg = FmData(pd.names, potential_D_metric(3), pd.poly)
+    fe = FmData(flat_metric(3), Potential(pa.names, pa.poly + v("t_0") ** 3))
+    fg = FmData(potential_D_metric(3), pd)
     with pytest.raises(RestrictionMismatch):
         assemble_z2(fe, fg, [0, 2], [0, 1])
 
@@ -441,8 +442,8 @@ def test_assemble_z2_metric_block_violation():
     pa, pd = potential_A(3), potential_D(3)
     m = [list(r) for r in potential_D_metric(3)]
     m[0][2] = m[2][0] = Fraction(1)  # pair shared with twisted
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(pd.names, tuple(tuple(r) for r in m), pd.poly)
+    fe = FmData(flat_metric(3), pa)
+    fg = FmData(tuple(tuple(r) for r in m), pd)
     with pytest.raises(BlockDegreeViolation):
         assemble_z2(fe, fg, [0, 2], [0, 1])
 
@@ -450,33 +451,33 @@ def test_assemble_z2_metric_block_violation():
 def test_assemble_z2_odd_twisted_degree():
     pa, pd = potential_A(3), potential_D(3)
     odd = pd.poly + MultiPoly(("t_*", "t_0", "t_2"), {(1, 1, 1): Fraction(1)})
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(pd.names, potential_D_metric(3), odd)
+    fe = FmData(flat_metric(3), pa)
+    fg = FmData(potential_D_metric(3), Potential(pd.names, odd))
     with pytest.raises(BlockDegreeViolation):
         assemble_z2(fe, fg, [0, 2], [0, 1])
 
 
 def test_assemble_z2_name_mismatch():
     pa, pd = potential_A(3), potential_D(3)
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(("u_0", "t_2", "t_*"), potential_D_metric(3), pd.poly.subst("t_0", MultiPoly.variable("u_0")))
+    fe = FmData(flat_metric(3), pa)
+    renamed = Potential(("u_0", "t_2", "t_*"), pd.poly.subst("t_0", MultiPoly.variable("u_0")))
+    fg = FmData(potential_D_metric(3), renamed)
     with pytest.raises(RestrictionMismatch):
         assemble_z2(fe, fg, [0, 2], [0, 1])
 
 
 def test_decompose_z2_potential_unique():
     pa, pd = potential_A(3), potential_D(3)
-    fe = FmData(pa.names, flat_metric(3), pa.poly)
-    fg = FmData(pd.names, potential_D_metric(3), pd.poly)
+    fe = FmData(flat_metric(3), pa)
+    fg = FmData(potential_D_metric(3), pd)
     asm = assemble_z2(fe, fg, [0, 2], [0, 1])
-    names = (asm.fixed_names, asm.sign_names, asm.twisted_names)
-    y_i, y_v, y_g = decompose_z2_potential(names, asm.potential)
-    assert asm.potential == y_i + y_v + y_g
+    y_i, y_v, y_g = decompose_z2_potential(asm)
+    assert asm.potential.poly == y_i + y_v + y_g
     assert y_i + y_v == pa.poly
     assert (y_i + y_g).compact() == pd.poly.compact()
-    mixed = asm.potential + MultiPoly(("t_*", "t_1"), {(1, 1): Fraction(1)})
+    mixed = asm.potential.poly + MultiPoly(("t_*", "t_1"), {(1, 1): Fraction(1)})
     with pytest.raises(BlockDegreeViolation):
-        decompose_z2_potential(names, mixed)
+        decompose_z2_potential(dataclasses.replace(asm, potential=Potential(asm.potential.names, mixed)))
 
 
 def test_gfa_report_metric_nondegenerate_on_invariants():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfrob import MultiPoly, flat_coordinates, flat_metric, milnor_ring, potential_A, potential_B, potential_D
-from gfrob.errors import BadIndex
-from gfrob.frobenius import Potential, check_gfa, check_pre_gfm
+from gfrob.errors import BadIndex, ModuleMismatch
+from gfrob.frobenius import FmData, Potential, assemble_z2, check_gfa, check_pre_gfm
 from gfrob.linalg import identity
 from gfrob.singularity import (
     TSTAR,
@@ -415,8 +415,7 @@ def test_z2_algebra_matches_the_hand_written_tables(n):
 def test_z2_manifold_roundtrip():
     for n in (3, 4):
         fm = z2_frobenius_manifold(n)
-        asm = fm.assembly
-        assert check_pre_gfm(asm.module, asm.metric, Potential(asm.names, asm.potential)).passed
+        assert check_pre_gfm(fm.module, fm.metric, fm.potential).passed
         assert z2_cubic_witness(fm) is None
         expected = MultiPoly(("t_*", "t_0"), {(2, 1): Fraction(1, 2)})
         assert fm.twisted_cubic == expected
@@ -432,16 +431,23 @@ def test_z2_manifold_roundtrip():
 def test_z2_cubic_witness_names_a_perturbed_cubic(exponents, c, witness):
     """The failing side of construct-z2's cubic_matches_algebra row: a witness, not an exception."""
     fm = z2_frobenius_manifold(4)
-    asm = fm.assembly
-    assert asm.names == ("t_0", "t_2", "t_4", "t_1", "t_3", "t_*")
-    perturbed = asm.potential + MultiPoly(asm.names, {exponents: c})
-    bad = dataclasses.replace(fm, assembly=dataclasses.replace(asm, potential=perturbed))
+    names = fm.potential.names
+    assert names == ("t_0", "t_2", "t_4", "t_1", "t_3", "t_*")
+    perturbed = fm.potential.poly + MultiPoly(names, {exponents: c})
+    bad = dataclasses.replace(fm, potential=Potential(names, perturbed))
     assert z2_cubic_witness(bad) == witness
+
+
+def test_z2_cubic_witness_refuses_an_assembly_of_another_module():
+    """The A3 manifold glued to itself has 3 fixed coordinates and no others, not the 6 of z2_frobenius_algebra(4)."""
+    fe = FmData(flat_metric(3), potential_A(3))
+    with pytest.raises(ModuleMismatch):
+        z2_cubic_witness(assemble_z2(fe, fe, [0, 1, 2], [0, 1, 2]))
 
 
 def test_z2_manifold_unit_at_origin():
     fm = z2_frobenius_manifold(3)
-    d = fm.assembly.module.dim
+    d = fm.module.dim
     e_b = lambda b: tuple(Fraction(1) if i == b else Fraction(0) for i in range(d))
     alg = origin_algebra(fm)
     for b in range(d):
@@ -450,7 +456,7 @@ def test_z2_manifold_unit_at_origin():
 
 def test_z2_manifold_twisted_part_n3():
     fm = z2_frobenius_manifold(3)
-    y_g = fm.potential - fm.potential.subst_zero([TSTAR])
+    y_g = fm.potential.poly - fm.potential.poly.subst_zero([TSTAR])
     want = MultiPoly(("t_*", "t_0", "t_2"), {(2, 1, 0): Fraction(1, 2), (2, 0, 2): Fraction(-1, 4)})
     assert y_g == want
 
