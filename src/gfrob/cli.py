@@ -57,16 +57,11 @@ class RunReport:
             entry["witness"] = witness
         self.checks.append(entry)
 
-    def add_verdict(self, verdict: Verdict, headline: bool = False) -> None:
-        """One row per check of the verdict, in report order.
-
-        A failed row carries its witness, a nested verdict by its failure
-        line; with headline, only the first failed row carries a witness,
-        the failure line of the whole verdict.
-        """
-        first = next(iter(verdict.failed), None)
+    def add_verdict(self, verdict: Verdict) -> None:
+        """One row per check of the verdict, in report order; a failed row carries its witness, a nested
+        verdict by its failure line."""
         for name, w in verdict.checks.items():
-            self.add(name, w is None, (verdict.failure if name == first else None) if headline else _shown(w))
+            self.add(name, w is None, _shown(w))
 
     @property
     def exit_code(self) -> int:
@@ -165,7 +160,7 @@ def _cmd_br_basis(args) -> RunReport:
 
 def _cmd_check_gfa(args) -> RunReport:
     rep = RunReport("check-gfa")
-    rep.add_verdict(check_gfa(ser.gfa_from_json(_read_json(args.algebra))), headline=True)
+    rep.add_verdict(check_gfa(ser.gfa_from_json(_read_json(args.algebra))))
     return rep
 
 

@@ -60,10 +60,6 @@ class DegenerateMetric(GfrobError):
     pass
 
 
-class UnitFails(GfrobError):
-    pass
-
-
 class IntegrabilityFailure(GfrobError):
     pass
 

@@ -21,14 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .braided import is_braided
-from .errors import (
-    BlockDegreeViolation,
-    DegenerateMetric,
-    DegreeMismatch,
-    RestrictionMismatch,
-    UnitFails,
-)
+from .errors import BlockDegreeViolation, DegenerateMetric, DegreeMismatch, RestrictionMismatch
 from .groups import trivial_group
 from .linalg import ONE, ZERO, Mat, Vec
 from .modules import (
@@ -140,6 +133,19 @@ def _inverse_metric(eta: Mat) -> Mat:
         raise DegenerateMetric("metric is singular") from None
 
 
+def _rows(pot: Potential, ginv: Mat) -> dict[Pair, list[tuple[int, MultiPoly]]]:
+    """rows[(a, b)] for a <= b: the (l, c_ab^l = sum_k Y_abk g^{kl}) over the nonzero Y_abk and g^{kl},
+    for each l with such a pair."""
+    d = len(pot.names)
+    cols = linalg.columns(ginv)
+    rows = {}
+    for a, b in itertools.combinations_with_replacement(range(d), 2):
+        ys = {k: y for k in range(d) if (y := pot.third(a, b, k))}
+        sums = ((l, [(ys[k], x) for k, x in col if k in ys]) for l, col in enumerate(cols))
+        rows[(a, b)] = [(l, MultiPoly.sum_of_products(terms, pot.names)) for l, terms in sums if terms]
+    return rows
+
+
 def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     """Exact associativity of the potential's product: reports violating tuples.
 
@@ -156,15 +162,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     d = len(pot.names)
     ginv = _inverse_metric(eta)
     y3 = pot.third
-
-    # rows[(a, b)] = the (l, sum_k Y_abk g^{kl}) over the nonzero Y_abk and g^{kl}, for each l with such a pair
-    cols = linalg.columns(ginv)
-    rows = {}
-    for a, b in itertools.combinations_with_replacement(range(d), 2):
-        ys = {k: y for k in range(d) if (y := y3(a, b, k))}
-        sums = ((l, [(ys[k], x) for k, x in col if k in ys]) for l, col in enumerate(cols))
-        rows[(a, b)] = [(l, MultiPoly.sum_of_products(terms, pot.names)) for l, terms in sums if terms]
-
+    rows = _rows(pot, ginv)
     symmetric = all(ginv[k][l] == ginv[l][k] for k in range(d) for l in range(k))
 
     def pair(a: int, b: int) -> Pair:
@@ -193,16 +191,18 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
 
 
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
-    """Structure constants c[a][b][l] = sum_k Y_abk g^{kl} at a point (default origin), each Y_abk evaluated once."""
+    """Structure constants c[a][b][l] = sum_k Y_abk g^{kl} at a point (default origin).
+
+    These are wdvv_check's rows, each evaluated once at the point; c is
+    symmetric in a and b, and an entry with no nonzero term is ZERO.
+    """
     d = len(pot.names)
-    cols = linalg.columns(_inverse_metric(eta))
     pt = {n: Fraction(0) for n in pot.names}
     if point:
         pt.update({k: Fraction(v) for k, v in point.items()})
-    y3 = {abc: y.eval(pt) for abc, y in pot.thirds.items()}
+    rows = {ab: {l: y.eval(pt) for l, y in row} for ab, row in _rows(pot, _inverse_metric(eta)).items()}
     return tuple(
-        tuple(tuple(sum((y3[tuple(sorted((a, b, k)))] * x for k, x in col), ZERO) for col in cols) for b in range(d))
-        for a in range(d)
+        tuple(tuple(rows[(min(a, b), max(a, b))].get(l, ZERO) for l in range(d)) for b in range(d)) for a in range(d)
     )
 
 
@@ -278,11 +278,11 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
     eta(e_a e_b, e_c) with eta(e_a, e_b e_c) and associativity
     (e_a e_b) e_c with e_a (e_b e_c), each side built once, at the least
     (a, b, c) where they differ, an entry on one side only included.
-    Braided commutativity is checked as e_a e_b = rho_{deg(a)^-1}(e_b) e_a.
-    The Jarvis-Kaufmann-Kimura axiom, and the braiding that
-    braided.is_braided tests, read rho_{deg(a)} instead; the two agree when
-    deg(a)^2 acts trivially, as over Z2, and differ on the group algebra of
-    S3 (a known defect, kept so that every verdict stays as it was).
+    Braided commutativity is e_a e_b = rho_{deg(a)}(e_b) e_a, the axiom of
+    Kaufmann (2003) and Jarvis-Kaufmann-Kimura (2005) and the braiding that
+    braided.is_braided tests: where the metric passes check_metric and
+    metric_invariance holds, the row passes exactly when the cubic form
+    eta(e_a e_b, e_c) is braided on the dual module.
     """
     h = alg.module
     g, d, deg, eta, nz = h.group, h.dim, h.degrees, alg.metric, alg.nonzero
@@ -301,7 +301,7 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
         ),
         "braided_commutativity": next(
             (f"(a, b) = ({a}, {b})" for a in range(d) for b in range(d)
-             if dict(nz[a][b]) != alg.times(dict(h.columns[g.inv(deg[a])][b]), {a: ONE})),
+             if dict(nz[a][b]) != alg.times(dict(h.columns[deg[a]][b]), {a: ONE})),
             None,
         ),
         "metric_invariance": _least_difference(  # eta(e_a e_b, e_c) and eta(e_a, e_b e_c)
@@ -322,25 +322,21 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
 
 
 def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeniusAlgebra:
-    """Solve eta(v_a . v_b, v_k) = Y3(v_a, v_b, v_k) for the multiplication."""
+    """The algebra with eta(v_a . v_b, v_k) = Y3(v_k, v_b, v_a), the metric eta and the given unit.
+
+    Only the tensor degree 3 is required (DegreeMismatch otherwise), and a
+    singular eta raises DegenerateMetric.  The axioms are check_gfa's: a
+    cubic that is not braid-invariant, has a term off G-degree e or does not
+    fit the unit gives an algebra whose check names the witness.
+    """
     d = h.dim
     if y3.n != 3:
         raise DegreeMismatch("cubic form must have tensor degree 3")
-    hd = dual_module(h)
-    if not is_braided(hd, y3):
-        raise DegreeMismatch("cubic form is not braid-invariant")
-    for idx in y3.terms:
-        if h.group.product(hd.degree_tuple(idx)) != h.group.identity:
-            raise DegreeMismatch("cubic form has a component of nontrivial G-degree")
     # mult[a][b][l] = sum_k eta^{lk} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero eta^{lk}
     cols = linalg.columns(_inverse_metric(eta))
     sums = _accumulate(((a, b, l), x * y) for (k, b, a), y in y3.terms.items() for l, x in cols[k])
     mult = tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
-    alg = GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
-    one = _accumulate(enumerate(alg.unit))
-    if (bad := next((b for b in range(d) if alg.times(one, {b: ONE}) != {b: ONE}), None)) is not None:
-        raise UnitFails(f"unit fails on basis vector {bad}")
-    return alg
+    return GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
 
 
 def subalgebras(alg: GFrobeniusAlgebra) -> tuple[GFrobeniusAlgebra, GFrobeniusAlgebra]:
@@ -499,8 +495,11 @@ def assemble_z2(fe: FmData, fg: FmData, iota_e: Sequence[int], iota_g: Sequence[
     block and those of fg the twisted block, each in index order.  asm has
     an order-two module with involution +1 / -1 / +1 on the three blocks,
     the block metric, and the summed potential in the names
-    fixed + sign + twisted.  Only the gluing conditions are checked here;
-    check_pre_gfm(asm.module, asm.metric, asm.potential) verifies the result.
+    fixed + sign + twisted.  Only the gluing conditions are checked here:
+    matching names, disjoint complements, agreeing restrictions and
+    homogeneous metric blocks.  check_pre_gfm(asm.module, asm.metric,
+    asm.potential) verifies the result; a term of odd twisted degree is its
+    failed degree_filter row, with the monomial as witness.
     """
     if len(iota_e) != len(iota_g):
         raise RestrictionMismatch("embeddings have different ranks")
@@ -528,10 +527,6 @@ def assemble_z2(fe: FmData, fg: FmData, iota_e: Sequence[int], iota_g: Sequence[
     y_g_restricted = pg.poly.subst_zero(g_names)
     if pe.poly.subst_zero(v_names) != y_g_restricted:
         raise RestrictionMismatch("restricted potentials disagree on the shared subspace")
-    twisted = [v in g_names for v in pg.poly.vars]
-    for exp, _ in pg.poly.sorted_terms():
-        if sum(e for e, t in zip(exp, twisted) if t) % 2:
-            raise BlockDegreeViolation("potential has odd twisted degree")
 
     names = tuple(shared + v_names + g_names)
     # (block, source metric, source index) of each coordinate; the blocks pair only with themselves

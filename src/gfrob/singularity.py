@@ -39,8 +39,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import linalg
 from .errors import BadIndex, IntegrabilityFailure, ModuleMismatch
-from .braided import form_from_poly
-from .frobenius import FmData, GFrobeniusAlgebra, Potential, Z2Assembly, assemble_z2, gfa_from_cubic
+from .frobenius import FmData, GFrobeniusAlgebra, Potential, Z2Assembly, assemble_z2, mult_from_potential
 from .groupoid import check_size
 from .groups import trivial_group
 from .modules import trivial_graded_module, z2_module
@@ -263,10 +262,11 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     The estimate is potential_terms(m) * m**power term operations: power 2
     for the chart and the potential (the residue proof makes O(m^2)
     reductions), power 3 when every potential is also WDVV-checked.  A unit
-    took 1.5 to 2.8 microseconds under CPython 3.11.7 on a 2-core x86-64 host
-    (as subprocesses: `potential A 15` 1.2 s for 420,750 units, `potential A 16`
-    1.8 s for 693,504, `construct-z2 7` 0.74 s for 501,787), so the default
-    limit of 10^6 admits the potential of A_16 and construct-z2 up to n = 7.
+    took 0.6 to 1.5 microseconds under CPython 3.11.7 on a 2-core x86-64 host
+    (as subprocesses: `potential A 15` 0.57-0.61 s for 420,750 units,
+    `potential A 16` 0.83-0.85 s for 693,504, `construct-z2 7` 0.31-0.32 s
+    for 501,787), so the default limit of 10^6 admits the potential of A_16
+    and construct-z2 up to n = 7, well inside ten seconds.
 
     The cubic terms t_0 t_b t_{m-1-b} alone give potential_terms(m) >=
     (m-1)//2 + 1, so a cost over the limit on that lower bound is refused
@@ -451,21 +451,21 @@ def z2_cubic_witness(asm: Z2Assembly) -> tuple[int, ...] | None:
 
     Here n = len(asm.fixed_names) + 1, the n of z2_frobenius_manifold(n);
     ModuleMismatch if asm's module is not the algebra's z2_module(n - 1, n - 2, 1).
-    The degree-3 part, rescaled by 3!, defines an algebra with unit -e_0
-    through gfa_from_cubic.  Transported along basis vector -> -(coordinate
-    vector), it must have the metric of z2_frobenius_algebra(n) and the
-    negated structure constants; the witness is a metric entry (i, j) or a
-    structure constant (a, b, k).
+    Transported along basis vector -> -(coordinate vector), the algebra of
+    the degree-3 part must have the metric of z2_frobenius_algebra(n) and
+    its negated structure constants, read off by mult_from_potential at the
+    origin.  The witness is the first metric entry (i, j) that differs, else
+    the first structure constant (a, b, k); a cubic whose algebra breaks an
+    axiom gets one too.
     """
     n, dim = len(asm.fixed_names) + 1, asm.module.dim
     algebra = z2_frobenius_algebra(n)
     if asm.module != algebra.module:
         raise ModuleMismatch(f"the assembly's module is not that of z2_frobenius_algebra({n})")
-    y3 = form_from_poly(asm.potential.poly.homogeneous_part(3), asm.potential.names, 3).scale(6)
-    unit = tuple(Fraction(-1) if i == 0 else Fraction(0) for i in range(dim))
-    origin = gfa_from_cubic(asm.module, asm.metric, y3, unit)
-    cells, constants = itertools.product(range(dim), repeat=2), itertools.product(range(dim), repeat=3)
-    return next(itertools.chain(
-        ((i, j) for i, j in cells if origin.metric[i][j] != algebra.metric[i][j]),
-        ((a, b, k) for a, b, k in constants if origin.mult[a][b][k] != -algebra.mult[a][b][k]),
-    ), None)
+    cells = itertools.product(range(dim), repeat=2)
+    if (entry := next(((i, j) for i, j in cells if asm.metric[i][j] != algebra.metric[i][j]), None)) is not None:
+        return entry
+    cubic = Potential(asm.potential.names, asm.potential.poly.homogeneous_part(3))
+    mult = mult_from_potential(cubic, asm.metric)
+    constants = itertools.product(range(dim), repeat=3)
+    return next(((a, b, k) for a, b, k in constants if mult[a][b][k] != -algebra.mult[a][b][k]), None)

@@ -73,6 +73,19 @@ def origin_algebra(asm) -> GFrobeniusAlgebra:
     return gfa_from_cubic(asm.module, asm.metric, y3, unit)
 
 
+def cubic_form_of(alg) -> Tensor:
+    """Y3(v_c, v_b, v_a) = eta(v_a . v_b, v_c) as a tensor on the dual, in the slot order gfa_from_cubic reads."""
+    d = alg.dim
+    terms = {}
+    for a in range(d):
+        for b in range(d):
+            for cc in range(d):
+                val = sum(alg.mult[a][b][k] * alg.metric[k][cc] for k in range(d))
+                if val != 0:
+                    terms[(cc, b, a)] = val
+    return Tensor(3, terms)
+
+
 def dot(v, w):
     """The dense dot product, a Fraction: an oracle for the sparse products of src/gfrob."""
     return sum((x * y for x, y in zip(v, w)), ZERO)

@@ -112,7 +112,7 @@ def test_check_gfa_names_the_first_failing_axiom(capsys, tmp_path):
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert failed == [
-        {"name": "metric_invariance", "status": "fail", "witness": "metric_invariance fails at (a, b, c) = (0, 3, 3)"}
+        {"name": "metric_invariance", "status": "fail", "witness": "(a, b, c) = (0, 3, 3)"}
     ]
 
 
@@ -456,7 +456,7 @@ def test_checks_report_a_module_that_breaks_an_axiom(capsys, files, tmp_path):
     checks = json.loads(out)["checks"]
     assert code == 1 and err == ""
     assert [c["name"] for c in checks] == GFA_CHECK_NAMES
-    assert checks[0] == {"name": "module_valid", "status": "fail", "witness": f"module_valid fails: {line}"}
+    assert checks[0] == {"name": "module_valid", "status": "fail", "witness": line}
 
     inputs = {
         "--module": module,
@@ -469,6 +469,25 @@ def test_checks_report_a_module_that_breaks_an_axiom(capsys, files, tmp_path):
     assert code == 1 and err == ""
     assert [c["name"] for c in checks] == PRE_GFM_CHECKS
     assert checks[0] == {"name": "module_valid", "status": "fail", "witness": line}
+
+
+def test_check_gfa_names_a_witness_on_every_failed_row(capsys, files, tmp_path):
+    """Over Z2 with rho(0) = diag(0, 1) and rho(1) the swap, six rows of check-gfa fail, each with its own witness."""
+    module = {"group": {"order": 2, "table": [[0, 1], [1, 0]]}, "degrees": [0, 1],
+              "action": {"0": [[ZERO, ZERO], [ZERO, ONE]], "1": [[ZERO, ONE], [ONE, ZERO]]}}
+    algebra = {"module": module, "metric": [[ONE, ZERO], [ZERO, ONE]],
+               "mult": [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ONE, ZERO]]], "unit": [ONE, ZERO]}
+    code = main(argv_with_files(files, tmp_path, "check-gfa", {"--algebra": algebra}))
+    failed = {c["name"]: c.get("witness") for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] == "fail"}
+    assert code == 1
+    assert failed == {
+        "module_valid": "homomorphism axiom fails at (a, b) = (0, 1)",
+        "self_invariant": "g = 0, (i, j) = (0, 0)",
+        "equivariance": "g = 0, (a, b) = (0, 1)",
+        "braided_commutativity": "(a, b) = (0, 0)",
+        "invariant_unit": "g = 0",
+        "metric": "g_invariant fails at g = 0",
+    }
 
 
 def test_check_pre_gfm_names_braid_witness(capsys, files, tmp_path):

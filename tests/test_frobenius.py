@@ -23,13 +23,7 @@ from gfrob import (
     subalgebras,
     wdvv_check,
 )
-from gfrob.errors import (
-    BlockDegreeViolation,
-    DegenerateMetric,
-    InvalidAction,
-    RestrictionMismatch,
-    UnitFails,
-)
+from gfrob.errors import BlockDegreeViolation, DegenerateMetric, InvalidAction, RestrictionMismatch
 from gfrob.frobenius import braid_witness, decompose_z2_potential, g_degree_witness
 from gfrob.groups import cyclic_group, trivial_group
 from gfrob.linalg import identity, mat, mat_inv, rank, solve_columns, transpose
@@ -43,7 +37,7 @@ from gfrob.singularity import (
     z2_frobenius_algebra,
 )
 
-from conftest import make_s3_regular_module, mat_mul
+from conftest import cubic_form_of, make_s3_regular_module, mat_mul
 
 
 def v(name):
@@ -51,7 +45,7 @@ def v(name):
 
 
 def potential_unit(pot, eta):
-    """The vector u with u o e_b = e_b at the origin; raises UnitFails if none."""
+    """The vector u with u o e_b = e_b at the origin; raises ValueError if none."""
     d = len(pot.names)
     c = mult_from_potential(pot, eta)
     rows = [[c[a][b][l] for a in range(d)] for b in range(d) for l in range(d)]
@@ -59,20 +53,7 @@ def potential_unit(pot, eta):
     try:
         return solve_columns(rows, [rhs])[0]
     except ValueError:
-        raise UnitFails("no unique unit vector at the origin") from None
-
-
-def cubic_form_of(alg):
-    """Y3(v_a, v_b, v_c) = eta(v_a . v_b, v_c) as a tensor on the dual."""
-    d = alg.dim
-    terms = {}
-    for a in range(d):
-        for b in range(d):
-            for cc in range(d):
-                val = sum(alg.mult[a][b][k] * alg.metric[k][cc] for k in range(d))
-                if val != 0:
-                    terms[(cc, b, a)] = val
-    return Tensor(3, terms)
+        raise ValueError("no unique unit vector at the origin") from None
 
 
 def test_check_metric_identity_trivial(trivial_modules):
@@ -309,9 +290,9 @@ def test_gfa_from_cubic_round_trip():
 
 
 def test_gfa_from_cubic_zero_unit_fails():
+    """gfa_from_cubic builds the zero product; check_gfa's unital row names its first basis vector."""
     alg = z2_frobenius_algebra(3)
-    with pytest.raises(UnitFails):
-        gfa_from_cubic(alg.module, alg.metric, Tensor(3), alg.unit)
+    assert check_gfa(gfa_from_cubic(alg.module, alg.metric, Tensor(3), alg.unit)).checks["unital"] == "b = 0"
 
 
 def test_gfa_braided_commutativity_inherited():
@@ -453,8 +434,9 @@ def test_assemble_z2_odd_twisted_degree():
     odd = pd.poly + MultiPoly(("t_*", "t_0", "t_2"), {(1, 1, 1): Fraction(1)})
     fe = FmData(flat_metric(3), pa)
     fg = FmData(potential_D_metric(3), Potential(pd.names, odd))
-    with pytest.raises(BlockDegreeViolation):
-        assemble_z2(fe, fg, [0, 2], [0, 1])
+    asm = assemble_z2(fe, fg, [0, 2], [0, 1])
+    assert asm.potential.names == ("t_0", "t_2", "t_1", "t_*")
+    assert check_assembly(asm).checks["degree_filter"] == [[0, 1], [1, 1], [3, 1]]  # t_0 t_2 t_*
 
 
 def test_assemble_z2_name_mismatch():

@@ -12,16 +12,18 @@ entry or an action entry, or by swapping a product e_a e_b with e_b e_a; the
 two reports must be equal, down to the failure string.  Larger algebras with
 one moved constant pin the least witness of metric invariance and of
 associativity, also where only one side of the comparison is nonzero.
+Braided commutativity is cross-checked against braided.is_braided on the
+cubic form of each drawn algebra whose metric passes and is invariant.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import dot, mat_mul, mat_vec
-from gfrob import cyclic_group, linalg, symmetric_group
-from gfrob.frobenius import GFrobeniusAlgebra, check_gfa, check_metric
+from conftest import cubic_form_of, dot, mat_mul, mat_vec
+from gfrob import cyclic_group, dual_module, is_braided, linalg, symmetric_group
+from gfrob.frobenius import GFrobeniusAlgebra, check_gfa, check_metric, gfa_from_cubic
 from gfrob.linalg import ZERO
 from gfrob.modules import GradedModule, Verdict, validate_module
 from gfrob.singularity import milnor_ring, z2_frobenius_algebra
@@ -83,7 +85,7 @@ def check_gfa_reference(alg) -> Verdict:
         return tuple(lhs) == mat_vec(rho, c[a][b])
 
     def braided_commutes(a, b):
-        rho = h.action[g.inv(h.degrees[a])]
+        rho = h.action[h.degrees[a]]
         rhs = [Fraction(0)] * d
         for i, r in nz_col(rho, b):
             for k, x in nz[i][a]:
@@ -230,7 +232,7 @@ def test_check_gfa_matches_the_loop_reference(case):
     rep = check_gfa(alg)
     ref = check_gfa_reference(alg)
     assert rep == ref and list(rep.checks) == list(ref.checks) and rep.failure == ref.failure
-    if mutation == "none" and name != "s3":
+    if mutation == "none":
         assert rep.passed and rep.failure is None
 
 
@@ -246,11 +248,25 @@ def test_product_matches_the_dense_product(case, data):
     assert [[alg.product(x, y) for y in e] for x in e] == [[tuple(r) for r in plane] for plane in alg.mult]
 
 
-def test_fixtures_pass_except_the_s3_group_algebra():
-    """Every fixture but k[S3] passes, and k[S3] gets the reference's verdict."""
-    reports = {name: check_gfa(alg) for name, alg in ALGEBRAS.items()}
-    assert all(rep.passed for name, rep in reports.items() if name != "s3")
-    assert all(rep == check_gfa_reference(ALGEBRAS[name]) for name, rep in reports.items())
+def test_every_fixture_passes():
+    """Every fixture passes check_gfa and the reference alike, and so does the algebra that gfa_from_cubic
+    builds from its cubic form and unit."""
+    for alg in ALGEBRAS.values():
+        assert check_gfa(alg).passed and check_gfa_reference(alg).passed
+        assert check_gfa(gfa_from_cubic(alg.module, alg.metric, cubic_form_of(alg), alg.unit)).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras())
+@example(("s3", ALGEBRAS["s3"], "none"))
+def test_braided_commutativity_is_the_braiding_of_the_cubic(case):
+    """Where the metric passes and is invariant, the braided_commutativity row passes exactly when the cubic
+    form eta(e_a e_b, e_c) is braided on the dual module: check_gfa and is_braided read one axiom."""
+    _, alg, _ = case
+    rep = check_gfa(alg)
+    assume(rep.checks["metric"] is None and rep.checks["metric_invariance"] is None)
+    braided = is_braided(dual_module(alg.module), cubic_form_of(alg))
+    assert (rep.checks["braided_commutativity"] is None) == braided
 
 
 def with_constant(alg, a, b, k, x):
@@ -315,9 +331,7 @@ def test_witness_order_matches_the_reference(name, position, invariance, associa
     assert [rep.checks["metric_invariance"], rep.checks["associative"]] == pinned
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: braided commutativity is checked with rho_{deg(a)^-1}")
 def test_the_s3_group_algebra_passes():
-    """k[S3] with the conjugation action satisfies e_a e_b = rho_{deg(a)}(e_b) e_a,
-    the Jarvis-Kaufmann-Kimura axiom; check_gfa tests rho_{deg(a)^-1} instead,
-    which a product of two 3-cycles breaks."""
+    """k[S3] with the conjugation action satisfies e_a e_b = rho_{deg(a)}(e_b) e_a, the Jarvis-Kaufmann-Kimura
+    axiom; the reading rho_{deg(a)^-1} would fail it on a product of two 3-cycles."""
     assert check_gfa(ALGEBRAS["s3"]).passed

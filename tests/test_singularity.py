@@ -426,10 +426,14 @@ def test_z2_manifold_roundtrip():
     [
         ((0, 3, 0, 0, 0, 0), Fraction(1, 7), (1, 1, 1)),  # t_2^3 / 7
         ((0, 0, 1, 2, 0, 0), Fraction(1, 3), (2, 3, 4)),  # t_1^2 t_4 / 3
+        ((0, 0, 0, 1, 0, 2), Fraction(1, 2), (3, 5, 5)),  # t_1 t_*^2 / 2: not braided
+        ((2, 0, 0, 0, 0, 1), Fraction(1, 5), (0, 0, 5)),  # t_0^2 t_* / 5: off G-degree e
+        ((1, 0, 0, 1, 1, 0), Fraction(2, 3), (0, 3, 3)),  # (2/3) t_0 t_1 t_3: breaks the unit law
     ],
 )
 def test_z2_cubic_witness_names_a_perturbed_cubic(exponents, c, witness):
-    """The failing side of construct-z2's cubic_matches_algebra row: a witness, not an exception."""
+    """The failing side of construct-z2's cubic_matches_algebra row: a witness, not an exception, also for a
+    cubic whose algebra breaks an axiom."""
     fm = z2_frobenius_manifold(4)
     names = fm.potential.names
     assert names == ("t_0", "t_2", "t_4", "t_1", "t_3", "t_*")
