@@ -236,9 +236,13 @@ class GFrobeniusAlgebra:
         return self.module.dim
 
     @cached_property
-    def nonzero(self) -> list[list[list[tuple[int, int | Fraction]]]]:
-        """nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant, each an int where it is integral."""
-        return [[[(k, exact(x)) for k, x in enumerate(ab) if x] for ab in row] for row in self.mult]
+    def nonzero(self) -> list[list[list[tuple[int, int | Fraction | MultiPoly]]]]:
+        """nonzero[a][b] = the (k, mult[a][b][k]) pairs with a nonzero constant: a scalar as an int where it is
+        integral, a MultiPoly (a product along a locus, say) as it is, so check_gfa proves polynomial identities."""
+        return [
+            [[(k, x if isinstance(x, MultiPoly) else exact(x)) for k, x in enumerate(ab) if x] for ab in row]
+            for row in self.mult
+        ]
 
     def times(self, v: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> dict[int, Fraction]:
         nz = self.nonzero
@@ -324,16 +328,18 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
 def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeniusAlgebra:
     """The algebra with eta(v_a . v_b, v_k) = Y3(v_k, v_b, v_a), the metric eta and the given unit.
 
-    Only the tensor degree 3 is required (DegreeMismatch otherwise), and a
-    singular eta raises DegenerateMetric.  The axioms are check_gfa's: a
+    For any invertible eta, symmetric or not, that is the contraction of
+    wdvv_check's rows, over the rows g^{k.} of eta^-1.  Only the tensor
+    degree 3 is required (DegreeMismatch otherwise), and a singular eta
+    raises DegenerateMetric.  The axioms are check_gfa's: a
     cubic that is not braid-invariant, has a term off G-degree e or does not
     fit the unit gives an algebra whose check names the witness.
     """
     d = h.dim
     if y3.n != 3:
         raise DegreeMismatch("cubic form must have tensor degree 3")
-    # mult[a][b][l] = sum_k eta^{lk} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero eta^{lk}
-    cols = linalg.columns(_inverse_metric(eta))
+    # mult[a][b][l] = sum_k g^{kl} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero g^{kl}
+    cols = linalg.columns(linalg.transpose(_inverse_metric(eta)))
     sums = _accumulate(((a, b, l), x * y) for (k, b, a), y in y3.terms.items() for l, x in cols[k])
     mult = tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
     return GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
@@ -395,11 +401,20 @@ def braid_witness(h: GradedModule, pot: Potential) -> tuple[int, int] | None:
     return None
 
 
-def _sector_wdvv(sector: str, pot: Potential, eta: Mat) -> list[list[int]] | str | None:
-    """The first ten tuples that break WDVV on one sector, a line naming the sector where its metric
-    is singular, or None."""
+def _sector_wdvv(sector: str, pot: Potential, eta: Mat, basis: Sequence[Vec]) -> list[list[int]] | str | None:
+    """The first ten tuples that break WDVV on the span of the basis, the line naming the sector where its
+    metric is singular, or None.
+
+    The potential is restricted along the basis onto fresh coordinates
+    s0, s1, ..., and the metric with linalg.pullback_metric, as subalgebras
+    restricts an algebra; a witness is a tuple of positions in the basis.
+    """
+    incl = linalg.inclusion(basis, len(pot.names))
+    s_names = tuple(f"s{b}" for b in range(len(basis)))
+    units = [tuple(int(b == c) for c in range(len(basis))) for b in range(len(basis))]
+    y = pot.poly.substitute({name: MultiPoly(s_names, dict(zip(units, row))) for name, row in zip(pot.names, incl)})
     try:
-        report = wdvv_check(pot, eta)
+        report = wdvv_check(Potential(s_names, y), linalg.pullback_metric(eta, incl))
     except DegenerateMetric:
         return f"metric is singular on the {sector} sector"
     return [list(w) for w in report.witnesses[:10]] or None
@@ -414,7 +429,8 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> Verdict:
     braided the coordinate pair [x, y] of braid_witness; degree_filter the
     monomial of g_degree_witness as [coordinate index, exponent] pairs; and
     each WDVV check its first ten violating tuples, or the line
-    `metric is singular on the invariant sector` (or `untwisted`).
+    `metric is singular on the invariant sector` (or `untwisted`).  Both are
+    _sector_wdvv along untwisted_basis and invariants_basis.
 
     No constructor runs it: a caller that wants the verdict on an assembly calls it.
     """
@@ -427,20 +443,8 @@ def check_pre_gfm(h: GradedModule, eta: Mat, pot: Potential) -> Verdict:
     checks["braided"] = braided and list(braided)
     degree = g_degree_witness(dual_module(h), pot, h.group.identity)
     checks["degree_filter"] = degree and [list(p) for p in degree]
-
-    e_idx = h.untwisted_indices()
-    e_names = tuple(pot.names[j] for j in e_idx)
-    other = [pot.names[j] for j in range(h.dim) if j not in e_idx]
-    y_e = pot.poly.subst_zero(other)
-    checks["wdvv_untwisted"] = _sector_wdvv("untwisted", Potential(e_names, y_e), submatrix(eta, e_idx, e_idx))
-
-    inv = invariants_basis(h)
-    incl = linalg.inclusion(inv, h.dim)
-    s_names = tuple(f"s{b}" for b in range(len(inv)))
-    units = [tuple(int(b == c) for c in range(len(inv))) for b in range(len(inv))]
-    y_g = pot.poly.substitute({name: MultiPoly(s_names, dict(zip(units, row))) for name, row in zip(pot.names, incl)})
-    eta_g = linalg.pullback_metric(eta, incl)
-    checks["wdvv_invariants"] = _sector_wdvv("invariant", Potential(s_names, y_g), eta_g)
+    checks["wdvv_untwisted"] = _sector_wdvv("untwisted", pot, eta, untwisted_basis(h))
+    checks["wdvv_invariants"] = _sector_wdvv("invariant", pot, eta, invariants_basis(h))
     return Verdict(checks)
 
 

@@ -89,19 +89,11 @@ class Arrow:
     source: GTuple
     gpart: GTuple
     perm: Perm
-    target: GTuple
+    target: GTuple = field(compare=False)  # determined by source, gpart and perm
 
     @property
     def n(self) -> int:
         return len(self.source)
-
-    def __eq__(self, other):
-        if not isinstance(other, Arrow):
-            return NotImplemented
-        return (self.source, self.gpart, self.perm) == (other.source, other.gpart, other.perm)
-
-    def __hash__(self):
-        return hash((self.source, self.gpart, self.perm))
 
 
 def _act(group: FiniteGroup, gpart: GTuple, perm: Perm, t: GTuple) -> GTuple:

@@ -351,30 +351,35 @@ def diagonal_act(h: GradedModule, g: int, v: Tensor) -> Tensor:
     return Tensor(v.n, out)
 
 
+def _eigenbasis(h: GradedModule, idx: Sequence[int], pairs: Sequence[tuple[int, int]] = ()) -> list[linalg.Vec]:
+    """The canonical basis of the vectors supported on idx with rho(gamma) v = s v for each (gamma, s) in pairs.
+
+    One linalg.nullspace of the rows i in idx of every rho(gamma) - s I, read
+    on the columns in idx, embedded in the full dimension; with no pairs, the
+    coordinate vectors of idx.
+    """
+    rows = [[h.action[gamma][i][j] - (s if i == j else 0) for j in idx] for gamma, s in pairs for i in idx]
+    kern = linalg.nullspace(rows) if pairs else linalg.identity(len(idx))
+    embed = {j: pos for pos, j in enumerate(idx)}
+    return [tuple(k[embed[j]] if j in embed else linalg.ZERO for j in range(h.dim)) for k in kern]
+
+
 def invariants_basis(h: GradedModule) -> list[linalg.Vec]:
-    """Basis of the joint fixed space of all rho(gamma)."""
-    rows: list[list[Fraction]] = []
-    ident = linalg.identity(h.dim)
-    for gamma in h.group.elements():
-        if gamma == h.group.identity:
-            continue
-        for i in range(h.dim):
-            rows.append([h.action[gamma][i][j] - ident[i][j] for j in range(h.dim)])
-    if not rows:
-        return [tuple(row) for row in ident]
-    return linalg.nullspace(rows)
+    """Basis of the joint fixed space of all rho(gamma), one _eigenbasis over every index."""
+    e = h.group.identity
+    return _eigenbasis(h, range(h.dim), [(gamma, 1) for gamma in h.group.elements() if gamma != e])
 
 
 def untwisted_basis(h: GradedModule) -> list[linalg.Vec]:
-    ident = linalg.identity(h.dim)
-    return [ident[j] for j in h.untwisted_indices()]
+    """The coordinate vectors of the untwisted sector, in index order."""
+    return _eigenbasis(h, h.untwisted_indices())
 
 
 def z2_decompose(h: GradedModule) -> tuple[list[linalg.Vec], list[linalg.Vec], list[linalg.Vec]]:
     """Split a self-invariant order-2 module into (fixed, sign, twisted) parts.
 
     Returns bases of H_i (untwisted, fixed by the involution), H_v (untwisted,
-    flipped by the involution) and H_g (the twisted sector).
+    flipped by the involution) and H_g (the twisted sector), each one _eigenbasis.
     """
     g = h.group
     if g.order != 2:
@@ -382,29 +387,12 @@ def z2_decompose(h: GradedModule) -> tuple[list[linalg.Vec], list[linalg.Vec], l
     if self_invariance_witness(h) is not None:
         raise NotZ2("z2_decompose requires a self-invariant module")
     nontriv = 1 - g.identity
-    rho = h.action[nontriv]
     e_idx = h.untwisted_indices()
-
-    def eigen(sign: int) -> list[linalg.Vec]:
-        rows = []
-        for i in e_idx:
-            rows.append([rho[i][j] - (sign if i == j else 0) for j in e_idx])
-        kern = linalg.nullspace(rows)
-        out = []
-        for k in kern:
-            full = [Fraction(0)] * h.dim
-            for pos, j in enumerate(e_idx):
-                full[j] = k[pos]
-            out.append(tuple(full))
-        return out
-
-    h_i = eigen(1)
-    h_v = eigen(-1)
-    h_g = [
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(h.dim))
-        for j in h.block_indices(nontriv)
-    ]
-    return h_i, h_v, h_g
+    return (
+        _eigenbasis(h, e_idx, [(nontriv, 1)]),
+        _eigenbasis(h, e_idx, [(nontriv, -1)]),
+        _eigenbasis(h, h.block_indices(nontriv)),
+    )
 
 
 def is_morphism(source: GradedModule, target: GradedModule, m: Matrix) -> bool:

@@ -19,11 +19,11 @@ from gfrob import (
 )
 from gfrob.braided import BraidedSeries, form_from_poly, series_from_poly
 from gfrob.errors import InvalidMorphism
-from gfrob.frobenius import GFrobeniusAlgebra, gfa_from_cubic
+from gfrob.frobenius import GFrobeniusAlgebra, Potential, gfa_from_cubic
 from gfrob.groupoid import compose_arrows, gen_arrow, identity_arrow, inverse_gen_arrow
 from gfrob.linalg import ZERO, identity, mat, transpose
 from gfrob.serialize import frac_to_str, matrix_to_json, module_to_json
-from gfrob.singularity import Z, z2_frobenius_algebra
+from gfrob.singularity import Z, z2_frobenius_algebra, z2_frobenius_manifold
 
 
 def perm_index(n, perm):
@@ -192,6 +192,41 @@ def make_z3_module():
         [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
     ]
     return graded_module(g, (0, 0, 1, 2), [identity(4), rot, rot2])
+
+
+def make_z2_swap_module():
+    """dim 4 over Z/2Z: the involution swaps the untwisted e_0 and e_1 and fixes the untwisted e_2
+    and the twisted e_3, so the invariants are spanned by e_0 + e_1, e_2 and e_3."""
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return graded_module(cyclic_group(2), (0, 0, 0, 1), [identity(4), swap])
+
+
+SWAP_NAMES = ("x0", "x1", "x2", "x3")
+
+
+def swap_manifold(extra=None):
+    """(module, metric, potential) of z2_frobenius_manifold(3) in the basis of make_z2_swap_module.
+
+    The manifold's basis (t_0, t_2, t_1, t_*) becomes (e_0 + e_2, e_0 - e_2, e_1, e_3): the new
+    first two vectors are the sums of the fixed t_0 and the sign t_1 vectors, which the involution
+    swaps.  So t_0 = x0 + x1, t_1 = x0 - x1, t_2 = x2 and t_* = x3, the metric is pulled back along
+    that change of basis, and the potential passes check_pre_gfm.  extra, a MultiPoly in SWAP_NAMES,
+    is added to the potential.
+    """
+    fm = z2_frobenius_manifold(3)
+    x = [MultiPoly((v,), {(1,): 1}) for v in SWAP_NAMES]
+    t_0, t_2, t_1, t_star = fm.potential.names
+    poly = fm.potential.poly.substitute({t_0: x[0] + x[1], t_2: x[2], t_1: x[0] - x[1], t_star: x[3]})
+    if extra is not None:
+        poly = poly + extra
+    change = mat([[1, 1, 0, 0], [0, 0, 1, 0], [1, -1, 0, 0], [0, 0, 0, 1]])  # old coordinate of each new basis vector
+    metric = mat_mul(transpose(change), mat_mul(fm.metric, change))
+    return make_z2_swap_module(), metric, Potential(SWAP_NAMES, poly.with_vars(SWAP_NAMES))
+
+
+def swap_broken_term():
+    """x0^2 x1^2 / 7, symmetric under the swap: it breaks WDVV on both sectors of swap_manifold."""
+    return MultiPoly(("x0", "x1"), {(2, 2): Fraction(1, 7)})
 
 
 def unvalidated_module(group, degrees, action) -> GradedModule:

@@ -278,6 +278,52 @@ def test_assemble_z2_names_the_failing_sub_check(capsys, tmp_path):
     ]
 
 
+def _pre_gfm_golden_case(name):
+    """(module, metric, potential) of a check-pre-gfm golden case.
+
+    swap_broken: make_z2_swap_module, whose invariants include e_0 + e_1, with the potential of
+    swap_manifold broken on both sectors.  a3_d3_broken: the broken A3/D3 gluing of
+    test_assemble_z2_names_the_failing_sub_check.
+    """
+    from gfrob import FmData, MultiPoly, Potential, assemble_z2, potential_D
+    from gfrob.singularity import potential_D_metric
+    from conftest import swap_broken_term, swap_manifold
+
+    if name == "swap_broken":
+        return swap_manifold(swap_broken_term())
+    pd = potential_D(3)
+    broken = pd.poly + MultiPoly(("t_*", "t_0", "t_2"), {(2, 0, 2): Fraction(1, 7)})
+    fe = FmData(flat_metric(3), potential_A(3))
+    fg = FmData(potential_D_metric(3), Potential(pd.names, broken))
+    asm = assemble_z2(fe, fg, [0, 2], [0, 1])
+    return asm.module, asm.metric, asm.potential
+
+
+@pytest.mark.parametrize(
+    "golden, case, fmt",
+    [
+        ("check_pre_gfm_swap_broken.json", "swap_broken", []),
+        ("check_pre_gfm_swap_broken.txt", "swap_broken", ["--format", "text"]),
+        ("check_pre_gfm_a3_d3_broken.json", "a3_d3_broken", []),
+        ("check_pre_gfm_a3_d3_broken.txt", "a3_d3_broken", ["--format", "text"]),
+    ],
+)
+def test_golden_check_pre_gfm_output(capsys, files, tmp_path, golden, case, fmt):
+    """Every check and witness of check-pre-gfm on a sector basis that is not made of coordinate vectors
+    and on an order-two assembly, both failing WDVV."""
+    import pathlib
+
+    module, metric, pot = _pre_gfm_golden_case(case)
+    inputs = {
+        "--module": module_to_json(module),
+        "--metric": {"matrix": matrix_to_json(metric)},
+        "--potential": potential_to_json(pot),
+    }
+    code, out = run(capsys, *fmt, *argv_with_files(files, tmp_path, "check-pre-gfm", inputs))
+    assert code == 1
+    assert out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+
+
 @pytest.mark.parametrize("names", [[f"x{i}" for i in range(6)], ["x0", "x1", "x5", "x3", "x4", "x2"]], ids=["plain", "swapped"])
 def test_check_pre_gfm_names_the_degree_witness(capsys, files, tmp_path, names):
     """x2 x3 x5 on S3's regular module has dual degrees 2, 4, 5, which do not commute, under either naming."""

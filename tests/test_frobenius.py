@@ -35,6 +35,7 @@ from gfrob.singularity import (
     potential_D,
     potential_D_metric,
     z2_frobenius_algebra,
+    z2_frobenius_manifold,
 )
 
 from conftest import cubic_form_of, make_s3_regular_module, mat_mul
@@ -282,17 +283,61 @@ def test_gfa_failure_names_the_first_failing_axiom_and_a_true_witness():
 
 
 def test_gfa_from_cubic_round_trip():
+    """gfa_from_cubic solves eta(e_a e_b, e_k) = Y3(e_k, e_b, e_a), the identity cubic_form_of reads, for any
+    invertible metric: also for the metric with entry (0, 1) raised by 1, which is not symmetric."""
     alg = z2_frobenius_algebra(3)
-    y3 = cubic_form_of(alg)
-    rebuilt = gfa_from_cubic(alg.module, alg.metric, y3, alg.unit)
-    assert rebuilt.mult == alg.mult
-    assert cubic_form_of(rebuilt) == y3
+    raised = [list(row) for row in alg.metric]
+    raised[0][1] += 1
+    skewed = dataclasses.replace(alg, metric=mat(raised))
+    assert rank(skewed.metric) == alg.dim and skewed.metric != transpose(skewed.metric)
+    for a in (alg, skewed):
+        y3 = cubic_form_of(a)
+        rebuilt = gfa_from_cubic(a.module, a.metric, y3, a.unit)
+        assert rebuilt.mult == a.mult
+        assert cubic_form_of(rebuilt) == y3
 
 
 def test_gfa_from_cubic_zero_unit_fails():
     """gfa_from_cubic builds the zero product; check_gfa's unital row names its first basis vector."""
     alg = z2_frobenius_algebra(3)
     assert check_gfa(gfa_from_cubic(alg.module, alg.metric, Tensor(3), alg.unit)).checks["unital"] == "b = 0"
+
+
+def fixed_locus_algebra(n, extra=None):
+    """The product sum_k Y_abk g^{kl} of z2_frobenius_manifold(n) along its fixed locus, with unit -e_0.
+
+    The structure constants are MultiPolys in the fixed coordinates: every other coordinate is set to
+    zero in the third partials.  extra, a MultiPoly in the manifold's names, is added to the potential.
+    """
+    fm = z2_frobenius_manifold(n)
+    names = fm.potential.names
+    pot = fm.potential if extra is None else Potential(names, fm.potential.poly + extra)
+    off = [v for v in names if v not in fm.fixed_names]
+    ginv, d = mat_inv(fm.metric), len(names)
+
+    def constant(a, b, l):
+        return MultiPoly.sum_of_products((pot.third(a, b, k).subst_zero(off), ginv[k][l]) for k in range(d))
+
+    mult = tuple(tuple(tuple(constant(a, b, l) for l in range(d)) for b in range(d)) for a in range(d))
+    unit = tuple(Fraction(-int(j == 0)) for j in range(d))
+    return GFrobeniusAlgebra(fm.module, fm.metric, mult, unit)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_gfa_runs_on_polynomial_structure_constants(n):
+    """Along the fixed locus the constants are polynomials, kept as they are, and every axiom holds."""
+    alg = fixed_locus_algebra(n)
+    assert any(isinstance(x, MultiPoly) and x.total_degree() > 0 for row in alg.mult for ab in row for x in ab)
+    verdict = check_gfa(alg)
+    assert len(verdict.checks) == 10 and verdict.passed
+
+
+def test_check_gfa_names_a_broken_polynomial_product():
+    """t_2^2 t_4^2 / 7 breaks associativity of the fixed-locus product at n = 4, and nothing else."""
+    extra = MultiPoly(("t_2", "t_4"), {(2, 2): Fraction(1, 7)})
+    verdict = check_gfa(fixed_locus_algebra(4, extra))
+    assert verdict.failed == ["associative"]
+    assert verdict.checks["associative"] == "(a, b, c) = (1, 1, 2)"
 
 
 def test_gfa_braided_commutativity_inherited():

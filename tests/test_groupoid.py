@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -124,6 +125,14 @@ def test_gen_arrow_values(z2, s3):
     c = gen_arrow(s3, 2, t)
     assert c.gpart == (s3.identity, s3.identity, t[1])
     assert c.perm == (0, 2, 1)
+
+
+def test_arrows_compare_and_hash_by_source_gpart_and_perm(s3):
+    """The target follows from the other three fields, so equality and hashing ignore it."""
+    a = gen_arrow(s3, 2, (1, 2, 3))
+    relabelled = dataclasses.replace(a, target=a.source)
+    assert relabelled == a and hash(relabelled) == hash(a) == hash((a.source, a.gpart, a.perm))
+    assert dataclasses.replace(a, perm=(0, 1, 2)) != a and a != (a.source, a.gpart, a.perm, a.target)
 
 
 def test_compose_with_identity(z2):
