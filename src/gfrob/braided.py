@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product as iter_product
-from math import factorial, lcm
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, islice, product as iter_product
+from math import factorial, lcm, prod
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import DegreeMismatch, ModuleMismatch
@@ -43,15 +43,10 @@ from .modules import (
 from .poly import MultiPoly
 
 
-def _cleared(terms: Mapping) -> tuple[dict, int]:
-    """The nonzero Fractions of terms as integer numerators over their one least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den
-
-
 def braidize(h: GradedModule, v: Tensor) -> Tensor:
-    """Average of all arrow actions with source the degree tuple of each part."""
-    nums, den = _cleared(v.terms)
+    """Average of all arrow actions with source the degree tuple of each part, on the tensor's coefficients
+    cleared by linalg.cleared to integer numerators over one denominator."""
+    nums, den = linalg.cleared(v.terms)
     return _braidize_numerators(h, v.n, nums, den)
 
 
@@ -157,7 +152,7 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
         col = {t: last - k for k, t in enumerate(tuples)}
         spans = []
         for x in linalg.kernel(linalg.eliminate(rows), len(fibre)):
-            nums = {fibre[k]: c for k, c in _cleared(x)[0].items()}
+            nums = {fibre[k]: c for k, c in linalg.cleared(x)[0].items()}
             v: dict[tuple[int, ...], int | Fraction] = {}
             for conn in comp.connectors.values():
                 arrow_apply_into(h, conn, nums, v)
@@ -201,9 +196,7 @@ class BraidedSeries:
     def __add__(self, other: "BraidedSeries") -> "BraidedSeries":
         if self.module != other.module or self.truncation != other.truncation:
             raise ModuleMismatch("series live on different modules or truncations")
-        parts = dict(self.parts)
-        for d, t in other.parts.items():
-            parts[d] = parts.get(d, Tensor(d)) + t
+        parts = linalg.accumulate(chain(self.parts.items(), other.parts.items()))
         return BraidedSeries(self.module, self.truncation, parts)
 
     def scale(self, c) -> "BraidedSeries":
@@ -233,8 +226,8 @@ def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
     if x.truncation != y.truncation:
         raise ModuleMismatch("series have different truncations")
     h = x.module
-    xs = [(m, *_cleared(t.terms)) for m, t in x.parts.items()]
-    ys = {m: _cleared(t.terms) for m, t in y.parts.items()}
+    xs = [(m, *linalg.cleared(t.terms)) for m, t in x.parts.items()]
+    ys = {m: linalg.cleared(t.terms) for m, t in y.parts.items()}
     parts: dict[int, Tensor] = {}
     for d in range(x.truncation + 1):
         pairs = [(xn, xd, *ys[d - m]) for m, xn, xd in xs if d - m in ys]
@@ -258,18 +251,13 @@ def circ_product(x: BraidedSeries, y: BraidedSeries) -> BraidedSeries:
 def form_from_poly(p: MultiPoly, names: Sequence[str], n: int) -> Tensor:
     """Polarize the degree-n homogeneous part of p over the given coordinates."""
     part = p.homogeneous_part(n)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms = []
     for exp, c in part.sorted_terms():
-        letters: list[int] = []
-        weight = Fraction(c)
-        for v, e in zip(part.vars, exp):
-            if e:
-                letters.extend([names.index(v)] * e)
-                weight *= factorial(e)
+        letters = tuple(names.index(v) for v, e in zip(part.vars, exp) for _ in range(e))
+        weight = Fraction(c) * prod(map(factorial, exp))
         weight /= factorial(n)
-        for tup in _distinct_perms(tuple(letters)):
-            terms[tup] = terms.get(tup, Fraction(0)) + weight
-    return Tensor(n, terms)
+        terms += [(tup, weight) for tup in _distinct_perms(letters)]
+    return Tensor(n, linalg.accumulate(terms))
 
 
 def _distinct_perms(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -295,14 +283,14 @@ def _distinct_perms(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def poly_from_form(t: Tensor, names: Sequence[str]) -> MultiPoly:
     """Diagonal evaluation: the polynomial whose polarization is the tensor."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in t.terms.items():
+
+    def exponent(idx: tuple[int, ...]) -> tuple[int, ...]:
         exp = [0] * len(names)
         for j in idx:
             exp[j] += 1
-        key = tuple(exp)
-        out[key] = out.get(key, Fraction(0)) + c
-    return MultiPoly(names, out)
+        return tuple(exp)
+
+    return MultiPoly(names, linalg.accumulate((exponent(idx), c) for idx, c in t.terms.items()))
 
 
 def series_from_poly(

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import BlockDegreeViolation, DegenerateMetric, DegreeMismatch, RestrictionMismatch
@@ -193,28 +193,28 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
 def mult_from_potential(pot: Potential, eta: Mat, point: Mapping[str, Fraction] | None = None):
     """Structure constants c[a][b][l] = sum_k Y_abk g^{kl} at a point (default origin).
 
-    These are wdvv_check's rows, each evaluated once at the point; c is
-    symmetric in a and b, and an entry with no nonzero term is ZERO.
+    Each nonzero third partial is evaluated once at the point, and its
+    scalar, on every ordering of its indices, goes to the contraction that
+    gfa_from_cubic shares; c is symmetric in a and b, and an entry with no
+    nonzero term is ZERO.
     """
-    d = len(pot.names)
     pt = {n: Fraction(0) for n in pot.names}
     if point:
         pt.update({k: Fraction(v) for k, v in point.items()})
-    rows = {ab: {l: y.eval(pt) for l, y in row} for ab, row in _rows(pot, _inverse_metric(eta)).items()}
-    return tuple(
-        tuple(tuple(rows[(min(a, b), max(a, b))].get(l, ZERO) for l in range(d)) for b in range(d)) for a in range(d)
-    )
+    values = ((abc, y.eval(pt)) for abc, y in pot.thirds.items() if y)
+    terms = ((abk, v) for abc, v in values if v for abk in set(itertools.permutations(abc)))
+    return _contract(terms, _inverse_metric(eta), len(pot.names))
+
+
+def _contract(terms: Iterable[tuple], ginv: Mat, d: int) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The dense mult[a][b][l] = sum_k Y_abk g^{kl} over the ((a, b, k), Y) terms and the sparse rows g^{k.} of
+    ginv; an entry with no nonzero term is ZERO."""
+    rows = linalg.columns(linalg.transpose(ginv))
+    sums = linalg.accumulate(((a, b, l), y * x) for (a, b, k), y in terms for l, x in rows[k])
+    return tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
 
 
 # -- G-Frobenius algebras ------------------------------------------------------
-
-
-def _accumulate(terms) -> dict:
-    """The sums of the (key, value) terms per key, without the sums that are zero."""
-    out: dict = {}
-    for key, x in terms:
-        out[key] = out[key] + x if key in out else x
-    return {key: x for key, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,10 @@ class GFrobeniusAlgebra:
 
     def times(self, v: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> dict[int, Fraction]:
         nz = self.nonzero
-        return _accumulate((k, x * y * z) for a, x in v.items() for b, y in w.items() for k, z in nz[a][b])
+        return linalg.accumulate((k, x * y * z) for a, x in v.items() for b, y in w.items() for k, z in nz[a][b])
 
     def product(self, v: Vec, w: Vec) -> Vec:
-        out = self.times(_accumulate(enumerate(v)), _accumulate(enumerate(w)))
+        out = self.times(linalg.accumulate(enumerate(v)), linalg.accumulate(enumerate(w)))
         return tuple(Fraction(out.get(k, 0)) for k in range(self.dim))
 
 
@@ -291,7 +291,7 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
     h = alg.module
     g, d, deg, eta, nz = h.group, h.dim, h.degrees, alg.metric, alg.nonzero
     consts = [(a, b, k, y) for a, row in enumerate(nz) for b, ab in enumerate(row) for k, y in ab]
-    unit = _accumulate(enumerate(alg.unit))
+    unit = linalg.accumulate(enumerate(alg.unit))
     return Verdict({
         "module_valid": validate_module(h).witness,
         "self_invariant": self_invariance_witness(h),
@@ -309,16 +309,16 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
             None,
         ),
         "metric_invariance": _least_difference(  # eta(e_a e_b, e_c) and eta(e_a, e_b e_c)
-            _accumulate(((a, b, x), y * eta[k][x]) for a, b, k, y in consts for x in range(d) if eta[k][x]),
-            _accumulate(((x, a, b), eta[x][k] * y) for a, b, k, y in consts for x in range(d) if eta[x][k]),
+            linalg.accumulate(((a, b, x), y * eta[k][x]) for a, b, k, y in consts for x in range(d) if eta[k][x]),
+            linalg.accumulate(((x, a, b), eta[x][k] * y) for a, b, k, y in consts for x in range(d) if eta[x][k]),
         ),
         "invariant_unit": next(
             (f"g = {gamma}" for gamma, cols in enumerate(h.columns) if linalg.apply(cols, unit.items()) != unit),
             next((f"j = {j}" for j in unit if deg[j] != g.identity), None),
         ),
         "associative": _least_difference(  # (e_a e_b) e_c and e_a (e_b e_c), keyed (a, b, c, l)
-            _accumulate(((a, b, x, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[k][x]),
-            _accumulate(((x, a, b, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[x][k]),
+            linalg.accumulate(((a, b, x, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[k][x]),
+            linalg.accumulate(((x, a, b, l), y * z) for a, b, k, y in consts for x in range(d) for l, z in nz[x][k]),
         ),
         "unital": next((f"b = {b}" for b in range(d) if alg.times(unit, {b: ONE}) != {b: ONE}), None),
         "metric": check_metric(h, eta).witness,
@@ -328,20 +328,17 @@ def check_gfa(alg: GFrobeniusAlgebra) -> Verdict:
 def gfa_from_cubic(h: GradedModule, eta: Mat, y3: Tensor, unit: Vec) -> GFrobeniusAlgebra:
     """The algebra with eta(v_a . v_b, v_k) = Y3(v_k, v_b, v_a), the metric eta and the given unit.
 
-    For any invertible eta, symmetric or not, that is the contraction of
-    wdvv_check's rows, over the rows g^{k.} of eta^-1.  Only the tensor
-    degree 3 is required (DegreeMismatch otherwise), and a singular eta
-    raises DegenerateMetric.  The axioms are check_gfa's: a
-    cubic that is not braid-invariant, has a term off G-degree e or does not
-    fit the unit gives an algebra whose check names the witness.
+    That is mult[a][b][l] = sum_k Y3(v_k, v_b, v_a) g^{kl}, over the rows
+    g^{k.} of eta^-1 for any invertible eta, symmetric or not: the
+    contraction that mult_from_potential shares, fed the cubic's nonzero
+    terms.  Only the tensor degree 3 is required (DegreeMismatch otherwise),
+    and a singular eta raises DegenerateMetric.  The axioms are check_gfa's:
+    a cubic that is not braid-invariant, has a term off G-degree e or does
+    not fit the unit gives an algebra whose check names the witness.
     """
-    d = h.dim
     if y3.n != 3:
         raise DegreeMismatch("cubic form must have tensor degree 3")
-    # mult[a][b][l] = sum_k g^{kl} Y3(v_k, v_b, v_a), over the nonzero terms and the nonzero g^{kl}
-    cols = linalg.columns(linalg.transpose(_inverse_metric(eta)))
-    sums = _accumulate(((a, b, l), x * y) for (k, b, a), y in y3.terms.items() for l, x in cols[k])
-    mult = tuple(tuple(tuple(sums.get((a, b, l), ZERO) for l in range(d)) for b in range(d)) for a in range(d))
+    mult = _contract((((a, b, k), y) for (k, b, a), y in y3.terms.items()), _inverse_metric(eta), h.dim)
     return GFrobeniusAlgebra(h, eta, mult, tuple(Fraction(x) for x in unit))
 
 

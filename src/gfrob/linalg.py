@@ -8,11 +8,13 @@ sparse br_basis systems cheap, and the unique form makes every kernel basis
 read from it canonical.  `rank`, `nullspace`, `mat_inv` and
 `solve_columns` are thin dense adapters over it.
 
-`columns` and `apply` are the one sparse linear-map layer: a matrix as the
-nonzero (row, entry) pairs of each column, and M v for a sparse v.  Every
-action, matrix product and metric pullback reads them; `inclusion` and
-`pullback_metric`, computed over the columns of the inclusion, restrict a
-metric to a subspace.
+`columns`, `apply`, `accumulate` and `cleared` are the one sparse layer: a
+matrix as the nonzero (row, entry) pairs of each column, M v for a sparse v,
+the per-key sum of (key, value) terms, and rationals cleared to integers
+over one denominator.  Every action, matrix product and metric pullback
+reads them; `inclusion` and `pullback_metric`, computed over the columns of
+the inclusion, restrict a metric to a subspace.  `apply` keeps its own sum:
+it is the matrix-vector kernel behind every module validation.
 """
 
 from __future__ import annotations
@@ -64,6 +66,20 @@ def apply(cols: Columns, v: Iterable[tuple[int, int | Fraction]]) -> dict[int, i
     return {i: x for i, x in out.items() if x}
 
 
+def accumulate(terms: Iterable[tuple]) -> dict:
+    """The sums of the (key, value) terms per key, without the sums that are zero; values need only `+` and truth."""
+    out: dict = {}
+    for key, x in terms:
+        out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if x}
+
+
+def cleared(terms: Mapping) -> tuple[dict, int]:
+    """The nonzero rationals of terms as integer numerators over their one least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}, den
+
+
 def _sub_multiple(target: IntRow, f: int, row: IntRow) -> None:
     """target -= f * row, dropping the entries that cancel."""
     for c, x in row.items():
@@ -84,7 +100,7 @@ def eliminate(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, Row]:
     """Sparse fraction-free Gauss-Jordan: the reduced row echelon form of the rows.
 
     Rows map column -> int or Fraction (zeros dropped) and are not modified.
-    Each row is cleared to integers with one lcm and reduced by the pivot
+    Each row is cleared to integers by `cleared` and reduced by the pivot
     rows R_p it meets: with L the lcm of their pivot entries d_p it becomes
     L r - sum_p (L r[p] / d_p) R_p, exact since pivot rows vanish at each
     other's pivots.  Made primitive, it pivots on its least column, which
@@ -99,8 +115,7 @@ def eliminate(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, Row]:
     reduced: dict[int, IntRow] = {}
     holders: dict[int, set[int]] = {}
     for row in rows:
-        den = lcm(*(x.denominator for x in row.values()))
-        r = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        r = cleared(row)[0]
         hit = [p for p in r if p in reduced]
         if hit:
             scale = lcm(*(reduced[p][p] for p in hit))

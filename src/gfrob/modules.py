@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -219,10 +220,7 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.n != other.n:
             raise DegreeMismatch("tensor degrees differ")
-        terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            terms[idx] = terms.get(idx, Fraction(0)) + c
-        return Tensor(self.n, terms)
+        return Tensor(self.n, linalg.accumulate(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return self + other.scale(-1)
@@ -233,12 +231,8 @@ class Tensor:
 
     def juxt(self, other: "Tensor") -> "Tensor":
         """Concatenation product into the (n+m)-th tensor power."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                idx = i1 + i2
-                terms[idx] = terms.get(idx, Fraction(0)) + c1 * c2
-        return Tensor(self.n + other.n, terms)
+        terms = ((i1 + i2, c1 * c2) for i1, c1 in self.terms.items() for i2, c2 in other.terms.items())
+        return Tensor(self.n + other.n, linalg.accumulate(terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tensor) and self.n == other.n and self.terms == other.terms

@@ -13,6 +13,12 @@ Tensors accumulate juxtapositions into one dict of integer numerators, as
 braided.circ_product does, so in every module of src/gfrob, poly.py
 included, the lint also flags `x = x + a.juxt(b)`, `x = x - a.juxt(b)` and
 `x += a.juxt(b)`: Tensor has no in-place addition, so each copies too.
+
+A keyed sum of terms is one linalg.accumulate call, so in src/gfrob the lint
+flags the hand-written shapes `d[k] = d.get(k, z) + x` and
+`d[k] = d[k] + x if k in d else x`, outside `accumulate` itself and the
+inline kernels that KEYED_SUM_KERNELS names with the reason each keeps its
+own loop.
 """
 
 import ast
@@ -20,6 +26,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gfrob"
+
+# (module, function) -> why its keyed sum stays inline
+KEYED_SUM_KERNELS = {
+    ("linalg.py", "accumulate"): "the one keyed sum",
+    ("linalg.py", "apply"): "the matrix-vector kernel behind every module validation; through accumulate the 216 "
+    "applies of one S3-module validation took 194-269 us against 123-127 us",
+    ("braided.py", "_braidize_numerators"): "the basepoint sums of the braidization kernel, on integer numerators",
+    ("braided.py", "br_basis"): "the rows of s - 1, built in place one entry at a time",
+    ("braided.py", "circ_product"): "the integer juxtapositions of one degree, summed in place",
+    ("serialize.py", "_terms"): "it keeps a zero sum, so poly_from_json still refuses an exponent of 2^31 or more "
+    "that carries a zero coefficient",
+}
 
 
 def _is_product(node: ast.AST) -> bool:
@@ -120,3 +138,71 @@ def test_lint_sees_juxtaposition_accumulations(tmp_path):
         "acc = acc + juxt(xm, yn)\n"
     )
     assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:4", "poly.py:1"]
+
+
+def _with_function(node: ast.AST, name: str = "<module>"):
+    """Every node below node, with the name of the nearest def that holds it."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+        yield child, name
+        yield from _with_function(child, inner)
+
+
+def _keyed_sum(node: ast.AST) -> bool:
+    """`d[k] = d.get(k, z) + x` or `d[k] = d[k] + x if k in d else x`."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Subscript)):
+        return False
+    target, value = node.targets[0], node.value
+    d, k = ast.unparse(target.value), ast.unparse(target.slice)
+    if isinstance(value, ast.IfExp):
+        test, body = value.test, value.body
+        return (
+            isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.In) and len(test.ops) == 1
+            and ast.unparse(test.left) == k and ast.unparse(test.comparators[0]) == d
+            and isinstance(body, ast.BinOp) and isinstance(body.op, ast.Add)
+            and ast.unparse(body.left) == ast.unparse(target) and ast.unparse(body.right) == ast.unparse(value.orelse)
+        )
+    get = getattr(value, "left", None)
+    return (
+        isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
+        and isinstance(get, ast.Call) and isinstance(get.func, ast.Attribute) and get.func.attr == "get"
+        and ast.unparse(get.func.value) == d and len(get.args) == 2 and ast.unparse(get.args[0]) == k
+    )
+
+
+def keyed_sums(src: Path) -> list[str]:
+    """`file:line function` of every hand-written keyed sum in src."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        found = [(node.lineno, fn) for node, fn in _with_function(ast.parse(path.read_text())) if _keyed_sum(node)]
+        out += [f"{path.name}:{line} {fn}" for line, fn in sorted(found)]
+    return out
+
+
+def test_every_keyed_sum_calls_accumulate():
+    found = keyed_sums(SRC)
+    stray = [f for f in found if (f.split(":")[0], f.split()[1]) not in KEYED_SUM_KERNELS]
+    assert stray == [], "sum (key, value) terms with linalg.accumulate, or name the kernel in KEYED_SUM_KERNELS"
+    kernels = {(f.split(":")[0], f.split()[1]) for f in found}
+    assert kernels == set(KEYED_SUM_KERNELS), "a listed kernel no longer holds a keyed sum: drop it from the list"
+
+
+def test_lint_sees_keyed_sums(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "out[i] = out.get(i, 0) + x * y\n"
+        "def f(terms):\n"
+        "    terms[tup] = terms.get(tup, Fraction(0)) + weight\n"
+        "    out[key] = out[key] + x if key in out else x\n"
+        "    def g():\n"
+        "        acc[i1 + i2] = acc.get(i1 + i2, 0) + c1 * c2\n"
+        "    out[key] = out[key] + x if key in other else x\n"
+        "    out[key] = out[key] + x if key in out else y\n"
+        "    out[key] = out.get(other, 0) + x\n"
+        "    out[key] = other.get(key, 0) + x\n"
+        "    out[key] = out.get(key, 0) - x\n"
+        "    y = target.get(c, 0) - f * x\n"
+        "    prev = out.get(key)\n"
+        "    out[key] = pc if prev is None else prev + pc\n"
+    )
+    (tmp_path / "b.py").write_text("class T:\n    def add(self, d):\n        d[k] = d.get(k, z) + x\n")
+    assert keyed_sums(tmp_path) == ["a.py:1 <module>", "a.py:3 f", "a.py:4 f", "a.py:6 g", "b.py:3 add"]

@@ -141,10 +141,17 @@ def test_mult_commutative_at_points():
 
 def test_mult_from_potential_matches_the_dense_contraction():
     """Each c[a][b][l] is the Fraction sum over every k of Y_abk g^{kl}, as first
-    written, for flat metrics and a metric with a dense inverse, at the origin
-    and at a point."""
+    written, for flat metrics, a metric with a dense inverse and a metric that
+    is not symmetric (where the rows g^{k.} and the columns of eta^-1 differ),
+    at the origin and at a point."""
     dense_eta = mat([[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 1, Fraction(1, 2)], [0, 0, Fraction(1, 2), 5]])
-    cases = [(potential_A(5), flat_metric(5)), (potential_D(4), potential_D_metric(4)), (potential_A(4), dense_eta)]
+    skew_eta = mat([[1, 2, 0], [0, 1, 1], [1, 0, Fraction(1, 2)]])
+    cases = [
+        (potential_A(5), flat_metric(5)),
+        (potential_D(4), potential_D_metric(4)),
+        (potential_A(4), dense_eta),
+        (potential_A(3), skew_eta),
+    ]
     for pot, eta in cases:
         ginv, d = mat_inv(eta), len(pot.names)
         for pt in ({}, {name: Fraction(j - 1, 3) for j, name in enumerate(pot.names)}):

@@ -5,14 +5,17 @@ the column from every other row.  It and the dense rank, nullspace, mat_inv
 and solve_columns built on it serve as an independent oracle for
 linalg.eliminate and the adapters over it (rref here, the rest in linalg),
 on sparse, dense, wide, tall, rank-deficient and empty matrices and on
-matrices with zero rows.
+matrices with zero rows.  The keyed sum linalg.accumulate is checked against
+a plain per-key sum, and linalg.cleared against its defining identities.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from gfrob import linalg
+from gfrob.poly import MultiPoly
 
 from conftest import dot, mat_mul, mat_vec
 
@@ -318,3 +321,42 @@ def test_eliminate_clears_a_common_factor():
     reduced = linalg.eliminate(rows)
     assert reduced == {0: {0: ONE, 2: Fraction(15)}, 1: {1: ONE, 2: Fraction(-5)}}
     assert rows == [{0: 2**64, 1: 3 * 2**64}, {0: Fraction(1, 3), 2: 5}]
+
+
+# -- accumulate and cleared ------------------------------------------------------
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=3
+).map(lambda terms: MultiPoly(("x", "y"), terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(st.integers(-3, 3), 0), (fractions, ZERO), (polys, MultiPoly.zero())]).flatmap(
+        lambda kind: st.tuples(st.lists(st.tuples(st.integers(0, 4), kind[0]), max_size=12), st.just(kind[1]))
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_accumulate_is_the_per_key_sum_without_zeros(case, rnd):
+    """int, Fraction and MultiPoly values: the plain per-key sum with its zero sums dropped, in any term order."""
+    terms, zero = case
+    want = {}
+    for key, x in terms:
+        want[key] = want.get(key, zero) + x
+    want = {key: x for key, x in want.items() if x}
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert linalg.accumulate(terms) == want
+    assert linalg.accumulate(iter(shuffled)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.one_of(fractions, st.integers(-5, 5))))
+def test_cleared_numerators_over_the_lcm(terms):
+    """Integer numerators over the lcm of the denominators, which recover every nonzero entry; zeros are dropped."""
+    nums, den = linalg.cleared(terms)
+    assert den == math.lcm(*(x.denominator for x in terms.values()))
+    assert all(type(c) is int for c in nums.values())
+    assert set(nums) == {k for k, x in terms.items() if x}
+    assert all(Fraction(nums[k], den) == terms[k] for k in nums)

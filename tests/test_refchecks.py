@@ -1,5 +1,8 @@
 import json
+import pathlib
 from collections import Counter
+
+import pytest
 
 import gfrob.refchecks as refchecks
 import gfrob.singularity as sing
@@ -30,6 +33,12 @@ def test_cli_verify_paper_text(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) >= 25
+
+
+@pytest.mark.parametrize("golden, fmt", [("verify_paper.json", []), ("verify_paper.txt", ["--format", "text"])])
+def test_golden_verify_paper_output(capsys, golden, fmt):
+    assert main([*fmt, "verify-paper"]) == 0
+    assert capsys.readouterr().out == (pathlib.Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_run_all_builds_each_potential_and_manifold_once(monkeypatch):
