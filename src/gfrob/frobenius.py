@@ -164,6 +164,7 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
     y3 = pot.third
     rows = _rows(pot, ginv)
     symmetric = all(ginv[k][l] == ginv[l][k] for k in range(d) for l in range(k))
+    zero = MultiPoly.zero(pot.names)
 
     def pair(a: int, b: int) -> Pair:
         return (a, b) if a <= b else (b, a)
@@ -173,8 +174,8 @@ def wdvv_check(pot: Potential, eta: Mat) -> WdvvReport:
         m = table.get(key)
         if m is None:
             c, e = key[1]
-            terms = ((x, y) for l, x in rows[key[0]] if x and (y := y3(l, c, e)))
-            m = table[key] = MultiPoly.sum_of_products(terms, pot.names)
+            terms = [(x, y) for l, x in rows[key[0]] if x and (y := y3(l, c, e))]
+            m = table[key] = MultiPoly.sum_of_products(terms, pot.names) if terms else zero
         return m
 
     witnesses = []

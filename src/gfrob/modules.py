@@ -14,9 +14,10 @@ groupoid arrows.
 
 Every linear action on tensors (groupoid arrows, the braiding applied per
 degree tuple, the diagonal action, pullbacks) is one call of the sparse
-kernel slot_apply_into: sparse matrix columns per slot, then a slot
-permutation.  A module keeps the nonzero entries of each action matrix as
-its columns, from linalg.columns: an int where the entry is integral and a
+kernel slot_apply_into: the slot permutation first, one itemgetter per
+term, then sparse matrix columns on the slots whose matrix is not the
+identity.  A module keeps the nonzero entries of each action matrix as its
+columns, from linalg.columns: an int where the entry is integral and a
 Fraction otherwise, so an integral action runs on ints alone.  The module
 axioms and is_morphism multiply those columns with linalg.apply.
 braidize's integer core, which circ_product feeds directly with the
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -273,27 +275,30 @@ def slot_apply_into(
     None for the identity; slot perm[s] of the result then comes from slot s.
     Coefficients and matrix entries may be ints or Fractions; ints stay ints.
     """
-    # Build each result tuple in result order: position k comes from slot source[k].
+    # Position k of the result comes from slot source[k]; one itemgetter puts every slot in place, then
+    # only the slots whose matrix is not the identity are patched.
     source = [0] * len(perm)
     for s, k in enumerate(perm):
         source[k] = s
-    slots = [(s, cols[s]) for s in source]
+    pick = itemgetter(*source) if len(source) > 1 else tuple
+    moved = [(k, s, cols[s]) for k, s in enumerate(source) if cols[s] is not None]
     for idx, c in terms.items():
-        partial: list[tuple[tuple[int, ...], int | Fraction]] = [((), c)]
-        for s, col in slots:
+        key = pick(idx)
+        fan = None
+        for k, s, col in moved:
             j = idx[s]
-            if col is None:
-                partial = [(p + (j,), pc) for p, pc in partial]
-                continue
             branches = col[j]
-            if len(branches) == 1:
+            if fan is None and len(branches) == 1:
                 i, w = branches[0]
-                partial = [(p + (i,), pc * w) for p, pc in partial]
+                c = c * w
+                if i != j:
+                    key = key[:k] + (i,) + key[k + 1:]
             else:
-                partial = [(p + (i,), pc * w) for p, pc in partial for i, w in branches]
-        for key, pc in partial:
+                fan = [(p[:k] + (i,) + p[k + 1:], pc * w) for p, pc in ([(key, c)] if fan is None else fan)
+                       for i, w in branches]
+        for key, c in [(key, c)] if fan is None else fan:
             prev = out.get(key)
-            out[key] = pc if prev is None else prev + pc
+            out[key] = c if prev is None else prev + c
 
 
 def arrow_apply_into(

@@ -246,7 +246,59 @@ def embedding_from_json(obj: Any, size: int) -> list[int]:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) and a newline, without the stdlib's pure-Python encoder.
+
+    json.dumps leaves its C encoder whenever indent is set.  This writer
+    appends every piece to one list and joins it once.  It writes dicts with
+    str keys, lists, tuples, str, int, bool and None; strings go through the
+    C escaper json.dumps uses, and any other scalar goes to json.dumps on its
+    own.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _write(obj: Any, pad: str, out: list[str]) -> None:
+    """Append obj as json.dumps(sort_keys=True, indent=2) writes it, pad being the newline and indent of its line."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def dumps_line(obj: Any) -> str:

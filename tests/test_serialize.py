@@ -1,5 +1,6 @@
 import inspect
 import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -250,3 +251,40 @@ def test_parsers_raise_only_gfrob_errors(name, data):
         _parse(name, _mutated(data.draw, VALID_DOCUMENTS[name]))
     except GfrobError:
         pass
+
+
+# -- the canonical writer -----------------------------------------------------
+
+# Strings with non-ASCII text, quotes, backslashes and control characters; ints negative and past 64 bits;
+# floats, which the writer hands to json.dumps one at a time.
+writer_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-10**40, 10**40)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.text(alphabet='"\\\x00\x1f\x7f/é€\U0001f600\n\t\r ', max_size=6)
+)
+writer_values = st.recursive(
+    writer_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_values)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert serialize.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_rewrites_every_golden_report_byte_for_byte():
+    goldens = sorted((pathlib.Path(__file__).parent / "golden").glob("*.json"))
+    assert goldens
+    for path in goldens:
+        text = path.read_text()
+        assert serialize.dumps(json.loads(text)) == text, path.name

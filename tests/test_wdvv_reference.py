@@ -140,3 +140,19 @@ def test_closed_forms_pass_on_both_routes(pot, eta):
     got = wdvv_check(pot, eta)
     assert got.passed and got.witnesses == ()
     assert wdvv_reference(pot, eta) == got
+
+
+def test_no_pair_product_sums_an_empty_list(monkeypatch):
+    """Where no nonzero row entry meets a nonzero third partial, the pair product is a stored zero, not a kernel call."""
+    pot, eta = potential_A(8), flat_metric(8)
+    sizes = []
+    kernel = MultiPoly.sum_of_products
+
+    def counted(pairs, variables=()):
+        pairs = list(pairs)
+        sizes.append(len(pairs))
+        return kernel(pairs, variables)
+
+    monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(counted))
+    assert wdvv_check(pot, eta).passed
+    assert sizes and 0 not in sizes
