@@ -126,9 +126,6 @@ def br_basis(h: GradedModule, n: int) -> list[InvariantForm]:
     """
     guard_size(h.group, n)
     check_size("dim^n", h.dim**n)
-    if n == 0:
-        return [InvariantForm((), h.group.identity, Tensor.scalar(1))]
-
     # lexicographic degree tuples, so components come by least member; a degree
     # with no basis vector (only an unvalidated module has one) gives no tuples
     blocks = [h.block_indices(g) for g in h.group.elements()]
@@ -206,7 +203,7 @@ class BraidedSeries:
         """The polynomial whose polarization is this series, one name per coordinate."""
         if len(names) != self.module.dim:
             raise DegreeMismatch("coordinate name count differs from dimension")
-        return sum((poly_from_form(t, names) for t in self.parts.values()), MultiPoly.zero(names))
+        return MultiPoly.sum_of_products(((poly_from_form(t, names), 1) for t in self.parts.values()), names)
 
 
 def unit_series(h: GradedModule, truncation: int) -> BraidedSeries:

@@ -26,7 +26,8 @@ of the spanning tree.  Each endomorphism is u_1 o ... o u_k for exactly one
 u_i in each U_i, and each arrow is one connector after one endomorphism, so
 m_C = prod |U_i| and n_C = |C| * m_C hold by construction, with m_C the
 constant hom-set size.  Every component has a constant G-degree (the
-ordered product of the entries).
+ordered product of the entries), since each b_i keeps it:
+g_i g_{i+1} g_i^{-1} . g_i = g_i g_{i+1}.
 
 The reflection functor is read off an arrow in closed form: conjugating by
 the slot reversal with entry inversion maps the groupoid to itself, so no
@@ -114,16 +115,8 @@ def identity_arrow(group: FiniteGroup, t: GTuple) -> Arrow:
 
 
 def braid_gen_action(group: FiniteGroup, i: int, t: GTuple, inverse: bool = False) -> GTuple:
-    n = len(t)
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"generator index {i} for n={n}")
-    j = i - 1
-    out = list(t)
-    if inverse:
-        out[j], out[j + 1] = t[j + 1], group.conj(group.inv(t[j + 1]), t[j])
-    else:
-        out[j], out[j + 1] = group.conj(t[j], t[j + 1]), t[j]
-    return tuple(out)
+    """The tuple b_i (or b_i^{-1}) sends t to: the target of its arrow at t."""
+    return (inverse_gen_arrow if inverse else gen_arrow)(group, i, t).target
 
 
 def gen_arrow(group: FiniteGroup, i: int, t: GTuple) -> Arrow:
@@ -148,9 +141,15 @@ def inverse_arrow(group: FiniteGroup, a: Arrow) -> Arrow:
 
 
 def inverse_gen_arrow(group: FiniteGroup, i: int, t: GTuple) -> Arrow:
-    """The arrow realized by b_i^{-1} at tuple t."""
-    s = braid_gen_action(group, i, t, inverse=True)
-    return inverse_arrow(group, gen_arrow(group, i, s))
+    """The arrow realized by b_i^{-1} at tuple t: t_i conjugated by t_{i+1}^{-1}, then the swap of gen_arrow."""
+    n = len(t)
+    if not 1 <= i <= n - 1:
+        raise IndexOutOfRange(f"generator index {i} for n={n}")
+    gpart = [group.identity] * n
+    gpart[i - 1] = group.inv(t[i])
+    perm = list(range(n))
+    perm[i - 1], perm[i] = i, i - 1
+    return make_arrow(group, t, tuple(gpart), tuple(perm))
 
 
 def compose_arrows(group: FiniteGroup, a2: Arrow, a1: Arrow) -> Arrow:
@@ -369,11 +368,8 @@ def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
             else:
                 chain.add(compose_arrows(group, inverse_arrow(group, conn_u), a))
 
-    deg = g_degree(group, t)
-    if any(g_degree(group, m) != deg for m in connectors):
-        raise AssertionError(f"G-degree not constant on the component of {t}")
     gens = tuple(chain.gens[0]) if chain.gens else ()
-    return Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, deg)
+    return Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, g_degree(group, t))
 
 
 def orbit_component(group: FiniteGroup, t: GTuple) -> Component:

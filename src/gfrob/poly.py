@@ -221,9 +221,11 @@ class MultiPoly:
     def substitute(self, images: Mapping[str, object]) -> "MultiPoly":
         """Substitute polynomials or scalars for variables, all at once; names not declared are ignored.
 
-        Terms are grouped by their exponents in the substituted fields.  Each
-        power of an image that occurs is built from the next lower one that
-        occurs, so an exponent k costs O(log k) products.
+        Terms are grouped by their exponents in the substituted fields, and the
+        result is one sum_of_products over the groups: each pairs its rest
+        coefficients with the product of its image powers (1 for the group
+        with none).  Each power of an image that occurs is built from the next
+        lower one that occurs, so an exponent k costs O(log k) products.
         """
         live = {_offsets[v]: img if isinstance(img, MultiPoly) else MultiPoly.constant(img)
                 for v, img in images.items() if v in self.vars}
@@ -234,20 +236,17 @@ class MultiPoly:
         by_part: dict[int, dict[int, Scalar]] = {}
         for m, c in self.terms.items():
             by_part.setdefault(m & mask, {})[m & ~mask] = c
-        out = MultiPoly._wrap(rest_vars, by_part.pop(0, {}))
         powers: dict[tuple[int, int], MultiPoly] = {}
         for s, img in live.items():
             power, done = MultiPoly.constant(1, rest_vars), 0
             for k in sorted({part >> s & _MASK for part in by_part} - {0}):
                 power, done = power * img ** (k - done), k
                 powers[s, k] = power
-        for part in sorted(by_part):
-            term = MultiPoly._wrap(rest_vars, by_part[part])
-            for s in live:
-                if k := part >> s & _MASK:
-                    term = term * powers[s, k]
-            out = out + term
-        return out
+        pairs = []
+        for part, rest in by_part.items():
+            images = [powers[s, k] for s in live if (k := part >> s & _MASK)]
+            pairs.append((MultiPoly._wrap(rest_vars, rest), reduce(MultiPoly.__mul__, images) if images else 1))
+        return MultiPoly.sum_of_products(pairs, rest_vars)
 
     def subst(self, name: str, value) -> "MultiPoly":
         """Substitute one variable by a polynomial or scalar; unchanged when name is absent."""

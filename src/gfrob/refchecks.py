@@ -34,7 +34,6 @@ from .singularity import (
     potential_A,
     potential_D,
     potential_D_metric,
-    shared_builds,
     z2_cubic_witness,
     z2_frobenius_algebra,
     z2_frobenius_manifold,
@@ -384,13 +383,12 @@ def all_checks() -> list[Check]:
 
 
 def run_all() -> list[tuple[str, bool, str]]:
-    """Run every check, sharing the A_m potentials and Z2 manifolds they build."""
+    """Run every check; the A_m charts and Z2 manifolds they share come from singularity's caches."""
     out = []
-    with shared_builds():
-        for name, fn in all_checks():
-            try:
-                ok, witness = fn()
-            except Exception as exc:  # a crashed check is a failed check
-                ok, witness = False, f"{type(exc).__name__}: {exc}"
-            out.append((name, ok, witness))
+    for name, fn in all_checks():
+        try:
+            ok, witness = fn()
+        except Exception as exc:  # a crashed check is a failed check
+            ok, witness = False, f"{type(exc).__name__}: {exc}"
+        out.append((name, ok, witness))
     return out

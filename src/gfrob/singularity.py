@@ -24,18 +24,20 @@ The two-variable family 1/2 x y^2 + x^{n-1}/(2n-2) is handled through its
 Milnor ring and through the odd-coordinate restriction of the one-variable
 potentials: the restriction plus the correction term -(1/2) a_0 t_*^2 gives
 the potential on coordinates (t_even, t_*).
+
+flat_coordinates and z2_frobenius_manifold keep their 16 most recent builds
+in module-level lru caches, so one process builds and proves each A_m chart
+and each order-two manifold once, however many callers ask for it.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, perm
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Sequence
 
 from . import linalg
 from .errors import BadIndex, IntegrabilityFailure, ModuleMismatch
@@ -182,12 +184,17 @@ class UnfoldingChart:
 
 
 def flat_coordinates(n: int) -> UnfoldingChart:
-    """Invert the ansatz z = w + t_{n-1}/w + ... + t_0/w^n order by order."""
+    """Invert the ansatz z = w + t_{n-1}/w + ... + t_0/w^n order by order.
+
+    The chart is cached (the 16 most recent n), and with it the potential
+    that its first read builds and proves.
+    """
     if n < 2:
         raise BadIndex("flat_coordinates needs n >= 2")
-    return _shared(("chart", n), lambda: _build_flat_coordinates(n))
+    return _build_flat_coordinates(n)
 
 
+@lru_cache(maxsize=16)
 def _build_flat_coordinates(n: int) -> UnfoldingChart:
     """Solve for a_of_t from the powers z^k = w^k P(x)^k, each kept only up to the power the solve reads.
 
@@ -275,33 +282,6 @@ def guard_unfolding(m: int, power: int = 2) -> None:
     floor = (m - 1) // 2 + 1 if m >= 2 else 0
     check_size(f"A_{m} potential: estimated cost (lower bound)", floor * m**power)
     check_size(f"A_{m} potential: estimated cost", potential_terms(m) * m**power)
-
-
-_T = TypeVar("_T")
-_builds: ContextVar[dict | None] = ContextVar("gfrob_shared_builds", default=None)
-
-
-@contextmanager
-def shared_builds() -> Iterator[None]:
-    """Inside the block, build each A_m flat chart (with its potential) and Z2 manifold once.
-
-    The memo belongs to the block and is dropped when it exits; outside any
-    block every call builds (and proves) its objects afresh.
-    """
-    token = _builds.set({})
-    try:
-        yield
-    finally:
-        _builds.reset(token)
-
-
-def _shared(key: tuple, build: Callable[[], _T]) -> _T:
-    memo = _builds.get()
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
 
 
 def potential_A(n: int) -> Potential:
@@ -432,13 +412,15 @@ def z2_frobenius_manifold(n: int) -> Z2Assembly:
     The fixed block is (t_0, t_2, ..., t_{2n-4}), the sign block the odd
     t_j and the twisted block t_*.  Only what gluing needs is checked here:
     check_pre_gfm(fm.module, fm.metric, fm.potential) checks both
-    restrictions, and z2_cubic_witness(fm) the cubic part.
+    restrictions, and z2_cubic_witness(fm) the cubic part.  The assembly is
+    cached (the 16 most recent n), and so is the chart of A_{2n-3} it is glued from.
     """
     if n < 3:
         raise BadIndex("z2_frobenius_manifold needs n >= 3")
-    return _shared(("Z2", n), lambda: _build_z2_manifold(n))
+    return _build_z2_manifold(n)
 
 
+@lru_cache(maxsize=16)
 def _build_z2_manifold(n: int) -> Z2Assembly:
     m = 2 * n - 3
     chart = flat_coordinates(m)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,25 @@ def unpack(p):
 def diag(entries):
     n = len(entries)
     return [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def lru_cache_clears() -> list:
+    """cache_clear of every module-level lru cache of the loaded gfrob modules."""
+    return [
+        value.cache_clear
+        for name, mod in list(sys.modules.items()) if mod is not None and (name == "gfrob" or name.startswith("gfrob."))
+        for value in vars(mod).values() if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == name
+    ]
+
+
+@pytest.fixture(autouse=True)
+def cold_lru_caches():
+    """Each test starts, and leaves, gfrob's lru caches empty, as perfbench clears them before every cold job."""
+    for clear in lru_cache_clears():
+        clear()
+    yield
+    for clear in lru_cache_clears():
+        clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,18 @@
-"""Outside poly.py, a linear combination of products is one MultiPoly.sum_of_products call.
+"""A linear combination of products is one MultiPoly.sum_of_products call.
 
 A hand loop `acc = acc + a * b` copies the accumulator's terms on every step,
-and so does `sum(<generator of products>, start)`.  In every module of
-src/gfrob except poly.py, the lint flags an assignment `x = x + a * b` or
+and so does `sum(<generator>, start)` on polynomials.  In every module of
+src/gfrob, poly.py included, the lint flags an assignment `x = x + a * b` or
 `x = x - a * b` whose left operand repeats the target, and a call of `sum` on
-a generator of products that starts from a polynomial: a `MultiPoly.*` call,
-or a name the module binds to one.  Augmented assignments such as a scalar
-`s += a * b`, and scalar sums, which start from the Fraction ZERO, are out
-of its scope.
+a generator of any element that starts from a polynomial: a `MultiPoly.*`
+call, or a name the module binds to one.  Augmented assignments such as a
+scalar `s += a * b`, and scalar sums, which start from the Fraction ZERO, are
+out of its scope.
 
 Tensors accumulate juxtapositions into one dict of integer numerators, as
-braided.circ_product does, so in every module of src/gfrob, poly.py
-included, the lint also flags `x = x + a.juxt(b)`, `x = x - a.juxt(b)` and
-`x += a.juxt(b)`: Tensor has no in-place addition, so each copies too.
+braided.circ_product does, so the lint also flags `x = x + a.juxt(b)`,
+`x = x - a.juxt(b)` and `x += a.juxt(b)`: Tensor has no in-place addition,
+so each copies too.
 
 A keyed sum of terms is one linalg.accumulate call, so in src/gfrob the lint
 flags the hand-written shapes `d[k] = d.get(k, z) + x` and
@@ -76,11 +76,11 @@ def _poly_sum(node: ast.AST, poly_names: set[str]) -> bool:
         return False
     starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
     poly_start = any(_makes_poly(s) or isinstance(s, ast.Name) and s.id in poly_names for s in starts)
-    return poly_start and isinstance(node.args[0], ast.GeneratorExp) and _is_product(node.args[0].elt)
+    return poly_start and isinstance(node.args[0], ast.GeneratorExp)
 
 
 def hand_accumulations(src: Path) -> list[str]:
-    """file:line of every hand-written accumulation of products outside poly.py, and of juxtapositions anywhere."""
+    """file:line of every hand-written accumulation of products or juxtapositions, and of every polynomial sum()."""
     out = []
     for path in sorted(src.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text())))
@@ -88,11 +88,9 @@ def hand_accumulations(src: Path) -> list[str]:
             t.id for node in nodes if isinstance(node, ast.Assign) and _makes_poly(node.value)
             for t in node.targets if isinstance(t, ast.Name)
         }
-        products = path.name != "poly.py"
         lines = sorted(
             node.lineno for node in nodes
-            if _juxt_accumulation(node)
-            or products and (_hand_accumulation(node, _is_product) or _poly_sum(node, poly_names))
+            if _juxt_accumulation(node) or _hand_accumulation(node, _is_product) or _poly_sum(node, poly_names)
         )
         out += [f"{path.name}:{line}" for line in lines]
     return out
@@ -121,7 +119,7 @@ def test_lint_sees_hand_accumulations(tmp_path):
         "total = sum((x * y for x, y in terms), ZERO)\n"
     )
     (tmp_path / "b.py").write_text("def f(p):\n    return sum((q * c for q, c in p), MultiPoly.zero())\n")
-    assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:5", "a.py:6", "b.py:2"]
+    assert hand_accumulations(tmp_path) == ["a.py:1", "a.py:2", "a.py:3", "a.py:5", "a.py:6", "a.py:13", "b.py:2", "poly.py:1"]
 
 
 def test_lint_sees_juxtaposition_accumulations(tmp_path):

@@ -42,42 +42,39 @@ def test_golden_verify_paper_output(capsys, golden, fmt):
 
 
 def test_run_all_builds_each_potential_and_manifold_once(monkeypatch):
-    """One run shares its A_m potentials and Z2 manifolds, then drops them, and checks one manifold's pre-structure."""
-    series, manifold, check = sing.inverse_series_potential, sing._build_z2_manifold, refchecks.check_pre_gfm
+    """One run builds each A_m potential and Z2 manifold once and checks one manifold's pre-structure;
+    a later call is served from the cache until the cache is cleared."""
+    series, check = sing.inverse_series_potential, refchecks.check_pre_gfm
     built = Counter()
 
     def counted_series(chart):
         built["A", chart.n] += 1
         return series(chart)
 
-    def counted_manifold(n):
-        built["Z2", n] += 1
-        return manifold(n)
-
     def counted_check(*args):
         built["check_pre_gfm"] += 1
         return check(*args)
 
     monkeypatch.setattr(sing, "inverse_series_potential", counted_series)
-    monkeypatch.setattr(sing, "_build_z2_manifold", counted_manifold)
     monkeypatch.setattr(refchecks, "check_pre_gfm", counted_check)
     assert all(ok for _, ok, _ in run_all())
-    assert built[("A", 3)] == built[("A", 5)] == built[("Z2", 3)] == built["check_pre_gfm"] == 1
+    assert built[("A", 3)] == built[("A", 5)] == built["check_pre_gfm"] == 1
     assert set(built.values()) == {1}
-    assert sing._builds.get() is None
+    assert sum(key[0] == "A" for key in built) == sing._build_flat_coordinates.cache_info().currsize == 5
+    manifolds = sing._build_z2_manifold.cache_info()
+    assert manifolds.misses == manifolds.currsize == 4 and manifolds.hits > 0
     sing.potential_A(3)
-    assert built[("A", 3)] == 2  # outside a run, every call builds afresh
+    assert built[("A", 3)] == 1  # a second call builds nothing
+    sing._build_flat_coordinates.cache_clear()
+    sing.potential_A(3)
+    assert built[("A", 3)] == 2  # after cache_clear() it builds again
 
 
-def test_run_all_builds_each_flat_chart_once(monkeypatch):
+def test_run_all_builds_each_flat_chart_once():
     """The flat-table, round-trip and metric checks share the charts the potentials are built on."""
-    build = sing._build_flat_coordinates
-    built = Counter()
-
-    def counted_build(n):
-        built[n] += 1
-        return build(n)
-
-    monkeypatch.setattr(sing, "_build_flat_coordinates", counted_build)
     assert all(ok for _, ok, _ in run_all())
-    assert {3, 4, 5} <= set(built) and set(built.values()) == {1}
+    charts = sing._build_flat_coordinates.cache_info()
+    assert charts.misses == charts.currsize == 5 and charts.hits > 0
+    for n in (3, 4, 5):
+        sing.flat_coordinates(n)
+    assert sing._build_flat_coordinates.cache_info().misses == 5

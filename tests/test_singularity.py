@@ -12,6 +12,7 @@ from gfrob.linalg import identity
 from gfrob.singularity import (
     TSTAR,
     Z,
+    _build_flat_coordinates,
     check_potential_residues,
     fprime_coeffs,
     jacobi_multiply,
@@ -254,14 +255,14 @@ def test_flat_tables_n5():
 
 
 def test_t_of_a_is_built_only_when_read():
-    from gfrob.singularity import shared_builds
-
-    with shared_builds():
-        potential_A(7)
-        z2_frobenius_manifold(4)
-        charts = [flat_coordinates(7), flat_coordinates(5)]
-        assert all("t_of_a" not in vars(ch) for ch in charts)
-        assert len(charts[1].t_of_a) == 5 and "t_of_a" in vars(charts[1])
+    """The charts that potential_A(7) and z2_frobenius_manifold(4) build are the cached ones, without t_of_a."""
+    potential_A(7)
+    z2_frobenius_manifold(4)
+    charts = [flat_coordinates(7), flat_coordinates(5)]
+    assert _build_flat_coordinates.cache_info().misses == 2
+    assert all("t_of_a" not in vars(ch) for ch in charts)
+    assert len(charts[1].t_of_a) == 5 and "t_of_a" in vars(charts[1])
+    assert flat_coordinates(5) is charts[1]
 
 
 def test_flat_roundtrip():
