@@ -25,9 +25,15 @@ builds a base and transversals U_1..U_k for it from the Schreier generators
 of the spanning tree.  Each endomorphism is u_1 o ... o u_k for exactly one
 u_i in each U_i, and each arrow is one connector after one endomorphism, so
 m_C = prod |U_i| and n_C = |C| * m_C hold by construction, with m_C the
-constant hom-set size.  Every component has a constant G-degree (the
-ordered product of the entries), since each b_i keeps it:
-g_i g_{i+1} g_i^{-1} . g_i = g_i g_{i+1}.
+constant hom-set size.  The search and the chain run on that action
+itself: each element is a list of length n|G| whose entry at i|G| + x is
+the index of the image of point (i, x), so composition is one C-level map
+over a list.  Lists, not tuples: CPython keeps freed short tuples in
+freelists, so the many short-lived products would raise the peak memory.
+A component's Arrows are built once, from the finished lists.
+
+Every component has a constant G-degree (the ordered product of the
+entries), since each b_i keeps it: g_i g_{i+1} g_i^{-1} . g_i = g_i g_{i+1}.
 
 The reflection functor is read off an arrow in closed form: conjugating by
 the slot reversal with entry inversion maps the groupoid to itself, so no
@@ -245,39 +251,47 @@ class Component:
         return tuple(a for t in sorted(self.connectors) for a in self._hom(t, endos))
 
 
+Flat = list[int]  # an arrow's action on the n|G| points, point (i, x) at index i|G| + x
+
+
 class _Chain:
     """Deterministic Schreier-Sims over End(t), fed one generator at a time.
 
+    Elements are flat point permutations (Flat), as in the module
+    docstring: x o y is list(map(x.__getitem__, y)), and base point
+    (slot, e) is the index slot|G| + e, whose image a sift reads as
+    x[slot|G| + e].  Every transient product is a new list, never a tuple.
+
     The chain is complete (a base and strong generating set) after every
-    add(), so sifting an arrow to the identity proves it is already in the
-    group generated so far.  Levels only grow: transversal entries are never
-    replaced, so a Schreier generator once sifted to the identity stays
-    covered and each (orbit point, strong generator) pair is checked once.
+    add(), so sifting an element to the identity proves it is already in
+    the group generated so far.  Levels only grow: transversal entries are
+    never replaced, so a Schreier generator once sifted to the identity
+    stays covered and each (orbit point, strong generator) pair is checked
+    once.  A level's strong generators only grow too, so the ones checked
+    against an orbit point are a prefix of them, and checked keeps its length.
     """
 
-    def __init__(self, group: FiniteGroup, t: GTuple):
-        self.group = group
-        self.ident = identity_arrow(group, t)
-        self.base: list[int] = []
-        self.trans: list[dict[Point, Arrow]] = []
-        self.inverses: list[dict[Point, Arrow]] = []
-        self.gens: list[list[Arrow]] = []  # strong generators fixing base[:i]
-        self.checked: list[set[tuple[Point, int]]] = []
+    def __init__(self, order: int, e: int, size: int):
+        self.order, self.e = order, e
+        self.ident: Flat = list(range(size))
+        self.base: list[int] = []  # base points slot|G| + e
+        self.trans: list[dict[int, Flat]] = []
+        self.inverses: list[dict[int, Flat]] = []
+        self.gens: list[list[tuple[Flat, Flat]]] = []  # (strong generator fixing base[:i], its inverse)
+        self.checked: list[dict[int, int]] = []  # orbit point -> strong generators of its level checked
 
-    def sift(self, x: Arrow, level: int = 0) -> tuple[Arrow, int]:
+    def sift(self, x: Flat, level: int = 0) -> tuple[Flat, int]:
         """Strip x through levels >= level: (residue, level it stopped at)."""
         for i in range(level, len(self.base)):
-            slot = self.base[i]
-            point = (x.perm[slot], x.gpart[slot])
-            if point == (slot, self.group.identity):
-                continue
-            inv = self.inverses[i].get(point)
-            if inv is None:
-                return x, i
-            x = compose_arrows(self.group, inv, x)
+            point = x[self.base[i]]
+            if point != self.base[i]:
+                inv = self.inverses[i].get(point)
+                if inv is None:
+                    return x, i
+                x = list(map(inv.__getitem__, x))
         return x, len(self.base)
 
-    def add(self, x: Arrow) -> None:
+    def add(self, x: Flat) -> None:
         """Add x to the group generated so far."""
         h, j = self.sift(x)
         if h == self.ident:
@@ -290,46 +304,42 @@ class _Chain:
 
     def _check(self, i: int) -> int | None:
         """Sift the unchecked Schreier generators of level i; the level extended, if any."""
-        group, slot, trans, checked = self.group, self.base[i], self.trans[i], self.checked[i]
-        for beta, u in list(trans.items()):
-            for k, s in enumerate(self.gens[i]):
-                if (beta, k) in checked:
-                    continue
-                checked.add((beta, k))
-                y = compose_arrows(group, s, u)
-                gamma = (y.perm[slot], y.gpart[slot])
-                y = compose_arrows(group, self.inverses[i][gamma], y)
+        gens, inverses, checked = self.gens[i], self.inverses[i], self.checked[i]
+        for beta, u in list(self.trans[i].items()):
+            for k in range(checked.get(beta, 0), len(gens)):
+                checked[beta] = k + 1
+                s = gens[k][0]
+                # u_gamma^-1 o s o u_beta, where gamma = s(beta)
+                y = list(map(inverses[s[beta]].__getitem__, map(s.__getitem__, u)))
                 h, j = self.sift(y, i + 1)
                 if h != self.ident:
                     self._extend(h, j)
                     return j
         return None
 
-    def _extend(self, h: Arrow, j: int) -> None:
+    def _extend(self, h: Flat, j: int) -> None:
         """Add h, which fixes base points 0..j-1, as a strong generator."""
         if j == len(self.base):
-            e = self.group.identity
-            slot = next(i for i in range(h.n) if (h.perm[i], h.gpart[i]) != (i, e))
-            self.base.append(slot)
-            self.trans.append({(slot, e): self.ident})
-            self.inverses.append({(slot, e): self.ident})
+            point = next(p for p in range(self.e, len(h), self.order) if h[p] != p)
+            self.base.append(point)
+            self.trans.append({point: self.ident})
+            self.inverses.append({point: self.ident})
             self.gens.append([])
-            self.checked.append(set())
+            self.checked.append({})
+        pair = (h, sorted(range(len(h)), key=h.__getitem__))  # h and h^-1
         for level in range(j + 1):
-            self.gens[level].append(h)
+            self.gens[level].append(pair)
             self._grow_orbit(level)
 
     def _grow_orbit(self, level: int) -> None:
-        group, slot, trans = self.group, self.base[level], self.trans[level]
+        trans, inverses = self.trans[level], self.inverses[level]
         queue = list(trans)  # grows during iteration
         for beta in queue:
-            p, g = beta
-            for s in self.gens[level]:
-                gamma = (s.perm[p], group.mul(s.gpart[p], g))
+            for s, s_inv in self.gens[level]:
+                gamma = s[beta]
                 if gamma not in trans:
-                    y = compose_arrows(group, s, trans[beta])
-                    trans[gamma] = y
-                    self.inverses[level][gamma] = inverse_arrow(group, y)
+                    trans[gamma] = list(map(s.__getitem__, trans[beta]))
+                    inverses[gamma] = list(map(inverses[beta].__getitem__, s_inv))
                     queue.append(gamma)
 
 
@@ -347,29 +357,55 @@ def enumerate_component(group: FiniteGroup, t: GTuple) -> Component:
     whole orbit and generate End(t).  Each one is sifted through the
     stabilizer chain built so far and joins it only if it is new
     (Schreier-Sims: Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
-    Every call builds afresh; orbit_component is the cached accessor.
+    The search and the chain run on flat point permutations (see _Chain):
+    b_i at s depends only on i and s[i-1], so it and its inverse are
+    tabulated once per call, and each connector's inverse is kept as
+    conn(s)^-1 o b^-1.  The Arrows of the Component are built once, at the
+    end.  Every call builds afresh; orbit_component is the cached accessor.
     """
     t = tuple(t)
-    guard_size(group, len(t))
-    ident = identity_arrow(group, t)
-    connectors = {t: ident}
-    chain = _Chain(group, t)
+    n = len(t)
+    guard_size(group, n)
+    tab, inv, e, order = group.table, group.inverse, group.identity, group.order
+    chain = _Chain(order, e, n * order)
+    ident = chain.ident
+    conn: dict[GTuple, Flat] = {t: ident}
+    conn_inv: dict[GTuple, Flat] = {t: ident}
+    gen_table: list[tuple[Flat, Flat] | None] = [None] * (n * order)  # at i|G| + g: b_i at s[i-1] = g
     queue = [t]
     for s in queue:  # grows during iteration: breadth-first order
-        conn_s = connectors[s]
-        for i in range(1, len(t)):
-            b = gen_arrow(group, i, s)
-            a = compose_arrows(group, b, conn_s)
-            u = b.target
-            conn_u = connectors.get(u)
-            if conn_u is None:
-                connectors[u] = a
+        conn_s, conn_s_inv = conn[s], conn_inv[s]
+        for i in range(1, n):
+            g = s[i - 1]
+            b = gen_table[i * order + g]
+            if b is None:
+                lo, hi = (i - 1) * order, i * order
+                b = gen_table[hi + g] = (ident[:], ident[:])
+                for x in range(order):  # (i-1, x) -> (i, x) and (i, x) -> (i-1, g x), and back
+                    b[0][lo + x], b[0][hi + x] = hi + x, lo + tab[g][x]
+                    b[1][hi + x], b[1][lo + x] = lo + x, hi + tab[inv[g]][x]
+            u = s[: i - 1] + (tab[tab[g][s[i]]][inv[g]], g) + s[i + 1 :]  # b_i s: conj(g, s[i]), then g
+            conn_u_inv = conn_inv.get(u)
+            if conn_u_inv is None:
+                conn[u] = list(map(b[0].__getitem__, conn_s))
+                conn_inv[u] = list(map(conn_s_inv.__getitem__, b[1]))
                 queue.append(u)
             else:
-                chain.add(compose_arrows(group, inverse_arrow(group, conn_u), a))
+                chain.add(list(map(conn_u_inv.__getitem__, map(b[0].__getitem__, conn_s))))
 
-    gens = tuple(chain.gens[0]) if chain.gens else ()
-    return Component(group, t, connectors, tuple(chain.base), tuple(chain.trans), gens, g_degree(group, t))
+    ident_arrow = identity_arrow(group, t)  # one object for every identity entry, as the stored lists share one
+
+    def arrow(f: Flat, target: GTuple) -> Arrow:
+        if f is ident:
+            return ident_arrow
+        pts = f[e::order]  # (i, e) -> (perm[i], gpart[i])
+        return Arrow(t, tuple([p % order for p in pts]), tuple([p // order for p in pts]), target)
+
+    connectors = {u: arrow(f, u) for u, f in conn.items()}
+    trans = tuple({divmod(p, order): arrow(f, t) for p, f in level.items()} for level in chain.trans)
+    gens = tuple(arrow(s, t) for s, _ in chain.gens[0]) if chain.gens else ()
+    base = tuple(p // order for p in chain.base)
+    return Component(group, t, connectors, base, trans, gens, g_degree(group, t))
 
 
 def orbit_component(group: FiniteGroup, t: GTuple) -> Component:

@@ -16,7 +16,10 @@ used.
 """
 
 import ast
+import itertools
 from pathlib import Path
+
+from gfrob import groupoid
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfrob"
 NOT_CLEARED = {"poly._offsets"}
@@ -150,3 +153,15 @@ def test_lint_sees_unbounded_and_nested_lru_caches(tmp_path):
     assert unbounded_lru_caches(tmp_path) == [
         "a.py:10", "a.py:12", "a.py:14", "a.py:16", "a.py:18", "a.py:21", "a.py:24", "a.py:27", "a.py:28",
     ]
+
+
+def test_groupoid_holds_no_table_but_its_orbit_cache(z2, s3):
+    # a generator or point table kept at module level would survive perfbench's
+    # cold-job reset, which clears only lru caches and dicts named *cache*
+    for g, n in ((z2, 4), (s3, 3)):
+        list(groupoid.components(g, itertools.product(range(g.order), repeat=n)))
+    held = {
+        name for name, value in vars(groupoid).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+    assert held == {"_orbit_cache"}
